@@ -15,6 +15,11 @@ Suprema over frequency are estimated on a dense logarithmic grid followed by
 golden-section refinement around the best local maxima, so every H-infinity
 figure here is a refined lower-bound estimator; the same estimator is used on
 both sides of any bound comparison.
+
+Evaluation is batched: :func:`sweep` solves ``(s_k I - A) X = B`` for a whole
+block of ``GRID_BLOCK`` points at once, every frequency integrand maps an array
+of frequencies to an array of values (stacked SVDs for norms and kernel
+projectors), and the golden-section searches advance in lockstep.
 """
 
 import math
@@ -29,6 +34,9 @@ from .systems import AnnihilationSystem, QuadratureSystem
 
 DEFAULT_GRID_COUNT = 2000
 REFINE_REL_WIDTH = 1e-6
+#: Points per stacked evaluation; bounds the size of the live resolvent stacks.
+GRID_BLOCK = 64
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _abcd(system):
@@ -82,77 +90,123 @@ def default_grid(*state_matrices, count=DEFAULT_GRID_COUNT):
     return GridSpec(wmin=float(wmin), wmax=float(wmax), count=count, two_sided=two_sided)
 
 
-def _golden_max(f, a, b, rel_width):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > rel_width * max(1.0, abs(a), abs(b)):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
+def _grid_values(f, points):
+    """``f`` over ``points`` in blocks of ``GRID_BLOCK`` (at least one call)."""
+    starts = range(0, max(points.size, 1), GRID_BLOCK)
+    return np.concatenate([f(points[k : k + GRID_BLOCK]) for k in starts])
+
+
+def _golden_lockstep(f, lo, hi, rel_width):
+    """Golden-section maxima of ``f`` on every bracket ``[lo_j, hi_j]`` at once.
+
+    Each step makes one batched call over the brackets that are still wider
+    than ``rel_width`` (relative); each bracket stops on its own.  Returns the
+    values at, and the midpoints of, the final brackets.
+    """
+    a, b = lo.copy(), hi.copy()
+    x1 = b - INV_PHI * (b - a)
+    x2 = a + INV_PHI * (b - a)
+    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
+    while True:
+        active = (b - a) > rel_width * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        if not active.any():
+            break
+        up = active & (f1 < f2)
+        down = active & ~(f1 < f2)
+        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        x2[up] = a[up] + INV_PHI * (b[up] - a[up])
+        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        x1[down] = b[down] - INV_PHI * (b[down] - a[down])
+        fresh = f(np.where(up, x2, x1)[active])
+        f2[up] = fresh[up[active]]
+        f1[down] = fresh[down[active]]
     mid = (a + b) / 2
     return f(mid), mid
 
 
-def grid_supremum(f, omegas, top=3, rel_width=REFINE_REL_WIDTH):
+def grid_supremum(f, omegas, top=3, rel_width=REFINE_REL_WIDTH, values=None):
     """Supremum of ``f`` over the grid, refined around the best local maxima.
 
-    Ties break toward lower frequency.  An infinite sample short-circuits and
-    is returned as-is together with its frequency.
+    ``f`` maps an array of frequencies to an array of values; ``values`` may
+    carry ``f(omegas)`` when the caller has already swept the grid.  Ties
+    break toward lower frequency.  An infinite sample short-circuits and is
+    returned as-is together with its frequency.
     """
     omegas = np.asarray(omegas, dtype=float)
-    values = np.array([f(w) for w in omegas])
+    if values is None:
+        values = _grid_values(f, omegas)
     if np.any(np.isinf(values)):
         where = int(np.argmax(np.isinf(values)))
         return math.inf, float(omegas[where])
     n = values.size
-    maxima = [
-        i
-        for i in range(n)
-        if values[i] >= values[max(i - 1, 0)] and values[i] >= values[min(i + 1, n - 1)]
-    ]
-    maxima.sort(key=lambda i: (-values[i], omegas[i]))
+    prev = np.maximum(np.arange(n) - 1, 0)
+    after = np.minimum(np.arange(n) + 1, n - 1)
+    peaks = np.flatnonzero((values >= values[prev]) & (values >= values[after]))
+    maxima = np.array(sorted(peaks, key=lambda i: (-values[i], omegas[i]))[:top], dtype=int)
     # The raw grid maximum is a floor: refinement can only improve on it.
     grid_best = int(np.argmax(values))
     best_value = float(values[grid_best])
     best_omega = float(omegas[grid_best])
-    for i in maxima[:top]:
-        lo = omegas[max(i - 1, 0)]
-        hi = omegas[min(i + 1, n - 1)]
-        if hi > lo:
-            value, omega = _golden_max(f, lo, hi, rel_width)
-        else:
-            value, omega = values[i], omegas[i]
+    lo = omegas[np.maximum(maxima - 1, 0)]
+    hi = omegas[np.minimum(maxima + 1, n - 1)]
+    peak_values, peak_omegas = values[maxima].astype(float), omegas[maxima]
+    refine = hi > lo
+    if refine.any():
+        peak_values[refine], peak_omegas[refine] = _golden_lockstep(
+            f, lo[refine], hi[refine], rel_width
+        )
+    for value, omega in zip(peak_values, peak_omegas):
         if value > best_value or (value == best_value and omega < best_omega):
             best_value, best_omega = float(value), float(omega)
     return best_value, best_omega
 
 
-def _resolve(a, s, rhs):
-    return np.linalg.solve(s * np.eye(a.shape[0]) - a, rhs)
+def sweep(a, b, s):
+    """Stacked resolvent solves ``X[k] = (s_k I - A)^-1 B`` over a 1-D array ``s``.
+
+    A block that holds an exactly singular point is solved point by point,
+    and the singular points get NaN.
+    """
+    s = np.asarray(s)
+    n = a.shape[0]
+    # Copy -A and add s on the diagonals: s * I - A would cast through numpy's
+    # large ufunc buffers.
+    shifted = np.broadcast_to(-a.astype(np.result_type(s, a)), (s.size, n, n)).copy()
+    shifted.reshape(s.size, n * n)[:, :: n + 1] += s[:, None]
+    try:
+        # b[None]: a stack of one matrix on every numpy version, never a stack of vectors.
+        return np.linalg.solve(shifted, b[None])
+    except np.linalg.LinAlgError:
+        out = np.full(shifted.shape[:2] + b.shape[1:], math.nan, np.result_type(shifted, b))
+        for k, m in enumerate(shifted):
+            try:
+                out[k] = np.linalg.solve(m, b)
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
-def _difference_eval(full, reduced):
+def _norms(stack):
+    """Spectral norm of every matrix in a stack."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def _difference(full, reduced):
+    """Batched ``s -> Xi(s) - Xi_r(s)`` over a 1-D array of points."""
     a1, b1, c1, d1 = _abcd(full)
     a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
     d_diff = d1 - d2
-
-    def value(omega):
-        s = 1j * omega
-        return d_diff + c1 @ _resolve(a1, s, b1) - c2 @ _resolve(a2, s, b2)
-
-    return value
+    return lambda s: d_diff + c1 @ sweep(a1, b1, s) - c2 @ sweep(a2, b2, s)
 
 
-def _reduced_abc(result):
-    a_r, b_r, c_r, _ = _abcd(result.reduced if hasattr(result, "reduced") else result)
-    return a_r, b_r, c_r
+def _error_norms(full, reduced):
+    """Batched ``omegas -> |Xi(i w) - Xi_r(i w)|``, the H-infinity error integrand."""
+    diff = _difference(full, reduced)
+    return lambda omegas: _norms(diff(1j * omegas))
+
+
+def _resolve(a, s, rhs):
+    return np.linalg.solve(s * np.eye(a.shape[0]) - a, rhs)
 
 
 def _require_hurwitz(*mats):
@@ -173,11 +227,10 @@ class HinfEstimate:
 def hinf_error(full, result, grid=None):
     """Refined grid estimate of the H-infinity norm of ``Xi - Xi_r``."""
     a1 = _abcd(full)[0]
-    a2, b2, c2 = _reduced_abc(result)
+    a2 = _abcd(_reduced_operand(result))[0]
     _require_hurwitz(a1, a2)
     spec = grid or default_grid(a1, a2)
-    diff = _difference_eval(full, result)
-    value, peak = grid_supremum(lambda w: linalg.spectral_norm(diff(w)), spec.frequencies())
+    value, peak = grid_supremum(_error_norms(full, result), spec.frequencies())
     return HinfEstimate(value=value, peak_omega=peak, grid=spec)
 
 
@@ -228,16 +281,58 @@ def error_exact(full, result, s):
     )
 
 
-def _angle_factor(delta_norm):
-    gap = 1.0 - delta_norm**2
-    if gap <= 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(gap)
-
-
 def _complement_projector(basis):
     p = linalg.orthogonal_projector(basis)
     return np.eye(p.shape[0]) - p
+
+
+def _kernel_projectors(m):
+    """Kernel projector of every matrix in a stack, ranks as in ``rank_and_bases``."""
+    _, sv, vh = np.linalg.svd(m)
+    tol = max(m.shape[1:]) * np.finfo(m.dtype).eps * sv[:, :1]
+    rank = np.sum(sv > tol, axis=1)
+    vh[np.arange(m.shape[2]) < rank[:, None]] = 0.0
+    return vh.conj().transpose(0, 2, 1) @ vh
+
+
+def _angle_bound(a, b, c, basis, p_perp, omegas, side):
+    """Principal-angle error bound integrand at every frequency in ``omegas``.
+
+    With ``P_u`` the projector onto the kernel of ``basis^H (sI-A)^H``
+    (``side="left"``) or of ``basis^H (sI-A)`` (``side="right"``), the
+    integrand is ``sec(theta) |C (sI-A)^-1 P_perp| |P_u B|`` or
+    ``sec(theta) |C P_u| |P_perp (sI-A)^-1 B|``, where ``sin(theta) =
+    |P_perp - P_u|``.  A degenerate angle gives ``inf``.
+    """
+    s = 1j * omegas
+    # basis^H (sI-A)^H and basis^H (sI-A), without forming the n x n stack.
+    basis_h = basis.conj().T
+    if side == "left":
+        p_u = _kernel_projectors(s.conj()[:, None, None] * basis_h - (a @ basis).conj().T)
+        # C (sI-A)^-1 is the transpose of (sI-A^T)^-1 C^T: no n x n right-hand side.
+        t1 = _norms(sweep(a.T, c.T, s).transpose(0, 2, 1) @ p_perp)
+        t2 = _norms(p_u @ b)
+    else:
+        p_u = _kernel_projectors(s[:, None, None] * basis_h - basis_h @ a)
+        t1 = _norms(c @ p_u)
+        t2 = _norms(p_perp @ sweep(a, b, s))
+    gap = 1.0 - _norms(p_perp - p_u) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(gap > 0.0, 1.0 / np.sqrt(gap) * t1 * t2, math.inf)
+
+
+def _bound_suprema(full, result, grid, terms):
+    """Grid supremum of the angle bound for each ``(side, basis, complement basis)``."""
+    a, b, c, _ = _abcd(full)
+    a_r = _abcd(result.reduced)[0]
+    _require_hurwitz(a, a_r)
+    omegas = (grid or default_grid(a, a_r)).frequencies()
+    suprema = []
+    for side, basis, perp in terms:
+        p_perp = _complement_projector(perp)
+        f = lambda w: _angle_bound(a, b, c, basis, p_perp, w, side)  # noqa: E731
+        suprema.append(grid_supremum(f, omegas)[0])
+    return suprema
 
 
 def hinf_bound_left(full, result, grid=None):
@@ -245,88 +340,18 @@ def hinf_bound_left(full, result, grid=None):
 
     Returns ``inf`` when the subspace angle degenerates at some frequency.
     """
-    a, b, c, _ = _abcd(full)
-    a_r = _abcd(result.reduced)[0]
-    _require_hurwitz(a, a_r)
-    w, v = result.w, result.v
-    p_w_perp = _complement_projector(w)
-    eye = np.eye(a.shape[0])
-
-    def integrand(omega):
-        shifted = 1j * omega * eye - a
-        u_v = linalg.kernel_basis(v.conj().T @ shifted.conj().T)
-        p_u = u_v @ u_v.conj().T
-        factor = _angle_factor(linalg.spectral_norm(p_w_perp - p_u))
-        if math.isinf(factor):
-            return math.inf
-        t1 = linalg.spectral_norm(c @ np.linalg.solve(shifted, p_w_perp))
-        t2 = linalg.spectral_norm(p_u @ b)
-        return factor * t1 * t2
-
-    spec = grid or default_grid(a, a_r)
-    return grid_supremum(integrand, spec.frequencies())[0]
+    return _bound_suprema(full, result, grid, [("left", result.v, result.w)])[0]
 
 
 def hinf_bound_right(full, result, grid=None):
     """H-infinity error bound built from the right interpolation subspace."""
-    a, b, c, _ = _abcd(full)
-    a_r = _abcd(result.reduced)[0]
-    _require_hurwitz(a, a_r)
-    w, v = result.w, result.v
-    p_v_perp = _complement_projector(v)
-    eye = np.eye(a.shape[0])
-
-    def integrand(omega):
-        shifted = 1j * omega * eye - a
-        u_w = linalg.kernel_basis(w.conj().T @ shifted)
-        p_u = u_w @ u_w.conj().T
-        factor = _angle_factor(linalg.spectral_norm(p_v_perp - p_u))
-        if math.isinf(factor):
-            return math.inf
-        t1 = linalg.spectral_norm(c @ p_u)
-        t2 = linalg.spectral_norm(p_v_perp @ np.linalg.solve(shifted, b))
-        return factor * t1 * t2
-
-    spec = grid or default_grid(a, a_r)
-    return grid_supremum(integrand, spec.frequencies())[0]
+    return _bound_suprema(full, result, grid, [("right", result.w, result.v)])[0]
 
 
 def hinf_bounds_passive(full, result, grid=None):
     """The pair of H-infinity bounds for a passive Galerkin reduction."""
-    f, g, h, _ = _abcd(full)
-    f_r = _abcd(result.reduced)[0]
-    _require_hurwitz(f, f_r)
     v_a = result.v
-    p_perp = _complement_projector(v_a)
-    eye = np.eye(f.shape[0])
-
-    def integrand_one(omega):
-        shifted = 1j * omega * eye - f
-        u1 = linalg.kernel_basis(v_a.conj().T @ shifted.conj().T)
-        p_u = u1 @ u1.conj().T
-        factor = _angle_factor(linalg.spectral_norm(p_perp - p_u))
-        if math.isinf(factor):
-            return math.inf
-        t1 = linalg.spectral_norm(h @ np.linalg.solve(shifted, p_perp))
-        t2 = linalg.spectral_norm(p_u @ g)
-        return factor * t1 * t2
-
-    def integrand_two(omega):
-        shifted = 1j * omega * eye - f
-        u2 = linalg.kernel_basis(v_a.conj().T @ shifted)
-        p_u = u2 @ u2.conj().T
-        factor = _angle_factor(linalg.spectral_norm(p_perp - p_u))
-        if math.isinf(factor):
-            return math.inf
-        t1 = linalg.spectral_norm(h @ p_u)
-        t2 = linalg.spectral_norm(p_perp @ np.linalg.solve(shifted, g))
-        return factor * t1 * t2
-
-    spec = grid or default_grid(f, f_r)
-    omegas = spec.frequencies()
-    left = grid_supremum(integrand_one, omegas)[0]
-    right = grid_supremum(integrand_two, omegas)[0]
-    return left, right
+    return tuple(_bound_suprema(full, result, grid, [("left", v_a, v_a), ("right", v_a, v_a)]))
 
 
 def _h2_integral(full_abc, reduced_abc, two_sided, w_max=None):
@@ -402,20 +427,13 @@ def frequency_response(system, omegas):
     instead of raising.
     """
     a, b, c, d = _abcd(system)
-    eye = np.eye(a.shape[0])
-    kept, values, skipped = [], [], []
-    for omega in np.asarray(omegas, dtype=float):
-        try:
-            value = d + c @ np.linalg.solve(1j * omega * eye - a, b)
-        except np.linalg.LinAlgError:
-            skipped.append((float(omega), "resolvent singular"))
-            continue
-        if not np.all(np.isfinite(value)):
-            skipped.append((float(omega), "resolvent singular"))
-            continue
-        kept.append(float(omega))
-        values.append(value)
-    return FrequencyResponse(omegas=np.array(kept), values=values, skipped=skipped)
+    omegas = np.asarray(omegas, dtype=float)
+    values = _grid_values(lambda s: d + c @ sweep(a, b, s), 1j * omegas)
+    finite = np.isfinite(values).all(axis=(1, 2))
+    skipped = [(float(w), "resolvent singular") for w in omegas[~finite]]
+    return FrequencyResponse(
+        omegas=omegas[finite], values=list(values[finite]), skipped=skipped
+    )
 
 
 def error_surface(full, reduced, real_points=None, imag_points=None, count=41):
@@ -426,7 +444,6 @@ def error_surface(full, reduced, real_points=None, imag_points=None, count=41):
     where either resolvent is singular yield NaN.  Default ranges span twice
     the largest eigenvalue magnitude of the two state matrices.
     """
-    diff = _difference_eval_complex(full, reduced)
     a1 = _abcd(full)[0]
     a2 = _abcd(_reduced_operand(reduced))[0]
     if real_points is None or imag_points is None:
@@ -438,28 +455,12 @@ def error_surface(full, reduced, real_points=None, imag_points=None, count=41):
             imag_points = np.linspace(-radius, radius, count)
     real_points = np.asarray(real_points, dtype=float)
     imag_points = np.asarray(imag_points, dtype=float)
-    values = np.empty((imag_points.size, real_points.size))
-    for i, im in enumerate(imag_points):
-        for j, re in enumerate(real_points):
-            try:
-                values[i, j] = linalg.spectral_norm(diff(complex(re, im)))
-            except np.linalg.LinAlgError:
-                values[i, j] = math.nan
-    return real_points, imag_points, values
-
-
-def _difference_eval_complex(full, reduced):
-    a1, b1, c1, d1 = _abcd(full)
-    a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
-    d_diff = d1 - d2
-
-    def value(s):
-        out = d_diff + c1 @ _resolve(a1, s, b1) - c2 @ _resolve(a2, s, b2)
-        if not np.all(np.isfinite(out)):
-            raise np.linalg.LinAlgError("resolvent singular")
-        return out
-
-    return value
+    points = (real_points[None, :] + 1j * imag_points[:, None]).ravel()
+    diffs = _grid_values(_difference(full, reduced), points)
+    finite = np.isfinite(diffs).all(axis=(1, 2))
+    values = np.full(points.size, math.nan)
+    values[finite] = _norms(diffs[finite])
+    return real_points, imag_points, values.reshape(imag_points.size, real_points.size)
 
 
 @dataclass(frozen=True)
@@ -479,25 +480,25 @@ class ErrorReport:
 def error_report(full, result, grid=None):
     """Assemble the full error analysis for a reduction result.
 
-    For unstable pairs the pointwise curve and its grid peak are still
-    reported, but the bounds are omitted with an explanatory note.
+    The grid is swept once: the pointwise curve also seeds the refined
+    H-infinity estimate.  For unstable pairs the curve and its grid peak are
+    still reported, but the bounds are omitted with an explanatory note.
     """
     a1 = _abcd(full)[0]
-    a2, b2, c2 = _reduced_abc(result)
+    a2 = _abcd(_reduced_operand(result))[0]
     spec = grid or default_grid(a1, a2)
-    diff = _difference_eval(full, result)
     omegas = spec.frequencies()
-    curve = np.column_stack(
-        [omegas, [linalg.spectral_norm(diff(w)) for w in omegas]]
-    )
+    error_norms = _error_norms(full, result)
+    values = _grid_values(error_norms, omegas)
+    curve = np.column_stack([omegas, values])
     stable = linalg.is_hurwitz(a1) and linalg.is_hurwitz(a2)
     if not stable:
-        k = int(np.argmax(curve[:, 1]))
+        k = int(np.argmax(values))
         return ErrorReport(
-            hinf_error_estimate=float(curve[k, 1]),
+            hinf_error_estimate=float(values[k]),
             hinf_bound_left=None,
             hinf_bound_right=None,
-            peak_frequency=float(curve[k, 0]),
+            peak_frequency=float(omegas[k]),
             pointwise=curve,
             grid=spec,
             stable=False,
@@ -506,17 +507,17 @@ def error_report(full, result, grid=None):
                 "supremum, not an H-infinity norm, and the bounds are omitted",
             ),
         )
-    estimate = hinf_error(full, result, grid=spec)
+    estimate, peak = grid_supremum(error_norms, omegas, values=values)
     if isinstance(full, AnnihilationSystem):
         bound_left, bound_right = hinf_bounds_passive(full, result, grid=spec)
     else:
         bound_left = hinf_bound_left(full, result, grid=spec)
         bound_right = hinf_bound_right(full, result, grid=spec)
     return ErrorReport(
-        hinf_error_estimate=estimate.value,
+        hinf_error_estimate=estimate,
         hinf_bound_left=bound_left,
         hinf_bound_right=bound_right,
-        peak_frequency=estimate.peak_omega,
+        peak_frequency=peak,
         pointwise=curve,
         grid=spec,
         stable=True,

@@ -50,6 +50,8 @@ def _grid_override(args, *state_matrices):
     count = args.wpts if args.wpts is not None else spec.count
     if not (0 < wmin < wmax):
         raise SchemaError("need 0 < wmin < wmax")
+    if count < 2:
+        raise SchemaError(f"--wpts must be at least 2, got {count}")
     return analysis.GridSpec(
         wmin=wmin, wmax=wmax, count=count, two_sided=spec.two_sided
     )

@@ -453,18 +453,15 @@ class StabilityCertificate:
     separation_condition: bool
 
 
-def passive_stability_certificate(result, g=None, tol_scale=1e-10, axis_tol=1e-8):
+def passive_stability_certificate(result, g, tol_scale=1e-10, axis_tol=1e-8):
     """Evaluate the stability certificate of a passive reduction.
 
-    ``g`` defaults to the coupling matrix the reduction was built from; pass
-    the original full-order coupling when the result was assembled by hand.
-    Two sufficient conditions are also reported: containment of the
+    ``g`` is the coupling matrix of the full-order system the reduction was
+    built from.  Two sufficient conditions are also reported: containment of the
     projection subspace in the orthogonal complement of ``ker(G^H)``, and
     separation of every interpolation point from the imaginary-axis
     eigenvalues of the reduced state matrix.
     """
-    if g is None:
-        raise DataValidationError("the original coupling matrix is required")
     g = np.asarray(g, dtype=complex)
     v_a = np.asarray(result.v, dtype=complex)
     f_r = result.reduced.F

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.optimize
 
 from . import linalg
-from .analysis import _h2_integral, default_grid, grid_supremum
+from .analysis import _error_norms, _h2_integral, default_grid, grid_supremum
 from .errors import InfeasiblePointError, QmorError, StructureError
 from .reduction import (
     left_subspace_vectors,
@@ -222,15 +222,8 @@ def cost_hinf(problem, omegas, penalty=None):
     # norm is symmetric in omega whenever the full system is real, so mirror
     # the grid only for genuinely complex models.
     spec = dataclasses.replace(default_grid(a, a_r), two_sided=np.iscomplexobj(a))
-
-    def f(omega):
-        s = 1j * omega
-        e = c @ np.linalg.solve(s * np.eye(a.shape[0]) - a, b) - c_r @ np.linalg.solve(
-            s * np.eye(a_r.shape[0]) - a_r, b_r
-        )
-        return linalg.spectral_norm(e)
-
-    return grid_supremum(f, spec.frequencies())[0]
+    error_norms = _error_norms((a, b, c, 0.0), (a_r, b_r, c_r, 0.0))
+    return grid_supremum(error_norms, spec.frequencies())[0]
 
 
 def cost_h2(problem, omegas, penalty=None):

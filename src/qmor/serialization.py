@@ -221,7 +221,8 @@ def reduction_from_dict(data):
 
 def load_reduction(path):
     data = _load_json_file(path)
-    return data["method"], reduction_from_dict(data)
+    result = reduction_from_dict(data)
+    return data["method"], result
 
 
 def _fmt(x):

@@ -194,18 +194,6 @@ def transfer(system, s):
     return d + c @ resolvent_rhs
 
 
-def strictly_proper_transfer(system, s):
-    """Transfer function without the feedthrough term."""
-    if isinstance(system, QuadratureSystem):
-        a, b, c = system.A, system.B, system.C
-    else:
-        a, b, c = system.F, system.G, system.H
-    resolvent_rhs = linalg.solve(
-        s * np.eye(a.shape[0]) - a, b, context=f"resolvent at s = {s}"
-    )
-    return c @ resolvent_rhs
-
-
 def real_embedding(m):
     """Real 2p x 2q image of a complex p x q matrix.
 

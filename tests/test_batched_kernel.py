@@ -1,0 +1,316 @@
+"""Parity of the batched frequency kernel with a per-point scalar oracle.
+
+The oracle below solves one resolvent per frequency, evaluates the angle-bound
+integrands with per-point kernel bases, and refines the grid maxima with a
+sequential golden-section search.  The batched paths in ``qmor.analysis`` and
+``qmor.selection.cost_hinf`` must agree with it to 1e-12 relative.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from conftest import stable_reduction_cases
+from qmor import analysis, cases, linalg, selection, systems
+from qmor.reduction import InterpolationData, ReductionResult, reduce_passive, reduce_right
+
+REL = 1e-12
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+# --------------------------------------------------------------------------
+# scalar oracle
+
+
+def _matrices(obj):
+    if isinstance(obj, systems.QuadratureSystem):
+        return obj.A, obj.B, obj.C, obj.D
+    if isinstance(obj, systems.AnnihilationSystem):
+        return obj.F, obj.G, obj.H, obj.K
+    return tuple(np.asarray(m) for m in obj)
+
+
+def _resolvent(a, s, rhs):
+    return np.linalg.solve(s * np.eye(a.shape[0]) - a, rhs)
+
+
+def error_norm_oracle(full, reduced):
+    """``omega -> |D + C (sI-A)^-1 B|`` of the error system, one point at a time."""
+    a1, b1, c1, d1 = _matrices(full)
+    a2, b2, c2, d2 = _matrices(reduced)
+
+    def norm(omega):
+        s = 1j * omega
+        gap = (d1 - d2) + c1 @ _resolvent(a1, s, b1) - c2 @ _resolvent(a2, s, b2)
+        return linalg.spectral_norm(gap)
+
+    return norm
+
+
+def angle_bound_oracle(full, basis, perp, side):
+    """One point of the principal-angle bound integrand, per-point kernel basis."""
+    a, b, c, _ = _matrices(full)
+    eye = np.eye(a.shape[0])
+    p_perp = eye - linalg.orthogonal_projector(perp)
+
+    def integrand(omega):
+        shifted = 1j * omega * eye - a
+        operator = shifted.conj().T if side == "left" else shifted
+        kernel = linalg.kernel_basis(basis.conj().T @ operator)
+        p_u = kernel @ kernel.conj().T
+        gap = 1.0 - linalg.spectral_norm(p_perp - p_u) ** 2
+        if gap <= 0.0:
+            return math.inf
+        if side == "left":
+            t1 = linalg.spectral_norm(c @ np.linalg.solve(shifted, p_perp))
+            t2 = linalg.spectral_norm(p_u @ b)
+        else:
+            t1 = linalg.spectral_norm(c @ p_u)
+            t2 = linalg.spectral_norm(p_perp @ np.linalg.solve(shifted, b))
+        return t1 * t2 / math.sqrt(gap)
+
+    return integrand
+
+
+def golden_max_oracle(f, a, b, rel_width=analysis.REFINE_REL_WIDTH):
+    """Sequential golden-section maximum; also returns its number of steps."""
+    x1 = b - INV_PHI * (b - a)
+    x2 = a + INV_PHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    steps = 0
+    while (b - a) > rel_width * max(1.0, abs(a), abs(b)):
+        steps += 1
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + INV_PHI * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - INV_PHI * (b - a)
+            f1 = f(x1)
+    mid = (a + b) / 2
+    return f(mid), mid, steps
+
+
+def supremum_oracle(f, omegas, top=3):
+    """Grid supremum refined around the best local maxima, one bracket at a time.
+
+    Returns ``(value, omega, grid_values, steps per refined bracket)``.
+    """
+    values = np.array([f(w) for w in omegas])
+    if np.any(np.isinf(values)):
+        where = int(np.argmax(np.isinf(values)))
+        return math.inf, float(omegas[where]), values, []
+    n = values.size
+    maxima = [
+        i
+        for i in range(n)
+        if values[i] >= values[max(i - 1, 0)] and values[i] >= values[min(i + 1, n - 1)]
+    ]
+    maxima.sort(key=lambda i: (-values[i], omegas[i]))
+    best = int(np.argmax(values))
+    best_value, best_omega = float(values[best]), float(omegas[best])
+    steps = []
+    for i in maxima[:top]:
+        lo, hi = omegas[max(i - 1, 0)], omegas[min(i + 1, n - 1)]
+        if hi > lo:
+            value, omega, count = golden_max_oracle(f, lo, hi)
+            steps.append(count)
+        else:
+            value, omega = values[i], omegas[i]
+        if value > best_value or (value == best_value and omega < best_omega):
+            best_value, best_omega = float(value), float(omega)
+    return best_value, best_omega, values, steps
+
+
+# --------------------------------------------------------------------------
+# cases
+
+
+def _ex1():
+    system = cases.optomechanical_system()
+    result = reduce_right(system, cases.ex1_interpolation_data())
+    return "ex1", system, result, analysis.default_grid(system.A, result.reduced.A, count=300)
+
+
+def _ex3():
+    system = cases.cascaded_cavity_system()
+    result = reduce_passive(system, cases.ex3_interpolation_data(), pr_tol=1e-8)
+    return "ex3", system, result, analysis.default_grid(system.F, result.reduced.F, count=300)
+
+
+def _stable(k):
+    quad, _, result = stable_reduction_cases(3)[k]
+    return f"stable{k}", quad, result, analysis.default_grid(quad.A, result.reduced.A, count=200)
+
+
+REPORT_CASES = [_ex1, _ex3] + [lambda k=k: _stable(k) for k in range(3)]
+
+
+def _close(actual, expected, rel=REL):
+    return abs(actual - expected) <= rel * abs(expected)
+
+
+def _bound_terms(full, result):
+    if isinstance(full, systems.AnnihilationSystem):
+        return [("left", result.v, result.v), ("right", result.v, result.v)]
+    return [("left", result.v, result.w), ("right", result.w, result.v)]
+
+
+# --------------------------------------------------------------------------
+# tests
+
+
+@pytest.mark.parametrize("build", REPORT_CASES, ids=["ex1", "ex3", "stable0", "stable1", "stable2"])
+def test_error_report_matches_scalar_oracle(build):
+    _, full, result, grid = build()
+    omegas = grid.frequencies()
+    report = analysis.error_report(full, result, grid=grid)
+
+    value, peak, curve, _ = supremum_oracle(error_norm_oracle(full, result.reduced), omegas)
+    assert np.array_equal(report.pointwise[:, 0], omegas)
+    assert np.all(np.abs(report.pointwise[:, 1] - curve) <= REL * np.abs(curve))
+    assert _close(report.hinf_error_estimate, value)
+    assert _close(report.peak_frequency, peak)
+
+    bounds = [
+        supremum_oracle(angle_bound_oracle(full, basis, perp, side), omegas)[0]
+        for side, basis, perp in _bound_terms(full, result)
+    ]
+    assert _close(report.hinf_bound_left, bounds[0])
+    assert _close(report.hinf_bound_right, bounds[1])
+
+
+def test_bounds_passive_matches_scalar_oracle():
+    _, full, result, grid = _ex3()
+    omegas = grid.frequencies()
+    left, right = analysis.hinf_bounds_passive(full, result, grid=grid)
+    expected = [
+        supremum_oracle(angle_bound_oracle(full, result.v, result.v, side), omegas)[0]
+        for side in ("left", "right")
+    ]
+    assert _close(left, expected[0])
+    assert _close(right, expected[1])
+
+
+def _cost_problems():
+    problems = [
+        (
+            selection.SelectionProblem(
+                system=cases.optomechanical_system(),
+                side="right",
+                r=2,
+                directions=cases.ex1_interpolation_data().directions,
+                omega_bounds=(1e3, 1e6),
+            ),
+            [1.05e4],
+        ),
+        (
+            selection.SelectionProblem(
+                system=cases.cascaded_cavity_system(),
+                side="passive",
+                r=3,
+                directions=cases.ex3_interpolation_data().directions,
+                template="symmetric_with_dc",
+            ),
+            [1.48e7],
+        ),
+    ]
+    for quad, data, _ in stable_reduction_cases(3):
+        problem = selection.SelectionProblem(
+            system=quad, side="right", r=2, directions=data.directions, tie_omegas=False
+        )
+        problems.append((problem, [data.points[0].imag, data.points[2].imag]))
+    return problems
+
+
+def test_cost_hinf_matches_scalar_oracle():
+    for problem, omegas in _cost_problems():
+        points = problem.expand_points(omegas)
+        full, reduced = selection._projected_difference(problem, points)
+        zero = np.zeros((full[2].shape[0], full[1].shape[1]))
+        spec = dataclasses.replace(
+            analysis.default_grid(full[0], reduced[0]), two_sided=np.iscomplexobj(full[0])
+        )
+        norm = error_norm_oracle((*full, zero), (*reduced, zero))
+        expected = supremum_oracle(norm, spec.frequencies())[0]
+        assert _close(selection.cost_hinf(problem, omegas), expected)
+
+
+def test_lockstep_refinement_matches_sequential_search():
+    # A batched integrand with several close peaks; the scalar view calls the
+    # same batched function, so every golden-section decision is replayed.
+    def f(w):
+        w = np.asarray(w, dtype=float)
+        return np.exp(-((w - 1.3) ** 2) / 0.02) + 0.999 * np.exp(-((w - 2.71) ** 2) / 0.5) + (
+            0.7 / (1.0 + (w - 4.4) ** 2)
+        )
+
+    calls = []
+
+    def counted(w):
+        calls.append(np.asarray(w).size)
+        return f(w)
+
+    omegas = np.linspace(0.0, 6.0, 150)
+    value, peak = analysis.grid_supremum(counted, omegas)
+    expected_value, expected_peak, _, steps = supremum_oracle(lambda w: float(f([w])[0]), omegas)
+    assert value == expected_value
+    assert peak == expected_peak
+    blocks = math.ceil(omegas.size / analysis.GRID_BLOCK)
+    # Grid blocks, the opening pair of every bracket, one call per step, the midpoints.
+    assert len(calls) == blocks + 1 + max(steps) + 1
+    assert calls[blocks] == 2 * len(steps)
+
+
+def test_sweep_matches_pointwise_solves():
+    system = cases.optomechanical_system()
+    s = 1j * np.linspace(-2e4, 2e4, 150) - 30.0
+    stacked = analysis.sweep(system.A, system.B, s)
+    for k, point in enumerate(s):
+        assert np.array_equal(stacked[k], _resolvent(system.A, point, system.B))
+
+
+def test_sweep_marks_singular_points_only():
+    a = systems.symplectic_form(1)  # eigenvalues +/- i
+    b = np.eye(2)
+    s = 1j * np.array([0.5, 1.0, 2.0])
+    stacked = analysis.sweep(a, b, s)
+    assert np.all(np.isnan(stacked[1]))
+    for k in (0, 2):
+        assert np.array_equal(stacked[k], _resolvent(a, s[k], b))
+
+
+def test_error_surface_matches_scalar_oracle():
+    _, full, result, _ = _ex1()
+    re_pts = np.array([-300.0, -80.0, 0.0])
+    im_pts = np.linspace(9e3, 1.1e4, 7)
+    _, _, values = analysis.error_surface(full, result, re_pts, im_pts)
+    a1, b1, c1, d1 = _matrices(full)
+    a2, b2, c2, d2 = _matrices(result.reduced)
+    for i, im in enumerate(im_pts):
+        for j, re in enumerate(re_pts):
+            s = complex(re, im)
+            gap = (d1 - d2) + c1 @ _resolvent(a1, s, b1) - c2 @ _resolvent(a2, s, b2)
+            assert _close(values[i, j], linalg.spectral_norm(gap))
+
+
+def test_unstable_report_curve_matches_oracle():
+    unstable = systems.QuadratureSystem(
+        A=np.diag([0.5, -1.0]), B=np.eye(2), C=np.eye(2), D=np.eye(2)
+    )
+    reduced = systems.QuadratureSystem(
+        A=np.diag([-2.0, -1.0]), B=np.eye(2), C=np.eye(2), D=np.eye(2)
+    )
+    data = InterpolationData(
+        side="right", points=[2.0, 3.0], directions=np.array([[1.0, 0], [0, 1.0]])
+    )
+    result = ReductionResult(w=np.eye(2), v=np.eye(2), reduced=reduced, data=data, diagnostics=None)
+    grid = analysis.default_grid(unstable.A, count=100)
+    report = analysis.error_report(unstable, result, grid=grid)
+    curve = [error_norm_oracle(unstable, reduced)(w) for w in grid.frequencies()]
+    assert not report.stable
+    assert np.array_equal(report.pointwise[:, 1], curve)
+    assert report.hinf_error_estimate == max(curve)

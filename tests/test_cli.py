@@ -364,3 +364,49 @@ def test_analyze_surface_export(tmp_path, ex1_system_path, ex1_points_path):
     lines = (tmp_path / "ana" / "error_surface.csv").read_text().splitlines()
     assert lines[0] == "re,im,error"
     assert len(lines) == 1 + 41 * 41
+
+
+@pytest.mark.parametrize(
+    "document",
+    [[{"method": "right"}], {"reduced": {}, "data": {}, "W": [], "V": []}],
+    ids=["list", "no-method"],
+)
+def test_analyze_malformed_reduction_exits_2(tmp_path, ex1_system_path, document, capsys):
+    path = tmp_path / "reduction.json"
+    path.write_text(json.dumps(document))
+    code = main(["analyze", str(ex1_system_path), str(path), "--out", str(tmp_path / "ana")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "ana").exists()
+
+
+@pytest.mark.parametrize("wpts", ["0", "-3"])
+def test_wpts_below_two_exits_2(tmp_path, ex1_system_path, ex1_points_path, wpts, capsys):
+    red = tmp_path / "red"
+    assert (
+        main(
+            [
+                "reduce",
+                str(ex1_system_path),
+                "--method",
+                "right",
+                "--points",
+                str(ex1_points_path),
+                "--out",
+                str(red),
+            ]
+        )
+        == 0
+    )
+    capsys.readouterr()
+    commands = [
+        ["analyze", str(ex1_system_path), str(red / "reduction.json")],
+        ["freqresp", str(ex1_system_path)],
+    ]
+    for k, command in enumerate(commands):
+        out = tmp_path / f"out{k}"
+        assert main(command + ["--wpts", wpts, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --wpts must be at least 2, got {wpts}\n"
+        assert not out.exists()

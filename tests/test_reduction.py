@@ -339,6 +339,8 @@ def test_reduce_passive_cascade_contract():
     cert = passive_stability_certificate(result, cases.cascaded_cavity_system().G)
     assert cert.stable and cert.minimal
     assert cert.separation_condition
+    with pytest.raises(TypeError):
+        passive_stability_certificate(result)  # the full-order coupling is required
 
 
 def test_certificate_flags_unreachable_lossless_mode():

@@ -104,6 +104,14 @@ def test_reduction_bundle_round_trip_passive(tmp_path):
     assert np.iscomplexobj(loaded.v)
 
 
+@pytest.mark.parametrize("document", [[], [{"method": "left"}], {"reduced": {}}])
+def test_load_reduction_rejects_malformed_documents(tmp_path, document):
+    path = tmp_path / "reduction.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(SchemaError):
+        serialization.load_reduction(path)
+
+
 def test_error_curve_csv_full_precision(tmp_path):
     path = tmp_path / "curve.csv"
     value = math.pi * 1e-3
