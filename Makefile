@@ -4,7 +4,7 @@ PYTHON ?= python3
 BENCH_SECONDS ?= 25
 WORKLOADS = certify_small select reduce_batch
 
-.PHONY: test bench
+.PHONY: test bench selftest
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
@@ -13,3 +13,6 @@ bench:
 	for w in $(WORKLOADS); do \
 		$(PYTHON) bench/run.py --workload $$w --seed 0 --seconds $(BENCH_SECONDS) || exit 1; \
 	done
+
+selftest:
+	$(PYTHON) bench/selftest.py

@@ -191,6 +191,14 @@ def _norms(stack):
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
+def _finite_norms(stack, singular):
+    """:func:`_norms`, with ``singular`` for the matrices :func:`sweep` left NaN."""
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    out = np.full(stack.shape[0], singular)
+    out[finite] = _norms(stack[finite])
+    return out
+
+
 def _difference(full, reduced):
     """Batched ``s -> Xi(s) - Xi_r(s)`` over a 1-D array of points."""
     a1, b1, c1, d1 = _abcd(full)
@@ -200,9 +208,9 @@ def _difference(full, reduced):
 
 
 def _error_norms(full, reduced):
-    """Batched ``omegas -> |Xi(i w) - Xi_r(i w)|``, the H-infinity error integrand."""
+    """Batched ``omegas -> |Xi(i w) - Xi_r(i w)|``; ``inf`` at a pole on the axis."""
     diff = _difference(full, reduced)
-    return lambda omegas: _norms(diff(1j * omegas))
+    return lambda omegas: _finite_norms(diff(1j * omegas), math.inf)
 
 
 def _resolve(a, s, rhs):
@@ -354,9 +362,19 @@ def hinf_bounds_passive(full, result, grid=None):
     return tuple(_bound_suprema(full, result, grid, [("left", v_a, v_a), ("right", v_a, v_a)]))
 
 
-def _h2_integral(full_abc, reduced_abc, two_sided, w_max=None):
-    a1, b1, c1 = full_abc
-    a2, b2, c2 = reduced_abc
+def h2_error_quadrature(full, reduced, w_max=None):
+    """H2-type error cost by adaptive frequency-domain quadrature.
+
+    The cross-check for :func:`h2_error_gramian`, which is exact and is what
+    the selection search uses.  ``reduced`` may be a reduction result, a
+    system, or a plain matrix tuple.
+    """
+    a1, b1, c1, d1 = _abcd(full)
+    a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
+    if linalg.frobenius_norm(d1 - d2) > 0:
+        raise StabilityError("feedthrough terms differ; the H2 error integral diverges")
+    _require_hurwitz(a1, a2)
+    two_sided = np.iscomplexobj(a1) or np.iscomplexobj(b1) or np.iscomplexobj(c1)
     eigs = np.concatenate([linalg.eigenvalues(a1), linalg.eigenvalues(a2)])
     if w_max is None:
         w_max = 1e2 * float(np.abs(eigs).max())
@@ -381,22 +399,11 @@ def _h2_integral(full_abc, reduced_abc, two_sided, w_max=None):
     return value + 2.0 * tail
 
 
-def h2_error_quadrature(full, reduced, w_max=None):
-    """H2-type error cost by adaptive frequency-domain quadrature.
-
-    ``reduced`` may be a reduction result, a system, or a plain matrix tuple.
-    """
-    a1, b1, c1, d1 = _abcd(full)
-    a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
-    if linalg.frobenius_norm(d1 - d2) > 0:
-        raise StabilityError("feedthrough terms differ; the H2 error integral diverges")
-    _require_hurwitz(a1, a2)
-    two_sided = np.iscomplexobj(a1) or np.iscomplexobj(b1) or np.iscomplexobj(c1)
-    return _h2_integral((a1, b1, c1), (a2, b2, c2), two_sided, w_max=w_max)
-
-
 def h2_error_gramian(full, reduced):
-    """Same H2-type cost through the Lyapunov-equation identity."""
+    """The same H2-type cost, exactly, through the Lyapunov-equation identity.
+
+    ``2 pi trace(C_e P C_e^H)`` with ``A_e P + P A_e^H + B_e B_e^H = 0``.
+    """
     a1, b1, c1, d1 = _abcd(full)
     a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
     if linalg.frobenius_norm(d1 - d2) > 0:
@@ -456,10 +463,7 @@ def error_surface(full, reduced, real_points=None, imag_points=None, count=41):
     real_points = np.asarray(real_points, dtype=float)
     imag_points = np.asarray(imag_points, dtype=float)
     points = (real_points[None, :] + 1j * imag_points[:, None]).ravel()
-    diffs = _grid_values(_difference(full, reduced), points)
-    finite = np.isfinite(diffs).all(axis=(1, 2))
-    values = np.full(points.size, math.nan)
-    values[finite] = _norms(diffs[finite])
+    values = _finite_norms(_grid_values(_difference(full, reduced), points), math.nan)
     return real_points, imag_points, values.reshape(imag_points.size, real_points.size)
 
 
@@ -482,7 +486,8 @@ def error_report(full, result, grid=None):
 
     The grid is swept once: the pointwise curve also seeds the refined
     H-infinity estimate.  For unstable pairs the curve and its grid peak are
-    still reported, but the bounds are omitted with an explanatory note.
+    still reported, but the bounds are omitted with an explanatory note; a
+    pole on a grid frequency reads ``inf`` there and becomes the peak.
     """
     a1 = _abcd(full)[0]
     a2 = _abcd(_reduced_operand(result))[0]

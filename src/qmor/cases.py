@@ -360,6 +360,22 @@ EX3_REFERENCE = {
 }
 
 
+def _check_selection(outcome, problem, omega, label, omega_format):
+    """Search the frequency; pass when it lands within 10% of ``omega`` or costs no more."""
+    chosen = selection.optimize_points(problem)
+    ref_cost = selection.COST_FUNCTIONS[problem.cost](problem, [omega])
+    within = abs(chosen.omegas[0] - omega) <= 0.10 * omega
+    no_worse = chosen.cost <= ref_cost * (1 + 1e-3)
+    outcome.add(
+        f"selected frequency near {label}",
+        f"{chosen.omegas[0]:{omega_format}} (cost {chosen.cost:.6g})",
+        f"{omega:{omega_format}} (cost {ref_cost:.6g})",
+        "10% or cost",
+        within or no_worse,
+    )
+    outcome.artifacts["selection"] = chosen
+
+
 def run_ex1(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
     ref = EX1_REFERENCE
     outcome = ExampleOutcome(name="ex1")
@@ -415,18 +431,7 @@ def run_ex1(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
             cost="hinf",
             tie_omegas=True,
         )
-        chosen = selection.optimize_points(problem)
-        ref_cost = selection.cost_hinf(problem, [ref["omega"]])
-        within = abs(chosen.omegas[0] - ref["omega"]) <= 0.10 * ref["omega"]
-        no_worse = chosen.cost <= ref_cost * (1 + 1e-3)
-        outcome.add(
-            "selected frequency near 1.05e4",
-            f"{chosen.omegas[0]:.4e} (cost {chosen.cost:.6g})",
-            f"{ref['omega']:.4e} (cost {ref_cost:.6g})",
-            "10% or cost",
-            within or no_worse,
-        )
-        outcome.artifacts["selection"] = chosen
+        _check_selection(outcome, problem, ref["omega"], "1.05e4", ".4e")
     return outcome
 
 
@@ -514,18 +519,7 @@ def run_ex2(with_selection=False):
             cost="hinf",
             tie_omegas=True,
         )
-        chosen = selection.optimize_points(problem)
-        ref_cost = selection.cost_hinf(problem, [ref["omega"]])
-        within = abs(chosen.omegas[0] - ref["omega"]) <= 0.10 * ref["omega"]
-        no_worse = chosen.cost <= ref_cost * (1 + 1e-3)
-        outcome.add(
-            "selected frequency near 0.29",
-            f"{chosen.omegas[0]:.4f} (cost {chosen.cost:.6g})",
-            f"{ref['omega']:.4f} (cost {ref_cost:.6g})",
-            "10% or cost",
-            within or no_worse,
-        )
-        outcome.artifacts["selection"] = chosen
+        _check_selection(outcome, problem, ref["omega"], "0.29", ".4f")
     return outcome
 
 
@@ -616,18 +610,7 @@ def run_ex3(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
         "certificate": certificate,
     }
     if with_selection:
-        chosen = selection.optimize_points(problem)
-        ref_cost = selection.cost_h2(problem, [ref["omega"]])
-        within = abs(chosen.omegas[0] - ref["omega"]) <= 0.10 * ref["omega"]
-        no_worse = chosen.cost <= ref_cost * (1 + 1e-3)
-        outcome.add(
-            "selected frequency near 1.48e7",
-            f"{chosen.omegas[0]:.4e} (cost {chosen.cost:.6g})",
-            f"{ref['omega']:.4e} (cost {ref_cost:.6g})",
-            "10% or cost",
-            within or no_worse,
-        )
-        outcome.artifacts["selection"] = chosen
+        _check_selection(outcome, problem, ref["omega"], "1.48e7", ".4e")
     return outcome
 
 

@@ -54,6 +54,12 @@ def rank_and_bases(m, tol=None):
     return rank, range_basis, kernel_basis
 
 
+def unit_columns(m):
+    """``m`` with every nonzero column scaled to unit 2-norm."""
+    norms = np.linalg.norm(m, axis=0)
+    return m / np.where(norms == 0.0, 1.0, norms)
+
+
 def orthonormal_range(m, tol=None):
     """Orthonormal basis of the column space of ``m``."""
     return rank_and_bases(m, tol)[1]

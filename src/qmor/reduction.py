@@ -169,12 +169,6 @@ def real_basis_from_conjugate_data(points, directions, vectors):
     return np.column_stack(columns)
 
 
-def _normalized_columns(m):
-    norms = np.linalg.norm(m, axis=0)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    return m / norms
-
-
 def _check_dimension(basis, points, what):
     k = basis.shape[1]
     rank = linalg.rank_and_bases(basis)[0]
@@ -221,7 +215,7 @@ def right_subspace_vectors(system, points, directions):
 def left_subspace_basis(system, data):
     """Real basis of the left interpolation subspace (columns unit-scaled)."""
     _validate_quadrature_data(system, data, "left")
-    vectors = _normalized_columns(left_subspace_vectors(system, data.points, data.directions))
+    vectors = linalg.unit_columns(left_subspace_vectors(system, data.points, data.directions))
     basis = real_basis_from_conjugate_data(data.points, data.directions, vectors)
     _check_dimension(basis, data.points, "left interpolation subspace")
     return basis
@@ -230,7 +224,7 @@ def left_subspace_basis(system, data):
 def right_subspace_basis(system, data):
     """Real basis of the right interpolation subspace (columns unit-scaled)."""
     _validate_quadrature_data(system, data, "right")
-    vectors = _normalized_columns(right_subspace_vectors(system, data.points, data.directions))
+    vectors = linalg.unit_columns(right_subspace_vectors(system, data.points, data.directions))
     basis = real_basis_from_conjugate_data(data.points, data.directions, vectors)
     _check_dimension(basis, data.points, "right interpolation subspace")
     return basis
@@ -263,7 +257,7 @@ def passive_subspace_basis(system, data):
             f"directions live in C^{data.directions.shape[1]} but the system has "
             f"{system.n_outputs} outputs"
         )
-    raw = _normalized_columns(
+    raw = linalg.unit_columns(
         passive_subspace_vectors(system, data.points, data.directions)
     )
     _check_dimension(raw, data.points, "passive interpolation subspace")

@@ -7,7 +7,9 @@ basis exists.  The frequencies themselves come from derivative-free local
 minimization of either an H-infinity or an H2 error cost, both evaluated
 through a complex orthonormal basis of the candidate interpolation subspace
 (the reduced transfer only depends on the subspace, so this matches the cost
-of the real-basis reduction built at the same frequencies).
+of the real-basis reduction built at the same frequencies).  The H2 cost is
+exact: one Lyapunov solve for the error system of order ``n + r``, with no
+frequency quadrature.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ import numpy as np
 import scipy.optimize
 
 from . import linalg
-from .analysis import _error_norms, _h2_integral, default_grid, grid_supremum
+from .analysis import _error_norms, default_grid, grid_supremum, h2_error_gramian
 from .errors import InfeasiblePointError, QmorError, StructureError
 from .reduction import (
     left_subspace_vectors,
@@ -149,19 +151,13 @@ class SelectionProblem:
 
 
 def _orth_or_infeasible(vectors, points):
-    rank, basis, _ = linalg.rank_and_bases(_unit_columns(vectors))
+    rank, basis, _ = linalg.rank_and_bases(linalg.unit_columns(vectors))
     if rank < vectors.shape[1]:
         raise InfeasiblePointError(
             f"interpolation subspace at points {np.array2string(points, precision=6)} "
             f"has dimension {rank} < {vectors.shape[1]}"
         )
     return basis
-
-
-def _unit_columns(m):
-    norms = np.linalg.norm(m, axis=0)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    return m / norms
 
 
 def _projected_difference(problem, points):
@@ -227,18 +223,21 @@ def cost_hinf(problem, omegas, penalty=None):
 
 
 def cost_h2(problem, omegas, penalty=None):
-    """Frequency-integrated squared error for candidate ``omegas``."""
+    """Frequency-integrated squared error for ``omegas``, exact by the Lyapunov identity."""
     try:
         points = problem.expand_points(omegas)
         (a, b, c), (a_r, b_r, c_r) = _projected_difference(problem, points)
         if not (linalg.is_hurwitz(a) and linalg.is_hurwitz(a_r)):
             raise InfeasiblePointError("projected model is unstable; H2 cost diverges")
-        two_sided = np.iscomplexobj(a)
-        return _h2_integral((a, b, c), (a_r, b_r, c_r), two_sided)
+        return h2_error_gramian((a, b, c, 0.0), (a_r, b_r, c_r, 0.0))
     except QmorError:
         if penalty is not None:
             return penalty
         raise
+
+
+#: The cost function for each ``SelectionProblem.cost``.
+COST_FUNCTIONS = {"hinf": cost_hinf, "h2": cost_h2}
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,7 @@ def optimize_points(problem):
     whose subspace construction fails receive a large finite penalty so the
     search continues; an all-infeasible scan raises with per-point reasons.
     """
-    cost_fn = cost_hinf if problem.cost == "hinf" else cost_h2
+    cost_fn = COST_FUNCTIONS[problem.cost]
     if problem.omega_bounds is not None:
         lo, hi = problem.omega_bounds
     else:

@@ -197,6 +197,28 @@ def test_error_report_unstable_notes():
     assert report.notes
 
 
+def test_error_report_pole_on_grid_frequency():
+    # A = J has poles at +/- i, and omega = 1 lies on the grid: the error is
+    # unbounded there, so the curve reads inf and the peak sits at the pole.
+    full = systems.QuadratureSystem(
+        A=systems.symplectic_form(1), B=np.eye(2), C=np.eye(2), D=np.eye(2)
+    )
+    from qmor.reduction import ReductionResult
+
+    reduced = systems.QuadratureSystem(A=-np.eye(2), B=np.eye(2), C=np.eye(2), D=np.eye(2))
+    data = InterpolationData(
+        side="right", points=[2.0, 3.0], directions=np.array([[1.0, 0], [0, 1.0]])
+    )
+    result = ReductionResult(w=np.eye(2), v=np.eye(2), reduced=reduced, data=data, diagnostics=None)
+    report = analysis.error_report(full, result, grid=analysis.GridSpec(0.1, 10.0, count=3))
+    assert not report.stable
+    assert report.hinf_error_estimate == math.inf
+    assert report.peak_frequency == 1.0
+    assert report.pointwise[:, 0].tolist() == [0.0, 0.1, 1.0, 10.0]
+    assert np.isfinite(report.pointwise[[0, 1, 3], 1]).all()
+    assert report.hinf_bound_left is None and report.notes
+
+
 def test_frequency_response_feedthrough_only():
     sys_q = systems.QuadratureSystem(
         A=-np.eye(2), B=np.eye(2), C=np.zeros((2, 2)), D=np.diag([1.0, 2.0])

@@ -410,3 +410,32 @@ def test_wpts_below_two_exits_2(tmp_path, ex1_system_path, ex1_points_path, wpts
         err = capsys.readouterr().err
         assert err == f"error: --wpts must be at least 2, got {wpts}\n"
         assert not out.exists()
+
+
+def test_analyze_pole_on_grid_writes_report(tmp_path, capsys):
+    # The full model's poles +/- i sit on the grid frequency omega = 1.
+    from qmor.reduction import InterpolationData, ReductionResult
+
+    full = systems.QuadratureSystem(
+        A=systems.symplectic_form(1), B=np.eye(2), C=np.eye(2), D=np.eye(2)
+    )
+    reduced = systems.QuadratureSystem(A=-np.eye(2), B=np.eye(2), C=np.eye(2), D=np.eye(2))
+    data = InterpolationData(side="right", points=[2.0, 3.0], directions=np.eye(2))
+    result = ReductionResult(w=np.eye(2), v=np.eye(2), reduced=reduced, data=data, diagnostics=None)
+    sys_path = tmp_path / "sys.json"
+    serialization.save_system(full, sys_path)
+    red_path = tmp_path / "reduction.json"
+    red_path.write_text(json.dumps(serialization.reduction_to_dict(result, "right")))
+    ana = tmp_path / "ana"
+    argv = ["analyze", str(sys_path), str(red_path), "--wmin", "0.1", "--wmax", "10"]
+    code = main(argv + ["--wpts", "3", "--out", str(ana)])
+    assert code == 0
+    report = json.loads((ana / "error_report.json").read_text())
+    assert not report["stable"]
+    assert report["hinf_error_estimate"] == float("inf")
+    assert report["peak_frequency"] == 1.0
+    rows = (ana / "error_curve.csv").read_text().splitlines()
+    assert rows[3] == "1,inf"
+    out = capsys.readouterr()
+    assert "worst-case error estimate: inf at omega = 1" in out.out
+    assert out.err == ""

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qmor import analysis, cases, systems
+from qmor import analysis, cases, linalg, systems
 from qmor.errors import InfeasiblePointError, StructureError
+from qmor.reduction import InterpolationData, reduce_passive, reduce_right
 from qmor.selection import (
     SelectionProblem,
     conjugate_pair_points,
@@ -214,3 +215,64 @@ def test_optimizer_cascade_h2_no_worse_than_reference():
         abs(chosen.omegas[0] - 1.48e7) <= 1.48e6
         or chosen.cost <= ref_cost * (1 + 1e-3)
     )
+
+
+def _ex3_h2_problem():
+    return SelectionProblem(
+        system=cases.cascaded_cavity_system(),
+        side="passive",
+        r=3,
+        directions=cases.ex3_interpolation_data().directions,
+        omega_bounds=cases.EX3_REFERENCE["selection_bounds"],
+        cost="h2",
+        template="symmetric_with_dc",
+    )
+
+
+def _dense_h2_integral(full, reduced, panels=64, nodes=32):
+    """Integral of |Xi(i w) - Xi_r(i w)|_F^2 over the whole axis.
+
+    Composite Gauss-Legendre in t after w = 1e6 tan(t), t in (-pi/2, pi/2):
+    the weight 1e6 sec(t)^2 keeps the transformed integrand bounded at both
+    ends because the error decays like 1/w.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(-np.pi / 2, np.pi / 2, panels + 1)
+    half = np.diff(edges)[:, None] / 2
+    t = ((edges[:-1, None] + edges[1:, None]) / 2 + half * x).ravel()
+    weights = (half * w).ravel() * 1e6 / np.cos(t) ** 2
+    s = 1j * 1e6 * np.tan(t)
+    error = full.H @ analysis.sweep(full.F, full.G, s) - reduced.H @ analysis.sweep(
+        reduced.F, reduced.G, s
+    )
+    return float(np.sum(weights * np.sum(np.abs(error) ** 2, axis=(1, 2))))
+
+
+@pytest.mark.parametrize("omega", [1e5, 1.48e7, 1e8])
+def test_cost_h2_is_gramian_of_the_reduction(omega):
+    problem = _ex3_h2_problem()
+    result = reduce_passive(problem.system, cases.ex3_interpolation_data(omega))
+    gramian = analysis.h2_error_gramian(problem.system, result)
+    assert cost_h2(problem, [omega]) == pytest.approx(gramian, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega", [1e5, 1.48e7])
+def test_cost_h2_matches_dense_integral(omega):
+    problem = _ex3_h2_problem()
+    reduced = reduce_passive(problem.system, cases.ex3_interpolation_data(omega)).reduced
+    dense = _dense_h2_integral(problem.system, reduced)
+    assert cost_h2(problem, [omega]) == pytest.approx(dense, rel=1e-9)
+
+
+def test_cost_h2_unstable_projection_raises_or_penalizes():
+    passive = systems.random_realizable_annihilation(3, 2, 2, 100)
+    quad = systems.annihilation_to_quadrature(passive)
+    dirs = np.vstack(
+        [_indicator(0, 4), _indicator(0, 4), _indicator(2, 4), _indicator(2, 4)]
+    )
+    problem = SelectionProblem(system=quad, side="right", r=2, directions=dirs, cost="h2")
+    result = reduce_right(quad, InterpolationData("right", conjugate_pair_points([2.0, 2.0]), dirs))
+    assert linalg.is_hurwitz(quad.A) and not linalg.is_hurwitz(result.reduced.A)
+    with pytest.raises(InfeasiblePointError, match="unstable"):
+        cost_h2(problem, [2.0])
+    assert cost_h2(problem, [2.0], penalty=123.0) == 123.0
