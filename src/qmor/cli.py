@@ -180,11 +180,9 @@ def cmd_analyze(args):
 def _default_directions(method, r, system):
     if method == "passive":
         # Indicator pattern (e1, e1, e2, e2, ...) truncated to r rows.
+        # An r below 1 gives no rows; the selection problem rejects it.
         ell = system.n_outputs
-        rows = np.zeros((r, ell), dtype=complex)
-        for k in range(r):
-            rows[k, (k // 2) % ell] = 1.0
-        return rows
+        return np.eye(ell, dtype=complex)[(np.arange(r) // 2) % ell]
     dim_pairs = system.n_outputs if method == "left" else system.n_inputs
     return selection.tangent_directions(r, dim_pairs)
 

@@ -4,12 +4,16 @@ Given interpolation points ``sigma_i`` with tangent directions, the reduced
 model is a Petrov-Galerkin compression ``(W^T A V, W^T B, C V, D)`` whose
 transfer function matches the original tangentially at every data point.
 The projection pair is completed through the symplectic form so that the
-realizability constraints survive the compression:
+realizability constraints survive the compression.  Both quadrature-form
+reductions share one recipe: a real basis ``Xhat`` of the interpolation
+subspace is scaled to ``X = Xhat T^T`` with ``T (Xhat^T J_n Xhat) T^T = J_r``
+(:func:`~qmor.symplectic.skew_normal_form`), and its complement is
+``J_n X J_r^T``.  Since ``J_r^T = J_r^-1`` this equals the textbook
+``J_n X (X^T J_n X)^-1`` without inverting the pairing matrix, so the pair is
+biorthogonal and ``X`` symplectic up to the rounding of the scaling alone.
 
-* left data spans ``{((sigma_i I - A)^-H C^H mu_i)}``; ``W = What T^T`` with
-  ``T (What^T J_n What) T^T = J_r`` and ``V = J_n W (W^T J_n W)^-1``;
-* right data spans ``{(sigma_i I - A)^-1 B nu_i}``; the same scaling recipe
-  is applied to ``Vhat`` and ``W`` is completed symplectically from ``V``;
+* left data spans ``{((sigma_i I - A)^-H C^H mu_i)}``; ``(W, V) = (X, J_n X J_r^T)``;
+* right data spans ``{(sigma_i I - A)^-1 B nu_i}``; ``(V, W) = (X, J_n X J_r^T)``;
 * passive (annihilation-form) models use a plain Galerkin projection onto an
   orthonormal basis, which preserves realizability and passivity at once.
 
@@ -18,7 +22,7 @@ complex conjugation; the real basis pairs ``(Re v, Im v)`` per conjugate
 pair.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,8 +87,6 @@ class ReductionDiagnostics:
     realizability: RealizabilityReport
     biorthogonality: float
     poles: np.ndarray
-    scaling_convention: str | None = None
-    scaling_residuals: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -169,81 +171,67 @@ def real_basis_from_conjugate_data(points, directions, vectors):
     return np.column_stack(columns)
 
 
-def _check_dimension(basis, points, what):
+def _checked_range(basis, points, what):
+    """Orthonormal range of ``basis``; raises when its columns are dependent."""
     k = basis.shape[1]
-    rank = linalg.rank_and_bases(basis)[0]
+    rank, orthonormal, _ = linalg.rank_and_bases(basis)
     if rank < k:
         raise RankDeficiencyError(
             f"{what} spanned by points {np.array2string(points, precision=6)} has "
             f"dimension {rank}, expected {k}; interpolation data are degenerate"
         )
+    return orthonormal
+
+
+def _resolvent_columns(a, b, points, directions, what, adjoint=False):
+    """Columns ``(sigma_i I - a)^-1 b d_i``, or ``(sigma_i I - a)^-H b^H d_i`` when ``adjoint``."""
+    if adjoint:
+        a, b = a.conj().T, b.conj().T
+    eye = np.eye(a.shape[0])
+    return np.column_stack(
+        [
+            linalg.solve(
+                (np.conj(sigma) if adjoint else sigma) * eye - a,
+                b @ d,
+                context=f"{what} interpolation point {sigma}",
+            )
+            for sigma, d in zip(points, directions)
+        ]
+    )
 
 
 def left_subspace_vectors(system, points, directions):
     """Complex defining vectors ``(sigma_i I - A)^-H C^H mu_i`` as columns."""
-    a, c = system.A, system.C
-    eye = np.eye(a.shape[0])
-    cols = []
-    for sigma, mu in zip(points, directions):
-        rhs = c.conj().T @ mu
-        cols.append(
-            linalg.solve(
-                np.conj(sigma) * eye - a.conj().T,
-                rhs,
-                context=f"left interpolation point {sigma}",
-            )
-        )
-    return np.column_stack(cols)
+    return _resolvent_columns(system.A, system.C, points, directions, "left", adjoint=True)
 
 
 def right_subspace_vectors(system, points, directions):
     """Complex defining vectors ``(sigma_i I - A)^-1 B nu_i`` as columns."""
-    a, b = system.A, system.B
-    eye = np.eye(a.shape[0])
-    cols = []
-    for sigma, nu in zip(points, directions):
-        cols.append(
-            linalg.solve(
-                sigma * eye - a,
-                b @ nu,
-                context=f"right interpolation point {sigma}",
-            )
-        )
-    return np.column_stack(cols)
+    return _resolvent_columns(system.A, system.B, points, directions, "right")
+
+
+def _real_subspace_basis(system, data, side):
+    _validate_quadrature_data(system, data, side)
+    vectors_of = left_subspace_vectors if side == "left" else right_subspace_vectors
+    vectors = linalg.unit_columns(vectors_of(system, data.points, data.directions))
+    basis = real_basis_from_conjugate_data(data.points, data.directions, vectors)
+    _checked_range(basis, data.points, f"{side} interpolation subspace")
+    return basis
 
 
 def left_subspace_basis(system, data):
     """Real basis of the left interpolation subspace (columns unit-scaled)."""
-    _validate_quadrature_data(system, data, "left")
-    vectors = linalg.unit_columns(left_subspace_vectors(system, data.points, data.directions))
-    basis = real_basis_from_conjugate_data(data.points, data.directions, vectors)
-    _check_dimension(basis, data.points, "left interpolation subspace")
-    return basis
+    return _real_subspace_basis(system, data, "left")
 
 
 def right_subspace_basis(system, data):
     """Real basis of the right interpolation subspace (columns unit-scaled)."""
-    _validate_quadrature_data(system, data, "right")
-    vectors = linalg.unit_columns(right_subspace_vectors(system, data.points, data.directions))
-    basis = real_basis_from_conjugate_data(data.points, data.directions, vectors)
-    _check_dimension(basis, data.points, "right interpolation subspace")
-    return basis
+    return _real_subspace_basis(system, data, "right")
 
 
 def passive_subspace_vectors(system, points, directions):
     """Complex defining vectors ``(sigma_i I - F)^-H H^H mu_i`` as columns."""
-    f, h = system.F, system.H
-    eye = np.eye(f.shape[0])
-    cols = []
-    for sigma, mu in zip(points, directions):
-        cols.append(
-            linalg.solve(
-                np.conj(sigma) * eye - f.conj().T,
-                h.conj().T @ mu,
-                context=f"passive interpolation point {sigma}",
-            )
-        )
-    return np.column_stack(cols)
+    return _resolvent_columns(system.F, system.H, points, directions, "passive", adjoint=True)
 
 
 def passive_subspace_basis(system, data):
@@ -260,8 +248,7 @@ def passive_subspace_basis(system, data):
     raw = linalg.unit_columns(
         passive_subspace_vectors(system, data.points, data.directions)
     )
-    _check_dimension(raw, data.points, "passive interpolation subspace")
-    return linalg.orthonormal_range(raw)
+    return _checked_range(raw, data.points, "passive interpolation subspace")
 
 
 def _validate_quadrature_data(system, data, side):
@@ -303,7 +290,25 @@ def _sorted_poles(state_matrix):
     return poles[order]
 
 
-def _quadrature_result(system, data, w, v, pr_tol, convention=None, scores=None):
+def _symplectic_pair(basis, n_modes, side):
+    """Scaled basis ``X`` with ``X^T J_n X = J_r`` and its complement ``J_n X J_r^T``.
+
+    The pair is biorthogonal, ``(J_n X J_r^T)^T X = I`` up to the residual of
+    the scaling, because ``J_r^T = J_r^-1``; no pairing matrix is inverted.
+    """
+    jn = symplectic_form(n_modes)
+    try:
+        t = skew_normal_form(basis.T @ jn @ basis).T
+    except RankDeficiencyError as exc:
+        raise RankDeficiencyError(
+            f"the skew pairing matrix of the {side} interpolation subspace is singular; "
+            "choose different points or directions"
+        ) from exc
+    x = basis @ t.T
+    return x, jn @ x @ symplectic_form(x.shape[1] // 2).T
+
+
+def _quadrature_result(system, data, w, v, pr_tol):
     a_r = w.T @ system.A @ v
     b_r = w.T @ system.B
     c_r = system.C @ v
@@ -315,8 +320,6 @@ def _quadrature_result(system, data, w, v, pr_tol, convention=None, scores=None)
         realizability=check_realizability(reduced, pr_tol),
         biorthogonality=float(np.linalg.norm(w.T @ v - np.eye(w.shape[1]))),
         poles=_sorted_poles(a_r),
-        scaling_convention=convention,
-        scaling_residuals=scores or {},
     )
     return ReductionResult(w=w, v=v, reduced=reduced, data=data, diagnostics=diagnostics)
 
@@ -328,80 +331,22 @@ def reduce_left(system, data, pr_tol=1e-8):
     and the reduced model satisfies the same realizability constraints as the
     original (up to the accuracy of the input model itself).
     """
-    w_hat = left_subspace_basis(system, data)
-    jn = symplectic_form(system.n_modes)
-    pairing = w_hat.T @ jn @ w_hat
-    try:
-        form = skew_normal_form(pairing)
-    except RankDeficiencyError as exc:
-        raise RankDeficiencyError(
-            "the skew pairing matrix of the left interpolation subspace is singular; "
-            "choose different points or directions"
-        ) from exc
-    w = w_hat @ form.T.T
-    v = jn @ w @ np.linalg.inv(w.T @ jn @ w)
+    w, v = _symplectic_pair(left_subspace_basis(system, data), system.n_modes, "left")
     return _quadrature_result(system, data, w, v, pr_tol)
-
-
-def _right_candidate(v_hat, jn, system, data, pr_tol, flavor):
-    pairing = v_hat.T @ jn @ v_hat
-    if flavor == "inverse-pairing":
-        # Scale so that T J_r T^T equals the inverse of the transposed pairing.
-        skew_normal_form(pairing)  # reject singular pairing before inverting
-        form = skew_normal_form(np.linalg.inv(-pairing))
-        t = np.linalg.inv(form.T)
-    else:
-        # Scale the pairing matrix itself onto J_r, mirroring the left recipe.
-        form = skew_normal_form(pairing)
-        t = form.T
-    v = v_hat @ t.T
-    w = jn @ v @ np.linalg.inv(v.T @ jn @ v)
-    return _quadrature_result(system, data, w, v, pr_tol, convention=flavor)
 
 
 def reduce_right(system, data, pr_tol=1e-8):
     """Right-tangential reduction of a quadrature-form system.
 
     The reduced transfer matches ``Xi(sigma_i) nu_i`` at every data item.
-    Two sign/transpose conventions exist for the skew scaling step; both are
-    evaluated and the one whose reduced model actually satisfies the
-    realizability constraints is kept (the residuals of both are recorded in
-    the diagnostics).
+    ``V`` is the right basis scaled to ``V^T J_n V = J_r`` and ``W = J_n V
+    J_r^T``: the recipe of :func:`reduce_left` with the roles swapped.  The
+    complement is ``J_n V (V^T J_n V)^-1`` with the inverse taken exactly
+    (``J_r^-1 = J_r^T``), so no rounding of an inverted pairing matrix
+    reaches the realizability residual.
     """
-    v_hat = right_subspace_basis(system, data)
-    jn = symplectic_form(system.n_modes)
-    try:
-        candidates = [
-            _right_candidate(v_hat, jn, system, data, pr_tol, flavor)
-            for flavor in ("inverse-pairing", "direct-pairing")
-        ]
-    except RankDeficiencyError as exc:
-        raise RankDeficiencyError(
-            "the skew pairing matrix of the right interpolation subspace is singular; "
-            "choose different points or directions"
-        ) from exc
-
-    def structural_score(result):
-        # The third residual is convention-independent (D is untouched).
-        return max(result.diagnostics.realizability.residuals[:2])
-
-    scores = {c.diagnostics.scaling_convention: structural_score(c) for c in candidates}
-    best = min(candidates, key=structural_score)
-    if scores["inverse-pairing"] <= 1.5 * scores["direct-pairing"]:
-        best = candidates[0]
-    diag = best.diagnostics
-    diagnostics = ReductionDiagnostics(
-        interpolation_residuals=diag.interpolation_residuals,
-        interpolation_references=diag.interpolation_references,
-        realizability=diag.realizability,
-        biorthogonality=diag.biorthogonality,
-        poles=diag.poles,
-        scaling_convention=diag.scaling_convention,
-        scaling_residuals=scores,
-    )
-    return ReductionResult(
-        w=best.w, v=best.v, reduced=best.reduced, data=data, diagnostics=diagnostics
-    )
+    v, w = _symplectic_pair(right_subspace_basis(system, data), system.n_modes, "right")
+    return _quadrature_result(system, data, w, v, pr_tol)
 
 
 def reduce_passive(system, data, pr_tol=1e-10):

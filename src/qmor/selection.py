@@ -4,10 +4,11 @@ Tangent directions are picked so the most important output (or input) pairs
 are matched at the largest number of frequencies; interpolation points are
 placed on the imaginary axis in conjugate pairs ``(i w_j, -i w_j)`` so a real
 basis exists.  The frequencies themselves come from derivative-free local
-minimization of either an H-infinity or an H2 error cost, both evaluated
-through a complex orthonormal basis of the candidate interpolation subspace
-(the reduced transfer only depends on the subspace, so this matches the cost
-of the real-basis reduction built at the same frequencies).  The H2 cost is
+minimization of either an H-infinity or an H2 error cost.  Both costs are
+evaluated on the reduced model that the reduction itself returns at the
+candidate points: the real interpolation basis with its symplectic completion
+``J_n X J_r^T`` for left/right data, the orthonormal basis for passive data.
+A candidate whose reduction cannot be built is infeasible.  The H2 cost is
 exact: one Lyapunov solve for the error system of order ``n + r``, with no
 frequency quadrature.
 """
@@ -24,11 +25,13 @@ from . import linalg
 from .analysis import _error_norms, default_grid, grid_supremum, h2_error_gramian
 from .errors import InfeasiblePointError, QmorError, StructureError
 from .reduction import (
-    left_subspace_vectors,
-    passive_subspace_vectors,
-    right_subspace_vectors,
+    InterpolationData,
+    _symplectic_pair,
+    left_subspace_basis,
+    passive_subspace_basis,
+    right_subspace_basis,
 )
-from .systems import AnnihilationSystem, QuadratureSystem, symplectic_form
+from .systems import AnnihilationSystem, QuadratureSystem
 
 SCAN_POINTS_1D = 64
 SCAN_POINTS_ND = 16
@@ -112,13 +115,30 @@ class SelectionProblem:
             raise StructureError(f"cost must be hinf or h2, got {self.cost!r}")
         if self.template not in ("conjugate_pairs", "symmetric_with_dc"):
             raise StructureError(f"unknown template {self.template!r}")
+        if self.r < 1:
+            raise StructureError(f"r must be at least 1, got {self.r}")
+        if self.template == "symmetric_with_dc" and self.side != "passive":
+            raise StructureError(
+                "the symmetric-with-dc template is for passive selection only; its odd "
+                "point count gives left/right data no even-dimensional real basis"
+            )
         if self.template == "symmetric_with_dc" and self.r % 2 == 0:
             raise StructureError("the symmetric-with-dc template needs an odd point count")
+        passive = self.side == "passive"
+        if not isinstance(self.system, AnnihilationSystem if passive else QuadratureSystem):
+            form = "an annihilation" if passive else "a quadrature"
+            raise StructureError(f"{self.side} selection needs {form}-form system")
         directions = np.atleast_2d(np.array(self.directions, dtype=complex))
-        expected = self.r if self.side == "passive" else 2 * self.r
+        expected = self.r if passive else 2 * self.r
         if directions.shape[0] != expected:
             raise StructureError(
                 f"{directions.shape[0]} directions supplied, expected {expected}"
+            )
+        ports = self.system.n_inputs if self.side == "right" else self.system.n_outputs
+        width = ports if passive else 2 * ports
+        if directions.shape[1] != width:
+            raise StructureError(
+                f"directions live in C^{directions.shape[1]}, the {self.side} side needs C^{width}"
             )
         if self.omega_bounds is not None:
             lo, hi = self.omega_bounds
@@ -150,54 +170,31 @@ class SelectionProblem:
         return self.system.F
 
 
-def _orth_or_infeasible(vectors, points):
-    rank, basis, _ = linalg.rank_and_bases(linalg.unit_columns(vectors))
-    if rank < vectors.shape[1]:
-        raise InfeasiblePointError(
-            f"interpolation subspace at points {np.array2string(points, precision=6)} "
-            f"has dimension {rank} < {vectors.shape[1]}"
-        )
-    return basis
-
-
 def _projected_difference(problem, points):
-    """Full and projected ``(A, B, C)`` triples for the candidate subspace."""
-    system = problem.system
-    if problem.side == "passive":
-        if not isinstance(system, AnnihilationSystem):
-            raise StructureError("passive selection needs an annihilation-form system")
-        v_a = _orth_or_infeasible(
-            passive_subspace_vectors(system, points, problem.directions), points
-        )
-        f, g, h = system.F, system.G, system.H
-        return (f, g, h), (v_a.conj().T @ f @ v_a, v_a.conj().T @ g, h @ v_a)
+    """Full and projected ``(A, B, C)`` triples for the candidate points.
 
-    if not isinstance(system, QuadratureSystem):
-        raise StructureError("left/right selection needs a quadrature-form system")
-    a, b, c = system.A, system.B, system.C
-    jn = symplectic_form(system.n_modes)
-    if problem.side == "left":
-        w = _orth_or_infeasible(
-            left_subspace_vectors(system, points, problem.directions), points
-        )
-        pairing = w.conj().T @ jn @ w
-        if np.linalg.cond(pairing) > 1e12:
-            raise InfeasiblePointError(
-                f"skew pairing matrix is singular at points "
-                f"{np.array2string(points, precision=6)}"
-            )
-        v = jn @ w @ np.linalg.inv(pairing)
+    The projected triple is the reduced model that ``reduce_left``,
+    ``reduce_right`` or ``reduce_passive`` returns for the same data: the
+    same basis and, for quadrature models, the same symplectic completion.
+    A candidate whose reduction cannot be built is infeasible.
+    """
+    system, side = problem.system, problem.side
+    if side == "passive":
+        a, b, c = system.F, system.G, system.H
     else:
-        v = _orth_or_infeasible(
-            right_subspace_vectors(system, points, problem.directions), points
+        a, b, c = system.A, system.B, system.C
+    try:
+        data = InterpolationData(
+            "left" if side == "passive" else side, points, problem.directions
         )
-        pairing = v.conj().T @ jn @ v
-        if np.linalg.cond(pairing) > 1e12:
-            raise InfeasiblePointError(
-                f"skew pairing matrix is singular at points "
-                f"{np.array2string(points, precision=6)}"
-            )
-        w = jn @ v @ np.linalg.inv(pairing)
+        if side == "passive":
+            w = v = passive_subspace_basis(system, data)
+        else:
+            basis_of = left_subspace_basis if side == "left" else right_subspace_basis
+            x, complement = _symplectic_pair(basis_of(system, data), system.n_modes, side)
+            w, v = (x, complement) if side == "left" else (complement, x)
+    except QmorError as exc:
+        raise InfeasiblePointError(str(exc)) from exc
     return (a, b, c), (w.conj().T @ a @ v, w.conj().T @ b, c @ v)
 
 
@@ -214,9 +211,8 @@ def cost_hinf(problem, omegas, penalty=None):
         if penalty is not None:
             return penalty
         raise
-    # The projected matrices are complex even for real systems, but the error
-    # norm is symmetric in omega whenever the full system is real, so mirror
-    # the grid only for genuinely complex models.
+    # The error norm is symmetric in omega whenever the full system is real,
+    # so mirror the grid only for complex (annihilation-form) models.
     spec = dataclasses.replace(default_grid(a, a_r), two_sided=np.iscomplexobj(a))
     error_norms = _error_norms((a, b, c, 0.0), (a_r, b_r, c_r, 0.0))
     return grid_supremum(error_norms, spec.frequencies())[0]

@@ -185,11 +185,6 @@ def reduction_to_dict(result, method):
             "biorthogonality": diag.biorthogonality,
             "poles": [[float(p.real), float(p.imag)] for p in diag.poles],
         }
-        if diag.scaling_convention is not None:
-            doc["diagnostics"]["scaling_convention"] = diag.scaling_convention
-            doc["diagnostics"]["scaling_residuals"] = {
-                k: float(v) for k, v in diag.scaling_residuals.items()
-            }
     return doc
 
 

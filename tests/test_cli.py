@@ -439,3 +439,52 @@ def test_analyze_pole_on_grid_writes_report(tmp_path, capsys):
     out = capsys.readouterr()
     assert "worst-case error estimate: inf at omega = 1" in out.out
     assert out.err == ""
+
+
+@pytest.mark.parametrize(
+    "method, r, template",
+    [
+        ("passive", "0", "conjugate_pairs"),
+        ("passive", "-2", "conjugate_pairs"),
+        ("right", "3", "symmetric_with_dc"),
+        ("left", "3", "symmetric_with_dc"),
+    ],
+)
+def test_select_points_rejects_bad_problem(tmp_path, method, r, template, capsys):
+    system = cases.cascaded_cavity_system()
+    if method != "passive":
+        system = systems.annihilation_to_quadrature(system)
+    sys_path = tmp_path / "sys.json"
+    serialization.save_system(system, sys_path)
+    args = ["select-points", str(sys_path), "--method", method, "--r", r]
+    args += ["--template", template, "--out", str(tmp_path / "sel")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "sel").exists()
+
+
+def test_analyze_reads_reduction_with_scaling_keys(
+    tmp_path, ex1_system_path, ex1_points_path, capsys
+):
+    # Files written before the single completion recipe carry two extra
+    # diagnostics keys; they are still valid input.
+    args = ["reduce", str(ex1_system_path), "--method", "right"]
+    args += ["--points", str(ex1_points_path), "--out", str(tmp_path / "red")]
+    assert main(args) == 0
+    path = tmp_path / "red" / "reduction.json"
+    doc = json.loads(path.read_text())
+    doc["diagnostics"]["scaling_convention"] = "direct-pairing"
+    doc["diagnostics"]["scaling_residuals"] = {"inverse-pairing": 413.0, "direct-pairing": 5e-12}
+    path.write_text(json.dumps(doc))
+    args = ["analyze", str(ex1_system_path), str(path), "--wpts", "50"]
+    assert main(args + ["--out", str(tmp_path / "ana")]) == 0
+    assert (tmp_path / "ana" / "error_report.json").exists()
+
+
+def test_select_points_rejects_direction_width(tmp_path, ex1_system_path, capsys):
+    dirs = json.dumps([[1, 0, 0, 0, 0, 0, 0]] * 4)
+    args = ["select-points", str(ex1_system_path), "--method", "right", "--r", "2"]
+    assert main(args + ["--dirs", dirs, "--out", str(tmp_path / "sel")]) == 1
+    assert capsys.readouterr().err == "error: directions live in C^7, the right side needs C^6\n"

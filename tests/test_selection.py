@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmor import analysis, cases, linalg, systems
+from qmor import analysis, cases, linalg, selection, systems
 from qmor.errors import InfeasiblePointError, StructureError
 from qmor.reduction import InterpolationData, reduce_passive, reduce_right
 from qmor.selection import (
@@ -80,6 +80,65 @@ def test_problem_validation():
             directions=np.ones((4, 4)),
             template="symmetric_with_dc",
         )
+    for r in (0, -2):
+        with pytest.raises(StructureError, match="at least 1"):
+            SelectionProblem(system=sys_q, side="right", r=r, directions=np.ones((0, 4)))
+    # An odd point count gives left/right data no even-dimensional real basis.
+    for side in ("left", "right"):
+        with pytest.raises(StructureError, match="passive selection only"):
+            SelectionProblem(
+                system=sys_q,
+                side=side,
+                r=3,
+                directions=np.ones((6, 4)),
+                template="symmetric_with_dc",
+            )
+    with pytest.raises(StructureError, match="quadrature-form"):
+        SelectionProblem(
+            system=cases.cascaded_cavity_system(), side="right", r=2, directions=np.ones((4, 4))
+        )
+    with pytest.raises(StructureError, match="annihilation-form"):
+        SelectionProblem(system=sys_q, side="passive", r=2, directions=np.ones((2, 1)))
+    with pytest.raises(StructureError, match=r"C\^5, the right side needs C\^4"):
+        SelectionProblem(system=sys_q, side="right", r=2, directions=np.ones((4, 5)))
+
+
+def _ex1_right_case():
+    problem = SelectionProblem(
+        system=cases.optomechanical_system(),
+        side="right",
+        r=2,
+        directions=cases.ex1_interpolation_data().directions,
+        omega_bounds=cases.EX1_REFERENCE["selection_bounds"],
+    )
+    return problem, cases.EX1_REFERENCE["omega"], reduce_right
+
+
+def _ex3_passive_case():
+    problem = SelectionProblem(
+        system=cases.cascaded_cavity_system(),
+        side="passive",
+        r=3,
+        directions=cases.ex3_interpolation_data().directions,
+        template="symmetric_with_dc",
+    )
+    return problem, cases.EX3_REFERENCE["omega"], reduce_passive
+
+
+@pytest.mark.parametrize("case", [_ex1_right_case, _ex3_passive_case])
+def test_selection_scores_the_reduced_model(case):
+    # The cost is evaluated on the very model the reduction returns.
+    problem, omega, reducer = case()
+    points = problem.expand_points([omega])
+    side = "right" if problem.side == "right" else "left"
+    reduced = reducer(problem.system, InterpolationData(side, points, problem.directions)).reduced
+    if problem.side == "passive":
+        triple = (reduced.F, reduced.G, reduced.H)
+    else:
+        triple = (reduced.A, reduced.B, reduced.C)
+    _, projected = selection._projected_difference(problem, points)
+    for got, expected in zip(projected, triple):
+        assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 def test_cost_hinf_full_order_vanishes():
