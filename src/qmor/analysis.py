@@ -9,7 +9,10 @@ namely ``|Xi(s) - Xi_r(s)| = |C (sI-A)^-1 (I - Q(s)) B| = |C (I - R(s))
 (sI-A)^-1 B|``.  Splitting ``I - Q`` through orthogonal projectors onto the
 interpolation subspace's complement and the frequency-dependent kernel of the
 projector yields computable H-infinity upper bounds whose angle factor is the
-secant of the largest principal angle between those subspaces.
+secant of the largest principal angle between those subspaces.  Its cosine is
+the smallest singular value of the product of their orthonormal bases
+(Bjorck and Golub, Math. Comp. 1973), which stays accurate near 90 degrees,
+where ``1 - sin^2`` cancels.
 
 Suprema over frequency are estimated on a dense logarithmic grid followed by
 golden-section refinement around the best local maxima, so every H-infinity
@@ -18,8 +21,9 @@ both sides of any bound comparison.
 
 Evaluation is batched: :func:`sweep` solves ``(s_k I - A) X = B`` for a whole
 block of ``GRID_BLOCK`` points at once, every frequency integrand maps an array
-of frequencies to an array of values (stacked SVDs for norms and kernel
-projectors), and the golden-section searches advance in lockstep.
+of frequencies to an array of values (stacked SVDs for norms, one stacked
+solve and QR per block for an angle bound), and the golden-section searches
+advance in lockstep.
 """
 
 import math
@@ -289,44 +293,25 @@ def error_exact(full, result, s):
     )
 
 
-def _complement_projector(basis):
-    p = linalg.orthogonal_projector(basis)
-    return np.eye(p.shape[0]) - p
+def _angle_bound(a, b, c, kernel, u_perp, s):
+    """Angle-bound integrand ``|C Q_u| |U_perp^H (sI-A)^-1 B| / cos(theta)`` over ``s``.
 
-
-def _kernel_projectors(m):
-    """Kernel projector of every matrix in a stack, ranks as in ``rank_and_bases``."""
-    _, sv, vh = np.linalg.svd(m)
-    tol = max(m.shape[1:]) * np.finfo(m.dtype).eps * sv[:, :1]
-    rank = np.sum(sv > tol, axis=1)
-    vh[np.arange(m.shape[2]) < rank[:, None]] = 0.0
-    return vh.conj().transpose(0, 2, 1) @ vh
-
-
-def _angle_bound(a, b, c, basis, p_perp, omegas, side):
-    """Principal-angle error bound integrand at every frequency in ``omegas``.
-
-    With ``P_u`` the projector onto the kernel of ``basis^H (sI-A)^H``
-    (``side="left"``) or of ``basis^H (sI-A)`` (``side="right"``), the
-    integrand is ``sec(theta) |C (sI-A)^-1 P_perp| |P_u B|`` or
-    ``sec(theta) |C P_u| |P_perp (sI-A)^-1 B|``, where ``sin(theta) =
-    |P_perp - P_u|``.  A degenerate angle gives ``inf``.
+    ``kernel`` spans ``ker(basis^H)``, so ``Q_u``, an orthonormal basis of
+    ``(sI-A)^-1 kernel``, spans ``ker(basis^H (sI-A))``; both come from one
+    stacked solve with ``B``.  ``cos(theta) = sigma_min(U_perp^H Q_u)``: the
+    integrand is ``inf`` where it is 0, and 0 at full order.
     """
-    s = 1j * omegas
-    # basis^H (sI-A)^H and basis^H (sI-A), without forming the n x n stack.
-    basis_h = basis.conj().T
-    if side == "left":
-        p_u = _kernel_projectors(s.conj()[:, None, None] * basis_h - (a @ basis).conj().T)
-        # C (sI-A)^-1 is the transpose of (sI-A^T)^-1 C^T: no n x n right-hand side.
-        t1 = _norms(sweep(a.T, c.T, s).transpose(0, 2, 1) @ p_perp)
-        t2 = _norms(p_u @ b)
-    else:
-        p_u = _kernel_projectors(s[:, None, None] * basis_h - basis_h @ a)
-        t1 = _norms(c @ p_u)
-        t2 = _norms(p_perp @ sweep(a, b, s))
-    gap = 1.0 - _norms(p_perp - p_u) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(gap > 0.0, 1.0 / np.sqrt(gap) * t1 * t2, math.inf)
+    if kernel.shape[1] == 0:
+        return np.zeros(s.size)
+    m = b.shape[1]
+    x = sweep(a, np.hstack([b, kernel]), s)
+    q_u = np.linalg.qr(x[:, :, m:])[0]
+    u_perp_h = u_perp.conj().T
+    t1 = _norms(c @ q_u)
+    t2 = _norms(u_perp_h @ x[:, :, :m])
+    cos = np.linalg.svd(u_perp_h @ q_u, compute_uv=False)[:, -1]
+    with np.errstate(divide="ignore"):
+        return np.where(cos > 0.0, t1 * t2 / cos, math.inf)
 
 
 def _bound_suprema(full, result, grid, terms):
@@ -335,10 +320,14 @@ def _bound_suprema(full, result, grid, terms):
     a_r = _abcd(result.reduced)[0]
     _require_hurwitz(a, a_r)
     omegas = (grid or default_grid(a, a_r)).frequencies()
+    # The left integrand is the right one of the adjoint (A^H, C^H, B^H) at conj(s).
+    forms = {"right": ((a, b, c), 1j), "left": ((a.conj().T, c.conj().T, b.conj().T), -1j)}
     suprema = []
     for side, basis, perp in terms:
-        p_perp = _complement_projector(perp)
-        f = lambda w: _angle_bound(a, b, c, basis, p_perp, w, side)  # noqa: E731
+        system, unit = forms[side]
+        kernel = linalg.kernel_basis(basis.conj().T)
+        u_perp = linalg.kernel_basis(perp.conj().T)
+        f = lambda w: _angle_bound(*system, kernel, u_perp, unit * w)  # noqa: E731
         suprema.append(grid_supremum(f, omegas)[0])
     return suprema
 
@@ -346,18 +335,25 @@ def _bound_suprema(full, result, grid, terms):
 def hinf_bound_left(full, result, grid=None):
     """H-infinity error bound built from the left interpolation subspace.
 
-    Returns ``inf`` when the subspace angle degenerates at some frequency.
+    The supremum of ``sec(theta) |C (sI-A)^-1 U_perp| |Q_u^H B|``, with
+    ``U_perp`` spanning ``ker(W^H)`` and ``Q_u`` ``ker(V^H (sI-A)^H)``;
+    ``inf`` when the angle reaches 90 degrees.
     """
     return _bound_suprema(full, result, grid, [("left", result.v, result.w)])[0]
 
 
 def hinf_bound_right(full, result, grid=None):
-    """H-infinity error bound built from the right interpolation subspace."""
+    """H-infinity error bound built from the right interpolation subspace.
+
+    The supremum of ``sec(theta) |C Q_u| |U_perp^H (sI-A)^-1 B|``, with
+    ``U_perp`` spanning ``ker(V^H)`` and ``Q_u`` ``ker(W^H (sI-A))``;
+    ``inf`` when the angle reaches 90 degrees.
+    """
     return _bound_suprema(full, result, grid, [("right", result.w, result.v)])[0]
 
 
 def hinf_bounds_passive(full, result, grid=None):
-    """The pair of H-infinity bounds for a passive Galerkin reduction."""
+    """Left and right bounds of a passive Galerkin reduction, ``W = V = V_a``."""
     v_a = result.v
     return tuple(_bound_suprema(full, result, grid, [("left", v_a, v_a), ("right", v_a, v_a)]))
 

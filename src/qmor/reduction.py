@@ -177,7 +177,8 @@ def _checked_range(basis, points, what):
     rank, orthonormal, _ = linalg.rank_and_bases(basis)
     if rank < k:
         raise RankDeficiencyError(
-            f"{what} spanned by points {np.array2string(points, precision=6)} has "
+            f"{what} spanned by points "
+            f"{np.array2string(points, precision=6, max_line_width=np.inf)} has "
             f"dimension {rank}, expected {k}; interpolation data are degenerate"
         )
     return orthonormal

@@ -253,7 +253,8 @@ def optimize_points(problem):
     16 per dimension otherwise, capped at 4096 evaluations); the best lattice
     point seeds a Nelder-Mead refinement in log-frequency space.  Candidates
     whose subspace construction fails receive a large finite penalty so the
-    search continues; an all-infeasible scan raises with per-point reasons.
+    search continues; an all-infeasible scan raises with the count and the first
+    reason, on one line.
     """
     cost_fn = COST_FUNCTIONS[problem.cost]
     if problem.omega_bounds is not None:
@@ -291,10 +292,12 @@ def optimize_points(problem):
 
     feasible_values = [v for _, v, ok, _ in evaluations if ok and math.isfinite(v)]
     if not feasible_values:
-        reasons = "; ".join(
-            f"omega={np.array2string(o, precision=4)}: {r}" for o, _, ok, r in evaluations if not ok
-        )
-        raise InfeasiblePointError(f"every scanned candidate was infeasible: {reasons}")
+        failed = [(o, r) for o, _, ok, r in evaluations if not ok]
+        message = f"all {len(evaluations)} scanned candidates were infeasible"
+        if failed:
+            where = np.array2string(failed[0][0], precision=4, max_line_width=np.inf)
+            message += f"; {len(failed)} raised, the first at omega={where}: {failed[0][1]}"
+        raise InfeasiblePointError(message)
     baseline = feasible_values[0]
     penalty = PENALTY_FACTOR * max(baseline, 1e-300)
 

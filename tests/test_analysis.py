@@ -116,6 +116,52 @@ def test_bounds_optomech_values():
     assert analysis.hinf_bound_right(sys_q, result) == pytest.approx(3.96e3, rel=0.10)
 
 
+def _right_integrand_mpmath(mpmath, a, b, c, w, v, omega):
+    """ex1 right-form integrand in 40 digits, straight from the projectors.
+
+    ``sin(theta) = |P_perp - P_u|`` with ``P_u = I - G^H (G G^H)^-1 G`` for
+    ``G = W^H (sI-A)``; at this precision ``1 - sin^2`` loses nothing that
+    matters.
+    """
+    with mpmath.workdps(40):
+        mat = lambda x: mpmath.matrix(x.astype(complex).tolist())  # noqa: E731
+        a, b, c, w, v = (mat(x) for x in (a, b, c, w, v))
+        eye = mpmath.eye(a.rows)
+        shifted = 1j * mpmath.mpf(omega) * eye - a
+        g = w.transpose_conj() * shifted
+        p_u = eye - g.transpose_conj() * mpmath.inverse(g * g.transpose_conj()) * g
+        p_perp = eye - v * mpmath.inverse(v.transpose_conj() * v) * v.transpose_conj()
+        norm = lambda x: max(mpmath.svd_c(x, compute_uv=False))  # noqa: E731
+        sin = norm(p_perp - p_u)
+        t1 = norm(c * p_u)
+        t2 = norm(p_perp * mpmath.inverse(shifted) * b)
+        return float(t1 * t2 / mpmath.sqrt(1 - sin**2))
+
+
+def test_angle_bound_right_integrand_matches_mpmath():
+    # Near the ex1 right-bound peak cos(theta) is about 1e-3, where
+    # 1 - |P_perp - P_u|^2 in double precision is off by 2.5e-9 relative.
+    mpmath = pytest.importorskip("mpmath")
+    sys_q = cases.optomechanical_system()
+    result = reduce_right(sys_q, cases.ex1_interpolation_data())
+    a, b, c = sys_q.A, sys_q.B, sys_q.C
+    omegas = np.array([1e4, 10155.28, 2e4])
+    kernel = linalg.kernel_basis(result.w.conj().T)
+    u_perp = linalg.kernel_basis(result.v.conj().T)
+    values = analysis._angle_bound(a, b, c, kernel, u_perp, 1j * omegas)
+    for omega, value in zip(omegas, values):
+        expected = _right_integrand_mpmath(mpmath, a, b, c, result.w, result.v, omega)
+        assert abs(value - expected) <= 1e-11 * expected
+
+
+def test_angle_bound_degenerate_angle_is_inf():
+    # ker(basis^H (sI-A)) = (sI-A)^-1 e1 = span(e1), orthogonal to U_perp = e2.
+    a = -np.eye(2)
+    e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
+    values = analysis._angle_bound(a, np.eye(2), np.eye(2), e1, e2, 1j * np.array([0.0, 1.0, 1e3]))
+    assert np.all(np.isposinf(values))
+
+
 def test_bounds_passive_cascade_values():
     sys_a = cases.cascaded_cavity_system()
     result = reduce_passive(sys_a, cases.ex3_interpolation_data(), pr_tol=1e-8)

@@ -54,14 +54,17 @@ def angle_bound_oracle(full, basis, perp, side):
     a, b, c, _ = _matrices(full)
     eye = np.eye(a.shape[0])
     p_perp = eye - linalg.orthogonal_projector(perp)
+    u_perp = linalg.kernel_basis(perp.conj().T)
 
     def integrand(omega):
         shifted = 1j * omega * eye - a
         operator = shifted.conj().T if side == "left" else shifted
         kernel = linalg.kernel_basis(basis.conj().T @ operator)
         p_u = kernel @ kernel.conj().T
-        gap = 1.0 - linalg.spectral_norm(p_perp - p_u) ** 2
-        if gap <= 0.0:
+        # Cosine of the largest principal angle as a singular value (Bjorck & Golub):
+        # 1 - |P_perp - P_u|^2 cancels near 90 degrees.
+        cos = np.linalg.svd(u_perp.conj().T @ kernel, compute_uv=False).min()
+        if cos <= 0.0:
             return math.inf
         if side == "left":
             t1 = linalg.spectral_norm(c @ np.linalg.solve(shifted, p_perp))
@@ -69,7 +72,7 @@ def angle_bound_oracle(full, basis, perp, side):
         else:
             t1 = linalg.spectral_norm(c @ p_u)
             t2 = linalg.spectral_norm(p_perp @ np.linalg.solve(shifted, b))
-        return t1 * t2 / math.sqrt(gap)
+        return t1 * t2 / cos
 
     return integrand
 

@@ -488,3 +488,13 @@ def test_select_points_rejects_direction_width(tmp_path, ex1_system_path, capsys
     args = ["select-points", str(ex1_system_path), "--method", "right", "--r", "2"]
     assert main(args + ["--dirs", dirs, "--out", str(tmp_path / "sel")]) == 1
     assert capsys.readouterr().err == "error: directions live in C^7, the right side needs C^6\n"
+
+
+def test_select_points_all_infeasible_one_line(tmp_path, ex1_system_path, capsys):
+    dirs = json.dumps([[0, 0, 0, 0, 1, 0]] * 4)
+    args = ["select-points", str(ex1_system_path), "--method", "right", "--r", "2"]
+    assert main(args + ["--dirs", dirs, "--out", str(tmp_path / "sel")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: all 256 scanned candidates were infeasible")
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+    assert not (tmp_path / "sel").exists()

@@ -335,3 +335,20 @@ def test_cost_h2_unstable_projection_raises_or_penalizes():
     with pytest.raises(InfeasiblePointError, match="unstable"):
         cost_h2(problem, [2.0])
     assert cost_h2(problem, [2.0], penalty=123.0) == 123.0
+
+
+def test_optimizer_all_infeasible_message_is_one_line():
+    # One direction four times: every untied candidate spans a 2-D subspace.
+    problem = SelectionProblem(
+        system=cases.optomechanical_system(),
+        side="right",
+        r=2,
+        directions=np.vstack([_indicator(4, 6)] * 4),
+        tie_omegas=False,
+    )
+    with pytest.raises(InfeasiblePointError) as info:
+        optimize_points(problem)
+    message = str(info.value)
+    assert message.startswith("all 256 scanned candidates were infeasible; 256 raised")
+    assert "\n" not in message
+    assert len(message.encode()) < 1024
