@@ -1,4 +1,4 @@
-"""Error analysis: exact pointwise identities, H-infinity bounds, H2 costs.
+"""Error analysis: exact pointwise identities, H-infinity norms and bounds, H2 costs.
 
 The reduction error admits exact expressions through two oblique projectors,
 
@@ -14,26 +14,28 @@ the smallest singular value of the product of their orthonormal bases
 (Bjorck and Golub, Math. Comp. 1973), which stays accurate near 90 degrees,
 where ``1 - sin^2`` cancels.
 
-Suprema over frequency are estimated on a dense logarithmic grid followed by
-golden-section refinement around the best local maxima, so every H-infinity
-figure here is a refined lower-bound estimator; the same estimator is used on
-both sides of any bound comparison.
+The H-infinity norm of the error system is computed by the Hamiltonian
+level-set method (Boyd and Balakrishnan; Bruinsma and Steinbuch; Systems &
+Control Letters 1990): :func:`hinf_norm` returns a value the error attains,
+its frequency, and a certified upper value within a relative ``2 tol`` of it.
+The angle bounds are suprema of their integrands over a dense logarithmic
+grid, refined by golden-section search around the best local maxima, so they
+are refined lower-bound estimates of the bound functions.
 
-Evaluation is batched: :func:`sweep` solves ``(s_k I - A) X = B`` for a whole
-block of ``GRID_BLOCK`` points at once, every frequency integrand maps an array
-of frequencies to an array of values (stacked SVDs for norms, one stacked
-solve and QR per block for an angle bound), and the golden-section searches
-advance in lockstep.
+Evaluation is batched: :func:`sweep` solves ``(s_k I - A_k) X = B_k`` for a
+whole block of ``GRID_BLOCK`` points at once, every frequency integrand maps
+an array of frequencies to an array of values (stacked SVDs for norms, one
+stacked solve and QR per block for an angle bound), and the golden-section
+searches of every bound term advance in one lockstep search.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.integrate
 
 from . import linalg
-from .errors import StabilityError
+from .errors import QmorError, StabilityError
 from .systems import AnnihilationSystem, QuadratureSystem
 
 DEFAULT_GRID_COUNT = 2000
@@ -41,6 +43,13 @@ REFINE_REL_WIDTH = 1e-6
 #: Points per stacked evaluation; bounds the size of the live resolvent stacks.
 GRID_BLOCK = 64
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Relative gap between the certified upper and the attained lower H-infinity value.
+LEVEL_SET_TOL = 1e-10
+#: A Hamiltonian eigenvalue is a crossing candidate when ``|Re| <= AXIS_TOL (|lambda| + |H|_1)``.
+AXIS_TOL = 1e-6
+MAX_LEVEL_SET_ITERATIONS = 30
+#: Composite Gauss-Legendre rule of :func:`h2_error_quadrature`: panels, nodes per panel.
+H2_PANELS, H2_NODES = 64, 32
 
 
 def _abcd(system):
@@ -94,14 +103,14 @@ def default_grid(*state_matrices, count=DEFAULT_GRID_COUNT):
     return GridSpec(wmin=float(wmin), wmax=float(wmax), count=count, two_sided=two_sided)
 
 
-def _grid_values(f, points):
-    """``f`` over ``points`` in blocks of ``GRID_BLOCK`` (at least one call)."""
-    starts = range(0, max(points.size, 1), GRID_BLOCK)
-    return np.concatenate([f(points[k : k + GRID_BLOCK]) for k in starts])
+def _grid_values(f, *columns):
+    """``f`` over the rows of ``columns`` in blocks of ``GRID_BLOCK`` (at least one call)."""
+    starts = range(0, max(columns[0].size, 1), GRID_BLOCK)
+    return np.concatenate([f(*(col[k : k + GRID_BLOCK] for col in columns)) for k in starts])
 
 
-def _golden_lockstep(f, lo, hi, rel_width):
-    """Golden-section maxima of ``f`` on every bracket ``[lo_j, hi_j]`` at once.
+def _golden_lockstep(f, terms, lo, hi, rel_width):
+    """Golden-section maxima of ``f(terms, .)`` on every bracket ``[lo_j, hi_j]`` at once.
 
     Each step makes one batched call over the brackets that are still wider
     than ``rel_width`` (relative); each bracket stops on its own.  Returns the
@@ -110,7 +119,7 @@ def _golden_lockstep(f, lo, hi, rel_width):
     a, b = lo.copy(), hi.copy()
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
-    f1, f2 = np.split(f(np.concatenate([x1, x2])), 2)
+    f1, f2 = np.split(f(np.concatenate([terms, terms]), np.concatenate([x1, x2])), 2)
     while True:
         active = (b - a) > rel_width * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         if not active.any():
@@ -121,70 +130,85 @@ def _golden_lockstep(f, lo, hi, rel_width):
         x2[up] = a[up] + INV_PHI * (b[up] - a[up])
         b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
         x1[down] = b[down] - INV_PHI * (b[down] - a[down])
-        fresh = f(np.where(up, x2, x1)[active])
+        fresh = f(terms[active], np.where(up, x2, x1)[active])
         f2[up] = fresh[up[active]]
         f1[down] = fresh[down[active]]
     mid = (a + b) / 2
-    return f(mid), mid
+    return f(terms, mid), mid
 
 
-def grid_supremum(f, omegas, top=3, rel_width=REFINE_REL_WIDTH, values=None):
-    """Supremum of ``f`` over the grid, refined around the best local maxima.
+def grid_suprema(f, omegas, n_terms, top=3, rel_width=REFINE_REL_WIDTH):
+    """Supremum of every term of ``f`` over the grid, refined around its best local maxima.
 
-    ``f`` maps an array of frequencies to an array of values; ``values`` may
-    carry ``f(omegas)`` when the caller has already swept the grid.  Ties
-    break toward lower frequency.  An infinite sample short-circuits and is
-    returned as-is together with its frequency.
+    ``f`` maps an array of term labels in ``range(n_terms)`` and an array of
+    frequencies to an array of values.  The grid is evaluated over all
+    (term, frequency) rows, and the brackets of every term advance in one
+    lockstep golden-section search.  Ties break toward lower frequency.  A
+    term with an infinite sample reads ``inf`` at the first one.  Returns one
+    ``(value, omega)`` pair per term.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if values is None:
-        values = _grid_values(f, omegas)
-    if np.any(np.isinf(values)):
-        where = int(np.argmax(np.isinf(values)))
-        return math.inf, float(omegas[where])
-    n = values.size
+    n = omegas.size
+    grid = _grid_values(f, np.repeat(np.arange(n_terms), n), np.tile(omegas, n_terms))
     prev = np.maximum(np.arange(n) - 1, 0)
     after = np.minimum(np.arange(n) + 1, n - 1)
-    peaks = np.flatnonzero((values >= values[prev]) & (values >= values[after]))
-    maxima = np.array(sorted(peaks, key=lambda i: (-values[i], omegas[i]))[:top], dtype=int)
-    # The raw grid maximum is a floor: refinement can only improve on it.
-    grid_best = int(np.argmax(values))
-    best_value = float(values[grid_best])
-    best_omega = float(omegas[grid_best])
-    lo = omegas[np.maximum(maxima - 1, 0)]
-    hi = omegas[np.minimum(maxima + 1, n - 1)]
-    peak_values, peak_omegas = values[maxima].astype(float), omegas[maxima]
+    best, labels, index, peak_values = [], [], [], []
+    for term, values in enumerate(grid.reshape(n_terms, n)):
+        if np.any(np.isinf(values)):
+            best.append((math.inf, float(omegas[np.argmax(np.isinf(values))])))
+            continue
+        peaks = np.flatnonzero((values >= values[prev]) & (values >= values[after]))
+        chosen = sorted(peaks, key=lambda i: (-values[i], omegas[i]))[:top]
+        # The raw grid maximum is a floor: refinement can only improve on it.
+        k = int(np.argmax(values))
+        best.append((float(values[k]), float(omegas[k])))
+        labels += [term] * len(chosen)
+        index += chosen
+        peak_values += [values[i] for i in chosen]
+    labels, index = np.array(labels, dtype=int), np.array(index, dtype=int)
+    lo = omegas[np.maximum(index - 1, 0)]
+    hi = omegas[np.minimum(index + 1, n - 1)]
+    peak_values, peak_omegas = np.array(peak_values, dtype=float), omegas[index]
     refine = hi > lo
     if refine.any():
         peak_values[refine], peak_omegas[refine] = _golden_lockstep(
-            f, lo[refine], hi[refine], rel_width
+            f, labels[refine], lo[refine], hi[refine], rel_width
         )
-    for value, omega in zip(peak_values, peak_omegas):
+    for term, value, omega in zip(labels, peak_values, peak_omegas):
+        best_value, best_omega = best[term]
         if value > best_value or (value == best_value and omega < best_omega):
-            best_value, best_omega = float(value), float(omega)
-    return best_value, best_omega
+            best[term] = (float(value), float(omega))
+    return best
+
+
+def grid_supremum(f, omegas, top=3, rel_width=REFINE_REL_WIDTH):
+    """:func:`grid_suprema` of a single term: ``f`` maps frequencies to values."""
+    return grid_suprema(lambda _, w: f(w), omegas, 1, top, rel_width)[0]
 
 
 def sweep(a, b, s):
-    """Stacked resolvent solves ``X[k] = (s_k I - A)^-1 B`` over a 1-D array ``s``.
+    """Stacked resolvent solves ``X[k] = (s_k I - A_k)^-1 B_k`` over a 1-D array ``s``.
 
-    A block that holds an exactly singular point is solved point by point,
-    and the singular points get NaN.
+    ``a`` and ``b`` are one matrix each, or one per point.  A block that
+    holds an exactly singular point is solved point by point, and the
+    singular points get NaN.
     """
     s = np.asarray(s)
-    n = a.shape[0]
+    n = a.shape[-1]
     # Copy -A and add s on the diagonals: s * I - A would cast through numpy's
     # large ufunc buffers.
     shifted = np.broadcast_to(-a.astype(np.result_type(s, a)), (s.size, n, n)).copy()
     shifted.reshape(s.size, n * n)[:, :: n + 1] += s[:, None]
+    # b[None]: a stack of one matrix on every numpy version, never a stack of vectors.
+    rhs = b if b.ndim == 3 else b[None]
     try:
-        # b[None]: a stack of one matrix on every numpy version, never a stack of vectors.
-        return np.linalg.solve(shifted, b[None])
+        return np.linalg.solve(shifted, rhs)
     except np.linalg.LinAlgError:
-        out = np.full(shifted.shape[:2] + b.shape[1:], math.nan, np.result_type(shifted, b))
+        rhs = np.broadcast_to(rhs, (s.size,) + rhs.shape[1:])
+        out = np.full(rhs.shape, math.nan, np.result_type(shifted, rhs))
         for k, m in enumerate(shifted):
             try:
-                out[k] = np.linalg.solve(m, b)
+                out[k] = np.linalg.solve(m, rhs[k])
             except np.linalg.LinAlgError:
                 pass
         return out
@@ -229,21 +253,99 @@ def _require_hurwitz(*mats):
             )
 
 
+def error_system(full, reduced):
+    """``(A_e, B_e, C_e)`` of ``Xi - Xi_r``, a system of order ``n + r``.
+
+    Every reduction keeps the feedthrough, so the error system is strictly
+    proper; a feedthrough difference raises :class:`StabilityError`.
+    """
+    a1, b1, c1, d1 = _abcd(full)
+    a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
+    if linalg.frobenius_norm(d1 - d2) > 0:
+        raise StabilityError("feedthrough terms differ; the error system is not strictly proper")
+    n1, n2 = a1.shape[0], a2.shape[0]
+    a_e = np.block([[a1, np.zeros((n1, n2))], [np.zeros((n2, n1)), a2]])
+    return a_e, np.vstack([b1, b2]), np.hstack([c1, -c2])
+
+
 @dataclass(frozen=True)
 class HinfEstimate:
+    """An H-infinity norm: a value the curve attains, its frequency, and a certified upper value."""
+
     value: float
     peak_omega: float
-    grid: GridSpec
+    upper: float
+    iterations: int
+    grid: GridSpec | None = None
+
+
+def hinf_norm(a, b, c, omegas=None, values=None):
+    """H-infinity norm of ``C (sI - A)^-1 B`` by the Hamiltonian level-set method.
+
+    The lower value starts as the largest ``sigma_max`` at 0, at the poles'
+    frequencies and magnitudes, and in ``values``, samples of the curve at
+    ``omegas`` that the caller already holds.  Each step takes the
+    eigenvalues of ``H = [[A, B B^H / g], [-C^H C / g, -A^H]]`` at
+    ``g = (1 + 2 LEVEL_SET_TOL) lower``: ``i w`` is one exactly when ``g``
+    is a singular value at ``w`` (Boyd and Balakrishnan; Bruinsma and
+    Steinbuch).  The candidates near the imaginary axis are confirmed by
+    evaluating ``sigma_max`` at each of them and between neighbours, so the
+    lower value is always attained.  When no candidate raises it, no interval
+    of the curve lies above ``g``, which is returned as the certified upper
+    value.  Real systems report ``w >= 0``.  A non-Hurwitz ``A`` (a pole on
+    the axis included) reads ``inf``; ``MAX_LEVEL_SET_ITERATIONS`` steps
+    without convergence raise :class:`QmorError`.
+    """
+    a, b, c = (np.asarray(m) for m in (a, b, c))
+    real = not any(np.iscomplexobj(m) for m in (a, b, c))
+    poles = linalg.eigenvalues(a)
+    if not np.all(poles.real < 0):
+        pole = poles[np.argmax(poles.real)]
+        return HinfEstimate(math.inf, float(abs(pole.imag) if real else pole.imag), math.inf, 0)
+
+    def curve(w):
+        w = np.abs(w) if real else w
+        return w, _finite_norms(c @ sweep(a, b, 1j * w), math.inf)
+
+    mags = np.abs(poles)
+    w, sampled = curve(np.concatenate([[0.0], poles.imag, mags, -mags]))
+    if omegas is not None:
+        w, sampled = np.concatenate([omegas, w]), np.concatenate([values, sampled])
+    k = int(np.argmax(sampled))
+    lower, peak = float(sampled[k]), float(w[k])
+    if lower == 0.0 or math.isinf(lower):
+        return HinfEstimate(lower, peak, lower, 0)
+    bb, cc, a_h = b @ b.conj().T, c.conj().T @ c, -a.conj().T
+    for iteration in range(1, MAX_LEVEL_SET_ITERATIONS + 1):
+        gamma = (1.0 + 2.0 * LEVEL_SET_TOL) * lower
+        h = np.block([[a, bb / gamma], [-cc / gamma, a_h]])
+        eig = np.linalg.eigvals(h)
+        scale = np.abs(h).sum(axis=0).max()
+        crossings = np.sort(eig.imag[np.abs(eig.real) <= AXIS_TOL * (np.abs(eig) + scale)])
+        w, sampled = curve(np.concatenate([crossings, (crossings[:-1] + crossings[1:]) / 2]))
+        if sampled.size == 0 or sampled.max() <= lower:
+            return HinfEstimate(lower, peak, gamma, iteration)
+        k = int(np.argmax(sampled))
+        lower, peak = float(sampled[k]), float(w[k])
+    raise QmorError(
+        f"H-infinity level-set iteration did not converge in {MAX_LEVEL_SET_ITERATIONS} steps"
+    )
 
 
 def hinf_error(full, result, grid=None):
-    """Refined grid estimate of the H-infinity norm of ``Xi - Xi_r``."""
+    """H-infinity norm of ``Xi - Xi_r`` (:func:`hinf_norm` of :func:`error_system`).
+
+    The curve's samples on ``grid``, when one is given, seed the lower value.
+    """
     a1 = _abcd(full)[0]
     a2 = _abcd(_reduced_operand(result))[0]
     _require_hurwitz(a1, a2)
-    spec = grid or default_grid(a1, a2)
-    value, peak = grid_supremum(_error_norms(full, result), spec.frequencies())
-    return HinfEstimate(value=value, peak_omega=peak, grid=spec)
+    system = error_system(full, result)
+    if grid is None:
+        return hinf_norm(*system)
+    omegas = grid.frequencies()
+    values = _grid_values(_error_norms(full, result), omegas)
+    return replace(hinf_norm(*system, omegas, values), grid=grid)
 
 
 @dataclass(frozen=True)
@@ -299,14 +401,15 @@ def _angle_bound(a, b, c, kernel, u_perp, s):
     ``kernel`` spans ``ker(basis^H)``, so ``Q_u``, an orthonormal basis of
     ``(sI-A)^-1 kernel``, spans ``ker(basis^H (sI-A))``; both come from one
     stacked solve with ``B``.  ``cos(theta) = sigma_min(U_perp^H Q_u)``: the
-    integrand is ``inf`` where it is 0, and 0 at full order.
+    integrand is ``inf`` where it is 0, and 0 at full order.  Every argument
+    but ``s`` is one matrix or one per point.
     """
-    if kernel.shape[1] == 0:
+    if kernel.shape[-1] == 0:
         return np.zeros(s.size)
-    m = b.shape[1]
-    x = sweep(a, np.hstack([b, kernel]), s)
+    m = b.shape[-1]
+    x = sweep(a, np.concatenate([b, kernel], axis=-1), s)
     q_u = np.linalg.qr(x[:, :, m:])[0]
-    u_perp_h = u_perp.conj().T
+    u_perp_h = np.swapaxes(u_perp.conj(), -1, -2)
     t1 = _norms(c @ q_u)
     t2 = _norms(u_perp_h @ x[:, :, :m])
     cos = np.linalg.svd(u_perp_h @ q_u, compute_uv=False)[:, -1]
@@ -315,21 +418,37 @@ def _angle_bound(a, b, c, kernel, u_perp, s):
 
 
 def _bound_suprema(full, result, grid, terms):
-    """Grid supremum of the angle bound for each ``(side, basis, complement basis)``."""
+    """Grid supremum of the angle bound for each ``(side, basis, complement basis)``.
+
+    The terms are the row blocks of one integrand over (term, frequency), so
+    a single lockstep search refines the brackets of all of them.  Their port
+    widths are zero-padded to a common one, which changes no norm.
+    """
     a, b, c, _ = _abcd(full)
     a_r = _abcd(result.reduced)[0]
     _require_hurwitz(a, a_r)
     omegas = (grid or default_grid(a, a_r)).frequencies()
     # The left integrand is the right one of the adjoint (A^H, C^H, B^H) at conj(s).
-    forms = {"right": ((a, b, c), 1j), "left": ((a.conj().T, c.conj().T, b.conj().T), -1j)}
-    suprema = []
+    forms = {"right": (a, b, c, 1j), "left": (a.conj().T, c.conj().T, b.conj().T, -1j)}
+    inputs = max(forms[side][1].shape[1] for side, _, _ in terms)
+    outputs = max(forms[side][2].shape[0] for side, _, _ in terms)
+    rows = []
     for side, basis, perp in terms:
-        system, unit = forms[side]
-        kernel = linalg.kernel_basis(basis.conj().T)
-        u_perp = linalg.kernel_basis(perp.conj().T)
-        f = lambda w: _angle_bound(*system, kernel, u_perp, unit * w)  # noqa: E731
-        suprema.append(grid_supremum(f, omegas)[0])
-    return suprema
+        a_t, b_t, c_t, unit = forms[side]
+        rows.append((
+            a_t,
+            np.pad(b_t, ((0, 0), (0, inputs - b_t.shape[1]))),
+            np.pad(c_t, ((0, outputs - c_t.shape[0]), (0, 0))),
+            linalg.kernel_basis(basis.conj().T),
+            linalg.kernel_basis(perp.conj().T),
+            unit,
+        ))
+    a_t, b_t, c_t, kernel, u_perp, unit = (np.array(x) for x in zip(*rows))
+
+    def f(t, w):
+        return _angle_bound(a_t[t], b_t[t], c_t[t], kernel[t], u_perp[t], unit[t] * w)
+
+    return [value for value, _ in grid_suprema(f, omegas, len(terms))]
 
 
 def hinf_bound_left(full, result, grid=None):
@@ -359,40 +478,33 @@ def hinf_bounds_passive(full, result, grid=None):
 
 
 def h2_error_quadrature(full, reduced, w_max=None):
-    """H2-type error cost by adaptive frequency-domain quadrature.
+    """H2-type error cost by a fixed composite Gauss-Legendre rule in frequency.
 
     The cross-check for :func:`h2_error_gramian`, which is exact and is what
-    the selection search uses.  ``reduced`` may be a reduction result, a
-    system, or a plain matrix tuple.
+    the selection search uses.  After ``omega = w_max tan t`` the integrand
+    ``|Xi - Xi_r|_F^2 w_max sec^2 t`` is smooth and bounded on ``|t| < pi/2``
+    (it tends to ``|C_e B_e|_F^2 / w_max`` at the ends), so ``H2_PANELS``
+    panels of ``H2_NODES`` nodes need no breakpoints and no tail.  ``w_max``
+    defaults to the largest pole magnitude.  ``reduced`` may be a reduction
+    result, a system, or a plain matrix tuple.
     """
-    a1, b1, c1, d1 = _abcd(full)
-    a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
-    if linalg.frobenius_norm(d1 - d2) > 0:
-        raise StabilityError("feedthrough terms differ; the H2 error integral diverges")
+    a1, b1, c1, _ = _abcd(full)
+    a2 = _abcd(_reduced_operand(reduced))[0]
+    error_system(full, reduced)  # raises on a feedthrough difference
     _require_hurwitz(a1, a2)
-    two_sided = np.iscomplexobj(a1) or np.iscomplexobj(b1) or np.iscomplexobj(c1)
-    eigs = np.concatenate([linalg.eigenvalues(a1), linalg.eigenvalues(a2)])
     if w_max is None:
-        w_max = 1e2 * float(np.abs(eigs).max())
-
-    def g(omega):
-        e = c1 @ _resolve(a1, 1j * omega, b1) - c2 @ _resolve(a2, 1j * omega, b2)
-        return float(np.linalg.norm(e) ** 2)
-
-    breaks = np.unique(np.abs(eigs.imag))
-    breaks = [float(x) for x in breaks if 0.0 < x < w_max]
-    probes = [g(w) for w in ([0.0] + breaks)]
-    eps_abs = max(1e-290, 1e-13 * max(probes) * w_max)
-    kwargs = dict(limit=500, epsrel=1e-9, epsabs=eps_abs, full_output=1)
-    if two_sided:
-        points = sorted({-x for x in breaks} | set(breaks))
-        value = scipy.integrate.quad(g, -w_max, w_max, points=points, **kwargs)[0]
-    else:
-        value = 2.0 * scipy.integrate.quad(g, 0.0, w_max, points=breaks, **kwargs)[0]
-    # The integrand decays like |C_e B_e / omega|^2 past the grid edge.
-    lead = c1 @ b1 - c2 @ b2
-    tail = float(np.linalg.norm(lead) ** 2) / w_max
-    return value + 2.0 * tail
+        eigs = np.concatenate([linalg.eigenvalues(a1), linalg.eigenvalues(a2)])
+        w_max = float(np.abs(eigs).max())
+    # Real models have a curve symmetric in omega: integrate t > 0 and double.
+    two_sided = np.iscomplexobj(a1) or np.iscomplexobj(b1) or np.iscomplexobj(c1)
+    edges = np.linspace(-math.pi / 2 if two_sided else 0.0, math.pi / 2, H2_PANELS + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(H2_NODES)
+    half = (edges[1] - edges[0]) / 2
+    t = (((edges[:-1] + edges[1:]) / 2)[:, None] + half * nodes).ravel()
+    gap = _grid_values(_difference(full, reduced), 1j * w_max * np.tan(t))
+    integrand = np.sum(np.abs(gap) ** 2, axis=(1, 2)) * w_max / np.cos(t) ** 2
+    value = float(np.sum(np.tile(half * weights, H2_PANELS) * integrand))
+    return value if two_sided else 2.0 * value
 
 
 def h2_error_gramian(full, reduced):
@@ -400,16 +512,7 @@ def h2_error_gramian(full, reduced):
 
     ``2 pi trace(C_e P C_e^H)`` with ``A_e P + P A_e^H + B_e B_e^H = 0``.
     """
-    a1, b1, c1, d1 = _abcd(full)
-    a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
-    if linalg.frobenius_norm(d1 - d2) > 0:
-        raise StabilityError("feedthrough terms differ; the H2 error integral diverges")
-    n1, n2 = a1.shape[0], a2.shape[0]
-    a_e = np.block(
-        [[a1, np.zeros((n1, n2))], [np.zeros((n2, n1)), a2]]
-    ).astype(complex if np.iscomplexobj(a1) or np.iscomplexobj(a2) else float)
-    b_e = np.vstack([b1, b2])
-    c_e = np.hstack([c1, -c2])
+    a_e, b_e, c_e = error_system(full, reduced)
     p = linalg.lyapunov_solve(a_e, b_e @ b_e.conj().T)
     return float(2.0 * math.pi * np.trace(c_e @ p @ c_e.conj().T).real)
 
@@ -465,9 +568,17 @@ def error_surface(full, reduced, real_points=None, imag_points=None, count=41):
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Pointwise error curve plus H-infinity estimate and bounds."""
+    """Pointwise error curve plus H-infinity norm and bounds.
+
+    ``hinf_error_estimate`` is a value the error attains (at
+    ``peak_frequency``) and ``hinf_error_upper`` a certified upper value of
+    the norm; ``hinf_iterations`` counts the level-set steps.  The three are
+    the grid peak, ``None`` and 0 for an unstable pair.
+    """
 
     hinf_error_estimate: float
+    hinf_error_upper: float | None
+    hinf_iterations: int
     hinf_bound_left: float | None
     hinf_bound_right: float | None
     peak_frequency: float
@@ -480,23 +591,25 @@ class ErrorReport:
 def error_report(full, result, grid=None):
     """Assemble the full error analysis for a reduction result.
 
-    The grid is swept once: the pointwise curve also seeds the refined
-    H-infinity estimate.  For unstable pairs the curve and its grid peak are
-    still reported, but the bounds are omitted with an explanatory note; a
-    pole on a grid frequency reads ``inf`` there and becomes the peak.
+    The grid is swept once: the pointwise curve also seeds the level-set
+    H-infinity norm, and both angle bounds come from one stacked search.  For
+    unstable pairs the curve and its grid peak are still reported, but the
+    norm and the bounds are omitted with an explanatory note; a pole on a grid
+    frequency reads ``inf`` there and becomes the peak.
     """
     a1 = _abcd(full)[0]
     a2 = _abcd(_reduced_operand(result))[0]
     spec = grid or default_grid(a1, a2)
     omegas = spec.frequencies()
-    error_norms = _error_norms(full, result)
-    values = _grid_values(error_norms, omegas)
+    values = _grid_values(_error_norms(full, result), omegas)
     curve = np.column_stack([omegas, values])
     stable = linalg.is_hurwitz(a1) and linalg.is_hurwitz(a2)
     if not stable:
         k = int(np.argmax(values))
         return ErrorReport(
             hinf_error_estimate=float(values[k]),
+            hinf_error_upper=None,
+            hinf_iterations=0,
             hinf_bound_left=None,
             hinf_bound_right=None,
             peak_frequency=float(omegas[k]),
@@ -508,17 +621,19 @@ def error_report(full, result, grid=None):
                 "supremum, not an H-infinity norm, and the bounds are omitted",
             ),
         )
-    estimate, peak = grid_supremum(error_norms, omegas, values=values)
+    norm = hinf_norm(*error_system(full, result), omegas, values)
     if isinstance(full, AnnihilationSystem):
         bound_left, bound_right = hinf_bounds_passive(full, result, grid=spec)
     else:
-        bound_left = hinf_bound_left(full, result, grid=spec)
-        bound_right = hinf_bound_right(full, result, grid=spec)
+        terms = [("left", result.v, result.w), ("right", result.w, result.v)]
+        bound_left, bound_right = _bound_suprema(full, result, spec, terms)
     return ErrorReport(
-        hinf_error_estimate=estimate,
+        hinf_error_estimate=norm.value,
+        hinf_error_upper=norm.upper,
+        hinf_iterations=norm.iterations,
         hinf_bound_left=bound_left,
         hinf_bound_right=bound_right,
-        peak_frequency=peak,
+        peak_frequency=norm.peak_omega,
         pointwise=curve,
         grid=spec,
         stable=True,

@@ -8,6 +8,7 @@ instability, failed reference checks), 2 on usage or parse errors.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -43,13 +44,18 @@ def _out_dir(args):
     return out
 
 
+def _check_window(wmin, wmax):
+    # Comparisons with NaN are false, so this also rejects --wmin nan.
+    if not (0 < wmin < wmax < math.inf):
+        raise SchemaError(f"need 0 < wmin < wmax < inf, got wmin={wmin:g}, wmax={wmax:g}")
+
+
 def _grid_override(args, *state_matrices):
     spec = analysis.default_grid(*state_matrices)
     wmin = args.wmin if args.wmin is not None else spec.wmin
     wmax = args.wmax if args.wmax is not None else spec.wmax
     count = args.wpts if args.wpts is not None else spec.count
-    if not (0 < wmin < wmax):
-        raise SchemaError("need 0 < wmin < wmax")
+    _check_window(wmin, wmax)
     if count < 2:
         raise SchemaError(f"--wpts must be at least 2, got {count}")
     return analysis.GridSpec(
@@ -143,6 +149,8 @@ def cmd_analyze(args):
     serialization.write_error_curve_csv(out / "error_curve.csv", report.pointwise)
     doc = {
         "hinf_error_estimate": report.hinf_error_estimate,
+        "hinf_error_upper": report.hinf_error_upper,
+        "hinf_iterations": report.hinf_iterations,
         "hinf_bound_left": report.hinf_bound_left,
         "hinf_bound_right": report.hinf_bound_right,
         "peak_frequency": report.peak_frequency,
@@ -171,6 +179,8 @@ def cmd_analyze(args):
     print(f"worst-case error estimate: {report.hinf_error_estimate:.6g} "
           f"at omega = {report.peak_frequency:.6g}")
     if report.stable:
+        print(f"certified upper value: {report.hinf_error_upper:.6g} "
+              f"({report.hinf_iterations} level-set steps)")
         print(f"bounds: left {report.hinf_bound_left:.6g}, right {report.hinf_bound_right:.6g}")
     else:
         print("bounds omitted: " + "; ".join(report.notes))
@@ -199,6 +209,7 @@ def cmd_select_points(args):
     if args.wmin is not None or args.wmax is not None:
         if args.wmin is None or args.wmax is None:
             raise SchemaError("provide both --wmin and --wmax, or neither")
+        _check_window(args.wmin, args.wmax)
         bounds = (args.wmin, args.wmax)
     problem = selection.SelectionProblem(
         system=system,

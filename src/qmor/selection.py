@@ -10,10 +10,11 @@ candidate points: the real interpolation basis with its symplectic completion
 ``J_n X J_r^T`` for left/right data, the orthonormal basis for passive data.
 A candidate whose reduction cannot be built is infeasible.  The H2 cost is
 exact: one Lyapunov solve for the error system of order ``n + r``, with no
-frequency quadrature.
+frequency quadrature.  The H-infinity cost is the level-set norm of
+:func:`qmor.analysis.hinf_norm`, with no frequency grid.  A candidate whose
+reduced model is unstable is infeasible under either cost.
 """
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.optimize
 
 from . import linalg
-from .analysis import _error_norms, default_grid, grid_supremum, h2_error_gramian
+from .analysis import error_system, h2_error_gramian, hinf_norm
 from .errors import InfeasiblePointError, QmorError, StructureError
 from .reduction import (
     InterpolationData,
@@ -198,34 +199,34 @@ def _projected_difference(problem, points):
     return (a, b, c), (w.conj().T @ a @ v, w.conj().T @ b, c @ v)
 
 
-def cost_hinf(problem, omegas, penalty=None):
-    """Supremum over frequency of the projected error for candidate ``omegas``.
+def _stable_projection(problem, omegas):
+    """Full and reduced ``(A, B, C, 0)`` of the candidate; an unstable pair is infeasible."""
+    points = problem.expand_points(omegas)
+    (a, b, c), (a_r, b_r, c_r) = _projected_difference(problem, points)
+    if not (linalg.is_hurwitz(a) and linalg.is_hurwitz(a_r)):
+        raise InfeasiblePointError("projected model is unstable; the error norms diverge")
+    return (a, b, c, 0.0), (a_r, b_r, c_r, 0.0)
 
-    Infeasible candidates raise :class:`InfeasiblePointError` unless a finite
-    ``penalty`` substitute is supplied (the optimizer does this).
+
+def cost_hinf(problem, omegas, penalty=None):
+    """H-infinity norm of the projected error for candidate ``omegas``.
+
+    The level-set value the error attains; infeasible candidates raise
+    :class:`InfeasiblePointError` unless a finite ``penalty`` substitute is
+    supplied (the optimizer does this).
     """
     try:
-        points = problem.expand_points(omegas)
-        (a, b, c), (a_r, b_r, c_r) = _projected_difference(problem, points)
+        return hinf_norm(*error_system(*_stable_projection(problem, omegas))).value
     except QmorError:
         if penalty is not None:
             return penalty
         raise
-    # The error norm is symmetric in omega whenever the full system is real,
-    # so mirror the grid only for complex (annihilation-form) models.
-    spec = dataclasses.replace(default_grid(a, a_r), two_sided=np.iscomplexobj(a))
-    error_norms = _error_norms((a, b, c, 0.0), (a_r, b_r, c_r, 0.0))
-    return grid_supremum(error_norms, spec.frequencies())[0]
 
 
 def cost_h2(problem, omegas, penalty=None):
     """Frequency-integrated squared error for ``omegas``, exact by the Lyapunov identity."""
     try:
-        points = problem.expand_points(omegas)
-        (a, b, c), (a_r, b_r, c_r) = _projected_difference(problem, points)
-        if not (linalg.is_hurwitz(a) and linalg.is_hurwitz(a_r)):
-            raise InfeasiblePointError("projected model is unstable; H2 cost diverges")
-        return h2_error_gramian((a, b, c, 0.0), (a_r, b_r, c_r, 0.0))
+        return h2_error_gramian(*_stable_projection(problem, omegas))
     except QmorError:
         if penalty is not None:
             return penalty

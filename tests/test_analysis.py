@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_passive_data, make_quadrature_data, stable_reduction_cases
 from qmor import analysis, cases, linalg, systems
-from qmor.errors import StabilityError
+from qmor.errors import QmorError, StabilityError
 from qmor.reduction import InterpolationData, reduce_passive, reduce_right
 from qmor.selection import conjugate_pair_points
 
@@ -100,6 +102,58 @@ def test_hinf_error_rejects_unstable():
     _, result = _full_order_reduction()
     with pytest.raises(StabilityError):
         analysis.hinf_error(sys_q, result)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    form=st.sampled_from(["quadrature", "annihilation"]),
+    n=st.integers(1, 6),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+)
+def test_hinf_norm_certified_against_refined_grid(form, n, m, seed):
+    # random_realizable_quadrature is Hurwitz in few draws, so the real form
+    # is the quadrature conversion of a random annihilation-form system.
+    passive = systems.random_realizable_annihilation(n, m, 1, seed)
+    if form == "quadrature":
+        quad = systems.annihilation_to_quadrature(passive)
+        a, b, c = quad.A, quad.B, quad.C
+    else:
+        a, b, c = passive.F, passive.G, passive.H
+
+    def curve(w):
+        return np.linalg.norm(c @ analysis.sweep(a, b, 1j * np.asarray(w)), 2, axis=(1, 2))
+
+    oracle = analysis.grid_supremum(curve, analysis.default_grid(a).frequencies())[0]
+    norm = analysis.hinf_norm(a, b, c)
+    assert norm.upper >= oracle
+    assert abs(norm.value - oracle) <= 1e-6 * oracle
+    assert curve([norm.peak_omega])[0] == pytest.approx(norm.value, rel=1e-12)
+    assert norm.upper <= (1.0 + 2.0 * analysis.LEVEL_SET_TOL) * norm.value * (1.0 + 1e-15)
+
+
+def test_hinf_norm_iteration_cap_raises(monkeypatch):
+    system = cases.cascaded_cavity_system()
+    result = reduce_passive(system, cases.ex3_interpolation_data(), pr_tol=1e-8)
+    error = analysis.error_system(system, result)
+    steps = analysis.hinf_norm(*error).iterations
+    assert steps >= 2
+    monkeypatch.setattr(analysis, "MAX_LEVEL_SET_ITERATIONS", steps - 1)
+    with pytest.raises(QmorError, match=f"did not converge in {steps - 1} steps"):
+        analysis.hinf_norm(*error)
+
+
+def test_hinf_norm_pole_on_axis_is_inf():
+    norm = analysis.hinf_norm(systems.symplectic_form(1), np.eye(2), np.eye(2))
+    assert norm.value == norm.upper == math.inf
+    assert norm.peak_omega == 1.0
+
+
+def test_hinf_error_rejects_feedthrough_difference():
+    sys_q, result = _full_order_reduction(seed=8, stable=True)
+    shifted = (*analysis._abcd(result.reduced)[:3], result.reduced.D + 0.1)
+    with pytest.raises(StabilityError, match="feedthrough"):
+        analysis.hinf_error(sys_q, shifted)
 
 
 def test_bounds_full_order_zero():
@@ -211,6 +265,14 @@ def test_h2_dual_method_sample():
         by_quadrature = analysis.h2_error_quadrature(quad, result)
         by_gramian = analysis.h2_error_gramian(quad, result)
         assert by_quadrature == pytest.approx(by_gramian, rel=0.01)
+
+
+@pytest.mark.parametrize("omega", [1e5, 1.48e7])
+def test_h2_quadrature_matches_gramian_ex3(omega):
+    system = cases.cascaded_cavity_system()
+    result = reduce_passive(system, cases.ex3_interpolation_data(omega))
+    gramian = analysis.h2_error_gramian(system, result)
+    assert analysis.h2_error_quadrature(system, result) == pytest.approx(gramian, rel=1e-9)
 
 
 def test_error_report_bounds_dominate_estimate():

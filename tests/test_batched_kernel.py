@@ -2,8 +2,11 @@
 
 The oracle below solves one resolvent per frequency, evaluates the angle-bound
 integrands with per-point kernel bases, and refines the grid maxima with a
-sequential golden-section search.  The batched paths in ``qmor.analysis`` and
-``qmor.selection.cost_hinf`` must agree with it to 1e-12 relative.
+sequential golden-section search.  The batched error curves and angle bounds
+in ``qmor.analysis`` must agree with it to 1e-12 relative.  The level-set
+H-infinity values must meet the certified gates against it: the upper value
+is at least the oracle, the attained value is within ``CERTIFIED_REL`` of it,
+and the error at the reported peak is that value.
 """
 
 import dataclasses
@@ -17,6 +20,7 @@ from qmor import analysis, cases, linalg, selection, systems
 from qmor.reduction import InterpolationData, ReductionResult, reduce_passive, reduce_right
 
 REL = 1e-12
+CERTIFIED_REL = 1e-6
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -156,6 +160,13 @@ def _close(actual, expected, rel=REL):
     return abs(actual - expected) <= rel * abs(expected)
 
 
+def _assert_certified(value, peak, upper, oracle_value, error_at):
+    """Certified gates of a level-set norm against the refined grid oracle."""
+    assert upper >= oracle_value
+    assert abs(value - oracle_value) <= CERTIFIED_REL * oracle_value
+    assert _close(error_at(peak), value)
+
+
 def _bound_terms(full, result):
     if isinstance(full, systems.AnnihilationSystem):
         return [("left", result.v, result.v), ("right", result.v, result.v)]
@@ -172,11 +183,14 @@ def test_error_report_matches_scalar_oracle(build):
     omegas = grid.frequencies()
     report = analysis.error_report(full, result, grid=grid)
 
-    value, peak, curve, _ = supremum_oracle(error_norm_oracle(full, result.reduced), omegas)
+    norm_at = error_norm_oracle(full, result.reduced)
+    value, _, curve, _ = supremum_oracle(norm_at, omegas)
     assert np.array_equal(report.pointwise[:, 0], omegas)
     assert np.all(np.abs(report.pointwise[:, 1] - curve) <= REL * np.abs(curve))
-    assert _close(report.hinf_error_estimate, value)
-    assert _close(report.peak_frequency, peak)
+    estimate = report.hinf_error_estimate
+    _assert_certified(estimate, report.peak_frequency, report.hinf_error_upper, value, norm_at)
+    assert estimate >= curve.max()
+    assert analysis.hinf_error(full, result, grid=grid).value == estimate
 
     bounds = [
         supremum_oracle(angle_bound_oracle(full, basis, perp, side), omegas)[0]
@@ -237,9 +251,11 @@ def test_cost_hinf_matches_scalar_oracle():
         spec = dataclasses.replace(
             analysis.default_grid(full[0], reduced[0]), two_sided=np.iscomplexobj(full[0])
         )
-        norm = error_norm_oracle((*full, zero), (*reduced, zero))
-        expected = supremum_oracle(norm, spec.frequencies())[0]
-        assert _close(selection.cost_hinf(problem, omegas), expected)
+        norm_at = error_norm_oracle((*full, zero), (*reduced, zero))
+        expected = supremum_oracle(norm_at, spec.frequencies())[0]
+        norm = analysis.hinf_norm(*analysis.error_system((*full, zero), (*reduced, zero)))
+        assert selection.cost_hinf(problem, omegas) == norm.value
+        _assert_certified(norm.value, norm.peak_omega, norm.upper, expected, norm_at)
 
 
 def test_lockstep_refinement_matches_sequential_search():
@@ -264,6 +280,34 @@ def test_lockstep_refinement_matches_sequential_search():
     assert peak == expected_peak
     blocks = math.ceil(omegas.size / analysis.GRID_BLOCK)
     # Grid blocks, the opening pair of every bracket, one call per step, the midpoints.
+    assert len(calls) == blocks + 1 + max(steps) + 1
+    assert calls[blocks] == 2 * len(steps)
+
+
+def test_stacked_terms_refine_in_one_lockstep_search():
+    # Two terms with peaks in different places: each term's supremum is its
+    # own sequential search, and one batched call per step serves both.
+    shapes = [
+        lambda w: np.exp(-((w - 1.3) ** 2) / 0.02) + 0.5 / (1.0 + (w - 4.4) ** 2),
+        lambda w: 0.999 * np.exp(-((w - 2.71) ** 2) / 0.5) + 0.3 * np.cos(w) ** 2,
+    ]
+    calls = []
+
+    def f(terms, w):
+        calls.append(np.asarray(w).size)
+        w = np.asarray(w, dtype=float)
+        return np.where(np.asarray(terms) == 0, shapes[0](w), shapes[1](w))
+
+    omegas = np.linspace(0.0, 6.0, 150)
+    suprema = analysis.grid_suprema(f, omegas, 2)
+    steps = []
+    for shape, (value, peak) in zip(shapes, suprema):
+        expected_value, expected_peak, _, term_steps = supremum_oracle(
+            lambda w: float(shape(np.array([w]))[0]), omegas
+        )
+        assert (value, peak) == (expected_value, expected_peak)
+        steps += term_steps
+    blocks = math.ceil(2 * omegas.size / analysis.GRID_BLOCK)
     assert len(calls) == blocks + 1 + max(steps) + 1
     assert calls[blocks] == 2 * len(steps)
 

@@ -498,3 +498,50 @@ def test_select_points_all_infeasible_one_line(tmp_path, ex1_system_path, capsys
     assert err.startswith("error: all 256 scanned candidates were infeasible")
     assert err.count("\n") == 1 and len(err.encode()) < 1024
     assert not (tmp_path / "sel").exists()
+
+
+@pytest.mark.parametrize("wmin, wmax", [("1", "1e400"), ("nan", "10"), ("1", "inf")])
+def test_non_finite_window_exits_2(tmp_path, ex1_system_path, ex1_points_path, wmin, wmax, capsys):
+    red = tmp_path / "red"
+    argv = ["reduce", str(ex1_system_path), "--method", "right", "--points", str(ex1_points_path)]
+    assert main(argv + ["--out", str(red)]) == 0
+    capsys.readouterr()
+    commands = [
+        ["analyze", str(ex1_system_path), str(red / "reduction.json")],
+        ["freqresp", str(ex1_system_path)],
+        ["select-points", str(ex1_system_path), "--method", "right", "--r", "2"],
+    ]
+    for k, command in enumerate(commands):
+        out = tmp_path / f"out{k}"
+        assert main(command + ["--wmin", wmin, "--wmax", wmax, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 0 < wmin < wmax < inf") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_select_points_negative_window_exits_2(tmp_path, ex1_system_path, capsys):
+    argv = ["select-points", str(ex1_system_path), "--method", "right", "--r", "2"]
+    code = main(argv + ["--wmin", "-5", "--wmax", "10", "--out", str(tmp_path / "sel")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: need 0 < wmin < wmax < inf, got wmin=-5, wmax=10\n"
+    assert not (tmp_path / "sel").exists()
+
+
+def test_analyze_feedthrough_mismatch_exits_1(tmp_path, ex1_system_path, capsys):
+    from qmor.reduction import reduce_right
+
+    system = cases.optomechanical_system()
+    result = reduce_right(system, cases.ex1_interpolation_data())
+    doc = serialization.reduction_to_dict(result, "right")
+    doc["reduced"] = serialization.system_to_dict(
+        systems.QuadratureSystem(
+            A=result.reduced.A, B=result.reduced.B, C=result.reduced.C, D=2 * result.reduced.D
+        )
+    )
+    red_path = tmp_path / "reduction.json"
+    red_path.write_text(json.dumps(doc))
+    argv = ["analyze", str(ex1_system_path), str(red_path), "--wpts", "50"]
+    assert main(argv + ["--out", str(tmp_path / "ana")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: feedthrough terms differ; the error system is not strictly proper\n"

@@ -323,18 +323,31 @@ def test_cost_h2_matches_dense_integral(omega):
     assert cost_h2(problem, [omega]) == pytest.approx(dense, rel=1e-9)
 
 
-def test_cost_h2_unstable_projection_raises_or_penalizes():
+def _unstable_projection_problem(cost):
     passive = systems.random_realizable_annihilation(3, 2, 2, 100)
     quad = systems.annihilation_to_quadrature(passive)
     dirs = np.vstack(
         [_indicator(0, 4), _indicator(0, 4), _indicator(2, 4), _indicator(2, 4)]
     )
-    problem = SelectionProblem(system=quad, side="right", r=2, directions=dirs, cost="h2")
+    problem = SelectionProblem(system=quad, side="right", r=2, directions=dirs, cost=cost)
     result = reduce_right(quad, InterpolationData("right", conjugate_pair_points([2.0, 2.0]), dirs))
     assert linalg.is_hurwitz(quad.A) and not linalg.is_hurwitz(result.reduced.A)
+    return problem
+
+
+def test_cost_h2_unstable_projection_raises_or_penalizes():
+    problem = _unstable_projection_problem("h2")
     with pytest.raises(InfeasiblePointError, match="unstable"):
         cost_h2(problem, [2.0])
     assert cost_h2(problem, [2.0], penalty=123.0) == 123.0
+
+
+def test_cost_hinf_unstable_projection_raises_or_penalizes():
+    # The grid supremum of an unstable error is finite; the H-infinity norm is not.
+    problem = _unstable_projection_problem("hinf")
+    with pytest.raises(InfeasiblePointError, match="unstable"):
+        cost_hinf(problem, [2.0])
+    assert cost_hinf(problem, [2.0], penalty=123.0) == 123.0
 
 
 def test_optimizer_all_infeasible_message_is_one_line():
