@@ -36,7 +36,6 @@ import numpy as np
 
 from . import linalg
 from .errors import QmorError, StabilityError
-from .systems import AnnihilationSystem, QuadratureSystem
 
 DEFAULT_GRID_COUNT = 2000
 REFINE_REL_WIDTH = 1e-6
@@ -53,10 +52,9 @@ H2_PANELS, H2_NODES = 64, 32
 
 
 def _abcd(system):
-    if isinstance(system, QuadratureSystem):
-        return system.A, system.B, system.C, system.D
-    if isinstance(system, AnnihilationSystem):
-        return system.F, system.G, system.H, system.K
+    """``system.state_space()``, or a plain ``(A, B, C, D)`` tuple as arrays."""
+    if hasattr(system, "state_space"):
+        return system.state_space()
     a, b, c, d = system
     return (np.asarray(a), np.asarray(b), np.asarray(c), np.asarray(d))
 
@@ -622,11 +620,8 @@ def error_report(full, result, grid=None):
             ),
         )
     norm = hinf_norm(*error_system(full, result), omegas, values)
-    if isinstance(full, AnnihilationSystem):
-        bound_left, bound_right = hinf_bounds_passive(full, result, grid=spec)
-    else:
-        terms = [("left", result.v, result.w), ("right", result.w, result.v)]
-        bound_left, bound_right = _bound_suprema(full, result, spec, terms)
+    terms = [("left", result.v, result.w), ("right", result.w, result.v)]
+    bound_left, bound_right = _bound_suprema(full, result, spec, terms)
     return ErrorReport(
         hinf_error_estimate=norm.value,
         hinf_error_upper=norm.upper,

@@ -293,6 +293,17 @@ def match_bidirectional(eigenvalues, targets, tol, relative):
     return max(w1, w2), ok1 and ok2
 
 
+def _check_realizability(outcome, name, report, tolerance):
+    outcome.add(name, f"{report.max_residual:.3e}", "0", tolerance, report.passes)
+
+
+def _check_poles(
+    outcome, name, eigenvalues, targets, tol, tolerance, relative=False, match=match_bidirectional
+):
+    worst, ok = match(eigenvalues, targets, tol, relative)
+    outcome.add(name, f"worst gap {worst:.2e}", "matched", tolerance, ok)
+
+
 def _check_scalar(outcome, name, computed, target, rel_tol):
     err = abs(computed - target) / abs(target)
     outcome.add(
@@ -381,32 +392,16 @@ def run_ex1(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
     outcome = ExampleOutcome(name="ex1")
     system = optomechanical_system()
     report = check_realizability(system, tol=1e-8)
-    outcome.add(
-        "realizability of full model",
-        f"{report.max_residual:.3e}",
-        "0",
-        "1e-8 abs",
-        report.passes,
-    )
+    _check_realizability(outcome, "realizability of full model", report, "1e-8 abs")
 
     data = ex1_interpolation_data(ref["omega"])
     result = reduce_right(system, data)
-    worst, ok = match_bidirectional(
-        result.diagnostics.poles, ref["reduced_poles"], 0.01, relative=True
+    _check_poles(
+        outcome, "reduced poles -50 +/- 1e4 i", result.diagnostics.poles,
+        ref["reduced_poles"], 0.01, "1% rel", relative=True,
     )
-    outcome.add(
-        "reduced poles -50 +/- 1e4 i",
-        f"worst gap {worst:.2e}",
-        "matched",
-        "1% rel",
-        ok,
-    )
-    outcome.add(
-        "reduced-model realizability",
-        f"{result.diagnostics.realizability.max_residual:.3e}",
-        "0",
-        "1e-8 abs",
-        result.diagnostics.realizability.passes,
+    _check_realizability(
+        outcome, "reduced-model realizability", result.diagnostics.realizability, "1e-8 abs"
     )
 
     grid = analysis.default_grid(system.A, result.reduced.A, count=grid_count)
@@ -443,40 +438,25 @@ def run_ex2(with_selection=False):
 
     # Printed to four decimals, so realizability only holds loosely.
     report = check_realizability(controller, tol=5e-2)
-    outcome.add(
-        "controller realizability (4-decimal fixture)",
-        f"{report.max_residual:.3e}",
-        "0",
-        "5e-2 abs",
-        report.passes,
+    _check_realizability(
+        outcome, "controller realizability (4-decimal fixture)", report, "5e-2 abs"
     )
-    worst, ok = match_bidirectional(
-        np.linalg.eigvals(_CTRL_A), ref["controller_poles"], 2e-2, relative=False
+    _check_poles(
+        outcome, "controller poles", np.linalg.eigvals(_CTRL_A), ref["controller_poles"],
+        2e-2, "2e-2 abs",
     )
-    outcome.add("controller poles", f"worst gap {worst:.2e}", "matched", "2e-2 abs", ok)
 
     loop_full = closed_loop_state_matrix(fx["plant"], fx["controller"])
-    eig_full = np.linalg.eigvals(loop_full)
-    worst, ok = match_each_target(eig_full, ref["placed_poles"], 2e-2, relative=False)
-    outcome.add(
-        "closed loop hits placed poles",
-        f"worst gap {worst:.2e}",
-        "matched",
-        "2e-2 abs",
-        ok,
+    _check_poles(
+        outcome, "closed loop hits placed poles", np.linalg.eigvals(loop_full),
+        ref["placed_poles"], 2e-2, "2e-2 abs", match=match_each_target,
     )
 
     data = ex2_interpolation_data(ref["omega"])
     result = reduce_right(controller, data)
-    worst, ok = match_bidirectional(
-        result.diagnostics.poles, ref["reduced_poles"], 2e-2, relative=False
-    )
-    outcome.add(
-        "reduced controller poles",
-        f"worst gap {worst:.2e}",
-        "matched",
-        "2e-2 abs",
-        ok,
+    _check_poles(
+        outcome, "reduced controller poles", result.diagnostics.poles, ref["reduced_poles"],
+        2e-2, "2e-2 abs",
     )
 
     ports = fx["measurement_ports"]
@@ -491,15 +471,8 @@ def run_ex2(with_selection=False):
         "strict",
         eig_reduced.real.max() < 0,
     )
-    worst, ok = match_bidirectional(
-        eig_reduced, ref["closed_loop_poles"], 2e-2, relative=False
-    )
-    outcome.add(
-        "reduced-loop poles",
-        f"worst gap {worst:.2e}",
-        "matched",
-        "2e-2 abs",
-        ok,
+    _check_poles(
+        outcome, "reduced-loop poles", eig_reduced, ref["closed_loop_poles"], 2e-2, "2e-2 abs"
     )
 
     outcome.artifacts = {
@@ -528,32 +501,16 @@ def run_ex3(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
     outcome = ExampleOutcome(name="ex3")
     system = cascaded_cavity_system()
     report = check_realizability(system, tol=1e-8)
-    outcome.add(
-        "realizability of full model",
-        f"{report.max_residual:.3e}",
-        "0",
-        "1e-8 abs",
-        report.passes,
-    )
+    _check_realizability(outcome, "realizability of full model", report, "1e-8 abs")
 
     data = ex3_interpolation_data(ref["omega"])
     result = reduce_passive(system, data, pr_tol=1e-8)
-    worst, ok = match_bidirectional(
-        result.diagnostics.poles, ref["reduced_poles"], 0.01, relative=True
+    _check_poles(
+        outcome, "reduced poles", result.diagnostics.poles, ref["reduced_poles"], 0.01,
+        "1% rel", relative=True,
     )
-    outcome.add(
-        "reduced poles",
-        f"worst gap {worst:.2e}",
-        "matched",
-        "1% rel",
-        ok,
-    )
-    outcome.add(
-        "reduced-model realizability",
-        f"{result.diagnostics.realizability.max_residual:.3e}",
-        "0",
-        "1e-8 abs",
-        result.diagnostics.realizability.passes,
+    _check_realizability(
+        outcome, "reduced-model realizability", result.diagnostics.realizability, "1e-8 abs"
     )
     certificate = passive_stability_certificate(result, system.G)
     outcome.add(

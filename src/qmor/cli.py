@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, cases, selection, serialization
 from .errors import QmorError, SchemaError
-from .reduction import InterpolationData, reduce_left, reduce_passive, reduce_right
+from .reduction import InterpolationData, data_side, reduce_left, reduce_passive, reduce_right
 from .systems import AnnihilationSystem, QuadratureSystem, check_realizability
 
 
@@ -89,8 +89,7 @@ def _interpolation_data_from_args(args):
             "directions": _load_json_arg(args.dirs, "directions"),
         }
     points, directions = serialization.points_from_dict(points_doc)
-    side = "right" if args.method == "right" else "left"
-    data = InterpolationData(side=side, points=points, directions=directions)
+    data = InterpolationData(side=data_side(args.method), points=points, directions=directions)
     if args.r is not None:
         expected = args.r if args.method == "passive" else 2 * args.r
         if len(data) != expected:
@@ -101,23 +100,26 @@ def _interpolation_data_from_args(args):
     return data
 
 
+_REDUCERS = {"left": reduce_left, "right": reduce_right, "passive": reduce_passive}
+
+
+def _write_reduction(out, result, method):
+    serialization.save_system(result.reduced, out / "reduced.json")
+    doc = serialization.reduction_to_dict(result, method)
+    serialization.write_json(out / "reduction.json", doc)
+
+
 def cmd_reduce(args):
     system = serialization.load_system(args.input)
     data = _interpolation_data_from_args(args)
-    if args.method == "passive":
-        if not isinstance(system, AnnihilationSystem):
-            raise SchemaError("--method passive requires an annihilation-form system")
-        result = reduce_passive(system, data, pr_tol=args.tol if args.tol is not None else 1e-10)
-    else:
-        if not isinstance(system, QuadratureSystem):
-            raise SchemaError(f"--method {args.method} requires a quadrature-form system")
-        reducer = reduce_left if args.method == "left" else reduce_right
-        result = reducer(system, data, pr_tol=args.tol if args.tol is not None else 1e-8)
+    passive = args.method == "passive"
+    if not isinstance(system, AnnihilationSystem if passive else QuadratureSystem):
+        form = "an annihilation" if passive else "a quadrature"
+        raise SchemaError(f"--method {args.method} requires {form}-form system")
+    tol = {} if args.tol is None else {"pr_tol": args.tol}
+    result = _REDUCERS[args.method](system, data, **tol)
     out = _out_dir(args)
-    serialization.save_system(result.reduced, out / "reduced.json")
-    with open(out / "reduction.json", "w", encoding="utf-8") as fh:
-        json.dump(serialization.reduction_to_dict(result, args.method), fh, indent=1)
-        fh.write("\n")
+    _write_reduction(out, result, args.method)
     diag = result.diagnostics
     print(f"wrote {out / 'reduced.json'} and {out / 'reduction.json'}")
     print(f"reduced poles: {np.array2string(diag.poles, precision=6)}")
@@ -134,16 +136,30 @@ def cmd_reduce(args):
     return 0
 
 
+def _check_reduction_of(system, result):
+    """Raise unless ``result`` can be a reduction of ``system``: form, ``W``/``V`` shapes, ports."""
+    reduced = result.reduced
+    if type(reduced) is not type(system):
+        raise SchemaError(
+            f"the reduction is {type(reduced).__name__}, the original {type(system).__name__}"
+        )
+    shape = (system.state_space()[0].shape[0], reduced.state_space()[0].shape[0])
+    for name, m in (("W", result.w), ("V", result.v)):
+        if m.shape != shape:
+            raise SchemaError(f"{name} has shape {m.shape}; this original needs {shape}")
+    ports = (reduced.n_inputs, reduced.n_outputs)
+    if ports != (system.n_inputs, system.n_outputs):
+        raise SchemaError(
+            f"the reduction has (m, ell) = {ports}, the original "
+            f"{(system.n_inputs, system.n_outputs)}"
+        )
+
+
 def cmd_analyze(args):
     system = serialization.load_system(args.original)
     _, result = serialization.load_reduction(args.reduction)
-    full_state = system.A if isinstance(system, QuadratureSystem) else system.F
-    red_state = (
-        result.reduced.A
-        if isinstance(result.reduced, QuadratureSystem)
-        else result.reduced.F
-    )
-    grid = _grid_override(args, full_state, red_state)
+    _check_reduction_of(system, result)
+    grid = _grid_override(args, system.state_space()[0], result.reduced.state_space()[0])
     report = analysis.error_report(system, result, grid=grid)
     out = _out_dir(args)
     serialization.write_error_curve_csv(out / "error_curve.csv", report.pointwise)
@@ -166,9 +182,7 @@ def cmd_analyze(args):
     }
     if not report.stable:
         doc["bounds_omitted_reason"] = "state matrices are not Hurwitz"
-    with open(out / "error_report.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    serialization.write_json(out / "error_report.json", doc)
     if args.surface:
         re_pts, im_pts, values = analysis.error_surface(system, result)
         serialization.write_error_surface_csv(
@@ -229,9 +243,7 @@ def cmd_select_points(args):
         "cost_kind": args.cost,
         "points": [[float(p.real), float(p.imag)] for p in chosen.points],
     }
-    with open(out / "selected_points.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    serialization.write_json(out / "selected_points.json", doc)
     serialization.write_scan_trace_csv(out / "scan_trace.csv", chosen.trace)
     print(f"wrote {out / 'selected_points.json'} and {out / 'scan_trace.csv'}")
     print(f"selected omegas: {np.array2string(chosen.omegas, precision=6)}")
@@ -241,8 +253,7 @@ def cmd_select_points(args):
 
 def cmd_freqresp(args):
     system = serialization.load_system(args.input)
-    state = system.A if isinstance(system, QuadratureSystem) else system.F
-    grid = _grid_override(args, state)
+    grid = _grid_override(args, system.state_space()[0])
     response = analysis.frequency_response(system, grid.frequencies())
     out = _out_dir(args)
     serialization.write_frequency_response_csv(out / "freqresp.csv", response)
@@ -254,31 +265,22 @@ def cmd_freqresp(args):
 def _write_example_artifacts(outcome, out):
     artifacts = outcome.artifacts
     serialization.save_system(artifacts["system"], out / "system.json")
-    result = artifacts["result"]
-    serialization.save_system(result.reduced, out / "reduced.json")
-    with open(out / "reduction.json", "w", encoding="utf-8") as fh:
-        json.dump(serialization.reduction_to_dict(result, artifacts["method"]), fh, indent=1)
-        fh.write("\n")
+    _write_reduction(out, artifacts["result"], artifacts["method"])
     if "error_report" in artifacts:
         report = artifacts["error_report"]
         serialization.write_error_curve_csv(out / "error_curve.csv", report.pointwise)
     if "selection" in artifacts:
         chosen = artifacts["selection"]
-        with open(out / "selected_points.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "omegas": [float(w) for w in chosen.omegas],
-                    "cost": chosen.cost,
-                    "points": [[float(p.real), float(p.imag)] for p in chosen.points],
-                },
-                fh,
-                indent=1,
-            )
-            fh.write("\n")
+        serialization.write_json(
+            out / "selected_points.json",
+            {
+                "omegas": [float(w) for w in chosen.omegas],
+                "cost": chosen.cost,
+                "points": [[float(p.real), float(p.imag)] for p in chosen.points],
+            },
+        )
         serialization.write_scan_trace_csv(out / "scan_trace.csv", chosen.trace)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(outcome.to_dict(), fh, indent=1)
-        fh.write("\n")
+    serialization.write_json(out / "summary.json", outcome.to_dict())
 
 
 def cmd_example(args):

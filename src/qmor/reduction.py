@@ -1,25 +1,26 @@
 """Interpolatory projection reductions that keep the reduced model realizable.
 
-Given interpolation points ``sigma_i`` with tangent directions, the reduced
-model is a Petrov-Galerkin compression ``(W^T A V, W^T B, C V, D)`` whose
-transfer function matches the original tangentially at every data point.
-The projection pair is completed through the symplectic form so that the
-realizability constraints survive the compression.  Both quadrature-form
-reductions share one recipe: a real basis ``Xhat`` of the interpolation
-subspace is scaled to ``X = Xhat T^T`` with ``T (Xhat^T J_n Xhat) T^T = J_r``
-(:func:`~qmor.symplectic.skew_normal_form`), and its complement is
-``J_n X J_r^T``.  Since ``J_r^T = J_r^-1`` this equals the textbook
-``J_n X (X^T J_n X)^-1`` without inverting the pairing matrix, so the pair is
-biorthogonal and ``X`` symplectic up to the rounding of the scaling alone.
+Every reduction follows one recipe.  :func:`projection` turns the
+interpolation data into a pair ``(W, V)`` with ``W^H V = I``, and
+:func:`compress` forms the Petrov-Galerkin model ``(W^H A V, W^H B, C V, D)``,
+whose transfer function matches the original tangentially at every data
+point.  The three reductions differ only in how ``(W, V)`` comes from the
+interpolation subspace:
 
-* left data spans ``{((sigma_i I - A)^-H C^H mu_i)}``; ``(W, V) = (X, J_n X J_r^T)``;
-* right data spans ``{(sigma_i I - A)^-1 B nu_i}``; ``(V, W) = (X, J_n X J_r^T)``;
-* passive (annihilation-form) models use a plain Galerkin projection onto an
-  orthonormal basis, which preserves realizability and passivity at once.
+* left data span ``{(sigma_i I - A)^-H C^H mu_i}``; with ``X`` a real basis
+  of that span, ``(W, V) = (X, J_n X J_r^T)``;
+* right data span ``{(sigma_i I - A)^-1 B nu_i}``; ``(V, W) = (X, J_n X J_r^T)``;
+* passive (annihilation-form) models take ``W = V``, an orthonormal basis of
+  the left span, which preserves realizability and passivity at once.
 
-For real reduced matrices the quadrature-form data must be closed under
-complex conjugation; the real basis pairs ``(Re v, Im v)`` per conjugate
-pair.
+For the two quadrature-form sides the real basis ``Xhat`` is scaled to
+``X = Xhat T^T`` with ``T (Xhat^T J_n Xhat) T^T = J_r``
+(:func:`~qmor.symplectic.skew_normal_form`).  Since ``J_r^T = J_r^-1`` the
+complement ``J_n X J_r^T`` equals the textbook ``J_n X (X^T J_n X)^-1``
+without inverting the pairing matrix, so the pair is biorthogonal and ``X``
+symplectic up to the rounding of the scaling alone.  These data must be
+closed under complex conjugation; the real basis pairs ``(Re v, Im v)`` per
+conjugate pair.
 """
 
 from dataclasses import dataclass
@@ -309,18 +310,42 @@ def _symplectic_pair(basis, n_modes, side):
     return x, jn @ x @ symplectic_form(x.shape[1] // 2).T
 
 
-def _quadrature_result(system, data, w, v, pr_tol):
-    a_r = w.T @ system.A @ v
-    b_r = w.T @ system.B
-    c_r = system.C @ v
-    reduced = QuadratureSystem(A=a_r, B=b_r, C=c_r, D=system.D)
+def data_side(method):
+    """Side of the interpolation data a ``left``, ``right`` or ``passive`` reduction uses."""
+    return "right" if method == "right" else "left"
+
+
+def projection(system, data, side):
+    """Projection pair ``(W, V)`` of a ``left``, ``right`` or ``passive`` reduction.
+
+    Left data: ``W = X``, ``V = J_n X J_r^T`` with ``X`` the scaled left basis.
+    Right data: the same with the roles of ``W`` and ``V`` swapped.  Passive
+    data: ``W = V`` the orthonormal basis of the left interpolation subspace.
+    """
+    if side == "passive":
+        basis = passive_subspace_basis(system, data)
+        return basis, basis
+    x, complement = _symplectic_pair(_real_subspace_basis(system, data, side), system.n_modes, side)
+    return (x, complement) if side == "left" else (complement, x)
+
+
+def compress(system, w, v):
+    """The reduced system ``(W^H A V, W^H B, C V, D)``, in the form of ``system``."""
+    a, b, c, d = system.state_space()
+    w_h = w.conj().T
+    return type(system)(w_h @ a @ v, w_h @ b, c @ v, d)
+
+
+def _reduce(system, data, side, pr_tol):
+    w, v = projection(system, data, side)
+    reduced = compress(system, w, v)
     abs_res, refs = _interpolation_residuals(system, reduced, data)
     diagnostics = ReductionDiagnostics(
         interpolation_residuals=abs_res,
         interpolation_references=refs,
         realizability=check_realizability(reduced, pr_tol),
-        biorthogonality=float(np.linalg.norm(w.T @ v - np.eye(w.shape[1]))),
-        poles=_sorted_poles(a_r),
+        biorthogonality=float(np.linalg.norm(w.conj().T @ v - np.eye(w.shape[1]))),
+        poles=_sorted_poles(reduced.state_space()[0]),
     )
     return ReductionResult(w=w, v=v, reduced=reduced, data=data, diagnostics=diagnostics)
 
@@ -332,22 +357,15 @@ def reduce_left(system, data, pr_tol=1e-8):
     and the reduced model satisfies the same realizability constraints as the
     original (up to the accuracy of the input model itself).
     """
-    w, v = _symplectic_pair(left_subspace_basis(system, data), system.n_modes, "left")
-    return _quadrature_result(system, data, w, v, pr_tol)
+    return _reduce(system, data, "left", pr_tol)
 
 
 def reduce_right(system, data, pr_tol=1e-8):
     """Right-tangential reduction of a quadrature-form system.
 
     The reduced transfer matches ``Xi(sigma_i) nu_i`` at every data item.
-    ``V`` is the right basis scaled to ``V^T J_n V = J_r`` and ``W = J_n V
-    J_r^T``: the recipe of :func:`reduce_left` with the roles swapped.  The
-    complement is ``J_n V (V^T J_n V)^-1`` with the inverse taken exactly
-    (``J_r^-1 = J_r^T``), so no rounding of an inverted pairing matrix
-    reaches the realizability residual.
     """
-    v, w = _symplectic_pair(right_subspace_basis(system, data), system.n_modes, "right")
-    return _quadrature_result(system, data, w, v, pr_tol)
+    return _reduce(system, data, "right", pr_tol)
 
 
 def reduce_passive(system, data, pr_tol=1e-10):
@@ -357,22 +375,7 @@ def reduce_passive(system, data, pr_tol=1e-10):
     projection sides, so the reduced model stays realizable and completely
     passive.
     """
-    v_a = passive_subspace_basis(system, data)
-    f_r = v_a.conj().T @ system.F @ v_a
-    g_r = v_a.conj().T @ system.G
-    h_r = system.H @ v_a
-    reduced = AnnihilationSystem(F=f_r, G=g_r, H=h_r, K=system.K)
-    abs_res, refs = _interpolation_residuals(system, reduced, data)
-    diagnostics = ReductionDiagnostics(
-        interpolation_residuals=abs_res,
-        interpolation_references=refs,
-        realizability=check_realizability(reduced, pr_tol),
-        biorthogonality=float(
-            np.linalg.norm(v_a.conj().T @ v_a - np.eye(v_a.shape[1]))
-        ),
-        poles=_sorted_poles(f_r),
-    )
-    return ReductionResult(w=v_a, v=v_a, reduced=reduced, data=data, diagnostics=diagnostics)
+    return _reduce(system, data, "passive", pr_tol)
 
 
 @dataclass(frozen=True)

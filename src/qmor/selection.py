@@ -4,15 +4,17 @@ Tangent directions are picked so the most important output (or input) pairs
 are matched at the largest number of frequencies; interpolation points are
 placed on the imaginary axis in conjugate pairs ``(i w_j, -i w_j)`` so a real
 basis exists.  The frequencies themselves come from derivative-free local
-minimization of either an H-infinity or an H2 error cost.  Both costs are
-evaluated on the reduced model that the reduction itself returns at the
-candidate points: the real interpolation basis with its symplectic completion
-``J_n X J_r^T`` for left/right data, the orthonormal basis for passive data.
-A candidate whose reduction cannot be built is infeasible.  The H2 cost is
-exact: one Lyapunov solve for the error system of order ``n + r``, with no
-frequency quadrature.  The H-infinity cost is the level-set norm of
-:func:`qmor.analysis.hinf_norm`, with no frequency grid.  A candidate whose
-reduced model is unstable is infeasible under either cost.
+minimization of either an H-infinity or an H2 error cost.  Both costs score
+the very model the reduction returns at the candidate points: the pair
+``(W, V)`` of :func:`qmor.reduction.projection` for the problem's side and
+its compression by :func:`qmor.reduction.compress`.  A candidate whose
+reduction cannot be built is infeasible.  The H2 cost is exact: one Lyapunov
+solve for the error system of order ``n + r``, with no frequency quadrature.
+The H-infinity cost is the level-set norm of :func:`qmor.analysis.hinf_norm`,
+with no frequency grid.  A candidate whose reduced model is unstable is
+infeasible under either cost.  Without explicit bounds the search window is
+that of :func:`qmor.analysis.default_grid`: two decades beyond the pole
+magnitudes.
 """
 
 import itertools
@@ -23,15 +25,9 @@ import numpy as np
 import scipy.optimize
 
 from . import linalg
-from .analysis import error_system, h2_error_gramian, hinf_norm
+from .analysis import default_grid, error_system, h2_error_gramian, hinf_norm
 from .errors import InfeasiblePointError, QmorError, StructureError
-from .reduction import (
-    InterpolationData,
-    _symplectic_pair,
-    left_subspace_basis,
-    passive_subspace_basis,
-    right_subspace_basis,
-)
+from .reduction import InterpolationData, compress, data_side, projection
 from .systems import AnnihilationSystem, QuadratureSystem
 
 SCAN_POINTS_1D = 64
@@ -166,9 +162,7 @@ class SelectionProblem:
         return conjugate_pair_points(tiled)
 
     def state_matrix(self):
-        if isinstance(self.system, QuadratureSystem):
-            return self.system.A
-        return self.system.F
+        return self.system.state_space()[0]
 
 
 def _projected_difference(problem, points):
@@ -176,27 +170,16 @@ def _projected_difference(problem, points):
 
     The projected triple is the reduced model that ``reduce_left``,
     ``reduce_right`` or ``reduce_passive`` returns for the same data: the
-    same basis and, for quadrature models, the same symplectic completion.
-    A candidate whose reduction cannot be built is infeasible.
+    same :func:`~qmor.reduction.projection` and compression.  A candidate
+    whose reduction cannot be built is infeasible.
     """
-    system, side = problem.system, problem.side
-    if side == "passive":
-        a, b, c = system.F, system.G, system.H
-    else:
-        a, b, c = system.A, system.B, system.C
+    system = problem.system
     try:
-        data = InterpolationData(
-            "left" if side == "passive" else side, points, problem.directions
-        )
-        if side == "passive":
-            w = v = passive_subspace_basis(system, data)
-        else:
-            basis_of = left_subspace_basis if side == "left" else right_subspace_basis
-            x, complement = _symplectic_pair(basis_of(system, data), system.n_modes, side)
-            w, v = (x, complement) if side == "left" else (complement, x)
+        data = InterpolationData(data_side(problem.side), points, problem.directions)
+        reduced = compress(system, *projection(system, data, problem.side))
     except QmorError as exc:
         raise InfeasiblePointError(str(exc)) from exc
-    return (a, b, c), (w.conj().T @ a @ v, w.conj().T @ b, c @ v)
+    return system.state_space()[:3], reduced.state_space()[:3]
 
 
 def _stable_projection(problem, omegas):
@@ -251,22 +234,19 @@ def optimize_points(problem):
     """Deterministic coarse-scan plus simplex refinement of the point cost.
 
     The scan uses a logarithmic lattice (64 points for one free frequency,
-    16 per dimension otherwise, capped at 4096 evaluations); the best lattice
+    16 per dimension otherwise, capped at 4096 evaluations) over
+    ``problem.omega_bounds`` or the default grid's window; the best lattice
     point seeds a Nelder-Mead refinement in log-frequency space.  Candidates
     whose subspace construction fails receive a large finite penalty so the
     search continues; an all-infeasible scan raises with the count and the first
     reason, on one line.
     """
     cost_fn = COST_FUNCTIONS[problem.cost]
-    if problem.omega_bounds is not None:
-        lo, hi = problem.omega_bounds
+    if problem.omega_bounds is None:
+        window = default_grid(problem.state_matrix())
+        lo, hi = window.wmin, window.wmax
     else:
-        mags = np.abs(linalg.eigenvalues(problem.state_matrix()))
-        mags = mags[mags > 0]
-        if mags.size == 0:
-            lo, hi = 1e-2, 1e2
-        else:
-            lo, hi = 1e-2 * mags.min(), 1e2 * mags.max()
+        lo, hi = problem.omega_bounds
 
     d = problem.n_free
     if d == 1:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import SchemaError
-from .reduction import InterpolationData, ReductionResult
+from .reduction import InterpolationData, ReductionResult, data_side
 from .systems import AnnihilationSystem, QuadratureSystem
 
 
@@ -60,29 +60,19 @@ def complex_matrix_from_json(obj, name):
     return m
 
 
+#: Per form tag: the system class, its matrix names, and the matrix encoder and decoder.
+_FORMS = {
+    "quadrature": (QuadratureSystem, "ABCD", real_matrix_to_json, real_matrix_from_json),
+    "annihilation": (AnnihilationSystem, "FGHK", complex_matrix_to_json, complex_matrix_from_json),
+}
+
+
 def system_to_dict(system):
-    if isinstance(system, QuadratureSystem):
-        return {
-            "form": "quadrature",
-            "n": system.n_modes,
-            "m": system.n_inputs,
-            "ell": system.n_outputs,
-            "A": real_matrix_to_json(system.A),
-            "B": real_matrix_to_json(system.B),
-            "C": real_matrix_to_json(system.C),
-            "D": real_matrix_to_json(system.D),
-        }
-    if isinstance(system, AnnihilationSystem):
-        return {
-            "form": "annihilation",
-            "n": system.n_modes,
-            "m": system.n_inputs,
-            "ell": system.n_outputs,
-            "F": complex_matrix_to_json(system.F),
-            "G": complex_matrix_to_json(system.G),
-            "H": complex_matrix_to_json(system.H),
-            "K": complex_matrix_to_json(system.K),
-        }
+    for form, (cls, names, encode, _) in _FORMS.items():
+        if isinstance(system, cls):
+            doc = {"form": form, "n": system.n_modes, "m": system.n_inputs, "ell": system.n_outputs}
+            doc.update(zip(names, map(encode, system.state_space())))
+            return doc
     raise SchemaError(f"cannot serialize {type(system).__name__}")
 
 
@@ -90,22 +80,15 @@ def system_from_dict(data):
     if not isinstance(data, dict):
         raise SchemaError("system document must be a JSON object")
     form = data.get("form")
-    if form == "quadrature":
-        keys = ("A", "B", "C", "D")
-        loader = real_matrix_from_json
-        cls = QuadratureSystem
-    elif form == "annihilation":
-        keys = ("F", "G", "H", "K")
-        loader = complex_matrix_from_json
-        cls = AnnihilationSystem
-    else:
+    if not isinstance(form, str) or form not in _FORMS:
         raise SchemaError(f"unknown or missing form {form!r}")
-    missing = [k for k in keys if k not in data]
+    cls, names, _, decode = _FORMS[form]
+    missing = [k for k in names if k not in data]
     if missing:
         raise SchemaError(f"missing matrices {missing}")
-    mats = {k: loader(data[k], k) for k in keys}
+    mats = [decode(data[k], k) for k in names]
     try:
-        system = cls(**mats)
+        system = cls(*mats)
     except Exception as exc:
         raise SchemaError(f"inconsistent system matrices: {exc}") from exc
     for field_name, actual in (
@@ -113,9 +96,14 @@ def system_from_dict(data):
         ("m", system.n_inputs),
         ("ell", system.n_outputs),
     ):
-        if field_name in data and int(data[field_name]) != actual:
+        if field_name not in data:
+            continue
+        declared = data[field_name]
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise SchemaError(f"{field_name} must be an integer, got {declared!r}")
+        if declared != actual:
             raise SchemaError(
-                f"declared {field_name}={data[field_name]} but matrices imply {actual}"
+                f"declared {field_name}={declared} but matrices imply {actual}"
             )
     return system
 
@@ -134,10 +122,15 @@ def load_system(path):
     return system_from_dict(_load_json_file(path))
 
 
-def save_system(system, path):
+def write_json(path, doc):
+    """Write ``doc`` as indented JSON with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_dict(system), fh, indent=1)
+        json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def save_system(system, path):
+    write_json(path, system_to_dict(system))
 
 
 def points_to_dict(points, directions):
@@ -199,9 +192,12 @@ def reduction_from_dict(data):
         raise SchemaError(f"unknown reduction method {method!r}")
     reduced = system_from_dict(data["reduced"])
     points, directions = points_from_dict(data["data"])
-    side = "right" if method == "right" else "left"
     w = complex_matrix_from_json(data["W"], "W")
     v = complex_matrix_from_json(data["V"], "V")
+    order = reduced.state_space()[0].shape[0]
+    for name, m in (("W", w), ("V", v)):
+        if m.shape[1] != order:
+            raise SchemaError(f"{name} has {m.shape[1]} columns, the reduced order is {order}")
     if method != "passive":
         w = np.real_if_close(w).astype(float)
         v = np.real_if_close(v).astype(float)
@@ -209,7 +205,7 @@ def reduction_from_dict(data):
         w=w,
         v=v,
         reduced=reduced,
-        data=InterpolationData(side=side, points=points, directions=directions),
+        data=InterpolationData(side=data_side(method), points=points, directions=directions),
         diagnostics=None,
     )
 

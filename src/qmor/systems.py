@@ -93,6 +93,10 @@ class QuadratureSystem:
     def n_outputs(self):
         return self.C.shape[0] // 2
 
+    def state_space(self):
+        """The matrices ``(A, B, C, D)``."""
+        return self.A, self.B, self.C, self.D
+
     def poles(self):
         return linalg.eigenvalues(self.A)
 
@@ -141,6 +145,10 @@ class AnnihilationSystem:
     def n_outputs(self):
         return self.H.shape[0]
 
+    def state_space(self):
+        """The matrices ``(F, G, H, K)``, in the roles of ``(A, B, C, D)``."""
+        return self.F, self.G, self.H, self.K
+
     def poles(self):
         return linalg.eigenvalues(self.F)
 
@@ -182,12 +190,9 @@ def check_realizability(system, tol=1e-8):
 
 def transfer(system, s):
     """Transfer function ``D + C (sI - A)^-1 B`` (or its annihilation analogue)."""
-    if isinstance(system, QuadratureSystem):
-        a, b, c, d = system.A, system.B, system.C, system.D
-    elif isinstance(system, AnnihilationSystem):
-        a, b, c, d = system.F, system.G, system.H, system.K
-    else:
+    if not isinstance(system, (QuadratureSystem, AnnihilationSystem)):
         raise StructureError(f"unsupported system type {type(system).__name__}")
+    a, b, c, d = system.state_space()
     resolvent_rhs = linalg.solve(
         s * np.eye(a.shape[0]) - a, b, context=f"resolvent at s = {s}"
     )

@@ -1,10 +1,14 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from qmor import cases, serialization, systems
 from qmor.cli import main
+from qmor.reduction import reduce_passive, reduce_right
+
+from conftest import make_quadrature_data
 
 
 @pytest.fixture()
@@ -45,6 +49,15 @@ def test_check_pr_malformed_json(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["check-pr", str(path)]) == 2
+
+
+@pytest.mark.parametrize("declared", ['"x"', "[3]"])
+def test_check_pr_non_integer_dimension_exits_2(tmp_path, declared, capsys):
+    doc = serialization.system_to_dict(cases.optomechanical_system())
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc).replace('"n": 3', f'"n": {declared}'))
+    assert main(["check-pr", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: n must be an integer, got {json.loads(declared)!r}\n"
 
 
 def test_reduce_and_analyze_chain(tmp_path, ex1_system_path, ex1_points_path, capsys):
@@ -545,3 +558,57 @@ def test_analyze_feedthrough_mismatch_exits_1(tmp_path, ex1_system_path, capsys)
     assert main(argv + ["--out", str(tmp_path / "ana")]) == 1
     err = capsys.readouterr().err
     assert err == "error: feedthrough terms differ; the error system is not strictly proper\n"
+
+
+def _write_example_pair(tmp_path, name):
+    """The example's ``system.json`` and ``reduction.json``, as ``qmor example`` writes them."""
+    system, data, method = {
+        "ex1": (cases.optomechanical_system(), cases.ex1_interpolation_data(), "right"),
+        "ex2": (
+            cases.control_case_fixture()["quantum_controller"],
+            cases.ex2_interpolation_data(),
+            "right",
+        ),
+        "ex3": (cases.cascaded_cavity_system(), cases.ex3_interpolation_data(), "passive"),
+    }[name]
+    result = (reduce_passive if method == "passive" else reduce_right)(system, data)
+    system_path = tmp_path / f"{name}-system.json"
+    reduction_path = tmp_path / f"{name}-reduction.json"
+    serialization.save_system(system, system_path)
+    reduction_path.write_text(json.dumps(serialization.reduction_to_dict(result, method)))
+    return system_path, reduction_path
+
+
+@pytest.mark.parametrize(
+    "original, reduction, message",
+    [
+        ("ex3", "ex1", "the reduction is QuadratureSystem, the original AnnihilationSystem"),
+        ("ex1", "ex3", "the reduction is AnnihilationSystem, the original QuadratureSystem"),
+        ("ex1", "ex2", r"the reduction has \(m, ell\) = \(8, 1\), the original \(3, 1\)"),
+        ("ex2", "ex1", r"the reduction has \(m, ell\) = \(3, 1\), the original \(8, 1\)"),
+    ],
+    ids=["ex3-ex1", "ex1-ex3", "ex1-ex2", "ex2-ex1"],
+)
+def test_analyze_reduction_of_another_system_exits_2(
+    tmp_path, original, reduction, message, capsys
+):
+    system_path, _ = _write_example_pair(tmp_path, original)
+    _, reduction_path = _write_example_pair(tmp_path, reduction)
+    argv = ["analyze", str(system_path), str(reduction_path), "--wpts", "20"]
+    assert main(argv + ["--out", str(tmp_path / "ana")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.search(message, err)
+    assert not (tmp_path / "ana").exists()
+
+
+def test_analyze_reduction_of_larger_system_exits_2(tmp_path, ex1_system_path, capsys):
+    # The ports of ex1 (three input pairs, one output pair), but four modes, not three.
+    other = systems.random_realizable_quadrature(4, 3, 1, 5)
+    reduced = reduce_right(other, make_quadrature_data(other, "right", 0))
+    path = tmp_path / "reduction.json"
+    path.write_text(json.dumps(serialization.reduction_to_dict(reduced, "right")))
+    argv = ["analyze", str(ex1_system_path), str(path), "--wpts", "20"]
+    assert main(argv + ["--out", str(tmp_path / "ana")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: W has shape (8, 4); this original needs (6, 4)\n"

@@ -50,10 +50,21 @@ def test_schema_rejects_missing_matrix():
         serialization.system_from_dict(doc)
 
 
-def test_schema_rejects_declared_dimension_mismatch():
+@pytest.mark.parametrize(
+    "declared, message",
+    [
+        (7, "n=7"),
+        ("x", "n must be an integer, got 'x'"),
+        ([3], r"n must be an integer, got \[3\]"),
+        (3.5, "n must be an integer, got 3.5"),
+        (True, "n must be an integer, got True"),
+    ],
+    ids=["mismatch", "string", "list", "float", "bool"],
+)
+def test_schema_rejects_declared_dimension_mismatch(declared, message):
     doc = serialization.system_to_dict(cases.optomechanical_system())
-    doc["n"] = 7
-    with pytest.raises(SchemaError, match="n=7"):
+    doc["n"] = declared
+    with pytest.raises(SchemaError, match=message):
         serialization.system_from_dict(doc)
 
 
@@ -102,6 +113,15 @@ def test_reduction_bundle_round_trip_passive(tmp_path):
     assert method == "passive"
     assert np.array_equal(loaded.v, result.v)
     assert np.iscomplexobj(loaded.v)
+
+
+@pytest.mark.parametrize("matrix", ["W", "V"])
+def test_reduction_rejects_projection_of_wrong_order(matrix):
+    result = reduce_right(cases.optomechanical_system(), cases.ex1_interpolation_data())
+    doc = serialization.reduction_to_dict(result, "right")
+    doc[matrix] = [row[:-1] for row in doc[matrix]]
+    with pytest.raises(SchemaError, match=f"{matrix} has 3 columns, the reduced order is 4"):
+        serialization.reduction_from_dict(doc)
 
 
 @pytest.mark.parametrize("document", [[], [{"method": "left"}], {"reduced": {}}])
