@@ -8,7 +8,14 @@ no result bit:
     diff old.txt new.txt
 
 Arrays are hashed (SHA-256 of dtype, shape and bytes); scalars are printed
-with ``repr``.  The inputs are ex1-ex3, ``stable_reduction_cases(5)`` with a
+with ``repr``.  ``W``, ``V`` and the reduced matrices depend on the reduced
+coordinates, which the Schur vectors of the symplectic scaling fix only up to
+rounding, so each reduction also prints coordinate-free values: the reduced
+poles and the reduced transfer function at probe points set by the full
+model's largest pole magnitude, each array as its largest magnitude times its
+entries rounded to 10 decimals.  A diff of those lines stays quiet when only
+the coordinates moved (a value on a rounding boundary can still flip a last
+digit).  The inputs are ex1-ex3, ``stable_reduction_cases(5)`` with a
 left reduction of each system, four random passive reductions, and six
 selection problems.  Run both sides with the same BLAS thread count
 (``OPENBLAS_NUM_THREADS=1``), since threaded BLAS may round differently.
@@ -24,7 +31,7 @@ CHECKOUT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1])
 sys.path[:0] = [str(CHECKOUT / "src"), str(CHECKOUT / "tests")]
 
 from conftest import make_passive_data, make_quadrature_data, stable_reduction_cases  # noqa: E402
-from qmor import analysis, cases, selection, systems  # noqa: E402
+from qmor import analysis, cases, linalg, selection, systems  # noqa: E402
 from qmor.errors import QmorError  # noqa: E402
 from qmor.reduction import reduce_left, reduce_passive, reduce_right  # noqa: E402
 
@@ -36,6 +43,14 @@ def digest(*arrays):
         h.update(str((a.dtype, a.shape)).encode())
         h.update(a.tobytes())
     return h.hexdigest()[:16]
+
+
+def values(array):
+    """Entries of an array over its largest magnitude, rounded to 10 decimals."""
+    z = np.ravel(array).astype(complex)
+    scale = np.abs(z).max()
+    parts = np.round(np.stack([z.real, z.imag], -1) / scale, 10) + 0.0  # no -0.0
+    return f"{scale:.10e} x " + " ".join(f"{re:+.10f}{im:+.10f}j" for re, im in parts)
 
 
 def state_space(system):
@@ -75,6 +90,11 @@ for label, system, data, reducer in reductions:
             d.poles,
         ),
     )
+    # One point at a time, so that the script also runs on a scalar-only transfer.
+    scale = np.abs(linalg.eigenvalues(state_space(system)[0])).max()
+    probes = scale * np.array([0.3j, 1.1j, 0.5 + 3j])
+    print(label, "poles", values(d.poles))
+    print(label, "transfer", values([systems.transfer(result.reduced, s) for s in probes]))
     if not label.startswith(("ex", "passive", "stable0")) or label.endswith("left"):
         continue
     grid = analysis.default_grid(

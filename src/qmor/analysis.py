@@ -36,6 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import QmorError, StabilityError
+from .systems import transfer
 
 DEFAULT_GRID_COUNT = 2000
 REFINE_REL_WIDTH = 1e-6
@@ -192,11 +193,7 @@ def sweep(a, b, s):
     singular points get NaN.
     """
     s = np.asarray(s)
-    n = a.shape[-1]
-    # Copy -A and add s on the diagonals: s * I - A would cast through numpy's
-    # large ufunc buffers.
-    shifted = np.broadcast_to(-a.astype(np.result_type(s, a)), (s.size, n, n)).copy()
-    shifted.reshape(s.size, n * n)[:, :: n + 1] += s[:, None]
+    shifted = linalg.shifted(a, s)
     # b[None]: a stack of one matrix on every numpy version, never a stack of vectors.
     rhs = b if b.ndim == 3 else b[None]
     try:
@@ -237,10 +234,6 @@ def _error_norms(full, reduced):
     """Batched ``omegas -> |Xi(i w) - Xi_r(i w)|``; ``inf`` at a pole on the axis."""
     diff = _difference(full, reduced)
     return lambda omegas: _finite_norms(diff(1j * omegas), math.inf)
-
-
-def _resolve(a, s, rhs):
-    return np.linalg.solve(s * np.eye(a.shape[0]) - a, rhs)
 
 
 def _require_hurwitz(*mats):
@@ -371,15 +364,15 @@ def oblique_projectors(full, result, s):
 
 
 def error_exact(full, result, s):
-    """Evaluate the three exact error expressions at one complex point."""
-    a, b, c, d = _abcd(full)
-    a_r, b_r, c_r, d_r = _abcd(result.reduced)
+    """Evaluate the three exact error expressions at one complex point.
+
+    A pole of either model at ``s`` raises :class:`SingularMatrixError`.
+    """
+    direct = linalg.spectral_norm(transfer(full, s) - transfer(result.reduced, s))
+    a, b, c, _ = full.state_space()
     eye = np.eye(a.shape[0])
     shifted = s * eye - a
     q, r = oblique_projectors(full, result, s)
-    full_tf = d + c @ _resolve(a, s, b)
-    red_tf = d_r + c_r @ _resolve(a_r, s, b_r)
-    direct = linalg.spectral_norm(full_tf - red_tf)
     via_q = linalg.spectral_norm(c @ np.linalg.solve(shifted, (eye - q) @ b))
     via_r = linalg.spectral_norm(c @ (eye - r) @ np.linalg.solve(shifted, b))
     q_scale = max(linalg.spectral_norm(q), 1e-300)

@@ -212,6 +212,9 @@ def _default_directions(method, r, system):
 
 
 def cmd_select_points(args):
+    if args.method == "passive" and args.template == "conjugate_pairs" and args.r % 2:
+        # A usage error: r passive points are r / 2 conjugate pairs.
+        raise SchemaError(f"--r {args.r}: passive conjugate-pair selection needs an even r")
     system = serialization.load_system(args.input)
     if args.dirs is not None:
         directions = serialization.complex_matrix_from_json(

@@ -3,6 +3,11 @@
 All routines accept real or complex 2-D arrays; real input is simply the
 imaginary-part-zero special case.  Matrices here are small (state dimension
 of every target system is below twenty), so everything is dense and direct.
+The kernels are numpy's LAPACK gufuncs, which solve, decompose and take norms
+of a whole stack of matrices in one call: :func:`solve` checks every item of
+a stack of resolvent matrices built by :func:`shifted`.  ``scipy.linalg``
+serves only what numpy lacks: the Lyapunov solver here and the real Schur
+form in :mod:`qmor.symplectic`.
 """
 
 import numpy as np
@@ -14,13 +19,13 @@ from .errors import RankDeficiencyError, SingularMatrixError, StabilityError, St
 IMAG_NOISE = 1e-12
 
 
-def as_matrix(m, name="matrix"):
-    """Coerce to a 2-D inexact ndarray and reject non-finite entries."""
+def as_matrix(m, name="matrix", ndim=2):
+    """Coerce to an inexact ndarray of ``ndim`` dimensions and reject non-finite entries."""
     arr = np.asarray(m)
     if not np.issubdtype(arr.dtype, np.inexact):
         arr = arr.astype(float)
-    if arr.ndim != 2:
-        raise StructureError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise StructureError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise StructureError(f"{name} contains non-finite entries")
     return arr
@@ -45,7 +50,7 @@ def rank_and_bases(m, tol=None):
     m = as_matrix(m)
     if m.size == 0:
         return 0, np.zeros((m.shape[0], 0)), np.eye(m.shape[1])
-    u, s, vh = la.svd(m)
+    u, s, vh = np.linalg.svd(m)
     if tol is None:
         tol = auto_rank_tolerance(m, s)
     rank = int(np.sum(s > tol))
@@ -98,42 +103,73 @@ def eigenpairs(m):
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise StructureError(f"eigendecomposition needs a square matrix, got {m.shape}")
-    values, vectors = la.eig(m)
+    values, vectors = np.linalg.eig(m)
+    values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
     norms = np.linalg.norm(vectors, axis=0)
     norms[norms == 0] = 1.0
     return values, vectors / norms
 
 
 def eigenvalues(m):
-    m = as_matrix(m)
-    return la.eigvals(m)
+    """Eigenvalues of a square matrix, always complex."""
+    return np.linalg.eigvals(as_matrix(m)).astype(complex, copy=False)
+
+
+def shifted(a, s):
+    """The stack ``s_k I - A_k`` over a 1-D array ``s``; ``a`` is one matrix or one per point."""
+    s = np.asarray(s)
+    n = a.shape[-1]
+    # Copy -A and add s on the diagonals: s * I - A would cast through numpy's
+    # large ufunc buffers.
+    out = np.broadcast_to(-a.astype(np.result_type(s, a)), (s.size, n, n)).copy()
+    out.reshape(s.size, n * n)[:, :: n + 1] += s[:, None]
+    return out
 
 
 def solve(m, rhs, context=None):
-    """Solve ``m @ x = rhs`` for square nonsingular ``m``.
+    """Solve ``m @ x = rhs`` for square nonsingular ``m``, or for every item of a stack.
 
-    ``context`` is folded into the error message so callers can name the
-    interpolation point (or other object) that produced a singular system.
+    ``m`` is ``(n, n)`` with ``rhs`` ``(n,)`` or ``(n, p)``, or a stack
+    ``(k, n, n)`` with ``rhs`` ``(k, n)`` or ``(k, n, p)`` (or ``(1, n, p)``,
+    shared), solved in one call.  Every item must give a finite solution with
+    residual at most ``1e-8 |m_k| |x_k|``.  ``context`` (a sequence for a
+    stack) names what produced each item, such as its interpolation point;
+    the :class:`SingularMatrixError` of a failing item carries it.
     """
-    m = as_matrix(m)
+    stacked = np.ndim(m) == 3
+    m = as_matrix(m, ndim=3 if stacked else 2)
     rhs = np.asarray(rhs)
-    label = f" while evaluating {context}" if context else ""
+    vector = rhs.ndim == m.ndim - 1
+    # Explicit column and stack axes: numpy 1.x and 2.x read a (k, n) right-hand
+    # side of a stack differently.
+    ms = m if stacked else m[None]
+    b = rhs[..., None] if vector else rhs
+    b = b if stacked else b[None]
+
+    def fail(k, reason, detail=""):
+        item = context[k] if stacked and context is not None else context
+        label = f" while evaluating {item}" if item else ""
+        return SingularMatrixError(f"{reason}{label}{detail}")
+
     try:
         # Singular inputs are caught by the checks below; silence the
         # intermediate divide-by-zero noise they produce.
         with np.errstate(all="ignore"):
-            x = la.solve(m, rhs)
-    except la.LinAlgError as exc:
-        raise SingularMatrixError(f"singular matrix{label}: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError(f"singular or ill-conditioned matrix{label}")
-    residual = np.linalg.norm(m @ x - rhs)
-    scale = np.linalg.norm(m) * max(np.linalg.norm(x), 1e-300)
-    if residual > 1e-8 * scale:
-        raise SingularMatrixError(
-            f"solve residual {residual:.3e} exceeds 1e-8 of scale {scale:.3e}{label}"
-        )
-    return x
+            x = np.linalg.solve(ms, b)
+    except np.linalg.LinAlgError as exc:
+        # The stacked call does not say which item has a zero pivot; det does.
+        raise fail(int(np.argmax(np.linalg.det(ms) == 0)), "singular matrix", f": {exc}") from exc
+    finite = np.isfinite(x).all(axis=(1, 2))
+    if not finite.all():
+        raise fail(int(np.argmin(finite)), "singular or ill-conditioned matrix")
+    residual = np.linalg.norm(ms @ x - b, axis=(1, 2))
+    scale = np.linalg.norm(ms, axis=(1, 2)) * np.maximum(np.linalg.norm(x, axis=(1, 2)), 1e-300)
+    bad = residual > 1e-8 * scale
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise fail(k, f"solve residual {residual[k]:.3e} exceeds 1e-8 of scale {scale[k]:.3e}")
+    x = x[..., 0] if vector else x
+    return x if stacked else x[0]
 
 
 def is_hurwitz(m, margin=0.0):
@@ -180,7 +216,7 @@ def largest_principal_angle(x_basis, y_basis):
     qy = orthonormal_range(as_matrix(y_basis))
     if qx.shape[1] == 0 or qy.shape[1] == 0:
         return 0.0 if qx.shape[1] == qy.shape[1] else np.pi / 2
-    cosines = la.svd(qx.conj().T @ qy, compute_uv=False)
+    cosines = np.linalg.svd(qx.conj().T @ qy, compute_uv=False)
     c = float(np.clip(cosines.min(), -1.0, 1.0))
     return float(np.arccos(c))
 

@@ -187,19 +187,10 @@ def _checked_range(basis, points, what):
 
 def _resolvent_columns(a, b, points, directions, what, adjoint=False):
     """Columns ``(sigma_i I - a)^-1 b d_i``, or ``(sigma_i I - a)^-H b^H d_i`` when ``adjoint``."""
+    contexts = [f"{what} interpolation point {sigma}" for sigma in points]
     if adjoint:
-        a, b = a.conj().T, b.conj().T
-    eye = np.eye(a.shape[0])
-    return np.column_stack(
-        [
-            linalg.solve(
-                (np.conj(sigma) if adjoint else sigma) * eye - a,
-                b @ d,
-                context=f"{what} interpolation point {sigma}",
-            )
-            for sigma, d in zip(points, directions)
-        ]
-    )
+        a, b, points = a.conj().T, b.conj().T, np.conj(points)
+    return linalg.solve(linalg.shifted(a, points), directions @ b.T, contexts).T
 
 
 def left_subspace_vectors(system, points, directions):
@@ -270,20 +261,15 @@ def _validate_quadrature_data(system, data, side):
 
 
 def _interpolation_residuals(full, reduced, data):
-    abs_res = np.empty(len(data))
-    refs = np.empty(len(data))
-    for i, (sigma, direction) in enumerate(zip(data.points, data.directions)):
-        full_tf = transfer(full, sigma)
-        red_tf = transfer(reduced, sigma)
-        if data.side == "left":
-            target = direction.conj() @ full_tf
-            got = direction.conj() @ red_tf
-        else:
-            target = full_tf @ direction
-            got = red_tf @ direction
-        abs_res[i] = np.linalg.norm(got - target)
-        refs[i] = np.linalg.norm(target)
-    return abs_res, refs
+    """Tangential residuals ``|mu^H (Xi - Xi_r)|`` or ``|(Xi - Xi_r) nu|`` and target norms."""
+    full_tf, red_tf = transfer(full, data.points), transfer(reduced, data.points)
+    if data.side == "left":
+        row = data.directions.conj()[:, None, :]
+        target, got = (row @ full_tf)[:, 0], (row @ red_tf)[:, 0]
+    else:
+        column = data.directions[:, :, None]
+        target, got = (full_tf @ column)[..., 0], (red_tf @ column)[..., 0]
+    return np.linalg.norm(got - target, axis=1), np.linalg.norm(target, axis=1)
 
 
 def _sorted_poles(state_matrix):

@@ -122,6 +122,11 @@ class SelectionProblem:
         if self.template == "symmetric_with_dc" and self.r % 2 == 0:
             raise StructureError("the symmetric-with-dc template needs an odd point count")
         passive = self.side == "passive"
+        if passive and self.template == "conjugate_pairs" and self.r % 2:
+            raise StructureError(
+                "passive selection with conjugate pairs needs an even point count r; "
+                "use the symmetric-with-dc template for an odd one"
+            )
         if not isinstance(self.system, AnnihilationSystem if passive else QuadratureSystem):
             form = "an annihilation" if passive else "a quadrature"
             raise StructureError(f"{self.side} selection needs {form}-form system")
@@ -145,20 +150,22 @@ class SelectionProblem:
         object.__setattr__(self, "directions", directions)
 
     @property
-    def n_free(self):
-        if self.tie_omegas:
-            return 1
+    def _frequencies(self):
+        # Distinct template frequencies: r conjugate pairs on the left or right side,
+        # r / 2 pairs for r passive points, (r - 1) / 2 around the dc point.
         if self.template == "symmetric_with_dc":
             return (self.r - 1) // 2
-        return self.r
+        return self.r // 2 if self.side == "passive" else self.r
+
+    @property
+    def n_free(self):
+        return 1 if self.tie_omegas else self._frequencies
 
     def expand_points(self, omegas):
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+        tiled = np.full(self._frequencies, omegas[0]) if self.tie_omegas else omegas
         if self.template == "symmetric_with_dc":
-            k = (self.r - 1) // 2
-            tiled = np.full(k, omegas[0]) if self.tie_omegas else omegas
             return symmetric_dc_points(tiled)
-        tiled = np.full(self.r, omegas[0]) if self.tie_omegas else omegas
         return conjugate_pair_points(tiled)
 
     def state_matrix(self):

@@ -21,11 +21,12 @@ from .systems import AnnihilationSystem, QuadratureSystem
 
 
 def real_matrix_to_json(m):
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+    return np.asarray(m, dtype=float).tolist()
 
 
 def complex_matrix_to_json(m):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _entry_to_complex(entry, name):

@@ -29,7 +29,13 @@ def symplectic_form(n):
     """Block-diagonal matrix of ``n`` copies of ``[[0, 1], [-1, 0]]``."""
     if n < 1:
         raise StructureError("symplectic form needs at least one mode")
-    return np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    j = np.zeros((n, 2, n, 2))
+    # The -0.0 entries of np.kron(np.eye(n), [[0, 1], [-1, 0]]), kept bit for bit.
+    j[:, 1, :, 0] = -0.0
+    k = np.arange(n)
+    j[k, 0, k, 1] = 1.0
+    j[k, 1, k, 0] = -1.0
+    return j.reshape(2 * n, 2 * n)
 
 
 def _frozen_array(value, name, *, real):
@@ -189,14 +195,21 @@ def check_realizability(system, tol=1e-8):
 
 
 def transfer(system, s):
-    """Transfer function ``D + C (sI - A)^-1 B`` (or its annihilation analogue)."""
+    """Transfer function ``D + C (sI - A)^-1 B`` (or its annihilation analogue).
+
+    ``s`` is one point, or a 1-D array of points for a stack of values from
+    one checked :func:`~qmor.linalg.solve`; a pole at a point raises
+    :class:`SingularMatrixError` naming it.
+    """
     if not isinstance(system, (QuadratureSystem, AnnihilationSystem)):
         raise StructureError(f"unsupported system type {type(system).__name__}")
     a, b, c, d = system.state_space()
+    points = np.atleast_1d(s)
     resolvent_rhs = linalg.solve(
-        s * np.eye(a.shape[0]) - a, b, context=f"resolvent at s = {s}"
+        linalg.shifted(a, points), b[None], [f"resolvent at s = {p}" for p in points]
     )
-    return d + c @ resolvent_rhs
+    values = d + c @ resolvent_rhs
+    return values if np.ndim(s) else values[0]
 
 
 def real_embedding(m):

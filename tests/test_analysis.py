@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import make_passive_data, make_quadrature_data, stable_reduction_cases
 from qmor import analysis, cases, linalg, systems
-from qmor.errors import QmorError, StabilityError
-from qmor.reduction import InterpolationData, reduce_passive, reduce_right
+from qmor.errors import QmorError, SingularMatrixError, StabilityError
+from qmor.reduction import InterpolationData, ReductionResult, reduce_passive, reduce_right
 from qmor.selection import conjugate_pair_points
 
 
@@ -72,6 +72,19 @@ def test_error_exact_triple_agreement():
             assert abs(ee.direct - ee.via_r) <= 1e-8 * scale
             assert ee.q_idempotency <= 1e-8
             assert ee.r_idempotency <= 1e-8
+
+
+def test_error_exact_pole_raises_singular_matrix_error():
+    # s I - J is exactly singular at s = i, a pole of both models here.
+    resonant = systems.QuadratureSystem(
+        A=systems.symplectic_form(1), B=np.eye(2), C=np.eye(2), D=np.eye(2)
+    )
+    damped = systems.QuadratureSystem(A=-np.eye(2), B=np.eye(2), C=np.eye(2), D=np.eye(2))
+    data = InterpolationData("right", [2j, -2j], [[1.0, 0.0], [1.0, 0.0]])
+    result = ReductionResult(np.eye(2), np.eye(2), resonant, data, None)
+    for full in (resonant, damped):
+        with pytest.raises(SingularMatrixError, match="resolvent at s = 1j"):
+            analysis.error_exact(full, result, 1j)
 
 
 def test_hinf_error_full_order_zero():

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -476,6 +477,20 @@ def test_select_points_rejects_bad_problem(tmp_path, method, r, template, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "sel").exists()
+
+
+def test_select_points_passive_conjugate_pairs(tmp_path, capsys):
+    sys_path = tmp_path / "sys.json"
+    serialization.save_system(cases.cascaded_cavity_system(), sys_path)
+    args = ["select-points", str(sys_path), "--method", "passive", "--cost", "h2"]
+    assert main(args + ["--r", "2", "--out", str(tmp_path / "sel")]) == 0
+    chosen = json.loads((tmp_path / "sel" / "selected_points.json").read_text())
+    assert len(chosen["points"]) == 2 and math.isfinite(chosen["cost"])
+    capsys.readouterr()
+    assert main(args + ["--r", "3", "--out", str(tmp_path / "odd")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "odd").exists()
 
 
 def test_analyze_reads_reduction_with_scaling_keys(

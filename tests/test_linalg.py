@@ -123,6 +123,60 @@ def test_solve_singular_names_context():
         linalg.solve(np.zeros((2, 2)), np.eye(2), context="point 2j")
 
 
+def test_solve_stack_matches_item_solves():
+    rng = np.random.default_rng(31)
+    m = rng.standard_normal((5, 4, 4)) + 4 * np.eye(4) + 1j * rng.standard_normal((5, 4, 4))
+    rhs = rng.standard_normal((5, 4, 2))
+    x = linalg.solve(m, rhs, context=[f"point {k}" for k in range(5)])
+    assert x.shape == (5, 4, 2)
+    for k in range(5):
+        assert np.allclose(x[k], np.linalg.solve(m[k], rhs[k]), rtol=1e-14, atol=0.0)
+    # One right-hand side shared by the whole stack.
+    shared = linalg.solve(m, rhs[:1])
+    for k in range(5):
+        assert np.allclose(shared[k], np.linalg.solve(m[k], rhs[0]), rtol=1e-14, atol=0.0)
+
+
+def test_solve_stack_singular_item_names_its_context():
+    m = np.stack([np.eye(3) * (k + 1.0) for k in range(4)])
+    m[2] = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])
+    contexts = [f"point {k}" for k in range(4)]
+    with pytest.raises(SingularMatrixError, match="singular matrix while evaluating point 2") as err:
+        linalg.solve(m, np.ones((4, 3, 1)), context=contexts)
+    assert "point 0" not in str(err.value) and "point 3" not in str(err.value)
+
+
+def test_solve_stack_residual_check_names_the_failing_item():
+    # Wilkinson's matrix: partial pivoting grows its entries by 2^(n-1), so
+    # the solution is finite but its residual is far above 1e-8 |m| |x|.
+    n = 60
+    wilkinson = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    wilkinson[:, -1] = 1.0
+    m = np.stack([np.eye(n), wilkinson, 2.0 * np.eye(n)])
+    rhs = np.random.default_rng(0).standard_normal((3, n, 1))
+    with pytest.raises(SingularMatrixError, match="solve residual .* while evaluating item 1"):
+        linalg.solve(m, rhs, context=["item 0", "item 1", "item 2"])
+    # Each well-conditioned item alone passes the same check.
+    for k in (0, 2):
+        linalg.solve(m[k], rhs[k], context=f"item {k}")
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_solve_stack_vector_rhs(k):
+    # A (k, n) right-hand side is one vector per item, also when k == n, where
+    # numpy 2 alone would read it as one (n, n) matrix for every item.
+    rng = np.random.default_rng(32)
+    m = rng.standard_normal((k, 4, 4)) + 4 * np.eye(4)
+    rhs = rng.standard_normal((k, 4))
+    x = linalg.solve(m, rhs)
+    assert x.shape == (k, 4)
+    for i in range(k):
+        assert np.allclose(m[i] @ x[i], rhs[i], rtol=0.0, atol=1e-13)
+    single = linalg.solve(m[0], rhs[0])
+    assert single.shape == (4,)
+    assert np.allclose(single, x[0], rtol=1e-14, atol=0.0)
+
+
 def test_lyapunov_trivial_cases():
     assert np.allclose(linalg.lyapunov_solve(-np.eye(3), 2 * np.eye(3)), np.eye(3))
     assert np.allclose(

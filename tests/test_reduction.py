@@ -236,6 +236,37 @@ def test_reduction_basis_independence():
         assert np.linalg.norm(t1 - t2) <= 1e-9 * max(1.0, np.linalg.norm(t1))
 
 
+def _interpolation_cases():
+    ex2 = cases.control_case_fixture()["quantum_controller"]
+    ex1 = cases.optomechanical_system()
+    rows = [
+        (ex1, cases.ex1_interpolation_data(), reduce_right),
+        (ex2, cases.ex2_interpolation_data(), reduce_right),
+        (cases.cascaded_cavity_system(), cases.ex3_interpolation_data(), reduce_passive),
+    ]
+    for seed in range(3):
+        quad = systems.random_realizable_quadrature(3, 2, 1, 40 + seed)
+        rows.append((quad, make_quadrature_data(quad, "right", seed), reduce_right))
+        rows.append((quad, make_quadrature_data(quad, "left", seed), reduce_left))
+        passive = systems.random_realizable_annihilation(4, 2, 2, 40 + seed)
+        rows.append((passive, make_passive_data(passive, seed), reduce_passive))
+    return rows
+
+
+def test_interpolation_residuals_below_gates():
+    # The stacked transfer evaluation behind the diagnostics keeps every
+    # residual under the existing gates, and the target norms equal those of a
+    # point-by-point evaluation.
+    for system, data, reducer in _interpolation_cases():
+        diag = reducer(system, data).diagnostics
+        assert interpolation_passes(diag)
+        for k, (sigma, direction) in enumerate(zip(data.points, data.directions)):
+            full = transfer(system, sigma)
+            target = direction.conj() @ full if data.side == "left" else full @ direction
+            ref = np.linalg.norm(target)
+            assert abs(diag.interpolation_references[k] - ref) <= 1e-14 * ref
+
+
 def test_reduced_matrices_are_real():
     sys_q = systems.random_realizable_quadrature(3, 2, 1, 13)
     result = reduce_right(sys_q, make_quadrature_data(sys_q, "right", 13))

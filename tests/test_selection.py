@@ -103,6 +103,26 @@ def test_problem_validation():
         SelectionProblem(system=sys_q, side="right", r=2, directions=np.ones((4, 5)))
 
 
+def test_passive_conjugate_pairs_expand_to_r_points():
+    ex3 = cases.cascaded_cavity_system()
+    # The command line's default pattern (e1, e1, e2, e2).
+    directions = np.eye(ex3.n_outputs, dtype=complex)[[0, 0, 1, 1]]
+    tied = SelectionProblem(system=ex3, side="passive", r=4, directions=directions)
+    assert tied.n_free == 1
+    assert np.array_equal(tied.expand_points([2.0]), [2j, -2j, 2j, -2j])
+    untied = SelectionProblem(
+        system=ex3, side="passive", r=4, directions=directions, tie_omegas=False
+    )
+    assert untied.n_free == 2
+    assert np.array_equal(untied.expand_points([2.0, 3.0]), [2j, -2j, 3j, -3j])
+    # The r points match the r directions, so the cost of a candidate is finite.
+    two = SelectionProblem(system=ex3, side="passive", r=2, directions=directions[:2], cost="h2")
+    assert np.isfinite(selection.cost_h2(two, [3.5e6]))
+    for r in (1, 3):
+        with pytest.raises(StructureError, match="even point count"):
+            SelectionProblem(system=ex3, side="passive", r=r, directions=directions[:r])
+
+
 def _ex1_right_case():
     problem = SelectionProblem(
         system=cases.optomechanical_system(),

@@ -38,6 +38,46 @@ def test_double_round_trip_stable(tmp_path):
     assert p1.read_text() == p2.read_text()
 
 
+def _per_entry_real(m):
+    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+
+
+def _per_entry_complex(m):
+    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _example_matrices():
+    ex1 = cases.optomechanical_system()
+    ex2 = cases.control_case_fixture()["quantum_controller"]
+    ex3 = cases.cascaded_cavity_system()
+    results = [
+        reduce_right(ex1, cases.ex1_interpolation_data()),
+        reduce_right(ex2, cases.ex2_interpolation_data()),
+        reduce_passive(ex3, cases.ex3_interpolation_data()),
+    ]
+    real, complex_ = [], [result.w for result in results] + [result.v for result in results]
+    for system in [ex1, ex2, ex3] + [result.reduced for result in results]:
+        target = complex_ if np.iscomplexobj(system.state_space()[0]) else real
+        target.extend(system.state_space())
+    return real, complex_
+
+
+def test_matrix_encoding_matches_per_entry_text():
+    # The encoders emit the same JSON text as the per-entry float() encoding.
+    edge = np.array(
+        [[-0.0, 0.0, 5e-324, -5e-324, 1e-310], [1e308, -1e308, 1.7976931348623157e308, 0.1, -2.5]]
+    )
+    real, complex_ = _example_matrices()
+    real.append(edge)
+    complex_ += [edge + 1j * edge[::-1], edge * (-1j), np.array([[complex(-0.0, -0.0)]])]
+    for m in real:
+        expected = json.dumps(_per_entry_real(m))
+        assert json.dumps(serialization.real_matrix_to_json(m)) == expected
+    for m in complex_ + real:
+        expected = json.dumps(_per_entry_complex(m))
+        assert json.dumps(serialization.complex_matrix_to_json(m)) == expected
+
+
 def test_schema_rejects_unknown_form():
     with pytest.raises(SchemaError, match="form"):
         serialization.system_from_dict({"form": "modal", "A": [[1.0]]})

@@ -113,6 +113,32 @@ def test_transfer_rejects_resonant_point():
         systems.transfer(sys_q, 1j)
 
 
+@pytest.mark.parametrize("form", ["quadrature", "annihilation"])
+def test_transfer_stack_equals_scalar_loop(form):
+    if form == "quadrature":
+        system = systems.random_realizable_quadrature(3, 2, 1, 17)
+    else:
+        system = systems.random_realizable_annihilation(4, 2, 2, 17)
+    a, b, c, d = system.state_space()
+    points = np.array([0.0, 0.7j, -0.7j, 2.5 + 1.0j, -3.0, 40j])
+    stack = systems.transfer(system, points)
+    assert stack.shape == (points.size,) + d.shape
+    for k, s in enumerate(points):
+        loop = d + c @ np.linalg.solve(s * np.eye(a.shape[0]) - a, b)
+        assert np.linalg.norm(stack[k] - loop) <= 1e-14 * np.linalg.norm(loop)
+        scalar = systems.transfer(system, s)
+        assert scalar.shape == d.shape
+        assert np.linalg.norm(scalar - loop) <= 1e-14 * np.linalg.norm(loop)
+
+
+def test_transfer_stack_names_the_resonant_point():
+    sys_q = systems.QuadratureSystem(
+        A=systems.symplectic_form(1), B=np.eye(2), C=np.eye(2), D=np.eye(2)
+    )
+    with pytest.raises(SingularMatrixError, match=r"resolvent at s = 1j"):
+        systems.transfer(sys_q, np.array([0.5j, 2j, 1j, 3j]))
+
+
 def test_conversion_zero_system():
     sys_a = systems.AnnihilationSystem(
         F=np.zeros((2, 2)), G=np.zeros((2, 1)), H=np.zeros((1, 2)), K=np.zeros((1, 1))
