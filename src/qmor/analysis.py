@@ -14,7 +14,10 @@ the smallest singular value of the product of their orthonormal bases
 (Bjorck and Golub, Math. Comp. 1973), which stays accurate near 90 degrees,
 where ``1 - sin^2`` cancels.
 
-The H-infinity norm of the error system is computed by the Hamiltonian
+Every error value comes from one error system, :func:`error_system`, the
+model ``Xi - Xi_r`` of order ``n + r``: its gain ``|C_e (sI - A_e)^-1 B_e|``
+gives the grid curves, the surface and the level-set confirmations, and its
+Gramian the exact H2 cost.  Its H-infinity norm is computed by the Hamiltonian
 level-set method (Boyd and Balakrishnan; Bruinsma and Steinbuch; Systems &
 Control Letters 1990): :func:`hinf_norm` returns a value the error attains,
 its frequency, and a certified upper value within a relative ``2 tol`` of it.
@@ -214,34 +217,13 @@ def _norms(stack):
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def _finite_norms(stack, singular):
-    """:func:`_norms`, with ``singular`` for the matrices :func:`sweep` left NaN."""
+def _gains(a, b, c, s, singular=math.inf):
+    """``|C (s_k I - A)^-1 B|`` over a 1-D array ``s``; ``singular`` where it is singular."""
+    stack = c @ sweep(a, b, s)
     finite = np.isfinite(stack).all(axis=(1, 2))
     out = np.full(stack.shape[0], singular)
     out[finite] = _norms(stack[finite])
     return out
-
-
-def _difference(full, reduced):
-    """Batched ``s -> Xi(s) - Xi_r(s)`` over a 1-D array of points."""
-    a1, b1, c1, d1 = _abcd(full)
-    a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
-    d_diff = d1 - d2
-    return lambda s: d_diff + c1 @ sweep(a1, b1, s) - c2 @ sweep(a2, b2, s)
-
-
-def _error_norms(full, reduced):
-    """Batched ``omegas -> |Xi(i w) - Xi_r(i w)|``; ``inf`` at a pole on the axis."""
-    diff = _difference(full, reduced)
-    return lambda omegas: _finite_norms(diff(1j * omegas), math.inf)
-
-
-def _require_hurwitz(*mats):
-    for m in mats:
-        if not linalg.is_hurwitz(m):
-            raise StabilityError(
-                "state matrix is not Hurwitz; H-infinity quantities are undefined"
-            )
 
 
 def error_system(full, reduced):
@@ -257,6 +239,20 @@ def error_system(full, reduced):
     n1, n2 = a1.shape[0], a2.shape[0]
     a_e = np.block([[a1, np.zeros((n1, n2))], [np.zeros((n2, n1)), a2]])
     return a_e, np.vstack([b1, b2]), np.hstack([c1, -c2])
+
+
+def _stable_error_system(full, reduced):
+    """:func:`error_system` of a pair of Hurwitz models.
+
+    Each model is tested before the error system is built, so an unstable
+    one raises :class:`StabilityError` even when the pair does not fit.
+    """
+    for system in (full, _reduced_operand(reduced)):
+        if not linalg.is_hurwitz(_abcd(system)[0]):
+            raise StabilityError(
+                "state matrix is not Hurwitz; H-infinity quantities are undefined"
+            )
+    return error_system(full, reduced)
 
 
 @dataclass(frozen=True)
@@ -296,7 +292,7 @@ def hinf_norm(a, b, c, omegas=None, values=None):
 
     def curve(w):
         w = np.abs(w) if real else w
-        return w, _finite_norms(c @ sweep(a, b, 1j * w), math.inf)
+        return w, _gains(a, b, c, 1j * w)
 
     mags = np.abs(poles)
     w, sampled = curve(np.concatenate([[0.0], poles.imag, mags, -mags]))
@@ -328,14 +324,11 @@ def hinf_error(full, result, grid=None):
 
     The curve's samples on ``grid``, when one is given, seed the lower value.
     """
-    a1 = _abcd(full)[0]
-    a2 = _abcd(_reduced_operand(result))[0]
-    _require_hurwitz(a1, a2)
-    system = error_system(full, result)
+    system = _stable_error_system(full, result)
     if grid is None:
         return hinf_norm(*system)
     omegas = grid.frequencies()
-    values = _grid_values(_error_norms(full, result), omegas)
+    values = _grid_values(lambda w: _gains(*system, 1j * w), omegas)
     return replace(hinf_norm(*system, omegas, values), grid=grid)
 
 
@@ -417,7 +410,7 @@ def _bound_suprema(full, result, grid, terms):
     """
     a, b, c, _ = _abcd(full)
     a_r = _abcd(result.reduced)[0]
-    _require_hurwitz(a, a_r)
+    _stable_error_system(full, result)
     omegas = (grid or default_grid(a, a_r)).frequencies()
     # The left integrand is the right one of the adjoint (A^H, C^H, B^H) at conj(s).
     forms = {"right": (a, b, c, 1j), "left": (a.conj().T, c.conj().T, b.conj().T, -1j)}
@@ -479,33 +472,35 @@ def h2_error_quadrature(full, reduced, w_max=None):
     defaults to the largest pole magnitude.  ``reduced`` may be a reduction
     result, a system, or a plain matrix tuple.
     """
-    a1, b1, c1, _ = _abcd(full)
-    a2 = _abcd(_reduced_operand(reduced))[0]
-    error_system(full, reduced)  # raises on a feedthrough difference
-    _require_hurwitz(a1, a2)
+    a_e, b_e, c_e = _stable_error_system(full, reduced)
     if w_max is None:
-        eigs = np.concatenate([linalg.eigenvalues(a1), linalg.eigenvalues(a2)])
-        w_max = float(np.abs(eigs).max())
+        eigs = [linalg.eigenvalues(_abcd(m)[0]) for m in (full, _reduced_operand(reduced))]
+        w_max = float(np.abs(np.concatenate(eigs)).max())
     # Real models have a curve symmetric in omega: integrate t > 0 and double.
-    two_sided = np.iscomplexobj(a1) or np.iscomplexobj(b1) or np.iscomplexobj(c1)
+    two_sided = any(np.iscomplexobj(m) for m in (a_e, b_e, c_e))
     edges = np.linspace(-math.pi / 2 if two_sided else 0.0, math.pi / 2, H2_PANELS + 1)
     nodes, weights = np.polynomial.legendre.leggauss(H2_NODES)
     half = (edges[1] - edges[0]) / 2
     t = (((edges[:-1] + edges[1:]) / 2)[:, None] + half * nodes).ravel()
-    gap = _grid_values(_difference(full, reduced), 1j * w_max * np.tan(t))
+    gap = _grid_values(lambda s: c_e @ sweep(a_e, b_e, s), 1j * w_max * np.tan(t))
     integrand = np.sum(np.abs(gap) ** 2, axis=(1, 2)) * w_max / np.cos(t) ** 2
     value = float(np.sum(np.tile(half * weights, H2_PANELS) * integrand))
     return value if two_sided else 2.0 * value
 
 
-def h2_error_gramian(full, reduced):
-    """The same H2-type cost, exactly, through the Lyapunov-equation identity.
+def h2_norm(a, b, c):
+    """H2-type cost ``2 pi trace(C P C^H)`` of ``C (sI - A)^-1 B``, exact.
 
-    ``2 pi trace(C_e P C_e^H)`` with ``A_e P + P A_e^H + B_e B_e^H = 0``.
+    ``P`` solves ``A P + P A^H + B B^H = 0``; a non-Hurwitz ``A`` raises
+    :class:`StabilityError`.
     """
-    a_e, b_e, c_e = error_system(full, reduced)
-    p = linalg.lyapunov_solve(a_e, b_e @ b_e.conj().T)
-    return float(2.0 * math.pi * np.trace(c_e @ p @ c_e.conj().T).real)
+    p = linalg.lyapunov_solve(a, b @ b.conj().T)
+    return float(2.0 * math.pi * np.trace(c @ p @ c.conj().T).real)
+
+
+def h2_error_gramian(full, reduced):
+    """The same H2-type cost, exactly: :func:`h2_norm` of :func:`error_system`."""
+    return h2_norm(*error_system(full, reduced))
 
 
 @dataclass(frozen=True)
@@ -553,7 +548,8 @@ def error_surface(full, reduced, real_points=None, imag_points=None, count=41):
     real_points = np.asarray(real_points, dtype=float)
     imag_points = np.asarray(imag_points, dtype=float)
     points = (real_points[None, :] + 1j * imag_points[:, None]).ravel()
-    values = _finite_norms(_grid_values(_difference(full, reduced), points), math.nan)
+    system = error_system(full, reduced)
+    values = _grid_values(lambda s: _gains(*system, s, math.nan), points)
     return real_points, imag_points, values.reshape(imag_points.size, real_points.size)
 
 
@@ -588,14 +584,12 @@ def error_report(full, result, grid=None):
     norm and the bounds are omitted with an explanatory note; a pole on a grid
     frequency reads ``inf`` there and becomes the peak.
     """
-    a1 = _abcd(full)[0]
-    a2 = _abcd(_reduced_operand(result))[0]
-    spec = grid or default_grid(a1, a2)
+    spec = grid or default_grid(_abcd(full)[0], _abcd(_reduced_operand(result))[0])
     omegas = spec.frequencies()
-    values = _grid_values(_error_norms(full, result), omegas)
+    system = error_system(full, result)
+    values = _grid_values(lambda w: _gains(*system, 1j * w), omegas)
     curve = np.column_stack([omegas, values])
-    stable = linalg.is_hurwitz(a1) and linalg.is_hurwitz(a2)
-    if not stable:
+    if not linalg.is_hurwitz(system[0]):
         k = int(np.argmax(values))
         return ErrorReport(
             hinf_error_estimate=float(values[k]),
@@ -612,7 +606,7 @@ def error_report(full, result, grid=None):
                 "supremum, not an H-infinity norm, and the bounds are omitted",
             ),
         )
-    norm = hinf_norm(*error_system(full, result), omegas, values)
+    norm = hinf_norm(*system, omegas, values)
     terms = [("left", result.v, result.w), ("right", result.w, result.v)]
     bound_left, bound_right = _bound_suprema(full, result, spec, terms)
     return ErrorReport(

@@ -13,7 +13,7 @@ Three worked systems ship with the package:
   passive system reduced by the passivity-preserving Galerkin projection.
 
 ``run_example`` executes the full pipeline (realizability check, reduction,
-error analysis, frequency selection where applicable) and compares every
+error analysis, and frequency selection for ex1 and ex3) and compares every
 computed figure against the stored reference value at its tolerance.
 
 The ``ex3`` reduced-pole reference is derived, not transcribed: the poles are
@@ -351,7 +351,6 @@ EX2_REFERENCE = {
         -1.7610 + 0.1907j,
         -1.7610 - 0.1907j,
     ],
-    "selection_bounds": (1e-2, 1e2),
 }
 
 EX3_REFERENCE = {
@@ -371,7 +370,7 @@ EX3_REFERENCE = {
 }
 
 
-def _check_selection(outcome, problem, omega, label, omega_format):
+def _check_selection(outcome, problem, omega, label):
     """Search the frequency; pass when it lands within 10% of ``omega`` or costs no more."""
     chosen = selection.optimize_points(problem)
     ref_cost = selection.COST_FUNCTIONS[problem.cost](problem, [omega])
@@ -379,15 +378,15 @@ def _check_selection(outcome, problem, omega, label, omega_format):
     no_worse = chosen.cost <= ref_cost * (1 + 1e-3)
     outcome.add(
         f"selected frequency near {label}",
-        f"{chosen.omegas[0]:{omega_format}} (cost {chosen.cost:.6g})",
-        f"{omega:{omega_format}} (cost {ref_cost:.6g})",
+        f"{chosen.omegas[0]:.4e} (cost {chosen.cost:.6g})",
+        f"{omega:.4e} (cost {ref_cost:.6g})",
         "10% or cost",
         within or no_worse,
     )
     outcome.artifacts["selection"] = chosen
 
 
-def run_ex1(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
+def run_ex1(with_selection=True):
     ref = EX1_REFERENCE
     outcome = ExampleOutcome(name="ex1")
     system = optomechanical_system()
@@ -404,7 +403,7 @@ def run_ex1(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
         outcome, "reduced-model realizability", result.diagnostics.realizability, "1e-8 abs"
     )
 
-    grid = analysis.default_grid(system.A, result.reduced.A, count=grid_count)
+    grid = analysis.default_grid(system.A, result.reduced.A)
     err_report = analysis.error_report(system, result, grid=grid)
     _check_scalar(outcome, "worst-case error", err_report.hinf_error_estimate, ref["hinf_error"], 0.02)
     _check_scalar(outcome, "error bound (left form)", err_report.hinf_bound_left, ref["bound_left"], 0.05)
@@ -426,11 +425,11 @@ def run_ex1(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
             cost="hinf",
             tie_omegas=True,
         )
-        _check_selection(outcome, problem, ref["omega"], "1.05e4", ".4e")
+        _check_selection(outcome, problem, ref["omega"], "1.05e4")
     return outcome
 
 
-def run_ex2(with_selection=False):
+def run_ex2():
     ref = EX2_REFERENCE
     outcome = ExampleOutcome(name="ex2")
     fx = control_case_fixture()
@@ -482,21 +481,10 @@ def run_ex2(with_selection=False):
         "closed_loop_full": loop_full,
         "closed_loop_reduced": loop_reduced,
     }
-    if with_selection:
-        problem = selection.SelectionProblem(
-            system=controller,
-            side="right",
-            r=2,
-            directions=data.directions,
-            omega_bounds=ref["selection_bounds"],
-            cost="hinf",
-            tie_omegas=True,
-        )
-        _check_selection(outcome, problem, ref["omega"], "0.29", ".4f")
     return outcome
 
 
-def run_ex3(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
+def run_ex3(with_selection=True):
     ref = EX3_REFERENCE
     outcome = ExampleOutcome(name="ex3")
     system = cascaded_cavity_system()
@@ -521,7 +509,7 @@ def run_ex3(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
         certificate.stable,
     )
 
-    grid = analysis.default_grid(system.F, result.reduced.F, count=grid_count)
+    grid = analysis.default_grid(system.F, result.reduced.F)
     err_report = analysis.error_report(system, result, grid=grid)
     _check_scalar(outcome, "worst-case error", err_report.hinf_error_estimate, ref["hinf_error"], 0.02)
     outcome.add(
@@ -567,15 +555,15 @@ def run_ex3(grid_count=analysis.DEFAULT_GRID_COUNT, with_selection=True):
         "certificate": certificate,
     }
     if with_selection:
-        _check_selection(outcome, problem, ref["omega"], "1.48e7", ".4e")
+        _check_selection(outcome, problem, ref["omega"], "1.48e7")
     return outcome
 
 
-def run_example(name, **kwargs):
+def run_example(name):
     if name == "ex1":
-        return run_ex1(**kwargs)
+        return run_ex1()
     if name == "ex2":
-        return run_ex2(**kwargs)
+        return run_ex2()
     if name == "ex3":
-        return run_ex3(**kwargs)
+        return run_ex3()
     raise QmorError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")

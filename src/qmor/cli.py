@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, cases, selection, serialization
-from .errors import QmorError, SchemaError
+from .errors import InfeasiblePointError, QmorError, SchemaError
 from .reduction import InterpolationData, data_side, reduce_left, reduce_passive, reduce_right
 from .systems import AnnihilationSystem, QuadratureSystem, check_realizability
 
@@ -238,7 +238,13 @@ def cmd_select_points(args):
         tie_omegas=args.tie_omega,
         template=args.template,
     )
-    chosen = selection.optimize_points(problem)
+    try:
+        chosen = selection.optimize_points(problem)
+    except InfeasiblePointError as exc:
+        path = _out_dir(args) / "scan_trace.csv"
+        serialization.write_scan_trace_csv(path, exc.trace)
+        print(f"wrote {path}")
+        raise
     out = _out_dir(args)
     doc = {
         "omegas": [float(w) for w in chosen.omegas],

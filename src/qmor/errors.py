@@ -26,7 +26,11 @@ class DataValidationError(QmorError):
 
 
 class InfeasiblePointError(QmorError):
-    """A candidate interpolation frequency produced no admissible subspace."""
+    """A candidate frequency gave no admissible model; ``trace``: rows of an all-infeasible scan."""
+
+    def __init__(self, message, trace=()):
+        super().__init__(message)
+        self.trace = list(trace)
 
 
 class SchemaError(QmorError):

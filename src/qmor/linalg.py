@@ -172,9 +172,9 @@ def solve(m, rhs, context=None):
     return x if stacked else x[0]
 
 
-def is_hurwitz(m, margin=0.0):
-    """True when every eigenvalue has real part strictly below ``-margin``."""
-    return bool(np.all(eigenvalues(m).real < -margin))
+def is_hurwitz(m):
+    """True when every eigenvalue has a negative real part."""
+    return bool(np.all(eigenvalues(m).real < 0))
 
 
 def lyapunov_solve(a, q):

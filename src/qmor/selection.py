@@ -5,16 +5,16 @@ are matched at the largest number of frequencies; interpolation points are
 placed on the imaginary axis in conjugate pairs ``(i w_j, -i w_j)`` so a real
 basis exists.  The frequencies themselves come from derivative-free local
 minimization of either an H-infinity or an H2 error cost.  Both costs score
-the very model the reduction returns at the candidate points: the pair
-``(W, V)`` of :func:`qmor.reduction.projection` for the problem's side and
-its compression by :func:`qmor.reduction.compress`.  A candidate whose
-reduction cannot be built is infeasible.  The H2 cost is exact: one Lyapunov
-solve for the error system of order ``n + r``, with no frequency quadrature.
-The H-infinity cost is the level-set norm of :func:`qmor.analysis.hinf_norm`,
-with no frequency grid.  A candidate whose reduced model is unstable is
-infeasible under either cost.  Without explicit bounds the search window is
-that of :func:`qmor.analysis.default_grid`: two decades beyond the pole
-magnitudes.
+the error system (:func:`qmor.analysis.error_system`) of the very model the
+reduction returns at the candidate points: the pair ``(W, V)`` of
+:func:`qmor.reduction.projection` for the problem's side and its compression
+by :func:`qmor.reduction.compress`.  A candidate whose reduction cannot be
+built, or whose error system is not Hurwitz, is infeasible.  The H2 cost is
+exact: :func:`qmor.analysis.h2_norm`, one Lyapunov solve of order ``n + r``,
+with no frequency quadrature.  The H-infinity cost is the level-set norm of
+:func:`qmor.analysis.hinf_norm`, with no frequency grid.  Without explicit
+bounds the search window is that of :func:`qmor.analysis.default_grid`: two
+decades beyond the pole magnitudes.
 """
 
 import itertools
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.optimize
 
 from . import linalg
-from .analysis import default_grid, error_system, h2_error_gramian, hinf_norm
+from .analysis import default_grid, error_system, h2_norm, hinf_norm
 from .errors import InfeasiblePointError, QmorError, StructureError
 from .reduction import InterpolationData, compress, data_side, projection
 from .systems import AnnihilationSystem, QuadratureSystem
@@ -172,55 +172,42 @@ class SelectionProblem:
         return self.system.state_space()[0]
 
 
-def _projected_difference(problem, points):
-    """Full and projected ``(A, B, C)`` triples for the candidate points.
-
-    The projected triple is the reduced model that ``reduce_left``,
-    ``reduce_right`` or ``reduce_passive`` returns for the same data: the
-    same :func:`~qmor.reduction.projection` and compression.  A candidate
-    whose reduction cannot be built is infeasible.
-    """
+def _reduced_model(problem, points):
+    """The reduced model of ``reduce_*`` at ``points``; infeasible when it cannot be built."""
     system = problem.system
     try:
         data = InterpolationData(data_side(problem.side), points, problem.directions)
-        reduced = compress(system, *projection(system, data, problem.side))
+        return compress(system, *projection(system, data, problem.side))
     except QmorError as exc:
         raise InfeasiblePointError(str(exc)) from exc
-    return system.state_space()[:3], reduced.state_space()[:3]
 
 
-def _stable_projection(problem, omegas):
-    """Full and reduced ``(A, B, C, 0)`` of the candidate; an unstable pair is infeasible."""
-    points = problem.expand_points(omegas)
-    (a, b, c), (a_r, b_r, c_r) = _projected_difference(problem, points)
-    if not (linalg.is_hurwitz(a) and linalg.is_hurwitz(a_r)):
+def _projected_difference(problem, points):
+    """Full and projected ``(A, B, C)`` triples for the candidate points."""
+    return problem.system.state_space()[:3], _reduced_model(problem, points).state_space()[:3]
+
+
+def _candidate_error(problem, omegas):
+    """:func:`~qmor.analysis.error_system` of the candidate; an unstable one is infeasible."""
+    reduced = _reduced_model(problem, problem.expand_points(omegas))
+    system = error_system(problem.system, reduced)
+    if not linalg.is_hurwitz(system[0]):
         raise InfeasiblePointError("projected model is unstable; the error norms diverge")
-    return (a, b, c, 0.0), (a_r, b_r, c_r, 0.0)
+    return system
 
 
-def cost_hinf(problem, omegas, penalty=None):
+def cost_hinf(problem, omegas):
     """H-infinity norm of the projected error for candidate ``omegas``.
 
-    The level-set value the error attains; infeasible candidates raise
-    :class:`InfeasiblePointError` unless a finite ``penalty`` substitute is
-    supplied (the optimizer does this).
+    The level-set value the error attains; an infeasible candidate raises
+    :class:`InfeasiblePointError`.
     """
-    try:
-        return hinf_norm(*error_system(*_stable_projection(problem, omegas))).value
-    except QmorError:
-        if penalty is not None:
-            return penalty
-        raise
+    return hinf_norm(*_candidate_error(problem, omegas)).value
 
 
-def cost_h2(problem, omegas, penalty=None):
+def cost_h2(problem, omegas):
     """Frequency-integrated squared error for ``omegas``, exact by the Lyapunov identity."""
-    try:
-        return h2_error_gramian(*_stable_projection(problem, omegas))
-    except QmorError:
-        if penalty is not None:
-            return penalty
-        raise
+    return h2_norm(*_candidate_error(problem, omegas))
 
 
 #: The cost function for each ``SelectionProblem.cost``.
@@ -243,10 +230,11 @@ def optimize_points(problem):
     The scan uses a logarithmic lattice (64 points for one free frequency,
     16 per dimension otherwise, capped at 4096 evaluations) over
     ``problem.omega_bounds`` or the default grid's window; the best lattice
-    point seeds a Nelder-Mead refinement in log-frequency space.  Candidates
-    whose subspace construction fails receive a large finite penalty so the
-    search continues; an all-infeasible scan raises with the count and the first
-    reason, on one line.
+    point seeds a Nelder-Mead refinement in log-frequency space.  Every
+    evaluation is one trace row.  Infeasible candidates keep their reason and
+    cost a large finite penalty, ``PENALTY_FACTOR`` times the first feasible
+    scan cost, so the search continues; an all-infeasible scan raises, with
+    the count and the first reason on one line and the trace attached.
     """
     cost_fn = COST_FUNCTIONS[problem.cost]
     if problem.omega_bounds is None:
@@ -262,71 +250,47 @@ def optimize_points(problem):
         per_dim = SCAN_POINTS_ND
         while per_dim**d > SCAN_POINTS_CAP:
             per_dim -= 1
-    axis = np.logspace(math.log10(lo), math.log10(hi), per_dim)
-
-    trace = []
-    evaluations = []
-    for combo in itertools.product(axis, repeat=d):
-        omegas = np.array(combo)
-        try:
-            value = cost_fn(problem, omegas)
-            feasible = True
-            reason = ""
-        except QmorError as exc:
-            value = math.nan
-            feasible = False
-            reason = str(exc)
-        evaluations.append((omegas, value, feasible, reason))
-
-    feasible_values = [v for _, v, ok, _ in evaluations if ok and math.isfinite(v)]
-    if not feasible_values:
-        failed = [(o, r) for o, _, ok, r in evaluations if not ok]
-        message = f"all {len(evaluations)} scanned candidates were infeasible"
-        if failed:
-            where = np.array2string(failed[0][0], precision=4, max_line_width=np.inf)
-            message += f"; {len(failed)} raised, the first at omega={where}: {failed[0][1]}"
-        raise InfeasiblePointError(message)
-    baseline = feasible_values[0]
-    penalty = PENALTY_FACTOR * max(baseline, 1e-300)
-
-    best_omegas, best_cost = None, math.inf
-    for omegas, value, feasible, reason in evaluations:
-        effective = value if feasible and math.isfinite(value) else penalty
-        trace.append(
-            {
-                "phase": "scan",
-                "omegas": omegas.tolist(),
-                "cost": effective,
-                "feasible": bool(feasible and math.isfinite(value)),
-                "reason": reason,
-            }
-        )
-        if effective < best_cost:
-            best_cost, best_omegas = effective, omegas
-
     log_lo, log_hi = math.log10(lo), math.log10(hi)
+    trace, penalty = [], math.nan
 
-    def refine_objective(x):
-        if np.any(x < log_lo) or np.any(x > log_hi):
-            value, feasible, reason = penalty, False, "outside the search interval"
-        else:
-            omegas = 10.0**x
-            value = cost_fn(problem, omegas, penalty=penalty)
-            feasible = value < penalty
-            reason = "" if feasible else "construction failed (penalized)"
-        trace.append(
-            {
-                "phase": "refine",
-                "omegas": (10.0**x).tolist(),
-                "cost": float(value),
-                "feasible": feasible,
-                "reason": reason,
-            }
-        )
-        return value
+    def evaluate(phase, omegas, inside=True):
+        """The cost of one candidate, recorded as a trace row; infeasible ones cost ``penalty``."""
+        value, reason = math.nan, "outside the search interval"
+        if inside:
+            try:
+                value, reason = cost_fn(problem, omegas), ""
+            except QmorError as exc:
+                reason = str(exc)
+        feasible = math.isfinite(value)
+        trace.append({
+            "phase": phase,
+            "omegas": omegas.tolist(),
+            "cost": value if feasible else penalty,
+            "feasible": feasible,
+            "reason": reason,
+        })
+        return trace[-1]["cost"]
+
+    for combo in itertools.product(np.logspace(log_lo, log_hi, per_dim), repeat=d):
+        evaluate("scan", np.array(combo))
+    feasible_rows = [row for row in trace if row["feasible"]]
+    if not feasible_rows:
+        raised = [row for row in trace if row["reason"]]
+        message = f"all {len(trace)} scanned candidates were infeasible"
+        if raised:
+            first = raised[0]
+            where = np.array2string(np.array(first["omegas"]), precision=4, max_line_width=np.inf)
+            message += f"; {len(raised)} raised, the first at omega={where}: {first['reason']}"
+        raise InfeasiblePointError(message, trace)
+    penalty = PENALTY_FACTOR * max(feasible_rows[0]["cost"], 1e-300)
+    for row in trace:
+        if not row["feasible"]:
+            row["cost"] = penalty
+    k = int(np.argmin([row["cost"] for row in trace]))
+    best_omegas, best_cost = np.array(trace[k]["omegas"]), trace[k]["cost"]
 
     sol = scipy.optimize.minimize(
-        refine_objective,
+        lambda x: evaluate("refine", 10.0**x, np.all((log_lo <= x) & (x <= log_hi))),
         np.log10(best_omegas),
         method="Nelder-Mead",
         options={

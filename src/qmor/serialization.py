@@ -30,14 +30,17 @@ def complex_matrix_to_json(m):
 
 
 def _entry_to_complex(entry, name):
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(x, (int, float)) for x in entry)
-    ):
-        return complex(entry[0], entry[1])
+    try:
+        if isinstance(entry, (int, float)):
+            return complex(entry)
+        if (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and all(isinstance(x, (int, float)) for x in entry)
+        ):
+            return complex(entry[0], entry[1])
+    except OverflowError as exc:
+        raise SchemaError(f"{name}: an integer entry is too large for a float") from exc
     raise SchemaError(f"{name}: entries must be numbers or [re, im] pairs, got {entry!r}")
 
 

@@ -103,9 +103,6 @@ class QuadratureSystem:
         """The matrices ``(A, B, C, D)``."""
         return self.A, self.B, self.C, self.D
 
-    def poles(self):
-        return linalg.eigenvalues(self.A)
-
 
 @dataclass(frozen=True)
 class AnnihilationSystem:
@@ -154,9 +151,6 @@ class AnnihilationSystem:
     def state_space(self):
         """The matrices ``(F, G, H, K)``, in the roles of ``(A, B, C, D)``."""
         return self.F, self.G, self.H, self.K
-
-    def poles(self):
-        return linalg.eigenvalues(self.F)
 
 
 @dataclass(frozen=True)

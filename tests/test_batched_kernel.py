@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import stable_reduction_cases
 from qmor import analysis, cases, linalg, selection, systems
@@ -44,11 +45,11 @@ def error_norm_oracle(full, reduced):
     """``omega -> |D + C (sI-A)^-1 B|`` of the error system, one point at a time."""
     a1, b1, c1, d1 = _matrices(full)
     a2, b2, c2, d2 = _matrices(reduced)
+    a = scipy.linalg.block_diag(a1, a2)
+    b, c = np.vstack([b1, b2]), np.hstack([c1, -c2])
 
     def norm(omega):
-        s = 1j * omega
-        gap = (d1 - d2) + c1 @ _resolvent(a1, s, b1) - c2 @ _resolvent(a2, s, b2)
-        return linalg.spectral_norm(gap)
+        return linalg.spectral_norm((d1 - d2) + c @ _resolvent(a, 1j * omega, b))
 
     return norm
 

@@ -61,6 +61,32 @@ def test_check_pr_non_integer_dimension_exits_2(tmp_path, declared, capsys):
     assert capsys.readouterr().err == f"error: n must be an integer, got {json.loads(declared)!r}\n"
 
 
+HUGE = "9" * 400  # a JSON integer beyond the float range
+
+
+def test_check_pr_huge_integer_exits_2(tmp_path, capsys):
+    doc = serialization.system_to_dict(cases.optomechanical_system())
+    doc["A"][0][0] = "HUGE"
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', HUGE))
+    assert main(["check-pr", str(path)]) == 2
+    assert capsys.readouterr().err == "error: A: an integer entry is too large for a float\n"
+
+
+@pytest.mark.parametrize("point", [HUGE, f"[0, {HUGE}]"])
+def test_reduce_huge_integer_point_exits_2(
+    tmp_path, ex1_system_path, ex1_points_path, point, capsys
+):
+    doc = json.loads(ex1_points_path.read_text())
+    text = json.dumps({**doc, "points": ["HUGE"] + doc["points"][1:]})
+    path = tmp_path / "pts.json"
+    path.write_text(text.replace('"HUGE"', point))
+    argv = ["reduce", str(ex1_system_path), "--method", "right", "--points", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "red")]) == 2
+    assert capsys.readouterr().err == "error: points: an integer entry is too large for a float\n"
+    assert not (tmp_path / "red").exists()
+
+
 def test_reduce_and_analyze_chain(tmp_path, ex1_system_path, ex1_points_path, capsys):
     out_dir = tmp_path / "red"
     code = main(
@@ -525,7 +551,13 @@ def test_select_points_all_infeasible_one_line(tmp_path, ex1_system_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: all 256 scanned candidates were infeasible")
     assert err.count("\n") == 1 and len(err.encode()) < 1024
-    assert not (tmp_path / "sel").exists()
+    # The trace of the failed scan is kept, with every candidate's reason.
+    assert sorted(p.name for p in (tmp_path / "sel").iterdir()) == ["scan_trace.csv"]
+    lines = (tmp_path / "sel" / "scan_trace.csv").read_text().splitlines()
+    assert lines[0] == "phase,omegas,cost,feasible,reason" and len(lines) == 257
+    for line in lines[1:]:
+        phase, _, cost, feasible, reason = line.split(",")
+        assert (phase, cost, feasible) == ("scan", "nan", "0") and reason
 
 
 @pytest.mark.parametrize("wmin, wmax", [("1", "1e400"), ("nan", "10"), ("1", "inf")])

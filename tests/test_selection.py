@@ -221,10 +221,17 @@ def test_cost_h2_full_order_vanishes():
 def test_cost_infeasible_raises_or_penalizes():
     sys_q = systems.random_realizable_quadrature(2, 2, 1, 2)
     dirs = np.vstack([_indicator(0, 4)] * 4)  # same direction four times
-    problem = SelectionProblem(system=sys_q, side="right", r=2, directions=dirs)
-    with pytest.raises(InfeasiblePointError):
+    problem = SelectionProblem(
+        system=sys_q, side="right", r=2, directions=dirs, omega_bounds=(1.0, 2.0)
+    )
+    with pytest.raises(InfeasiblePointError) as raised:
         cost_hinf(problem, [1.0])
-    assert cost_hinf(problem, [1.0], penalty=123.0) == 123.0
+    # The search keeps each candidate's reason in the trace the error carries.
+    with pytest.raises(InfeasiblePointError) as info:
+        optimize_points(problem)
+    first = info.value.trace[0]
+    assert first["omegas"] == [1.0] and not first["feasible"]
+    assert first["reason"] == str(raised.value)
 
 
 def test_optimizer_deterministic():
@@ -355,11 +362,27 @@ def _unstable_projection_problem(cost):
     return problem
 
 
+def _assert_penalized(problem, cost):
+    """A mixed scan: infeasible rows cost the penalty and keep the reason ``cost`` raises."""
+    chosen = optimize_points(problem)
+    scan = [row for row in chosen.trace if row["phase"] == "scan"]
+    feasible = [row for row in scan if row["feasible"]]
+    infeasible = [row for row in scan if not row["feasible"]]
+    assert feasible and infeasible
+    assert all(row["reason"] == "" for row in feasible)
+    for row in infeasible:
+        assert row["cost"] == selection.PENALTY_FACTOR * feasible[0]["cost"]
+        with pytest.raises(InfeasiblePointError) as raised:
+            cost(problem, row["omegas"])
+        assert row["reason"] == str(raised.value)
+    assert chosen.cost == min(row["cost"] for row in chosen.trace)
+
+
 def test_cost_h2_unstable_projection_raises_or_penalizes():
     problem = _unstable_projection_problem("h2")
     with pytest.raises(InfeasiblePointError, match="unstable"):
         cost_h2(problem, [2.0])
-    assert cost_h2(problem, [2.0], penalty=123.0) == 123.0
+    _assert_penalized(problem, cost_h2)
 
 
 def test_cost_hinf_unstable_projection_raises_or_penalizes():
@@ -367,7 +390,26 @@ def test_cost_hinf_unstable_projection_raises_or_penalizes():
     problem = _unstable_projection_problem("hinf")
     with pytest.raises(InfeasiblePointError, match="unstable"):
         cost_hinf(problem, [2.0])
-    assert cost_hinf(problem, [2.0], penalty=123.0) == 123.0
+    _assert_penalized(problem, cost_hinf)
+
+
+def test_optimizer_refine_rows_keep_the_reason(monkeypatch):
+    # A cost that falls toward an infeasible edge, so the refinement crosses it.
+    def cost(problem, omegas):
+        if omegas[0] > 1.0:
+            raise InfeasiblePointError("beyond the edge")
+        return 2.0 - omegas[0]
+
+    monkeypatch.setitem(selection.COST_FUNCTIONS, "h2", cost)
+    chosen = optimize_points(_unstable_projection_problem("h2"))
+    first = next(row["cost"] for row in chosen.trace if row["feasible"])
+    refine = [row for row in chosen.trace if row["phase"] == "refine"]
+    crossed = [row for row in refine if not row["feasible"]]
+    assert crossed
+    for row in crossed:
+        assert row["reason"] == "beyond the edge"
+        assert row["cost"] == selection.PENALTY_FACTOR * first
+    assert chosen.omegas[0] <= 1.0 and chosen.cost == pytest.approx(1.0, rel=1e-3)
 
 
 def test_optimizer_all_infeasible_message_is_one_line():
