@@ -129,7 +129,9 @@ for label, problem, omegas in problems:
         except QmorError as exc:
             print(label, cost.__name__, "raised", type(exc).__name__, exc)
     try:
-        full, projected = selection._projected_difference(problem, problem.expand_points(omegas))
+        points = problem.expand_points(omegas)
+        full = problem.system.state_space()[:3]
+        projected = selection._reduced_model(problem, points).state_space()[:3]
         print(label, "projected", digest(*full), digest(*projected))
     except QmorError as exc:
         print(label, "projected raised", type(exc).__name__, exc)

@@ -33,7 +33,7 @@ searches of every bound term advance in one lockstep search.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .errors import QmorError, StabilityError
 from .systems import transfer
 
 DEFAULT_GRID_COUNT = 2000
-REFINE_REL_WIDTH = 1e-6
+#: Golden-section refinement: local grid maxima per term, relative final bracket width.
+REFINE_TOP, REFINE_REL_WIDTH = 3, 1e-6
 #: Points per stacked evaluation; bounds the size of the live resolvent stacks.
 GRID_BLOCK = 64
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -53,6 +54,8 @@ AXIS_TOL = 1e-6
 MAX_LEVEL_SET_ITERATIONS = 30
 #: Composite Gauss-Legendre rule of :func:`h2_error_quadrature`: panels, nodes per panel.
 H2_PANELS, H2_NODES = 64, 32
+#: Points per axis of :func:`error_surface`'s default rectangle.
+SURFACE_COUNT = 41
 
 
 def _abcd(system):
@@ -111,19 +114,19 @@ def _grid_values(f, *columns):
     return np.concatenate([f(*(col[k : k + GRID_BLOCK] for col in columns)) for k in starts])
 
 
-def _golden_lockstep(f, terms, lo, hi, rel_width):
+def _golden_lockstep(f, terms, lo, hi):
     """Golden-section maxima of ``f(terms, .)`` on every bracket ``[lo_j, hi_j]`` at once.
 
     Each step makes one batched call over the brackets that are still wider
-    than ``rel_width`` (relative); each bracket stops on its own.  Returns the
-    values at, and the midpoints of, the final brackets.
+    than ``REFINE_REL_WIDTH`` (relative); each bracket stops on its own.
+    Returns the values at, and the midpoints of, the final brackets.
     """
     a, b = lo.copy(), hi.copy()
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
     f1, f2 = np.split(f(np.concatenate([terms, terms]), np.concatenate([x1, x2])), 2)
     while True:
-        active = (b - a) > rel_width * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        active = (b - a) > REFINE_REL_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         if not active.any():
             break
         up = active & (f1 < f2)
@@ -139,15 +142,15 @@ def _golden_lockstep(f, terms, lo, hi, rel_width):
     return f(terms, mid), mid
 
 
-def grid_suprema(f, omegas, n_terms, top=3, rel_width=REFINE_REL_WIDTH):
+def grid_suprema(f, omegas, n_terms):
     """Supremum of every term of ``f`` over the grid, refined around its best local maxima.
 
     ``f`` maps an array of term labels in ``range(n_terms)`` and an array of
     frequencies to an array of values.  The grid is evaluated over all
-    (term, frequency) rows, and the brackets of every term advance in one
-    lockstep golden-section search.  Ties break toward lower frequency.  A
-    term with an infinite sample reads ``inf`` at the first one.  Returns one
-    ``(value, omega)`` pair per term.
+    (term, frequency) rows, and the brackets of the ``REFINE_TOP`` best local
+    maxima of every term advance in one lockstep golden-section search.  Ties
+    break toward lower frequency.  A term with an infinite sample reads ``inf``
+    at the first one.  Returns one ``(value, omega)`` pair per term.
     """
     omegas = np.asarray(omegas, dtype=float)
     n = omegas.size
@@ -160,7 +163,7 @@ def grid_suprema(f, omegas, n_terms, top=3, rel_width=REFINE_REL_WIDTH):
             best.append((math.inf, float(omegas[np.argmax(np.isinf(values))])))
             continue
         peaks = np.flatnonzero((values >= values[prev]) & (values >= values[after]))
-        chosen = sorted(peaks, key=lambda i: (-values[i], omegas[i]))[:top]
+        chosen = sorted(peaks, key=lambda i: (-values[i], omegas[i]))[:REFINE_TOP]
         # The raw grid maximum is a floor: refinement can only improve on it.
         k = int(np.argmax(values))
         best.append((float(values[k]), float(omegas[k])))
@@ -174,18 +177,13 @@ def grid_suprema(f, omegas, n_terms, top=3, rel_width=REFINE_REL_WIDTH):
     refine = hi > lo
     if refine.any():
         peak_values[refine], peak_omegas[refine] = _golden_lockstep(
-            f, labels[refine], lo[refine], hi[refine], rel_width
+            f, labels[refine], lo[refine], hi[refine]
         )
     for term, value, omega in zip(labels, peak_values, peak_omegas):
         best_value, best_omega = best[term]
         if value > best_value or (value == best_value and omega < best_omega):
             best[term] = (float(value), float(omega))
     return best
-
-
-def grid_supremum(f, omegas, top=3, rel_width=REFINE_REL_WIDTH):
-    """:func:`grid_suprema` of a single term: ``f`` maps frequencies to values."""
-    return grid_suprema(lambda _, w: f(w), omegas, 1, top, rel_width)[0]
 
 
 def sweep(a, b, s):
@@ -263,7 +261,6 @@ class HinfEstimate:
     peak_omega: float
     upper: float
     iterations: int
-    grid: GridSpec | None = None
 
 
 def hinf_norm(a, b, c, omegas=None, values=None):
@@ -329,7 +326,7 @@ def hinf_error(full, result, grid=None):
         return hinf_norm(*system)
     omegas = grid.frequencies()
     values = _grid_values(lambda w: _gains(*system, 1j * w), omegas)
-    return replace(hinf_norm(*system, omegas, values), grid=grid)
+    return hinf_norm(*system, omegas, values)
 
 
 @dataclass(frozen=True)
@@ -343,29 +340,19 @@ class ExactErrorIdentity:
     r_idempotency: float
 
 
-def oblique_projectors(full, result, s):
-    """The projectors ``Q(s)`` and ``R(s)`` realized explicitly."""
-    a = _abcd(full)[0]
-    a_r = _abcd(result.reduced)[0]
-    w, v = result.w, result.v
-    eye = np.eye(a.shape[0])
-    shifted = s * eye - a
-    core = v @ np.linalg.solve(s * np.eye(a_r.shape[0]) - a_r, w.conj().T)
-    q = shifted @ core
-    r = core @ shifted
-    return q, r
-
-
 def error_exact(full, result, s):
     """Evaluate the three exact error expressions at one complex point.
 
-    A pole of either model at ``s`` raises :class:`SingularMatrixError`.
+    The projectors ``Q(s)`` and ``R(s)`` are realized explicitly.  A pole of
+    either model at ``s`` raises :class:`SingularMatrixError`.
     """
     direct = linalg.spectral_norm(transfer(full, s) - transfer(result.reduced, s))
     a, b, c, _ = full.state_space()
+    a_r = result.reduced.state_space()[0]
     eye = np.eye(a.shape[0])
     shifted = s * eye - a
-    q, r = oblique_projectors(full, result, s)
+    core = result.v @ np.linalg.solve(s * np.eye(a_r.shape[0]) - a_r, result.w.conj().T)
+    q, r = shifted @ core, core @ shifted
     via_q = linalg.spectral_norm(c @ np.linalg.solve(shifted, (eye - q) @ b))
     via_r = linalg.spectral_norm(c @ (eye - r) @ np.linalg.solve(shifted, b))
     q_scale = max(linalg.spectral_norm(q), 1e-300)
@@ -528,13 +515,14 @@ def frequency_response(system, omegas):
     )
 
 
-def error_surface(full, reduced, real_points=None, imag_points=None, count=41):
+def error_surface(full, reduced, real_points=None, imag_points=None):
     """Error norm over a rectangle of complex evaluation points.
 
     Returns ``(real_points, imag_points, values)`` where ``values[i, j]`` is
     the error norm at ``s = real_points[j] + 1j * imag_points[i]``.  Points
-    where either resolvent is singular yield NaN.  Default ranges span twice
-    the largest eigenvalue magnitude of the two state matrices.
+    where either resolvent is singular yield NaN.  Default ranges are
+    ``SURFACE_COUNT`` points spanning twice the largest eigenvalue magnitude
+    of the two state matrices.
     """
     a1 = _abcd(full)[0]
     a2 = _abcd(_reduced_operand(reduced))[0]
@@ -542,9 +530,9 @@ def error_surface(full, reduced, real_points=None, imag_points=None, count=41):
         eigs = np.concatenate([linalg.eigenvalues(a1), linalg.eigenvalues(a2)])
         radius = 2.0 * float(np.abs(eigs).max())
         if real_points is None:
-            real_points = np.linspace(-radius, radius, count)
+            real_points = np.linspace(-radius, radius, SURFACE_COUNT)
         if imag_points is None:
-            imag_points = np.linspace(-radius, radius, count)
+            imag_points = np.linspace(-radius, radius, SURFACE_COUNT)
     real_points = np.asarray(real_points, dtype=float)
     imag_points = np.asarray(imag_points, dtype=float)
     points = (real_points[None, :] + 1j * imag_points[:, None]).ravel()

@@ -267,14 +267,6 @@ class ExampleOutcome:
         }
 
 
-def _fmt_value(x):
-    if isinstance(x, complex):
-        return f"{x.real:.6g}{x.imag:+.6g}j"
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
-
-
 def match_each_target(eigenvalues, targets, tol, relative):
     """Worst gap from each target to its nearest eigenvalue."""
     worst = 0.0
@@ -308,8 +300,8 @@ def _check_scalar(outcome, name, computed, target, rel_tol):
     err = abs(computed - target) / abs(target)
     outcome.add(
         name,
-        _fmt_value(float(computed)),
-        _fmt_value(float(target)),
+        f"{float(computed):.6g}",
+        f"{float(target):.6g}",
         f"{rel_tol:.0%} rel",
         err <= rel_tol,
     )

@@ -13,7 +13,7 @@ form in :mod:`qmor.symplectic`.
 import numpy as np
 import scipy.linalg as la
 
-from .errors import RankDeficiencyError, SingularMatrixError, StabilityError, StructureError
+from .errors import SingularMatrixError, StabilityError, StructureError
 
 #: Relative magnitude below which an imaginary part is considered rounding noise.
 IMAG_NOISE = 1e-12
@@ -31,32 +31,21 @@ def as_matrix(m, name="matrix", ndim=2):
     return arr
 
 
-def auto_rank_tolerance(m, singular_values):
-    """Standard numerical-rank threshold: max(rows, cols) * eps * sigma_max."""
-    if singular_values.size == 0:
-        return 0.0
-    eps = np.finfo(m.dtype if np.issubdtype(m.dtype, np.inexact) else float).eps
-    return max(m.shape) * eps * singular_values[0]
-
-
-def rank_and_bases(m, tol=None):
+def rank_and_bases(m):
     """Numerical rank plus orthonormal range and kernel bases via SVD.
 
     Returns ``(rank, range_basis, kernel_basis)`` where ``range_basis`` has
     ``rank`` orthonormal columns spanning the column space and
     ``kernel_basis`` has ``cols - rank`` orthonormal columns spanning the
-    null space.  ``tol=None`` selects the scale-invariant default threshold.
+    null space.  The rank counts singular values above the scale-invariant
+    threshold ``max(rows, cols) * eps * sigma_max``.
     """
     m = as_matrix(m)
     if m.size == 0:
         return 0, np.zeros((m.shape[0], 0)), np.eye(m.shape[1])
     u, s, vh = np.linalg.svd(m)
-    if tol is None:
-        tol = auto_rank_tolerance(m, s)
-    rank = int(np.sum(s > tol))
-    range_basis = u[:, :rank]
-    kernel_basis = vh[rank:].conj().T
-    return rank, range_basis, kernel_basis
+    rank = int(np.sum(s > max(m.shape) * np.finfo(m.dtype).eps * s[0]))
+    return rank, u[:, :rank], vh[rank:].conj().T
 
 
 def unit_columns(m):
@@ -65,31 +54,14 @@ def unit_columns(m):
     return m / np.where(norms == 0.0, 1.0, norms)
 
 
-def orthonormal_range(m, tol=None):
+def orthonormal_range(m):
     """Orthonormal basis of the column space of ``m``."""
-    return rank_and_bases(m, tol)[1]
+    return rank_and_bases(m)[1]
 
 
-def kernel_basis(m, tol=None):
+def kernel_basis(m):
     """Orthonormal basis of the null space of ``m``."""
-    return rank_and_bases(m, tol)[2]
-
-
-def orthogonal_projector(basis):
-    """Orthogonal projector onto the column span of a full-column-rank basis.
-
-    Raises :class:`RankDeficiencyError` when the columns are dependent, since
-    the projector onto a degenerate "subspace" is ill-defined for callers.
-    """
-    basis = as_matrix(basis, "basis")
-    if basis.shape[1] == 0:
-        return np.zeros((basis.shape[0], basis.shape[0]), dtype=basis.dtype)
-    rank, rng, _ = rank_and_bases(basis)
-    if rank < basis.shape[1]:
-        raise RankDeficiencyError(
-            f"basis has {basis.shape[1]} columns but numerical rank {rank}"
-        )
-    return rng @ rng.conj().T
+    return rank_and_bases(m)[2]
 
 
 def eigenpairs(m):
@@ -206,27 +178,12 @@ def frobenius_norm(m):
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def largest_principal_angle(x_basis, y_basis):
-    """Largest principal angle (radians) between two subspaces.
-
-    Inputs are matrices whose columns span the subspaces; they are
-    orthonormalized internally, so any bases may be passed.
-    """
-    qx = orthonormal_range(as_matrix(x_basis))
-    qy = orthonormal_range(as_matrix(y_basis))
-    if qx.shape[1] == 0 or qy.shape[1] == 0:
-        return 0.0 if qx.shape[1] == qy.shape[1] else np.pi / 2
-    cosines = np.linalg.svd(qx.conj().T @ qy, compute_uv=False)
-    c = float(np.clip(cosines.min(), -1.0, 1.0))
-    return float(np.arccos(c))
-
-
-def real_if_close(m, tol=IMAG_NOISE):
-    """Drop an imaginary part that is below ``tol`` relative to the matrix scale."""
+def real_if_close(m):
+    """Drop an imaginary part that is below ``IMAG_NOISE`` relative to the matrix scale."""
     m = np.asarray(m)
     if np.isrealobj(m):
         return m
     scale = max(np.abs(m).max(initial=0.0), 1.0)
-    if np.abs(m.imag).max(initial=0.0) <= tol * scale:
+    if np.abs(m.imag).max(initial=0.0) <= IMAG_NOISE * scale:
         return np.ascontiguousarray(m.real)
     return m

@@ -41,6 +41,9 @@ from .systems import (
 
 #: Relative tolerance for matching conjugate partners in interpolation data.
 CONJUGATION_TOL = 1e-9
+#: Stability certificate: minimality threshold relative to ``|G|``, and the
+#: relative distance from the imaginary axis below which an eigenvalue is on it.
+CERTIFICATE_TOL, CERTIFICATE_AXIS_TOL = 1e-10, 1e-8
 
 
 @dataclass(frozen=True)
@@ -382,7 +385,7 @@ class StabilityCertificate:
     separation_condition: bool
 
 
-def passive_stability_certificate(result, g, tol_scale=1e-10, axis_tol=1e-8):
+def passive_stability_certificate(result, g):
     """Evaluate the stability certificate of a passive reduction.
 
     ``g`` is the coupling matrix of the full-order system the reduction was
@@ -398,7 +401,7 @@ def passive_stability_certificate(result, g, tol_scale=1e-10, axis_tol=1e-8):
     condition_values = np.array(
         [np.linalg.norm(g.conj().T @ v_a @ vectors[:, k]) for k in range(values.size)]
     )
-    threshold = tol_scale * max(linalg.spectral_norm(g), 1e-300)
+    threshold = CERTIFICATE_TOL * max(linalg.spectral_norm(g), 1e-300)
     stable = bool(np.all(values.real < 0.0))
     minimal = bool(np.all(condition_values > threshold))
 
@@ -411,13 +414,13 @@ def passive_stability_certificate(result, g, tol_scale=1e-10, axis_tol=1e-8):
         range_condition = bool(defect <= 1e-10 * max(1.0, linalg.spectral_norm(v_a)))
 
     scale = max(linalg.spectral_norm(f_r), 1e-300)
-    axis_eigs = values[np.abs(values.real) <= axis_tol * scale]
+    axis_eigs = values[np.abs(values.real) <= CERTIFICATE_AXIS_TOL * scale]
     if axis_eigs.size == 0:
         separation_condition = True
     else:
         points = np.asarray(result.data.points, dtype=complex)
         gaps = np.abs(points[:, None] - axis_eigs[None, :])
-        separation_condition = bool(gaps.min() > axis_tol * scale)
+        separation_condition = bool(gaps.min() > CERTIFICATE_AXIS_TOL * scale)
 
     return StabilityCertificate(
         stable=stable,

@@ -49,19 +49,8 @@ def tangent_directions(r, n_output_pairs, permutation=None):
     dim = 2 * ell
     if r < 1 or ell < 1:
         raise StructureError("need r >= 1 and at least one output pair")
-    indices = []
-    if r <= ell:
-        for k in range(r):
-            indices += [k, k]
-    else:
-        full_blocks, remainder = divmod(r, ell)
-        for _ in range(full_blocks):
-            for k in range(ell):
-                indices += [k, k]
-        for k in range(remainder):
-            indices += [k, k]
     directions = np.zeros((2 * r, dim))
-    directions[np.arange(2 * r), indices] = 1.0
+    directions[np.arange(2 * r), np.repeat(np.arange(r) % ell, 2)] = 1.0
     if permutation is not None:
         permutation = linalg.as_matrix(permutation, "permutation")
         if permutation.shape != (dim, dim):
@@ -180,11 +169,6 @@ def _reduced_model(problem, points):
         return compress(system, *projection(system, data, problem.side))
     except QmorError as exc:
         raise InfeasiblePointError(str(exc)) from exc
-
-
-def _projected_difference(problem, points):
-    """Full and projected ``(A, B, C)`` triples for the candidate points."""
-    return problem.system.state_space()[:3], _reduced_model(problem, points).state_space()[:3]
 
 
 def _candidate_error(problem, omegas):

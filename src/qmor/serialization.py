@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import QmorError, SchemaError
 from .reduction import InterpolationData, ReductionResult, data_side
 from .systems import AnnihilationSystem, QuadratureSystem
 
@@ -48,7 +48,7 @@ def real_matrix_from_json(obj, name):
     m = complex_matrix_from_json(obj, name)
     if np.abs(m.imag).max(initial=0.0) != 0.0:
         raise SchemaError(f"{name} must be real")
-    return m.real
+    return np.ascontiguousarray(m.real)
 
 
 def complex_matrix_from_json(obj, name):
@@ -138,13 +138,9 @@ def save_system(system, path):
 
 
 def points_to_dict(points, directions):
-    points = np.asarray(points, dtype=complex)
-    directions = np.atleast_2d(np.asarray(directions, dtype=complex))
     return {
-        "points": [[float(p.real), float(p.imag)] for p in points],
-        "directions": [
-            [[float(x.real), float(x.imag)] for x in row] for row in directions
-        ],
+        "points": complex_matrix_to_json(points),
+        "directions": complex_matrix_to_json(np.atleast_2d(directions)),
     }
 
 
@@ -180,7 +176,7 @@ def reduction_to_dict(result, method):
             "realizability_tol": diag.realizability.tol,
             "realizability_passes": diag.realizability.passes,
             "biorthogonality": diag.biorthogonality,
-            "poles": [[float(p.real), float(p.imag)] for p in diag.poles],
+            "poles": complex_matrix_to_json(diag.poles),
         }
     return doc
 
@@ -196,22 +192,18 @@ def reduction_from_dict(data):
         raise SchemaError(f"unknown reduction method {method!r}")
     reduced = system_from_dict(data["reduced"])
     points, directions = points_from_dict(data["data"])
-    w = complex_matrix_from_json(data["W"], "W")
-    v = complex_matrix_from_json(data["V"], "V")
+    # Left and right projections are real; only a passive one may be complex.
+    decode = complex_matrix_from_json if method == "passive" else real_matrix_from_json
+    w, v = decode(data["W"], "W"), decode(data["V"], "V")
     order = reduced.state_space()[0].shape[0]
     for name, m in (("W", w), ("V", v)):
         if m.shape[1] != order:
             raise SchemaError(f"{name} has {m.shape[1]} columns, the reduced order is {order}")
-    if method != "passive":
-        w = np.real_if_close(w).astype(float)
-        v = np.real_if_close(v).astype(float)
-    return ReductionResult(
-        w=w,
-        v=v,
-        reduced=reduced,
-        data=InterpolationData(side=data_side(method), points=points, directions=directions),
-        diagnostics=None,
-    )
+    try:
+        interpolation = InterpolationData(data_side(method), points, directions)
+    except QmorError as exc:
+        raise SchemaError(f"invalid interpolation data: {exc}") from exc
+    return ReductionResult(w=w, v=v, reduced=reduced, data=interpolation, diagnostics=None)
 
 
 def load_reduction(path):

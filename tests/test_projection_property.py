@@ -87,7 +87,7 @@ def test_every_side_takes_one_projection_path(side, n, m, data):
     except QmorError as exc:
         event(f"{side}: raised {type(exc).__name__}")
         with pytest.raises(InfeasiblePointError):
-            selection._projected_difference(problem, points)
+            selection._reduced_model(problem, points)
         return
 
     diag = result.diagnostics
@@ -100,7 +100,8 @@ def test_every_side_takes_one_projection_path(side, n, m, data):
     assert abs(exact.via_q - exact.direct) <= 1e-8 * scale
     assert abs(exact.via_r - exact.direct) <= 1e-8 * scale
 
-    full, projected = selection._projected_difference(problem, points)
+    full = problem.system.state_space()[:3]
+    projected = selection._reduced_model(problem, points).state_space()[:3]
     expected = system.state_space()[:3] + result.reduced.state_space()[:3]
     assert all(np.array_equal(got, want) for got, want in zip(full + projected, expected))
     stable = linalg.is_hurwitz(full[0]) and linalg.is_hurwitz(projected[0])

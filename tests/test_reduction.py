@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import interpolation_passes, make_passive_data, make_quadrature_data
-from qmor import cases, linalg, systems
+from conftest import (
+    interpolation_passes,
+    make_passive_data,
+    make_quadrature_data,
+    orthogonal_projector,
+)
+from qmor import cases, systems
 from qmor.errors import DataValidationError, RankDeficiencyError
 from qmor.reduction import (
     InterpolationData,
@@ -115,7 +120,7 @@ def test_left_basis_spans_defining_vectors():
     basis = left_subspace_basis(sys_q, data)
     assert basis.shape == (6, 4)
     vectors = left_subspace_vectors(sys_q, data.points, data.directions)
-    projector = linalg.orthogonal_projector(basis.astype(complex))
+    projector = orthogonal_projector(basis.astype(complex))
     for k in range(vectors.shape[1]):
         v = vectors[:, k]
         assert np.linalg.norm(v - projector @ v) <= 1e-10 * np.linalg.norm(v)
@@ -128,7 +133,7 @@ def test_right_basis_optomech_case():
     assert basis.shape == (6, 4)
     assert np.linalg.matrix_rank(basis) == 4
     vectors = right_subspace_vectors(sys_q, data.points, data.directions)
-    projector = linalg.orthogonal_projector(basis.astype(complex))
+    projector = orthogonal_projector(basis.astype(complex))
     for k in range(4):
         v = vectors[:, k]
         assert np.linalg.norm(v - projector @ v) <= 1e-10 * np.linalg.norm(v)

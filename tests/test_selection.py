@@ -30,10 +30,11 @@ def test_tangent_directions_small_order():
 
 
 def test_tangent_directions_wraparound():
-    dirs = tangent_directions(4, 2)
-    pattern = [0, 0, 1, 1, 0, 0, 1, 1]
-    expected = np.vstack([_indicator(k, 4) for k in pattern])
-    assert np.array_equal(dirs, expected)
+    # r = 5 leaves a remainder of one pair after two full blocks of ell = 2.
+    for r, pattern in [(4, [0, 0, 1, 1, 0, 0, 1, 1]), (5, [0, 0, 1, 1, 0, 0, 1, 1, 0, 0])]:
+        dirs = tangent_directions(r, 2)
+        expected = np.vstack([_indicator(k, 4) for k in pattern])
+        assert np.array_equal(dirs, expected)
 
 
 def test_tangent_directions_permutation():
@@ -156,7 +157,7 @@ def test_selection_scores_the_reduced_model(case):
         triple = (reduced.F, reduced.G, reduced.H)
     else:
         triple = (reduced.A, reduced.B, reduced.C)
-    _, projected = selection._projected_difference(problem, points)
+    projected = selection._reduced_model(problem, points).state_space()[:3]
     for got, expected in zip(projected, triple):
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 

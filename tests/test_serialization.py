@@ -1,8 +1,12 @@
+import copy
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmor import cases, serialization, systems
 from qmor.analysis import FrequencyResponse
@@ -46,6 +50,10 @@ def _per_entry_complex(m):
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _per_entry_points(points):
+    return [[float(p.real), float(p.imag)] for p in np.asarray(points, dtype=complex)]
+
+
 def _example_matrices():
     ex1 = cases.optomechanical_system()
     ex2 = cases.control_case_fixture()["quantum_controller"]
@@ -59,7 +67,7 @@ def _example_matrices():
     for system in [ex1, ex2, ex3] + [result.reduced for result in results]:
         target = complex_ if np.iscomplexobj(system.state_space()[0]) else real
         target.extend(system.state_space())
-    return real, complex_
+    return real, complex_, results
 
 
 def test_matrix_encoding_matches_per_entry_text():
@@ -67,7 +75,7 @@ def test_matrix_encoding_matches_per_entry_text():
     edge = np.array(
         [[-0.0, 0.0, 5e-324, -5e-324, 1e-310], [1e308, -1e308, 1.7976931348623157e308, 0.1, -2.5]]
     )
-    real, complex_ = _example_matrices()
+    real, complex_, results = _example_matrices()
     real.append(edge)
     complex_ += [edge + 1j * edge[::-1], edge * (-1j), np.array([[complex(-0.0, -0.0)]])]
     for m in real:
@@ -76,6 +84,16 @@ def test_matrix_encoding_matches_per_entry_text():
     for m in complex_ + real:
         expected = json.dumps(_per_entry_complex(m))
         assert json.dumps(serialization.complex_matrix_to_json(m)) == expected
+    # Interpolation data and reduced poles: 1-D and 2-D complex arrays.
+    data = [(result.data.points, result.data.directions) for result in results]
+    data.append(((edge + 1j * edge[::-1]).ravel(), edge * (-1j)))
+    for points, directions in data:
+        expected = {"points": _per_entry_points(points), "directions": _per_entry_complex(directions)}
+        got = serialization.points_to_dict(points, directions)
+        assert json.dumps(got) == json.dumps(expected)
+    for result, method in zip(results, ["right", "right", "passive"]):
+        poles = serialization.reduction_to_dict(result, method)["diagnostics"]["poles"]
+        assert json.dumps(poles) == json.dumps(_per_entry_points(result.diagnostics.poles))
 
 
 def test_schema_rejects_unknown_form():
@@ -170,6 +188,111 @@ def test_load_reduction_rejects_malformed_documents(tmp_path, document):
     path.write_text(json.dumps(document))
     with pytest.raises(SchemaError):
         serialization.load_reduction(path)
+
+
+@pytest.mark.parametrize("matrix", ["W", "V"])
+def test_reduction_rejects_complex_projection_of_real_method(matrix):
+    result = reduce_right(cases.optomechanical_system(), cases.ex1_interpolation_data())
+    doc = serialization.reduction_to_dict(result, "right")
+    doc[matrix][0][0] = [doc[matrix][0][0][0], 0.5]
+    with pytest.raises(SchemaError, match=f"{matrix} must be real"):
+        serialization.reduction_from_dict(doc)
+
+
+def test_reduction_rejects_zero_direction():
+    result = reduce_right(cases.optomechanical_system(), cases.ex1_interpolation_data())
+    doc = serialization.reduction_to_dict(result, "right")
+    doc["data"]["directions"][1] = [[0.0, 0.0] for _ in doc["data"]["directions"][1]]
+    with pytest.raises(SchemaError, match="direction 1 is the zero vector"):
+        serialization.reduction_from_dict(doc)
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_documents():
+    """The system, points and reduction documents of ex1 (right) and ex3 (passive)."""
+    docs = {"system": [], "points": [], "reduction": []}
+    for system, data, reduce, method in [
+        (cases.optomechanical_system(), cases.ex1_interpolation_data(), reduce_right, "right"),
+        (cases.cascaded_cavity_system(), cases.ex3_interpolation_data(), reduce_passive, "passive"),
+    ]:
+        doc = serialization.reduction_to_dict(reduce(system, data), method)
+        docs["system"].append(serialization.system_to_dict(system))
+        docs["points"].append(doc["data"])
+        docs["reduction"].append(doc)
+    return docs
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**1100), 2**1100)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["left", "right", "passive", "quadrature", "annihilation"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(list("ABCDFGHKWV") + ["n", "m", "ell"]), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _zeroed(node):
+    """``node`` with every number set to 0.0."""
+    if isinstance(node, list):
+        return [_zeroed(x) for x in node]
+    if isinstance(node, dict):
+        return {k: _zeroed(v) for k, v in node.items()}
+    return 0.0 if isinstance(node, (int, float)) and not isinstance(node, bool) else node
+
+
+def _paths(node, depth=3):
+    """Key paths to every node of ``node`` down to ``depth`` levels, the root's ``()`` first."""
+    out = [()]
+    if depth and isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            out += [(key,) + path for path in _paths(child, depth - 1)]
+    return out
+
+
+def _mutate(data, doc):
+    """``doc`` with one node replaced, deleted, emptied, zeroed or duplicated."""
+    root = {"doc": copy.deepcopy(doc)}
+    path = ("doc",) + data.draw(st.sampled_from(_paths(doc)), label="path")
+    parent = root
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    actions = ["replace", "delete", "empty", "zero", "duplicate"]
+    action = data.draw(st.sampled_from(actions), label="action")
+    if action == "delete" and parent is not root:
+        del parent[key]
+    elif action == "empty":
+        parent[key] = type(parent[key])() if isinstance(parent[key], (dict, list)) else None
+    elif action == "zero":
+        parent[key] = _zeroed(parent[key])
+    elif action == "duplicate" and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    else:
+        parent[key] = data.draw(_JSON_VALUES, label="value")
+    return root["doc"]
+
+
+@pytest.mark.parametrize("kind", ["system", "points", "reduction"])
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_loaders_reject_mutated_documents_with_schema_error(kind, data):
+    # Every mutation is either still a valid document or a SchemaError (exit 2).
+    loader = {
+        "system": serialization.system_from_dict,
+        "points": serialization.points_from_dict,
+        "reduction": serialization.reduction_from_dict,
+    }[kind]
+    doc = data.draw(st.sampled_from(_fuzz_documents()[kind]), label="document")
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        doc = _mutate(data, doc)
+    try:
+        loader(json.loads(json.dumps(doc)))
+    except SchemaError:
+        pass
 
 
 def test_error_curve_csv_full_precision(tmp_path):
