@@ -1,10 +1,10 @@
-# Tier-1 tests and the benchmark, from the root of the checkout.
+# Tier-1 tests, the benchmark and the result fingerprint, from the root of the checkout.
 
 PYTHON ?= python3
 BENCH_SECONDS ?= 25
 WORKLOADS = certify_small select reduce_batch
 
-.PHONY: test bench selftest
+.PHONY: test bench selftest fingerprint
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
@@ -16,3 +16,8 @@ bench:
 
 selftest:
 	$(PYTHON) bench/selftest.py
+
+# One line per reduction, cost, search and error report, with digests; diff
+# the output of two checkouts to show that a change moved no result bit.
+fingerprint:
+	@OPENBLAS_NUM_THREADS=1 $(PYTHON) scripts/fingerprint.py

@@ -577,7 +577,9 @@ def error_report(full, result, grid=None):
     system = error_system(full, result)
     values = _grid_values(lambda w: _gains(*system, 1j * w), omegas)
     curve = np.column_stack([omegas, values])
-    if not linalg.is_hurwitz(system[0]):
+    # The upper value is inf exactly when A_e is not Hurwitz (its pole test).
+    norm = hinf_norm(*system, omegas, values)
+    if math.isinf(norm.upper):
         k = int(np.argmax(values))
         return ErrorReport(
             hinf_error_estimate=float(values[k]),
@@ -594,7 +596,6 @@ def error_report(full, result, grid=None):
                 "supremum, not an H-infinity norm, and the bounds are omitted",
             ),
         )
-    norm = hinf_norm(*system, omegas, values)
     terms = [("left", result.v, result.w), ("right", result.w, result.v)]
     bound_left, bound_right = _bound_suprema(full, result, spec, terms)
     return ErrorReport(

@@ -375,10 +375,10 @@ def _check_selection(outcome, problem, omega, label):
         "10% or cost",
         within or no_worse,
     )
-    outcome.artifacts["selection"] = chosen
+    outcome.artifacts.update(selection=chosen, cost_kind=problem.cost)
 
 
-def run_ex1(with_selection=True):
+def run_ex1():
     ref = EX1_REFERENCE
     outcome = ExampleOutcome(name="ex1")
     system = optomechanical_system()
@@ -407,17 +407,16 @@ def run_ex1(with_selection=True):
         "method": "right",
         "error_report": err_report,
     }
-    if with_selection:
-        problem = selection.SelectionProblem(
-            system=system,
-            side="right",
-            r=2,
-            directions=data.directions,
-            omega_bounds=ref["selection_bounds"],
-            cost="hinf",
-            tie_omegas=True,
-        )
-        _check_selection(outcome, problem, ref["omega"], "1.05e4")
+    problem = selection.SelectionProblem(
+        system=system,
+        side="right",
+        r=2,
+        directions=data.directions,
+        omega_bounds=ref["selection_bounds"],
+        cost="hinf",
+        tie_omegas=True,
+    )
+    _check_selection(outcome, problem, ref["omega"], "1.05e4")
     return outcome
 
 
@@ -476,7 +475,7 @@ def run_ex2():
     return outcome
 
 
-def run_ex3(with_selection=True):
+def run_ex3():
     ref = EX3_REFERENCE
     outcome = ExampleOutcome(name="ex3")
     system = cascaded_cavity_system()
@@ -546,8 +545,7 @@ def run_ex3(with_selection=True):
         "error_report": err_report,
         "certificate": certificate,
     }
-    if with_selection:
-        _check_selection(outcome, problem, ref["omega"], "1.48e7")
+    _check_selection(outcome, problem, ref["omega"], "1.48e7")
     return outcome
 
 

@@ -28,14 +28,7 @@ def _load_json_arg(value, what):
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"inline {what} is not valid JSON: {exc}") from exc
-    path = Path(value)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read {what} from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    return serialization.read_json(value)
 
 
 def _out_dir(args):
@@ -246,14 +239,7 @@ def cmd_select_points(args):
         print(f"wrote {path}")
         raise
     out = _out_dir(args)
-    doc = {
-        "omegas": [float(w) for w in chosen.omegas],
-        "cost": chosen.cost,
-        "cost_kind": args.cost,
-        "points": [[float(p.real), float(p.imag)] for p in chosen.points],
-    }
-    serialization.write_json(out / "selected_points.json", doc)
-    serialization.write_scan_trace_csv(out / "scan_trace.csv", chosen.trace)
+    serialization.write_selection(out, chosen, args.cost)
     print(f"wrote {out / 'selected_points.json'} and {out / 'scan_trace.csv'}")
     print(f"selected omegas: {np.array2string(chosen.omegas, precision=6)}")
     print(f"cost ({args.cost}): {chosen.cost:.6g}")
@@ -279,16 +265,7 @@ def _write_example_artifacts(outcome, out):
         report = artifacts["error_report"]
         serialization.write_error_curve_csv(out / "error_curve.csv", report.pointwise)
     if "selection" in artifacts:
-        chosen = artifacts["selection"]
-        serialization.write_json(
-            out / "selected_points.json",
-            {
-                "omegas": [float(w) for w in chosen.omegas],
-                "cost": chosen.cost,
-                "points": [[float(p.real), float(p.imag)] for p in chosen.points],
-            },
-        )
-        serialization.write_scan_trace_csv(out / "scan_trace.csv", chosen.trace)
+        serialization.write_selection(out, artifacts["selection"], artifacts["cost_kind"])
     serialization.write_json(out / "summary.json", outcome.to_dict())
 
 

@@ -260,7 +260,6 @@ def _validate_quadrature_data(system, data, side):
             f"directions live in C^{data.directions.shape[1]} but the {side} side of "
             f"this system needs C^{expected}"
         )
-    _conjugate_pairing(data.points, data.directions)
 
 
 def _interpolation_residuals(full, reduced, data):

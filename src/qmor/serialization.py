@@ -112,7 +112,8 @@ def system_from_dict(data):
     return system
 
 
-def _load_json_file(path):
+def read_json(path):
+    """Parse the JSON file at ``path``; a read or parse failure is a :class:`SchemaError`."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -123,7 +124,7 @@ def _load_json_file(path):
 
 
 def load_system(path):
-    return system_from_dict(_load_json_file(path))
+    return system_from_dict(read_json(path))
 
 
 def write_json(path, doc):
@@ -150,7 +151,7 @@ def points_from_dict(data):
     raw_points = data["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise SchemaError("'points' must be a non-empty array")
-    points = np.array([_entry_to_complex(p, "points") for p in raw_points])
+    points = complex_matrix_from_json([raw_points], "points")[0]
     directions = complex_matrix_from_json(data["directions"], "directions")
     if directions.shape[0] != points.shape[0]:
         raise SchemaError(
@@ -207,7 +208,7 @@ def reduction_from_dict(data):
 
 
 def load_reduction(path):
-    data = _load_json_file(path)
+    data = read_json(path)
     result = reduction_from_dict(data)
     return data["method"], result
 
@@ -272,3 +273,15 @@ def write_scan_trace_csv(path, trace):
                 f"{entry['phase']},{omegas},{_fmt(entry['cost'])},"
                 f"{int(entry['feasible'])},{reason}\n"
             )
+
+
+def write_selection(out, chosen, cost_kind):
+    """Write a frequency search's ``selected_points.json`` and ``scan_trace.csv`` into ``out``."""
+    doc = {
+        "omegas": real_matrix_to_json(chosen.omegas),
+        "cost": chosen.cost,
+        "cost_kind": cost_kind,
+        "points": complex_matrix_to_json(chosen.points),
+    }
+    write_json(out / "selected_points.json", doc)
+    write_scan_trace_csv(out / "scan_trace.csv", chosen.trace)

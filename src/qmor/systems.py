@@ -52,8 +52,45 @@ def _frozen_array(value, name, *, real):
     return arr
 
 
+class _System:
+    """Shape rules and port counts shared by both forms.
+
+    A subclass is a frozen dataclass of four matrices in the roles of
+    ``(A, B, C, D)``; it declares their names, whether they are real, and the
+    channels per port (a quadrature pair is 2, an annihilation operator 1).
+    """
+
+    def __post_init__(self):
+        names = self._names
+        for k in names:
+            object.__setattr__(self, k, _frozen_array(getattr(self, k), k, real=self._real))
+        a, b, c, d = self.state_space()
+        n, m, ell = a.shape[0], b.shape[1], c.shape[0]
+        if a.shape != (n, n):
+            raise StructureError(f"{names[0]} must be square, got {a.shape}")
+        if any(dim % self._per_port for dim in (n, m, ell)):
+            raise StructureError("quadrature dimensions must be even")
+        for name, mat, shape in zip(names[1:], (b, c, d), ((n, m), (ell, n), (ell, m))):
+            if mat.shape != shape:
+                raise StructureError(f"{name} has shape {mat.shape}, expected {shape}")
+        if ell > m:
+            raise StructureError("output count exceeds input count")
+
+    @property
+    def n_modes(self):
+        return self.state_space()[0].shape[0] // self._per_port
+
+    @property
+    def n_inputs(self):
+        return self.state_space()[1].shape[1] // self._per_port
+
+    @property
+    def n_outputs(self):
+        return self.state_space()[2].shape[0] // self._per_port
+
+
 @dataclass(frozen=True)
-class QuadratureSystem:
+class QuadratureSystem(_System):
     """Real state-space model ``(A, B, C, D)`` in quadrature coordinates.
 
     Shapes are ``A: 2n x 2n``, ``B: 2n x 2m``, ``C: 2l x 2n``, ``D: 2l x 2m``
@@ -61,43 +98,12 @@ class QuadratureSystem:
     block; selecting ``l < m`` output pairs just drops rows.
     """
 
+    _names, _real, _per_port = "ABCD", True, 2
+
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", _frozen_array(self.A, "A", real=True))
-        object.__setattr__(self, "B", _frozen_array(self.B, "B", real=True))
-        object.__setattr__(self, "C", _frozen_array(self.C, "C", real=True))
-        object.__setattr__(self, "D", _frozen_array(self.D, "D", real=True))
-        two_n = self.A.shape[0]
-        two_m = self.B.shape[1]
-        two_l = self.C.shape[0]
-        if self.A.shape != (two_n, two_n):
-            raise StructureError(f"A must be square, got {self.A.shape}")
-        if any(dim % 2 for dim in (two_n, two_m, two_l)):
-            raise StructureError("quadrature dimensions must be even")
-        if self.B.shape != (two_n, two_m):
-            raise StructureError(f"B has shape {self.B.shape}, expected ({two_n}, {two_m})")
-        if self.C.shape != (two_l, two_n):
-            raise StructureError(f"C has shape {self.C.shape}, expected ({two_l}, {two_n})")
-        if self.D.shape != (two_l, two_m):
-            raise StructureError(f"D has shape {self.D.shape}, expected ({two_l}, {two_m})")
-        if two_l > two_m:
-            raise StructureError("output pair count exceeds input pair count")
-
-    @property
-    def n_modes(self):
-        return self.A.shape[0] // 2
-
-    @property
-    def n_inputs(self):
-        return self.B.shape[1] // 2
-
-    @property
-    def n_outputs(self):
-        return self.C.shape[0] // 2
 
     def state_space(self):
         """The matrices ``(A, B, C, D)``."""
@@ -105,48 +111,19 @@ class QuadratureSystem:
 
 
 @dataclass(frozen=True)
-class AnnihilationSystem:
+class AnnihilationSystem(_System):
     """Complex state-space model ``(F, G, H, K)`` in annihilation operators.
 
     Shapes are ``F: n x n``, ``G: n x m``, ``H: l x n``, ``K: l x m`` with
     ``l <= m``.
     """
 
+    _names, _real, _per_port = "FGHK", False, 1
+
     F: np.ndarray
     G: np.ndarray
     H: np.ndarray
     K: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "F", _frozen_array(self.F, "F", real=False))
-        object.__setattr__(self, "G", _frozen_array(self.G, "G", real=False))
-        object.__setattr__(self, "H", _frozen_array(self.H, "H", real=False))
-        object.__setattr__(self, "K", _frozen_array(self.K, "K", real=False))
-        n = self.F.shape[0]
-        m = self.G.shape[1]
-        ell = self.H.shape[0]
-        if self.F.shape != (n, n):
-            raise StructureError(f"F must be square, got {self.F.shape}")
-        if self.G.shape != (n, m):
-            raise StructureError(f"G has shape {self.G.shape}, expected ({n}, {m})")
-        if self.H.shape != (ell, n):
-            raise StructureError(f"H has shape {self.H.shape}, expected ({ell}, {n})")
-        if self.K.shape != (ell, m):
-            raise StructureError(f"K has shape {self.K.shape}, expected ({ell}, {m})")
-        if ell > m:
-            raise StructureError("output count exceeds input count")
-
-    @property
-    def n_modes(self):
-        return self.F.shape[0]
-
-    @property
-    def n_inputs(self):
-        return self.G.shape[1]
-
-    @property
-    def n_outputs(self):
-        return self.H.shape[0]
 
     def state_space(self):
         """The matrices ``(F, G, H, K)``, in the roles of ``(A, B, C, D)``."""
@@ -195,7 +172,7 @@ def transfer(system, s):
     one checked :func:`~qmor.linalg.solve`; a pole at a point raises
     :class:`SingularMatrixError` naming it.
     """
-    if not isinstance(system, (QuadratureSystem, AnnihilationSystem)):
+    if not isinstance(system, _System):
         raise StructureError(f"unsupported system type {type(system).__name__}")
     a, b, c, d = system.state_space()
     points = np.atleast_1d(s)

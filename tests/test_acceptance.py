@@ -36,7 +36,7 @@ def _report(criterion, passed, detail=""):
 
 def test_criterion_01_optomech_reproduction():
     started = time.monotonic()
-    outcome = cases.run_ex1(with_selection=False)
+    outcome = cases.run_ex1()
     elapsed = time.monotonic() - started
     ok = outcome.all_passed and elapsed < 60.0
     detail = (
@@ -89,7 +89,7 @@ def test_criterion_03_controller_reproduction():
 
 
 def test_criterion_04_cascade_reproduction():
-    outcome = cases.run_ex3(with_selection=False)
+    outcome = cases.run_ex3()
     names = {r.name: r.passed for r in outcome.checks}
     keep = [
         "worst-case error",

@@ -346,6 +346,23 @@ def test_error_report_pole_on_grid_frequency():
     assert report.hinf_bound_left is None and report.notes
 
 
+def test_error_report_eigensolves_error_system_once(monkeypatch):
+    # The level-set norm's pole test is also the Hurwitz test of A_e.
+    system = cases.optomechanical_system()
+    result = reduce_right(system, cases.ex1_interpolation_data())
+    sizes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(m):
+        sizes.append(np.shape(m)[0])
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    report = analysis.error_report(system, result, grid=analysis.GridSpec(1e3, 1e6, count=50))
+    assert report.stable
+    assert sizes.count(10) == 1
+
+
 def test_frequency_response_feedthrough_only():
     sys_q = systems.QuadratureSystem(
         A=-np.eye(2), B=np.eye(2), C=np.zeros((2, 2)), D=np.diag([1.0, 2.0])

@@ -87,6 +87,15 @@ def test_reduce_huge_integer_point_exits_2(
     assert not (tmp_path / "red").exists()
 
 
+def test_reduce_non_finite_point_exits_2(tmp_path, ex1_system_path, ex1_points_path, capsys):
+    text = ex1_points_path.read_text().replace("[0.0, 10500.0]", "[NaN, 1.0]", 1)
+    path = tmp_path / "pts.json"
+    path.write_text(text)
+    argv = ["reduce", str(ex1_system_path), "--method", "right", "--points", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "red")]) == 2
+    assert capsys.readouterr().err == "error: points contains non-finite entries\n"
+
+
 def test_reduce_and_analyze_chain(tmp_path, ex1_system_path, ex1_points_path, capsys):
     out_dir = tmp_path / "red"
     code = main(
@@ -368,6 +377,20 @@ def test_example_ex3_reports_known_failure(tmp_path, capsys):
         "summary.json",
     ):
         assert (tmp_path / "ex3" / name).exists()
+
+
+def test_example_and_select_points_write_the_same_selection_keys(tmp_path):
+    assert main(["example", "ex1", "--out", str(tmp_path / "ex1")]) == 0
+    directions = json.dumps(cases.ex1_interpolation_data().directions.real.tolist())
+    args = ["select-points", str(tmp_path / "ex1" / "system.json"), "--method", "right"]
+    args += ["--r", "2", "--dirs", directions]
+    args += ["--wmin", "1e3", "--wmax", "1e6", "--tie-omega", "--out", str(tmp_path / "sel")]
+    assert main(args) == 0
+    keys = [
+        list(json.loads((tmp_path / d / "selected_points.json").read_text()))
+        for d in ("ex1", "sel")
+    ]
+    assert keys[0] == keys[1] == ["omegas", "cost", "cost_kind", "points"]
 
 
 def test_analyze_surface_export(tmp_path, ex1_system_path, ex1_points_path):

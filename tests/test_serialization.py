@@ -147,6 +147,15 @@ def test_points_round_trip():
     assert np.array_equal(parsed_dirs, directions)
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_points_reject_non_finite(value):
+    data = cases.ex1_interpolation_data()
+    text = json.dumps(serialization.points_to_dict(data.points, data.directions))
+    doc = json.loads(text.replace("[0.0, 10500.0]", f"[{value}, 1.0]", 1))
+    with pytest.raises(SchemaError, match="points contains non-finite entries"):
+        serialization.points_from_dict(doc)
+
+
 def test_reduction_bundle_round_trip_quadrature(tmp_path):
     sys_q = cases.optomechanical_system()
     result = reduce_right(sys_q, cases.ex1_interpolation_data())

@@ -253,6 +253,32 @@ def test_quadrature_rejects_bad_shapes():
         )
 
 
+@pytest.mark.parametrize(
+    "cls, names, k",
+    [(systems.QuadratureSystem, "ABCD", 2), (systems.AnnihilationSystem, "FGHK", 1)],
+    ids=["quadrature", "annihilation"],
+)
+def test_systems_reject_bad_shapes(cls, names, k):
+    # Two modes, two inputs, one output; k channels per port.
+    a, b, c, d = names
+    good = {a: (2, 2), b: (2, 2), c: (1, 2), d: (1, 2)}
+    cases_ = [
+        ({a: (2, 3)}, f"{a} must be square"),
+        ({b: (3, 2)}, f"{b} has shape"),
+        ({c: (1, 3)}, f"{c} has shape"),
+        ({d: (1, 3)}, f"{d} has shape"),
+        ({c: (3, 2), d: (3, 2)}, "output count exceeds input count"),
+    ]
+    cls(**{name: np.zeros((k * p, k * q)) for name, (p, q) in good.items()})
+    for change, message in cases_:
+        shapes = {**good, **change}
+        with pytest.raises(StructureError, match=message):
+            cls(**{name: np.zeros((k * p, k * q)) for name, (p, q) in shapes.items()})
+    if k == 2:
+        with pytest.raises(StructureError, match="quadrature dimensions must be even"):
+            cls(**{name: np.zeros((3, 3)) for name in names})
+
+
 def test_systems_reject_nonfinite():
     with pytest.raises(StructureError):
         systems.QuadratureSystem(
