@@ -16,8 +16,10 @@ model's largest pole magnitude, each array as its largest magnitude times its
 entries rounded to 10 decimals.  A diff of those lines stays quiet when only
 the coordinates moved (a value on a rounding boundary can still flip a last
 digit).  The inputs are ex1-ex3, ``stable_reduction_cases(5)`` with a
-left reduction of each system, four random passive reductions, and six
-selection problems.  Run both sides with the same BLAS thread count
+left reduction of each system, four random passive reductions, six
+selection problems, and searches on the ex1 (right, H-infinity),
+``stable0-left`` and ex3 (passive, H2, in two windows) problems, each with a
+digest of its trace costs and of its trace reasons.  Run both sides with the same BLAS thread count
 (``OPENBLAS_NUM_THREADS=1``), since threaded BLAS may round differently.
 """
 
@@ -135,6 +137,20 @@ for label, problem, omegas in problems:
         print(label, "projected", digest(*full), digest(*projected))
     except QmorError as exc:
         print(label, "projected raised", type(exc).__name__, exc)
+
+
+# Searches on the right and left sides, with digests of the trace costs and reasons.
+for label, problem, _ in problems:
+    if label not in ("ex1", "stable0-left"):
+        continue
+    try:
+        chosen = selection.optimize_points(problem)
+        rows, head = chosen.trace, f"{chosen.omegas.tolist()!r} {chosen.cost!r}"
+    except QmorError as exc:
+        rows, head = exc.trace, f"raised {type(exc).__name__}"
+    reasons = np.array([f"{row['feasible']} {row['reason']}" for row in rows])
+    print(label, "optimize_points", head, len(rows),
+          digest(np.array([row["cost"] for row in rows])), digest(reasons))
 
 for window in ((1e5, 1e9), None):
     problem = selection.SelectionProblem(

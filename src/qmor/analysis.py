@@ -228,15 +228,19 @@ def error_system(full, reduced):
     """``(A_e, B_e, C_e)`` of ``Xi - Xi_r``, a system of order ``n + r``.
 
     Every reduction keeps the feedthrough, so the error system is strictly
-    proper; a feedthrough difference raises :class:`StabilityError`.
+    proper; a feedthrough difference raises :class:`StabilityError`.  The
+    reduced ``A``, ``B`` and ``C`` may carry a leading axis, a stack of
+    reduced models, and so do the error matrices then.
     """
     a1, b1, c1, d1 = _abcd(full)
     a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
     if linalg.frobenius_norm(d1 - d2) > 0:
         raise StabilityError("feedthrough terms differ; the error system is not strictly proper")
-    n1, n2 = a1.shape[0], a2.shape[0]
-    a_e = np.block([[a1, np.zeros((n1, n2))], [np.zeros((n2, n1)), a2]])
-    return a_e, np.vstack([b1, b2]), np.hstack([c1, -c2])
+    lead, n1 = a2.shape[:-2], a1.shape[0]
+    a_e = np.zeros(lead + (n1 + a2.shape[-1],) * 2, np.result_type(a1, a2))
+    a_e[..., :n1, :n1], a_e[..., n1:, n1:] = a1, a2
+    b_e = np.concatenate([np.broadcast_to(b1, lead + b1.shape), b2], axis=-2)
+    return a_e, b_e, np.concatenate([np.broadcast_to(c1, lead + c1.shape), -c2], axis=-1)
 
 
 def _stable_error_system(full, reduced):

@@ -10,6 +10,8 @@ serves only what numpy lacks: the Lyapunov solver here and the real Schur
 form in :mod:`qmor.symplectic`.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg as la
 
@@ -44,14 +46,23 @@ def rank_and_bases(m):
     if m.size == 0:
         return 0, np.zeros((m.shape[0], 0)), np.eye(m.shape[1])
     u, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > max(m.shape) * np.finfo(m.dtype).eps * s[0]))
+    rank = int(numerical_rank(s, m.shape))
     return rank, u[:, :rank], vh[rank:].conj().T
 
 
+def numerical_rank(s, shape):
+    """Rank of matrices of ``shape`` from their singular values ``s`` (last axis, descending).
+
+    Counts the values above the scale-invariant threshold
+    ``max(rows, cols) * eps * sigma_max``; one rank per item of a stack.
+    """
+    return np.sum(s > max(shape[-2:]) * np.finfo(s.dtype).eps * s[..., :1], axis=-1)
+
+
 def unit_columns(m):
-    """``m`` with every nonzero column scaled to unit 2-norm."""
-    norms = np.linalg.norm(m, axis=0)
-    return m / np.where(norms == 0.0, 1.0, norms)
+    """``m`` with every nonzero column scaled to unit 2-norm, for one matrix or a stack."""
+    norms = np.linalg.norm(m, axis=-2)
+    return m / np.where(norms == 0.0, 1.0, norms)[..., None, :]
 
 
 def orthonormal_range(m):
@@ -103,10 +114,10 @@ def solve(m, rhs, context=None):
 
     ``m`` is ``(n, n)`` with ``rhs`` ``(n,)`` or ``(n, p)``, or a stack
     ``(k, n, n)`` with ``rhs`` ``(k, n)`` or ``(k, n, p)`` (or ``(1, n, p)``,
-    shared), solved in one call.  Every item must give a finite solution with
-    residual at most ``1e-8 |m_k| |x_k|``.  ``context`` (a sequence for a
-    stack) names what produced each item, such as its interpolation point;
-    the :class:`SingularMatrixError` of a failing item carries it.
+    shared), solved in one call.  Every item must pass the checks of
+    :func:`solve_stacks`.  ``context`` (a sequence for a stack) names what
+    produced each item, such as its interpolation point; the
+    :class:`SingularMatrixError` of a failing item carries it.
     """
     stacked = np.ndim(m) == 3
     m = as_matrix(m, ndim=3 if stacked else 2)
@@ -117,36 +128,73 @@ def solve(m, rhs, context=None):
     ms = m if stacked else m[None]
     b = rhs[..., None] if vector else rhs
     b = b if stacked else b[None]
-
-    def fail(k, reason, detail=""):
-        item = context[k] if stacked and context is not None else context
-        label = f" while evaluating {item}" if item else ""
-        return SingularMatrixError(f"{reason}{label}{detail}")
-
-    try:
-        # Singular inputs are caught by the checks below; silence the
-        # intermediate divide-by-zero noise they produce.
-        with np.errstate(all="ignore"):
-            x = np.linalg.solve(ms, b)
-    except np.linalg.LinAlgError as exc:
-        # The stacked call does not say which item has a zero pivot; det does.
-        raise fail(int(np.argmax(np.linalg.det(ms) == 0)), "singular matrix", f": {exc}") from exc
-    finite = np.isfinite(x).all(axis=(1, 2))
-    if not finite.all():
-        raise fail(int(np.argmin(finite)), "singular or ill-conditioned matrix")
-    residual = np.linalg.norm(ms @ x - b, axis=(1, 2))
-    scale = np.linalg.norm(ms, axis=(1, 2)) * np.maximum(np.linalg.norm(x, axis=(1, 2)), 1e-300)
-    bad = residual > 1e-8 * scale
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise fail(k, f"solve residual {residual[k]:.3e} exceeds 1e-8 of scale {scale[k]:.3e}")
-    x = x[..., 0] if vector else x
+    x, (error,) = solve_stacks(
+        ms[None], b[None], lambda _, k: context[k] if stacked and context is not None else context
+    )
+    if error is not None:
+        raise error
+    x = x[0, ..., 0] if vector else x[0]
     return x if stacked else x[0]
 
 
+def solve_stacks(m, b, context):
+    """Solve many stacks of systems in one call, each stack with its own error.
+
+    ``m`` is ``(g, k, n, n)``, ``g`` stacks of ``k`` items, and ``b`` is
+    ``(g or 1, k or 1, n, p)``.  Returns ``(x, errors)``: ``errors[i]`` is
+    ``None`` or the :class:`SingularMatrixError` of stack ``i``, and a failing
+    stack does not stop the others.  Each stack is checked as a whole, in
+    this order: an exactly singular item (the first with a zero determinant),
+    a non-finite solution, and a residual above ``1e-8 |m_j| |x_j|``; the
+    message names the first failing item ``j`` of the first failing check by
+    ``context(i, j)``.
+    """
+    errors = [None] * m.shape[0]
+
+    def fail(i, j, reason, detail=""):
+        item = context(i, j)
+        label = f" while evaluating {item}" if item else ""
+        errors[i] = SingularMatrixError(f"{reason}{label}{detail}")
+
+    # Singular inputs are caught by the checks below; silence the intermediate
+    # divide-by-zero noise they produce.
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.solve(m, b)
+        except np.linalg.LinAlgError:
+            # The stacked call does not say which stack has a zero pivot: solve
+            # stack by stack, and let det name the item.
+            b = np.broadcast_to(b, (m.shape[0],) + b.shape[1:])
+            shape = np.broadcast_shapes(m.shape[:-1] + (1,), b.shape)
+            x = np.full(shape, math.nan, np.result_type(m, b))
+            for i in range(m.shape[0]):
+                try:
+                    x[i] = np.linalg.solve(m[i], b[i])
+                except np.linalg.LinAlgError as exc:
+                    fail(i, int(np.argmax(np.linalg.det(m[i]) == 0)), "singular matrix", f": {exc}")
+        finite = np.isfinite(x).all(axis=(-2, -1))
+        residual = np.linalg.norm(m @ x - b, axis=(-2, -1))
+        scale = np.linalg.norm(m, axis=(-2, -1)) * np.maximum(
+            np.linalg.norm(x, axis=(-2, -1)), 1e-300
+        )
+    bad = ~finite | (residual > 1e-8 * scale)
+    for i in np.flatnonzero(bad.any(axis=-1)):
+        if errors[i] is not None:
+            continue
+        if not finite[i].all():
+            fail(i, int(np.argmin(finite[i])), "singular or ill-conditioned matrix")
+        else:
+            j = int(np.argmax(bad[i]))
+            excess = f"solve residual {residual[i, j]:.3e} exceeds 1e-8 of scale {scale[i, j]:.3e}"
+            fail(i, j, excess)
+    return x, errors
+
+
 def is_hurwitz(m):
-    """True when every eigenvalue has a negative real part."""
-    return bool(np.all(eigenvalues(m).real < 0))
+    """True when every eigenvalue has a negative real part; one flag per matrix of a stack."""
+    m = as_matrix(m, ndim=3 if np.ndim(m) == 3 else 2)
+    hurwitz = np.all(np.linalg.eigvals(m).real < 0, axis=-1)
+    return hurwitz if m.ndim == 3 else bool(hurwitz)
 
 
 def lyapunov_solve(a, q):

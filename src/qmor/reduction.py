@@ -4,8 +4,10 @@ Every reduction follows one recipe.  :func:`projection` turns the
 interpolation data into a pair ``(W, V)`` with ``W^H V = I``, and
 :func:`compress` forms the Petrov-Galerkin model ``(W^H A V, W^H B, C V, D)``,
 whose transfer function matches the original tangentially at every data
-point.  The three reductions differ only in how ``(W, V)`` comes from the
-interpolation subspace:
+point.  Both take a stack of point sets sharing one set of directions, so
+the selection search builds the models of its whole scan lattice in one
+pass; each reduction is a stack of one.  The three reductions differ only in
+how ``(W, V)`` comes from the interpolation subspace:
 
 * left data span ``{(sigma_i I - A)^-H C^H mu_i}``; with ``X`` a real basis
   of that span, ``(W, V) = (X, J_n X J_r^T)``;
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DataValidationError, RankDeficiencyError
+from .errors import DataValidationError, QmorError, RankDeficiencyError
 from .symplectic import skew_normal_form
 from .systems import (
     AnnihilationSystem,
@@ -175,79 +177,134 @@ def real_basis_from_conjugate_data(points, directions, vectors):
     return np.column_stack(columns)
 
 
-def _checked_range(basis, points, what):
-    """Orthonormal range of ``basis``; raises when its columns are dependent."""
-    k = basis.shape[1]
-    rank, orthonormal, _ = linalg.rank_and_bases(basis)
-    if rank < k:
-        raise RankDeficiencyError(
-            f"{what} spanned by points "
-            f"{np.array2string(points, precision=6, max_line_width=np.inf)} has "
-            f"dimension {rank}, expected {k}; interpolation data are degenerate"
-        )
-    return orthonormal
+def _resolvent_columns(system, side, points, directions):
+    """Defining vectors of the ``side`` interpolation subspace for every row of ``points``.
+
+    Right data give ``(sigma_i I - A)^-1 B d_i``, left and passive data
+    ``(sigma_i I - A)^-H C^H d_i``.  ``points`` is ``(g, k)``; returns the
+    ``(g, n, k)`` stack of columns from one stacked solve and the
+    :class:`SingularMatrixError` (or ``None``) of each row, whose columns are
+    then zero.
+    """
+    a, b, c, _ = system.state_space()
+    labels = points
+    if side != "right":
+        a, b, points = a.conj().T, c.conj().T, np.conj(points)
+    g, k = points.shape
+    shifted = linalg.as_matrix(linalg.shifted(a, points.ravel()).reshape(g, k, *a.shape), ndim=4)
+    x, errors = linalg.solve_stacks(
+        shifted,
+        (directions @ b.T)[None, ..., None],
+        lambda i, j: f"{side} interpolation point {labels[i, j]}",
+    )
+    x = x[..., 0]
+    for i, error in enumerate(errors):
+        if error is not None:
+            x[i] = 0.0
+    return x.transpose(0, 2, 1), errors
 
 
-def _resolvent_columns(a, b, points, directions, what, adjoint=False):
-    """Columns ``(sigma_i I - a)^-1 b d_i``, or ``(sigma_i I - a)^-H b^H d_i`` when ``adjoint``."""
-    contexts = [f"{what} interpolation point {sigma}" for sigma in points]
-    if adjoint:
-        a, b, points = a.conj().T, b.conj().T, np.conj(points)
-    return linalg.solve(linalg.shifted(a, points), directions @ b.T, contexts).T
+def _subspace_vectors(system, side, points, directions):
+    columns, (error,) = _resolvent_columns(system, side, np.asarray(points)[None], directions)
+    if error is not None:
+        raise error
+    return columns[0]
 
 
 def left_subspace_vectors(system, points, directions):
     """Complex defining vectors ``(sigma_i I - A)^-H C^H mu_i`` as columns."""
-    return _resolvent_columns(system.A, system.C, points, directions, "left", adjoint=True)
+    return _subspace_vectors(system, "left", points, directions)
 
 
 def right_subspace_vectors(system, points, directions):
     """Complex defining vectors ``(sigma_i I - A)^-1 B nu_i`` as columns."""
-    return _resolvent_columns(system.A, system.B, points, directions, "right")
-
-
-def _real_subspace_basis(system, data, side):
-    _validate_quadrature_data(system, data, side)
-    vectors_of = left_subspace_vectors if side == "left" else right_subspace_vectors
-    vectors = linalg.unit_columns(vectors_of(system, data.points, data.directions))
-    basis = real_basis_from_conjugate_data(data.points, data.directions, vectors)
-    _checked_range(basis, data.points, f"{side} interpolation subspace")
-    return basis
-
-
-def left_subspace_basis(system, data):
-    """Real basis of the left interpolation subspace (columns unit-scaled)."""
-    return _real_subspace_basis(system, data, "left")
-
-
-def right_subspace_basis(system, data):
-    """Real basis of the right interpolation subspace (columns unit-scaled)."""
-    return _real_subspace_basis(system, data, "right")
+    return _subspace_vectors(system, "right", points, directions)
 
 
 def passive_subspace_vectors(system, points, directions):
     """Complex defining vectors ``(sigma_i I - F)^-H H^H mu_i`` as columns."""
-    return _resolvent_columns(system.F, system.H, points, directions, "passive", adjoint=True)
+    return _subspace_vectors(system, "passive", points, directions)
+
+
+def _checked_ranges(bases, points, what, errors):
+    """Left singular vectors of a stack of ``(n, k)`` bases, from one stacked SVD.
+
+    The first ``k`` columns of ``u[i]`` span the range of ``bases[i]``.  A
+    basis of rank below ``k`` gets a :class:`RankDeficiencyError` in
+    ``errors`` unless its row already holds one.
+    """
+    k = bases.shape[-1]
+    u, s, _ = np.linalg.svd(bases)
+    for i, rank in enumerate(linalg.numerical_rank(s, bases.shape)):
+        if rank < k and errors[i] is None:
+            errors[i] = RankDeficiencyError(
+                f"{what} spanned by points "
+                f"{np.array2string(points[i], precision=6, max_line_width=np.inf)} has "
+                f"dimension {rank}, expected {k}; interpolation data are degenerate"
+            )
+    return u
+
+
+def _subspace_bases(system, side, points, directions):
+    """Rank-checked bases of the ``side`` interpolation subspace for every row of ``points``.
+
+    Left/right rows get the real basis of their unit-scaled defining vectors;
+    passive rows the orthonormal range of them.  Returns ``(bases, errors)``,
+    one ``(n, k)`` basis and one error (or ``None``) per row; the basis of a
+    failing row is meaningless but finite.
+    """
+    vectors, errors = _resolvent_columns(system, side, points, directions)
+    vectors = linalg.unit_columns(vectors)
+    what = f"{side} interpolation subspace"
+    if side == "passive":
+        return _checked_ranges(vectors, points, what, errors)[..., : points.shape[1]], errors
+    bases = np.zeros(vectors.shape)
+    for i, error in enumerate(errors):
+        if error is None:
+            try:
+                bases[i] = real_basis_from_conjugate_data(points[i], directions, vectors[i])
+            except DataValidationError as exc:
+                errors[i] = exc
+    _checked_ranges(bases, points, what, errors)
+    return bases, errors
+
+
+def _subspace_basis(system, data, side):
+    check_data(system, data, side)
+    bases, (error,) = _subspace_bases(system, side, data.points[None], data.directions)
+    if error is not None:
+        raise error
+    return bases[0]
+
+
+def left_subspace_basis(system, data):
+    """Real basis of the left interpolation subspace (columns unit-scaled)."""
+    return _subspace_basis(system, data, "left")
+
+
+def right_subspace_basis(system, data):
+    """Real basis of the right interpolation subspace (columns unit-scaled)."""
+    return _subspace_basis(system, data, "right")
 
 
 def passive_subspace_basis(system, data):
     """Orthonormal complex basis used by the passivity-preserving reduction."""
-    if not isinstance(system, AnnihilationSystem):
-        raise DataValidationError("passive reductions need an annihilation-form system")
-    if data.side != "left":
-        raise DataValidationError("the passive Galerkin construction uses left data")
-    if data.directions.shape[1] != system.n_outputs:
-        raise DataValidationError(
-            f"directions live in C^{data.directions.shape[1]} but the system has "
-            f"{system.n_outputs} outputs"
-        )
-    raw = linalg.unit_columns(
-        passive_subspace_vectors(system, data.points, data.directions)
-    )
-    return _checked_range(raw, data.points, "passive interpolation subspace")
+    return _subspace_basis(system, data, "passive")
 
 
-def _validate_quadrature_data(system, data, side):
+def check_data(system, data, side):
+    """Raise :class:`DataValidationError` unless ``data`` fit a ``side`` reduction of ``system``."""
+    if side == "passive":
+        if not isinstance(system, AnnihilationSystem):
+            raise DataValidationError("passive reductions need an annihilation-form system")
+        if data.side != "left":
+            raise DataValidationError("the passive Galerkin construction uses left data")
+        if data.directions.shape[1] != system.n_outputs:
+            raise DataValidationError(
+                f"directions live in C^{data.directions.shape[1]} but the system has "
+                f"{system.n_outputs} outputs"
+            )
+        return
     if not isinstance(system, QuadratureSystem):
         raise DataValidationError("left/right reductions need a quadrature-form system")
     if data.side != side:
@@ -303,30 +360,51 @@ def data_side(method):
     return "right" if method == "right" else "left"
 
 
-def projection(system, data, side):
-    """Projection pair ``(W, V)`` of a ``left``, ``right`` or ``passive`` reduction.
+def projection(system, side, points, directions):
+    """Projection pairs ``(W, V)`` of a ``left``, ``right`` or ``passive`` reduction.
 
-    Left data: ``W = X``, ``V = J_n X J_r^T`` with ``X`` the scaled left basis.
-    Right data: the same with the roles of ``W`` and ``V`` swapped.  Passive
-    data: ``W = V`` the orthonormal basis of the left interpolation subspace.
+    One pair per row of ``points`` ``(g, k)``, all rows sharing
+    ``directions``, for data that pass :func:`check_data`.  Left data:
+    ``W = X``, ``V = J_n X J_r^T`` with ``X`` the scaled left basis.  Right
+    data: the same with the roles of ``W`` and ``V`` swapped.  Passive data:
+    ``W = V`` the orthonormal basis of the left interpolation subspace.  The
+    resolvents, unit scalings and rank tests run once for the whole stack;
+    only the symplectic scaling runs row by row.  Returns ``(w, v, errors)``:
+    the ``(g, n, k)`` stacks and one error (or ``None``) per row; where a row
+    has an error, its ``w`` and ``v`` are meaningless.
     """
+    bases, errors = _subspace_bases(system, side, points, directions)
     if side == "passive":
-        basis = passive_subspace_basis(system, data)
-        return basis, basis
-    x, complement = _symplectic_pair(_real_subspace_basis(system, data, side), system.n_modes, side)
-    return (x, complement) if side == "left" else (complement, x)
+        return bases, bases, errors
+    x, complement = np.zeros((2,) + bases.shape)
+    for i, error in enumerate(errors):
+        if error is None:
+            try:
+                x[i], complement[i] = _symplectic_pair(bases[i], system.n_modes, side)
+            except QmorError as exc:
+                errors[i] = exc
+    return (x, complement, errors) if side == "left" else (complement, x, errors)
 
 
 def compress(system, w, v):
-    """The reduced system ``(W^H A V, W^H B, C V, D)``, in the form of ``system``."""
+    """The reduced matrices ``(W^H A V, W^H B, C V, D)`` of every pair of the stacks ``w``, ``v``.
+
+    ``A``, ``B`` and ``C`` keep the leading axis of ``w`` and ``v``; ``D``
+    is the shared feedthrough.
+    """
     a, b, c, d = system.state_space()
-    w_h = w.conj().T
-    return type(system)(w_h @ a @ v, w_h @ b, c @ v, d)
+    w_h = w.conj().swapaxes(-2, -1)
+    return w_h @ a @ v, w_h @ b, c @ v, d
 
 
 def _reduce(system, data, side, pr_tol):
-    w, v = projection(system, data, side)
-    reduced = compress(system, w, v)
+    check_data(system, data, side)
+    w, v, (error,) = projection(system, side, data.points[None], data.directions)
+    if error is not None:
+        raise error
+    a, b, c, d = compress(system, w, v)
+    w, v = w[0], v[0]
+    reduced = type(system)(a[0], b[0], c[0], d)
     abs_res, refs = _interpolation_residuals(system, reduced, data)
     diagnostics = ReductionDiagnostics(
         interpolation_residuals=abs_res,

@@ -15,6 +15,13 @@ with no frequency quadrature.  The H-infinity cost is the level-set norm of
 :func:`qmor.analysis.hinf_norm`, with no frequency grid.  Without explicit
 bounds the search window is that of :func:`qmor.analysis.default_grid`: two
 decades beyond the pole magnitudes.
+
+The costs of :data:`COST_FUNCTIONS` score a stack of candidates in one
+pass: one stacked resolvent solve, one stacked SVD, the compressions, the
+error systems and one stacked eigenvalue call for the Hurwitz tests serve
+every candidate at once, and only the Lyapunov solve or the level-set
+iteration runs candidate by candidate.  The search scores its whole scan
+lattice that way; :func:`cost_hinf` and :func:`cost_h2` are stacks of one.
 """
 
 import itertools
@@ -27,12 +34,14 @@ import scipy.optimize
 from . import linalg
 from .analysis import default_grid, error_system, h2_norm, hinf_norm
 from .errors import InfeasiblePointError, QmorError, StructureError
-from .reduction import InterpolationData, compress, data_side, projection
+from .reduction import InterpolationData, check_data, compress, data_side, projection
 from .systems import AnnihilationSystem, QuadratureSystem
 
 SCAN_POINTS_1D = 64
 SCAN_POINTS_ND = 16
 SCAN_POINTS_CAP = 4096
+#: Scan candidates scored by one stacked call of the cost.
+SCAN_BLOCK = 256
 PENALTY_FACTOR = 1e6
 REFINE_REL_TOL = 1e-4
 
@@ -61,24 +70,31 @@ def tangent_directions(r, n_output_pairs, permutation=None):
     return directions
 
 
-def conjugate_pair_points(omegas):
-    """Interleaved conjugate template ``(i w_1, -i w_1, ..., i w_r, -i w_r)``."""
+def _template_frequencies(omegas):
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
     if np.any(omegas < 0):
         raise StructureError("template frequencies must be nonnegative")
-    points = np.empty(2 * omegas.size, dtype=complex)
-    points[0::2] = 1j * omegas
-    points[1::2] = -1j * omegas
+    return omegas
+
+
+def conjugate_pair_points(omegas):
+    """Interleaved conjugate template ``(i w_1, -i w_1, ..., i w_r, -i w_r)``.
+
+    Built along the last axis, so a stack of frequency rows gives a stack of
+    point rows.
+    """
+    omegas = _template_frequencies(omegas)
+    points = np.empty(omegas.shape[:-1] + (2 * omegas.shape[-1],), dtype=complex)
+    points[..., 0::2] = 1j * omegas
+    points[..., 1::2] = -1j * omegas
     return points
 
 
 def symmetric_dc_points(omegas):
-    """Odd-count template ``(i w_1, ..., i w_k, 0, -i w_k, ..., -i w_1)``."""
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if np.any(omegas < 0):
-        raise StructureError("template frequencies must be nonnegative")
-    ups = 1j * omegas
-    return np.concatenate([ups, [0.0 + 0.0j], -ups[::-1]])
+    """Odd-count template ``(i w_1, ..., i w_k, 0, -i w_k, ..., -i w_1)``, along the last axis."""
+    ups = 1j * _template_frequencies(omegas)
+    dc = np.zeros(ups.shape[:-1] + (1,), dtype=complex)
+    return np.concatenate([ups, dc, -ups[..., ::-1]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -119,6 +135,11 @@ class SelectionProblem:
         if not isinstance(self.system, AnnihilationSystem if passive else QuadratureSystem):
             form = "an annihilation" if passive else "a quadrature"
             raise StructureError(f"{self.side} selection needs {form}-form system")
+        if self.r > self.system.n_modes:
+            raise StructureError(
+                f"r = {self.r} exceeds the {self.system.n_modes} modes of the system; "
+                "a reduced model cannot have more modes than the full one"
+            )
         directions = np.atleast_2d(np.array(self.directions, dtype=complex))
         expected = self.r if passive else 2 * self.r
         if directions.shape[0] != expected:
@@ -151,8 +172,9 @@ class SelectionProblem:
         return 1 if self.tie_omegas else self._frequencies
 
     def expand_points(self, omegas):
+        """The interpolation points of ``omegas``, or one row of points per row of a stack."""
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-        tiled = np.full(self._frequencies, omegas[0]) if self.tie_omegas else omegas
+        tiled = np.repeat(omegas[..., :1], self._frequencies, -1) if self.tie_omegas else omegas
         if self.template == "symmetric_with_dc":
             return symmetric_dc_points(tiled)
         return conjugate_pair_points(tiled)
@@ -161,23 +183,78 @@ class SelectionProblem:
         return self.system.state_space()[0]
 
 
-def _reduced_model(problem, points):
-    """The reduced model of ``reduce_*`` at ``points``; infeasible when it cannot be built."""
+def _reduced_models(problem, points):
+    """The reduced models of ``reduce_*`` at every row of ``points``, stacked.
+
+    Returns ``((A_r, B_r, C_r, D), errors)``: the matrices of
+    :func:`~qmor.reduction.compress`, and the :class:`InfeasiblePointError`
+    (or ``None``) of each row whose model cannot be built.  Data that fit no
+    row raise it.
+    """
     system = problem.system
     try:
-        data = InterpolationData(data_side(problem.side), points, problem.directions)
-        return compress(system, *projection(system, data, problem.side))
+        data = InterpolationData(data_side(problem.side), points[0], problem.directions)
+        check_data(system, data, problem.side)
+        w, v, errors = projection(system, problem.side, points, problem.directions)
     except QmorError as exc:
         raise InfeasiblePointError(str(exc)) from exc
+    a, b, c, d = reduced = compress(system, w, v)
+    finite = np.logical_and.reduce([np.isfinite(m).all(axis=(1, 2)) for m in (a, b, c)])
+    for i in np.flatnonzero(~finite):
+        if errors[i] is None:
+            try:  # the form's own checks name the first non-finite matrix
+                type(system)(a[i], b[i], c[i], d)
+            except QmorError as exc:
+                errors[i] = exc
+    return reduced, [None if e is None else InfeasiblePointError(str(e)) for e in errors]
 
 
-def _candidate_error(problem, omegas):
-    """:func:`~qmor.analysis.error_system` of the candidate; an unstable one is infeasible."""
-    reduced = _reduced_model(problem, problem.expand_points(omegas))
-    system = error_system(problem.system, reduced)
-    if not linalg.is_hurwitz(system[0]):
-        raise InfeasiblePointError("projected model is unstable; the error norms diverge")
-    return system
+def _reduced_model(problem, points):
+    """The reduced model of ``reduce_*`` at ``points``; infeasible when it cannot be built."""
+    (a, b, c, d), (error,) = _reduced_models(problem, np.asarray(points)[None])
+    if error is not None:
+        raise error
+    return type(problem.system)(a[0], b[0], c[0], d)
+
+
+def _candidate_costs(problem, candidates, norm):
+    """``norm`` of the error system of every candidate row, or the error that makes it infeasible.
+
+    The reduced models, the error systems (:func:`~qmor.analysis.error_system`)
+    and their Hurwitz tests are built for the whole stack at once; ``norm``
+    runs row by row on the stable ones.  An unstable candidate is infeasible.
+    """
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    try:
+        reduced, outcomes = _reduced_models(problem, problem.expand_points(candidates))
+    except QmorError as exc:
+        return [exc] * len(candidates)
+    a_e, b_e, c_e = error_system(problem.system, reduced)
+    built = [i for i, error in enumerate(outcomes) if error is None]
+    for i, stable in zip(built, linalg.is_hurwitz(a_e[built])):
+        try:
+            if not stable:
+                raise InfeasiblePointError("projected model is unstable; the error norms diverge")
+            outcomes[i] = norm(a_e[i], b_e[i], c_e[i])
+        except QmorError as exc:
+            outcomes[i] = exc
+    return outcomes
+
+
+def hinf_costs(problem, candidates):
+    """:func:`cost_hinf` of every row of ``candidates``, or the error that makes it infeasible."""
+    return _candidate_costs(problem, candidates, lambda *error: hinf_norm(*error).value)
+
+
+def h2_costs(problem, candidates):
+    """:func:`cost_h2` of every row of ``candidates``, or the error that makes it infeasible."""
+    return _candidate_costs(problem, candidates, h2_norm)
+
+
+def _one(outcomes):
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 def cost_hinf(problem, omegas):
@@ -186,16 +263,17 @@ def cost_hinf(problem, omegas):
     The level-set value the error attains; an infeasible candidate raises
     :class:`InfeasiblePointError`.
     """
-    return hinf_norm(*_candidate_error(problem, omegas)).value
+    return _one(hinf_costs(problem, [omegas]))
 
 
 def cost_h2(problem, omegas):
     """Frequency-integrated squared error for ``omegas``, exact by the Lyapunov identity."""
-    return h2_norm(*_candidate_error(problem, omegas))
+    return _one(h2_costs(problem, [omegas]))
 
 
-#: The cost function for each ``SelectionProblem.cost``.
-COST_FUNCTIONS = {"hinf": cost_hinf, "h2": cost_h2}
+#: The costs of a stack of candidate rows for each ``SelectionProblem.cost``:
+#: one value, or the :class:`~qmor.errors.QmorError` that makes it infeasible, per row.
+COST_FUNCTIONS = {"hinf": hinf_costs, "h2": h2_costs}
 
 
 @dataclass(frozen=True)
@@ -213,9 +291,12 @@ def optimize_points(problem):
 
     The scan uses a logarithmic lattice (64 points for one free frequency,
     16 per dimension otherwise, capped at 4096 evaluations) over
-    ``problem.omega_bounds`` or the default grid's window; the best lattice
-    point seeds a Nelder-Mead refinement in log-frequency space.  Every
-    evaluation is one trace row.  Infeasible candidates keep their reason and
+    ``problem.omega_bounds`` or the default grid's window, scored in one
+    stacked pass per ``SCAN_BLOCK`` candidates (the Lyapunov solve or
+    level-set iteration still runs per candidate); the best lattice point
+    seeds a Nelder-Mead refinement in log-frequency space, one candidate at a
+    time.  Every evaluation is one trace row, and a candidate the search
+    revisits reuses its cost.  Infeasible candidates keep their reason and
     cost a large finite penalty, ``PENALTY_FACTOR`` times the first feasible
     scan cost, so the search continues; an all-infeasible scan raises, with
     the count and the first reason on one line and the trace attached.
@@ -235,28 +316,34 @@ def optimize_points(problem):
         while per_dim**d > SCAN_POINTS_CAP:
             per_dim -= 1
     log_lo, log_hi = math.log10(lo), math.log10(hi)
-    trace, penalty = [], math.nan
+    trace, penalty, scored = [], math.nan, {}
 
-    def evaluate(phase, omegas, inside=True):
-        """The cost of one candidate, recorded as a trace row; infeasible ones cost ``penalty``."""
-        value, reason = math.nan, "outside the search interval"
-        if inside:
-            try:
-                value, reason = cost_fn(problem, omegas), ""
-            except QmorError as exc:
-                reason = str(exc)
-        feasible = math.isfinite(value)
-        trace.append({
-            "phase": phase,
-            "omegas": omegas.tolist(),
-            "cost": value if feasible else penalty,
-            "feasible": feasible,
-            "reason": reason,
-        })
+    def evaluate(phase, candidates, inside=True):
+        """One trace row per candidate row, each distinct row scored once per search.
+
+        Infeasible rows keep their reason and cost ``penalty``.
+        """
+        keys = [tuple(omegas) for omegas in candidates.tolist()]
+        fresh = [k for k, key in enumerate(keys) if inside and key not in scored]
+        if fresh:
+            scored.update(zip([keys[k] for k in fresh], cost_fn(problem, candidates[fresh])))
+        for key in keys:
+            outcome = scored[key] if inside else InfeasiblePointError("outside the search interval")
+            failed = isinstance(outcome, Exception)
+            value = math.nan if failed else outcome
+            feasible = math.isfinite(value)
+            trace.append({
+                "phase": phase,
+                "omegas": list(key),
+                "cost": value if feasible else penalty,
+                "feasible": feasible,
+                "reason": str(outcome) if failed else "",
+            })
         return trace[-1]["cost"]
 
-    for combo in itertools.product(np.logspace(log_lo, log_hi, per_dim), repeat=d):
-        evaluate("scan", np.array(combo))
+    lattice = np.array(list(itertools.product(np.logspace(log_lo, log_hi, per_dim), repeat=d)))
+    for start in range(0, len(lattice), SCAN_BLOCK):
+        evaluate("scan", lattice[start : start + SCAN_BLOCK])
     feasible_rows = [row for row in trace if row["feasible"]]
     if not feasible_rows:
         raised = [row for row in trace if row["reason"]]
@@ -274,7 +361,7 @@ def optimize_points(problem):
     best_omegas, best_cost = np.array(trace[k]["omegas"]), trace[k]["cost"]
 
     sol = scipy.optimize.minimize(
-        lambda x: evaluate("refine", 10.0**x, np.all((log_lo <= x) & (x <= log_hi))),
+        lambda x: evaluate("refine", 10.0 ** x[None], np.all((log_lo <= x) & (x <= log_hi))),
         np.log10(best_omegas),
         method="Nelder-Mead",
         options={

@@ -557,6 +557,18 @@ def test_select_points_rejects_bad_problem(tmp_path, method, r, template, capsys
     assert not (tmp_path / "sel").exists()
 
 
+def test_select_points_rejects_r_above_system_order(tmp_path, capsys):
+    # Checked before the scan: no candidate is scored and no trace is written.
+    sys_path = tmp_path / "sys.json"
+    serialization.save_system(cases.cascaded_cavity_system(), sys_path)
+    args = ["select-points", str(sys_path), "--method", "passive", "--r", "7"]
+    args += ["--template", "symmetric_with_dc", "--cost", "h2", "--out", str(tmp_path / "sel")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: r = 7 exceeds the 5 modes") and err.count("\n") == 1
+    assert not (tmp_path / "sel" / "scan_trace.csv").exists()
+
+
 def test_select_points_passive_conjugate_pairs(tmp_path, capsys):
     sys_path = tmp_path / "sys.json"
     serialization.save_system(cases.cascaded_cavity_system(), sys_path)

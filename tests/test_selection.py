@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import stable_reduction_cases
 from qmor import analysis, cases, linalg, selection, systems
-from qmor.errors import InfeasiblePointError, StructureError
+from qmor.errors import InfeasiblePointError, QmorError, StructureError
 from qmor.reduction import InterpolationData, reduce_passive, reduce_right
 from qmor.selection import (
     SelectionProblem,
@@ -219,12 +220,16 @@ def test_cost_h2_full_order_vanishes():
     assert cost_h2(problem, [1.0, 2.0]) <= 1e-8
 
 
-def test_cost_infeasible_raises_or_penalizes():
+def _rank_deficient_problem():
     sys_q = systems.random_realizable_quadrature(2, 2, 1, 2)
     dirs = np.vstack([_indicator(0, 4)] * 4)  # same direction four times
-    problem = SelectionProblem(
+    return SelectionProblem(
         system=sys_q, side="right", r=2, directions=dirs, omega_bounds=(1.0, 2.0)
     )
+
+
+def test_cost_infeasible_raises_or_penalizes():
+    problem = _rank_deficient_problem()
     with pytest.raises(InfeasiblePointError) as raised:
         cost_hinf(problem, [1.0])
     # The search keeps each candidate's reason in the trace the error carries.
@@ -396,10 +401,11 @@ def test_cost_hinf_unstable_projection_raises_or_penalizes():
 
 def test_optimizer_refine_rows_keep_the_reason(monkeypatch):
     # A cost that falls toward an infeasible edge, so the refinement crosses it.
-    def cost(problem, omegas):
-        if omegas[0] > 1.0:
-            raise InfeasiblePointError("beyond the edge")
-        return 2.0 - omegas[0]
+    def cost(problem, candidates):
+        return [
+            InfeasiblePointError("beyond the edge") if omegas[0] > 1.0 else 2.0 - omegas[0]
+            for omegas in candidates
+        ]
 
     monkeypatch.setitem(selection.COST_FUNCTIONS, "h2", cost)
     chosen = optimize_points(_unstable_projection_problem("h2"))
@@ -428,3 +434,81 @@ def test_optimizer_all_infeasible_message_is_one_line():
     assert message.startswith("all 256 scanned candidates were infeasible; 256 raised")
     assert "\n" not in message
     assert len(message.encode()) < 1024
+
+
+def _ex3_h2_problem():
+    return SelectionProblem(
+        system=cases.cascaded_cavity_system(),
+        side="passive",
+        r=3,
+        directions=cases.ex3_interpolation_data().directions,
+        omega_bounds=(1e5, 1e9),
+        cost="h2",
+        template="symmetric_with_dc",
+    )
+
+
+SCAN_PROBLEMS = {
+    "ex3-passive-h2": _ex3_h2_problem,
+    "ex1-right-hinf": lambda: SelectionProblem(
+        cases.optomechanical_system(), "right", 2, cases.ex1_interpolation_data().directions,
+        omega_bounds=(1e3, 1e6),
+    ),
+    "left-hinf": lambda: SelectionProblem(
+        stable_reduction_cases(1)[0][0], "left", 1, tangent_directions(1, 2)
+    ),
+    "unstable-h2": lambda: _unstable_projection_problem("h2"),
+    "unstable-hinf": lambda: _unstable_projection_problem("hinf"),
+    "rank-deficient": _rank_deficient_problem,
+}
+
+
+@pytest.mark.parametrize("label", sorted(SCAN_PROBLEMS))
+def test_stacked_scan_rows_equal_single_candidate_costs(label):
+    # The lattice is scored in one stacked pass; each row must be what the
+    # cost of that candidate alone gives, bit for bit, reason text included.
+    problem = SCAN_PROBLEMS[label]()
+    cost_fn = cost_h2 if problem.cost == "h2" else cost_hinf
+    try:
+        trace = optimize_points(problem).trace
+    except InfeasiblePointError as exc:
+        trace = exc.trace
+    scan = [row for row in trace if row["phase"] == "scan"]
+    assert len(scan) == selection.SCAN_POINTS_1D
+    for row in scan:
+        if row["feasible"]:
+            assert row["cost"] == cost_fn(problem, row["omegas"])
+        else:
+            with pytest.raises(QmorError) as raised:
+                cost_fn(problem, row["omegas"])
+            assert row["reason"] == str(raised.value)
+
+
+def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
+    shapes = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    chosen = optimize_points(_ex3_h2_problem())
+    n = cases.cascaded_cavity_system().n_modes
+    assert shapes[0] == (selection.SCAN_POINTS_1D, 3, n, n)
+    # Every later solve is one refine candidate, each distinct one solved once.
+    assert set(shapes[1:]) == {(1, 3, n, n)}
+    scan = {tuple(row["omegas"]) for row in chosen.trace if row["phase"] == "scan"}
+    refine = [tuple(row["omegas"]) for row in chosen.trace if row["phase"] == "refine"]
+    assert len(shapes) - 1 == len(set(refine) - scan) < len(refine)
+
+
+@pytest.mark.parametrize("side", ["passive", "left", "right"])
+def test_problem_rejects_r_above_system_order(side):
+    system = cases.cascaded_cavity_system()
+    if side != "passive":
+        system = systems.annihilation_to_quadrature(system)
+    ports = system.n_inputs if side == "right" else system.n_outputs
+    dirs = np.ones((6, ports)) if side == "passive" else tangent_directions(6, ports)
+    with pytest.raises(StructureError, match="r = 6 exceeds the 5 modes"):
+        SelectionProblem(system, side, 6, dirs)
