@@ -17,9 +17,10 @@ entries rounded to 10 decimals.  A diff of those lines stays quiet when only
 the coordinates moved (a value on a rounding boundary can still flip a last
 digit).  The inputs are ex1-ex3, ``stable_reduction_cases(5)`` with a
 left reduction of each system, four random passive reductions, six
-selection problems, and searches on the ex1 (right, H-infinity),
-``stable0-left`` and ex3 (passive, H2, in two windows) problems, each with a
-digest of its trace costs and of its trace reasons.  Run both sides with the same BLAS thread count
+selection problems, and searches on the ex1 (right, H-infinity, tied and
+untied), ``stable0-left`` and ex3 (passive, H2, in two windows) problems,
+each with a digest of its trace costs (and, but for ex3, of its trace
+reasons).  Run both sides with the same BLAS thread count
 (``OPENBLAS_NUM_THREADS=1``), since threaded BLAS may round differently.
 """
 
@@ -139,9 +140,9 @@ for label, problem, omegas in problems:
         print(label, "projected raised", type(exc).__name__, exc)
 
 
-# Searches on the right and left sides, with digests of the trace costs and reasons.
+# Searches on the right (tied, untied) and left sides, with trace-cost and trace-reason digests.
 for label, problem, _ in problems:
-    if label not in ("ex1", "stable0-left"):
+    if label not in ("ex1", "ex1-untied", "stable0-left"):
         continue
     try:
         chosen = selection.optimize_points(problem)

@@ -20,8 +20,10 @@ The costs of :data:`COST_FUNCTIONS` score a stack of candidates in one
 pass: one stacked resolvent solve, one stacked SVD, the compressions, the
 error systems and one stacked eigenvalue call for the Hurwitz tests serve
 every candidate at once, and only the Lyapunov solve or the level-set
-iteration runs candidate by candidate.  The search scores its whole scan
-lattice that way; :func:`cost_hinf` and :func:`cost_h2` are stacks of one.
+iteration runs candidate by candidate.  The search scores its scan lattice
+that way, in as few passes as ``SCAN_BLOCK_BYTES`` of working memory allow
+(one for the bundled examples); :func:`cost_hinf` and :func:`cost_h2` are
+stacks of one.
 """
 
 import itertools
@@ -40,8 +42,8 @@ from .systems import AnnihilationSystem, QuadratureSystem
 SCAN_POINTS_1D = 64
 SCAN_POINTS_ND = 16
 SCAN_POINTS_CAP = 4096
-#: Scan candidates scored by one stacked call of the cost.
-SCAN_BLOCK = 256
+#: Bytes of stacked working memory one block of scan candidates may take.
+SCAN_BLOCK_BYTES = 2**24
 PENALTY_FACTOR = 1e6
 REFINE_REL_TOL = 1e-4
 
@@ -291,15 +293,20 @@ def optimize_points(problem):
 
     The scan uses a logarithmic lattice (64 points for one free frequency,
     16 per dimension otherwise, capped at 4096 evaluations) over
-    ``problem.omega_bounds`` or the default grid's window, scored in one
-    stacked pass per ``SCAN_BLOCK`` candidates (the Lyapunov solve or
-    level-set iteration still runs per candidate); the best lattice point
-    seeds a Nelder-Mead refinement in log-frequency space, one candidate at a
-    time.  Every evaluation is one trace row, and a candidate the search
-    revisits reuses its cost.  Infeasible candidates keep their reason and
-    cost a large finite penalty, ``PENALTY_FACTOR`` times the first feasible
-    scan cost, so the search continues; an all-infeasible scan raises, with
-    the count and the first reason on one line and the trace attached.
+    ``problem.omega_bounds`` or the default grid's window, scored in stacked
+    passes; the Lyapunov solve or level-set iteration still runs per
+    candidate.  A candidate with ``k`` points on an order-``n`` system takes
+    about ``(2 k + 1) n^2`` complex entries of working memory (its ``k``
+    shifted matrices, their norms and its singular vectors), so one pass
+    holds as many candidates as fit in ``SCAN_BLOCK_BYTES``: the whole
+    lattice of a small system, one candidate at a time for a large one.  The
+    best lattice point seeds a Nelder-Mead refinement in log-frequency space,
+    one candidate at a time.  Every evaluation is one trace row, and a
+    candidate the search revisits reuses its cost.  Infeasible candidates
+    keep their reason and cost a large finite penalty, ``PENALTY_FACTOR``
+    times the first feasible scan cost, so the search continues; an
+    all-infeasible scan raises, with the count and the first reason on one
+    line and the trace attached.
     """
     cost_fn = COST_FUNCTIONS[problem.cost]
     if problem.omega_bounds is None:
@@ -342,8 +349,10 @@ def optimize_points(problem):
         return trace[-1]["cost"]
 
     lattice = np.array(list(itertools.product(np.logspace(log_lo, log_hi, per_dim), repeat=d)))
-    for start in range(0, len(lattice), SCAN_BLOCK):
-        evaluate("scan", lattice[start : start + SCAN_BLOCK])
+    n, k = problem.state_matrix().shape[0], problem.expand_points(lattice[0]).size
+    block = max(1, SCAN_BLOCK_BYTES // ((2 * k + 1) * n * n * 16))
+    for start in range(0, len(lattice), block):
+        evaluate("scan", lattice[start : start + block])
     feasible_rows = [row for row in trace if row["feasible"]]
     if not feasible_rows:
         raised = [row for row in trace if row["reason"]]

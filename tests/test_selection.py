@@ -454,6 +454,10 @@ SCAN_PROBLEMS = {
         cases.optomechanical_system(), "right", 2, cases.ex1_interpolation_data().directions,
         omega_bounds=(1e3, 1e6),
     ),
+    "ex1-right-hinf-untied": lambda: SelectionProblem(
+        cases.optomechanical_system(), "right", 2, cases.ex1_interpolation_data().directions,
+        omega_bounds=(1e3, 1e6), tie_omegas=False,
+    ),
     "left-hinf": lambda: SelectionProblem(
         stable_reduction_cases(1)[0][0], "left", 1, tangent_directions(1, 2)
     ),
@@ -465,26 +469,29 @@ SCAN_PROBLEMS = {
 
 @pytest.mark.parametrize("label", sorted(SCAN_PROBLEMS))
 def test_stacked_scan_rows_equal_single_candidate_costs(label):
-    # The lattice is scored in one stacked pass; each row must be what the
-    # cost of that candidate alone gives, bit for bit, reason text included.
+    # The lattice is scored in one stacked pass and a revisited candidate
+    # reuses its outcome; each row must be what the cost of that candidate
+    # alone gives, bit for bit, reason text included.
     problem = SCAN_PROBLEMS[label]()
     cost_fn = cost_h2 if problem.cost == "h2" else cost_hinf
     try:
         trace = optimize_points(problem).trace
     except InfeasiblePointError as exc:
         trace = exc.trace
-    scan = [row for row in trace if row["phase"] == "scan"]
-    assert len(scan) == selection.SCAN_POINTS_1D
-    for row in scan:
+    d = problem.n_free
+    per_dim = selection.SCAN_POINTS_1D if d == 1 else selection.SCAN_POINTS_ND
+    assert len([row for row in trace if row["phase"] == "scan"]) == per_dim**d
+    for row in trace:
         if row["feasible"]:
             assert row["cost"] == cost_fn(problem, row["omegas"])
-        else:
+        elif row["reason"] != "outside the search interval":
             with pytest.raises(QmorError) as raised:
                 cost_fn(problem, row["omegas"])
             assert row["reason"] == str(raised.value)
 
 
-def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
+def _counting_solve(monkeypatch):
+    """Record the shape of every ``np.linalg.solve`` call."""
     shapes = []
     solve = np.linalg.solve
 
@@ -493,6 +500,11 @@ def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return shapes
+
+
+def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
+    shapes = _counting_solve(monkeypatch)
     chosen = optimize_points(_ex3_h2_problem())
     n = cases.cascaded_cavity_system().n_modes
     assert shapes[0] == (selection.SCAN_POINTS_1D, 3, n, n)
@@ -501,6 +513,22 @@ def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
     scan = {tuple(row["omegas"]) for row in chosen.trace if row["phase"] == "scan"}
     refine = [tuple(row["omegas"]) for row in chosen.trace if row["phase"] == "refine"]
     assert len(shapes) - 1 == len(set(refine) - scan) < len(refine)
+
+
+@pytest.mark.parametrize("label", ["ex3-passive-h2", "ex1-right-hinf-untied"])
+def test_scan_blocks_leave_the_trace_unchanged(monkeypatch, label):
+    # A working-memory budget of seven candidates splits the lattice into
+    # passes of seven; no trace row may move at the block boundaries.
+    problem = SCAN_PROBLEMS[label]()
+    whole = optimize_points(problem).trace
+    n = problem.state_matrix().shape[0]
+    k = problem.expand_points(whole[0]["omegas"]).size
+    monkeypatch.setattr(selection, "SCAN_BLOCK_BYTES", 7 * (2 * k + 1) * n * n * 16)
+    shapes = _counting_solve(monkeypatch)
+    assert optimize_points(problem).trace == whole
+    scan = sum(row["phase"] == "scan" for row in whole)
+    blocks = [shape[0] for shape in shapes if len(shape) == 4][: -(-scan // 7)]
+    assert blocks == [min(7, scan - start) for start in range(0, scan, 7)]
 
 
 @pytest.mark.parametrize("side", ["passive", "left", "right"])
