@@ -178,6 +178,8 @@ def solve_stacks(m, b, context):
             np.linalg.norm(x, axis=(-2, -1)), 1e-300
         )
     bad = ~finite | (residual > 1e-8 * scale)
+    if not bad.any():
+        return x, errors
     for i in np.flatnonzero(bad.any(axis=-1)):
         if errors[i] is not None:
             continue
