@@ -4,7 +4,7 @@ PYTHON ?= python3
 BENCH_SECONDS ?= 25
 WORKLOADS = certify_small select reduce_batch
 
-.PHONY: test bench selftest fingerprint
+.PHONY: test bench selftest fingerprint fingerprint-diff
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
@@ -21,3 +21,14 @@ selftest:
 # the output of two checkouts to show that a change moved no result bit.
 fingerprint:
 	@OPENBLAS_NUM_THREADS=1 $(PYTHON) scripts/fingerprint.py
+
+# The fingerprint of BASE's src and tests (a git revision) against that of the
+# working tree, both by the working tree's script; fails on any difference.
+fingerprint-diff:
+	@test -n "$(BASE)" || { echo "usage: make fingerprint-diff BASE=<rev>" >&2; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive "$(BASE)" src tests | tar -x -C "$$tmp" && \
+	OPENBLAS_NUM_THREADS=1 $(PYTHON) scripts/fingerprint.py "$$tmp" > "$$tmp/base.txt" && \
+	OPENBLAS_NUM_THREADS=1 $(PYTHON) scripts/fingerprint.py > "$$tmp/work.txt" && \
+	diff "$$tmp/base.txt" "$$tmp/work.txt" && \
+	echo "fingerprint-diff: no difference from $(BASE)"

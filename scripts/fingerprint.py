@@ -134,8 +134,10 @@ for label, problem, omegas in problems:
     try:
         points = problem.expand_points(omegas)
         full = problem.system.state_space()[:3]
-        projected = selection._reduced_model(problem, points).state_space()[:3]
-        print(label, "projected", digest(*full), digest(*projected))
+        (a, b, c, _), (error,) = selection._reduced_models(problem, points[None])
+        if error is not None:
+            raise error
+        print(label, "projected", digest(*full), digest(a[0], b[0], c[0]))
     except QmorError as exc:
         print(label, "projected raised", type(exc).__name__, exc)
 

@@ -189,25 +189,11 @@ def grid_suprema(f, omegas, n_terms):
 def sweep(a, b, s):
     """Stacked resolvent solves ``X[k] = (s_k I - A_k)^-1 B_k`` over a 1-D array ``s``.
 
-    ``a`` and ``b`` are one matrix each, or one per point.  A block that
-    holds an exactly singular point is solved point by point, and the
-    singular points get NaN.
+    ``a`` and ``b`` are one matrix each, or one per point; an exactly
+    singular point reads NaN (:func:`~qmor.linalg.solve`).
     """
-    s = np.asarray(s)
-    shifted = linalg.shifted(a, s)
     # b[None]: a stack of one matrix on every numpy version, never a stack of vectors.
-    rhs = b if b.ndim == 3 else b[None]
-    try:
-        return np.linalg.solve(shifted, rhs)
-    except np.linalg.LinAlgError:
-        rhs = np.broadcast_to(rhs, (s.size,) + rhs.shape[1:])
-        out = np.full(rhs.shape, math.nan, np.result_type(shifted, rhs))
-        for k, m in enumerate(shifted):
-            try:
-                out[k] = np.linalg.solve(m, rhs[k])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    return linalg.solve(linalg.shifted(a, s), b if b.ndim == 3 else b[None])
 
 
 def _norms(stack):

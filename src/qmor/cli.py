@@ -43,6 +43,11 @@ def _check_window(wmin, wmax):
         raise SchemaError(f"need 0 < wmin < wmax < inf, got wmin={wmin:g}, wmax={wmax:g}")
 
 
+def _check_tol(tol):
+    if tol is not None and not 0 <= tol < math.inf:  # false for nan too
+        raise SchemaError(f"need 0 <= tol < inf, got tol={tol:g}")
+
+
 def _grid_override(args, *state_matrices):
     spec = analysis.default_grid(*state_matrices)
     wmin = args.wmin if args.wmin is not None else spec.wmin
@@ -57,6 +62,7 @@ def _grid_override(args, *state_matrices):
 
 
 def cmd_check_pr(args):
+    _check_tol(args.tol)
     system = serialization.load_system(args.input)
     report = check_realizability(system, tol=args.tol)
     form = "quadrature" if isinstance(system, QuadratureSystem) else "annihilation"
@@ -103,6 +109,7 @@ def _write_reduction(out, result, method):
 
 
 def cmd_reduce(args):
+    _check_tol(args.tol)
     system = serialization.load_system(args.input)
     data = _interpolation_data_from_args(args)
     passive = args.method == "passive"
@@ -205,6 +212,8 @@ def _default_directions(method, r, system):
 
 
 def cmd_select_points(args):
+    if args.r < 1:
+        raise SchemaError(f"--r {args.r}: need r >= 1")
     if args.method == "passive" and args.template == "conjugate_pairs" and args.r % 2:
         # A usage error: r passive points are r / 2 conjugate pairs.
         raise SchemaError(f"--r {args.r}: passive conjugate-pair selection needs an even r")

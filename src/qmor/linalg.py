@@ -4,10 +4,11 @@ All routines accept real or complex 2-D arrays; real input is simply the
 imaginary-part-zero special case.  Matrices here are small (state dimension
 of every target system is below twenty), so everything is dense and direct.
 The kernels are numpy's LAPACK gufuncs, which solve, decompose and take norms
-of a whole stack of matrices in one call: :func:`solve` checks every item of
-a stack of resolvent matrices built by :func:`shifted`.  ``scipy.linalg``
-serves only what numpy lacks: the Lyapunov solver here and the real Schur
-form in :mod:`qmor.symplectic`.
+of a whole stack of matrices in one call.  Every resolvent solve is one call
+of the stacked :func:`solve` on a stack built by :func:`shifted`, unchecked
+(an exactly singular item reads NaN) or checked item by item through
+:func:`solve_stacks`.  ``scipy.linalg`` serves only what numpy lacks: the
+Lyapunov solver here and the real Schur form in :mod:`qmor.symplectic`.
 """
 
 import math
@@ -109,46 +110,41 @@ def shifted(a, s):
     return out
 
 
-def solve(m, rhs, context=None):
-    """Solve ``m @ x = rhs`` for square nonsingular ``m``, or for every item of a stack.
+def solve(m, b):
+    """Solve ``m @ x = b`` for a stack ``m`` of shape ``(..., n, n)`` in one call.
 
-    ``m`` is ``(n, n)`` with ``rhs`` ``(n,)`` or ``(n, p)``, or a stack
-    ``(k, n, n)`` with ``rhs`` ``(k, n)`` or ``(k, n, p)`` (or ``(1, n, p)``,
-    shared), solved in one call.  Every item must pass the checks of
-    :func:`solve_stacks`.  ``context`` (a sequence for a stack) names what
-    produced each item, such as its interpolation point; the
-    :class:`SingularMatrixError` of a failing item carries it.
+    ``b`` is ``(..., n, p)``, broadcast over the leading axes of ``m``.  Only
+    when the stacked call raises are the items solved one by one; an exactly
+    singular item then reads NaN.  :func:`solve_stacks` checks the result.
     """
-    stacked = np.ndim(m) == 3
-    m = as_matrix(m, ndim=3 if stacked else 2)
-    rhs = np.asarray(rhs)
-    vector = rhs.ndim == m.ndim - 1
-    # Explicit column and stack axes: numpy 1.x and 2.x read a (k, n) right-hand
-    # side of a stack differently.
-    ms = m if stacked else m[None]
-    b = rhs[..., None] if vector else rhs
-    b = b if stacked else b[None]
-    x, (error,) = solve_stacks(
-        ms[None], b[None], lambda _, k: context[k] if stacked and context is not None else context
-    )
-    if error is not None:
-        raise error
-    x = x[0, ..., 0] if vector else x[0]
-    return x if stacked else x[0]
+    try:
+        return np.linalg.solve(m, b)
+    except np.linalg.LinAlgError:
+        lead = np.broadcast_shapes(m.shape[:-2], b.shape[:-2])
+        m, b = np.broadcast_to(m, lead + m.shape[-2:]), np.broadcast_to(b, lead + b.shape[-2:])
+        x = np.full(b.shape, math.nan, np.result_type(m, b))
+        for i in np.ndindex(lead):
+            try:
+                x[i] = np.linalg.solve(m[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return x
 
 
 def solve_stacks(m, b, context):
     """Solve many stacks of systems in one call, each stack with its own error.
 
-    ``m`` is ``(g, k, n, n)``, ``g`` stacks of ``k`` items, and ``b`` is
-    ``(g or 1, k or 1, n, p)``.  Returns ``(x, errors)``: ``errors[i]`` is
-    ``None`` or the :class:`SingularMatrixError` of stack ``i``, and a failing
-    stack does not stop the others.  Each stack is checked as a whole, in
-    this order: an exactly singular item (the first with a zero determinant),
-    a non-finite solution, and a residual above ``1e-8 |m_j| |x_j|``; the
-    message names the first failing item ``j`` of the first failing check by
-    ``context(i, j)``.
+    ``m`` is ``(g, k, n, n)``, ``g`` stacks of ``k`` items with finite entries,
+    and ``b`` is ``(g or 1, k or 1, n, p)``.  Returns ``(x, errors)``:
+    ``errors[i]`` is ``None`` or the :class:`SingularMatrixError` of stack
+    ``i``, and a failing stack does not stop the others.  Each stack is
+    checked as a whole, in this order: an exactly singular item (the first
+    non-finite one with a zero determinant), a non-finite solution, and a
+    residual above ``1e-8 |m_j| |x_j|``; the message names the first failing
+    item ``j`` of the first failing check by ``context(i, j)``.
     """
+    m = as_matrix(m, ndim=4)
+    x = solve(m, b)
     errors = [None] * m.shape[0]
 
     def fail(i, j, reason, detail=""):
@@ -156,22 +152,8 @@ def solve_stacks(m, b, context):
         label = f" while evaluating {item}" if item else ""
         errors[i] = SingularMatrixError(f"{reason}{label}{detail}")
 
-    # Singular inputs are caught by the checks below; silence the intermediate
-    # divide-by-zero noise they produce.
+    # Singular items are caught by the checks below; silence the NaN noise they produce.
     with np.errstate(all="ignore"):
-        try:
-            x = np.linalg.solve(m, b)
-        except np.linalg.LinAlgError:
-            # The stacked call does not say which stack has a zero pivot: solve
-            # stack by stack, and let det name the item.
-            b = np.broadcast_to(b, (m.shape[0],) + b.shape[1:])
-            shape = np.broadcast_shapes(m.shape[:-1] + (1,), b.shape)
-            x = np.full(shape, math.nan, np.result_type(m, b))
-            for i in range(m.shape[0]):
-                try:
-                    x[i] = np.linalg.solve(m[i], b[i])
-                except np.linalg.LinAlgError as exc:
-                    fail(i, int(np.argmax(np.linalg.det(m[i]) == 0)), "singular matrix", f": {exc}")
         finite = np.isfinite(x).all(axis=(-2, -1))
         residual = np.linalg.norm(m @ x - b, axis=(-2, -1))
         scale = np.linalg.norm(m, axis=(-2, -1)) * np.maximum(
@@ -180,11 +162,13 @@ def solve_stacks(m, b, context):
     bad = ~finite | (residual > 1e-8 * scale)
     if not bad.any():
         return x, errors
-    for i in np.flatnonzero(bad.any(axis=-1)):
-        if errors[i] is not None:
-            continue
-        if not finite[i].all():
-            fail(i, int(np.argmin(finite[i])), "singular or ill-conditioned matrix")
+    for i in np.flatnonzero(bad.any(axis=-1)).tolist():
+        nonfinite = np.flatnonzero(~finite[i])
+        singular = nonfinite[np.linalg.det(m[i, nonfinite]) == 0]
+        if singular.size:
+            fail(i, int(singular[0]), "singular matrix", ": Singular matrix")
+        elif nonfinite.size:
+            fail(i, int(nonfinite[0]), "singular or ill-conditioned matrix")
         else:
             j = int(np.argmax(bad[i]))
             excess = f"solve residual {residual[i, j]:.3e} exceeds 1e-8 of scale {scale[i, j]:.3e}"

@@ -190,10 +190,8 @@ def _resolvent_columns(system, side, points, directions):
     labels = points
     if side != "right":
         a, b, points = a.conj().T, c.conj().T, np.conj(points)
-    g, k = points.shape
-    shifted = linalg.as_matrix(linalg.shifted(a, points.ravel()).reshape(g, k, *a.shape), ndim=4)
     x, errors = linalg.solve_stacks(
-        shifted,
+        linalg.shifted(a, points.ravel()).reshape(*points.shape, *a.shape),
         (directions @ b.T)[None, ..., None],
         lambda i, j: f"{side} interpolation point {labels[i, j]}",
     )
@@ -202,28 +200,6 @@ def _resolvent_columns(system, side, points, directions):
         if error is not None:
             x[i] = 0.0
     return x.transpose(0, 2, 1), errors
-
-
-def _subspace_vectors(system, side, points, directions):
-    columns, (error,) = _resolvent_columns(system, side, np.asarray(points)[None], directions)
-    if error is not None:
-        raise error
-    return columns[0]
-
-
-def left_subspace_vectors(system, points, directions):
-    """Complex defining vectors ``(sigma_i I - A)^-H C^H mu_i`` as columns."""
-    return _subspace_vectors(system, "left", points, directions)
-
-
-def right_subspace_vectors(system, points, directions):
-    """Complex defining vectors ``(sigma_i I - A)^-1 B nu_i`` as columns."""
-    return _subspace_vectors(system, "right", points, directions)
-
-
-def passive_subspace_vectors(system, points, directions):
-    """Complex defining vectors ``(sigma_i I - F)^-H H^H mu_i`` as columns."""
-    return _subspace_vectors(system, "passive", points, directions)
 
 
 def _checked_ranges(bases, points, what, errors):

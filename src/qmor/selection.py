@@ -211,14 +211,6 @@ def _reduced_models(problem, points):
     return reduced, [None if e is None else InfeasiblePointError(str(e)) for e in errors]
 
 
-def _reduced_model(problem, points):
-    """The reduced model of ``reduce_*`` at ``points``; infeasible when it cannot be built."""
-    (a, b, c, d), (error,) = _reduced_models(problem, np.asarray(points)[None])
-    if error is not None:
-        raise error
-    return type(problem.system)(a[0], b[0], c[0], d)
-
-
 def _candidate_costs(problem, candidates, norm):
     """``norm`` of the error system of every candidate row, or the error that makes it infeasible.
 

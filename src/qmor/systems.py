@@ -169,17 +169,21 @@ def transfer(system, s):
     """Transfer function ``D + C (sI - A)^-1 B`` (or its annihilation analogue).
 
     ``s`` is one point, or a 1-D array of points for a stack of values from
-    one checked :func:`~qmor.linalg.solve`; a pole at a point raises
-    :class:`SingularMatrixError` naming it.
+    one :func:`~qmor.linalg.solve_stacks` on a stack of one; a pole at a
+    point raises :class:`SingularMatrixError` naming it.
     """
     if not isinstance(system, _System):
         raise StructureError(f"unsupported system type {type(system).__name__}")
     a, b, c, d = system.state_space()
     points = np.atleast_1d(s)
-    resolvent_rhs = linalg.solve(
-        linalg.shifted(a, points), b[None], [f"resolvent at s = {p}" for p in points]
+    x, (error,) = linalg.solve_stacks(
+        linalg.shifted(a, points)[None],
+        b[None, None],
+        lambda _, k: f"resolvent at s = {points[k]}",
     )
-    values = d + c @ resolvent_rhs
+    if error is not None:
+        raise error
+    values = d + c @ x[0]
     return values if np.ndim(s) else values[0]
 
 

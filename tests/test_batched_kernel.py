@@ -248,7 +248,9 @@ def test_cost_hinf_matches_scalar_oracle():
     for problem, omegas in _cost_problems():
         points = problem.expand_points(omegas)
         full = problem.system.state_space()[:3]
-        reduced = selection._reduced_model(problem, points).state_space()[:3]
+        (a, b, c, _), (error,) = selection._reduced_models(problem, points[None])
+        assert error is None
+        reduced = a[0], b[0], c[0]
         zero = np.zeros((full[2].shape[0], full[1].shape[1]))
         spec = dataclasses.replace(
             analysis.default_grid(full[0], reduced[0]), two_sided=np.iscomplexobj(full[0])

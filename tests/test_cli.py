@@ -550,10 +550,19 @@ def test_select_points_rejects_bad_problem(tmp_path, method, r, template, capsys
     serialization.save_system(system, sys_path)
     args = ["select-points", str(sys_path), "--method", method, "--r", r]
     args += ["--template", template, "--out", str(tmp_path / "sel")]
-    assert main(args) == 1
+    # An r below 1 is a usage error.
+    assert main(args) == (2 if int(r) < 1 else 1)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "sel").exists()
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_select_points_r_below_one_exits_2(tmp_path, ex1_system_path, r, capsys):
+    args = ["select-points", str(ex1_system_path), "--method", "right", "--r", r]
+    assert main(args + ["--out", str(tmp_path / "sel")]) == 2
+    assert capsys.readouterr().err == f"error: --r {r}: need r >= 1\n"
     assert not (tmp_path / "sel").exists()
 
 
@@ -641,6 +650,16 @@ def test_non_finite_window_exits_2(tmp_path, ex1_system_path, ex1_points_path, w
         err = capsys.readouterr().err
         assert err.startswith("error: need 0 < wmin < wmax < inf") and err.count("\n") == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tol_exits_2(tmp_path, ex1_system_path, ex1_points_path, tol, capsys):
+    argv = ["reduce", str(ex1_system_path), "--method", "right", "--points", str(ex1_points_path)]
+    assert main(argv + ["--tol", tol, "--out", str(tmp_path / "red")]) == 2
+    assert capsys.readouterr().err == f"error: need 0 <= tol < inf, got tol={float(tol):g}\n"
+    assert not (tmp_path / "red" / "reduction.json").exists()
+    assert main(["check-pr", str(ex1_system_path), "--tol", tol]) == 2
+    assert capsys.readouterr().err == f"error: need 0 <= tol < inf, got tol={float(tol):g}\n"
 
 
 def test_select_points_negative_window_exits_2(tmp_path, ex1_system_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -101,50 +103,62 @@ def test_eigenpairs_residual():
         assert residual <= 1e-10 * np.linalg.norm(m)
 
 
+def _no_context(i, j):
+    return None
+
+
 def test_solve_identity():
     rhs = np.arange(6.0).reshape(3, 2)
-    assert np.array_equal(linalg.solve(np.eye(3), rhs), rhs)
+    x, errors = linalg.solve_stacks(np.eye(3)[None, None], rhs[None, None], _no_context)
+    assert errors == [None]
+    assert np.array_equal(x[0, 0], rhs)
 
 
 def test_solve_diagonal():
-    x = linalg.solve(np.diag([2.0, 4.0]), np.eye(2))
-    assert np.allclose(x, np.diag([0.5, 0.25]))
+    x, errors = linalg.solve_stacks(np.diag([2.0, 4.0])[None, None], np.eye(2)[None, None], _no_context)
+    assert errors == [None]
+    assert np.allclose(x[0, 0], np.diag([0.5, 0.25]))
 
 
 def test_solve_residual_oracle():
     rng = np.random.default_rng(30)
     m = rng.standard_normal((10, 10)) + 10 * np.eye(10)
     rhs = rng.standard_normal((10, 3))
-    x = linalg.solve(m, rhs)
+    x, errors = linalg.solve_stacks(m[None, None], rhs[None, None], _no_context)
+    assert errors == [None]
+    x = x[0, 0]
     assert np.linalg.norm(m @ x - rhs) <= 1e-10 * np.linalg.norm(m) * np.linalg.norm(x)
 
 
 def test_solve_singular_names_context():
-    with pytest.raises(SingularMatrixError, match="point 2j"):
-        linalg.solve(np.zeros((2, 2)), np.eye(2), context="point 2j")
+    _, (error,) = linalg.solve_stacks(
+        np.zeros((1, 1, 2, 2)), np.eye(2)[None, None], lambda i, j: "point 2j"
+    )
+    assert isinstance(error, SingularMatrixError)
+    assert str(error) == "singular matrix while evaluating point 2j: Singular matrix"
 
 
 def test_solve_stack_matches_item_solves():
     rng = np.random.default_rng(31)
     m = rng.standard_normal((5, 4, 4)) + 4 * np.eye(4) + 1j * rng.standard_normal((5, 4, 4))
     rhs = rng.standard_normal((5, 4, 2))
-    x = linalg.solve(m, rhs, context=[f"point {k}" for k in range(5)])
-    assert x.shape == (5, 4, 2)
+    x, errors = linalg.solve_stacks(m[None], rhs[None], lambda i, k: f"point {k}")
+    assert errors == [None]
+    assert x.shape == (1, 5, 4, 2)
     for k in range(5):
-        assert np.allclose(x[k], np.linalg.solve(m[k], rhs[k]), rtol=1e-14, atol=0.0)
+        assert np.allclose(x[0, k], np.linalg.solve(m[k], rhs[k]), rtol=1e-14, atol=0.0)
     # One right-hand side shared by the whole stack.
-    shared = linalg.solve(m, rhs[:1])
+    shared, _ = linalg.solve_stacks(m[None], rhs[None, :1], _no_context)
     for k in range(5):
-        assert np.allclose(shared[k], np.linalg.solve(m[k], rhs[0]), rtol=1e-14, atol=0.0)
+        assert np.allclose(shared[0, k], np.linalg.solve(m[k], rhs[0]), rtol=1e-14, atol=0.0)
 
 
 def test_solve_stack_singular_item_names_its_context():
     m = np.stack([np.eye(3) * (k + 1.0) for k in range(4)])
     m[2] = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])
-    contexts = [f"point {k}" for k in range(4)]
-    with pytest.raises(SingularMatrixError, match="singular matrix while evaluating point 2") as err:
-        linalg.solve(m, np.ones((4, 3, 1)), context=contexts)
-    assert "point 0" not in str(err.value) and "point 3" not in str(err.value)
+    _, (error,) = linalg.solve_stacks(m[None], np.ones((1, 4, 3, 1)), lambda i, k: f"point {k}")
+    assert isinstance(error, SingularMatrixError)
+    assert str(error) == "singular matrix while evaluating point 2: Singular matrix"
 
 
 def test_solve_stack_residual_check_names_the_failing_item():
@@ -155,27 +169,38 @@ def test_solve_stack_residual_check_names_the_failing_item():
     wilkinson[:, -1] = 1.0
     m = np.stack([np.eye(n), wilkinson, 2.0 * np.eye(n)])
     rhs = np.random.default_rng(0).standard_normal((3, n, 1))
-    with pytest.raises(SingularMatrixError, match="solve residual .* while evaluating item 1"):
-        linalg.solve(m, rhs, context=["item 0", "item 1", "item 2"])
+    _, (error,) = linalg.solve_stacks(m[None], rhs[None], lambda i, k: f"item {k}")
+    assert isinstance(error, SingularMatrixError)
+    assert re.fullmatch(r"solve residual .* while evaluating item 1", str(error))
     # Each well-conditioned item alone passes the same check.
     for k in (0, 2):
-        linalg.solve(m[k], rhs[k], context=f"item {k}")
+        assert linalg.solve_stacks(m[k][None, None], rhs[k][None, None], _no_context)[1] == [None]
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_solve_stack_vector_rhs(k):
-    # A (k, n) right-hand side is one vector per item, also when k == n, where
-    # numpy 2 alone would read it as one (n, n) matrix for every item.
-    rng = np.random.default_rng(32)
-    m = rng.standard_normal((k, 4, 4)) + 4 * np.eye(4)
-    rhs = rng.standard_normal((k, 4))
+def _stacks_with_one_singular_item():
+    """A (3, 4, 5, 5) stack whose item (1, 2) has a zero column, and one shared (1, 1, 5, 2) right-hand side."""
+    rng = np.random.default_rng(33)
+    m = rng.standard_normal((3, 4, 5, 5)) + 1j * rng.standard_normal((3, 4, 5, 5)) + 5 * np.eye(5)
+    m[1, 2, :, 3] = 0.0
+    return m, rng.standard_normal((1, 1, 5, 2))
+
+
+def test_solve_singular_item_reads_nan():
+    m, rhs = _stacks_with_one_singular_item()
     x = linalg.solve(m, rhs)
-    assert x.shape == (k, 4)
-    for i in range(k):
-        assert np.allclose(m[i] @ x[i], rhs[i], rtol=0.0, atol=1e-13)
-    single = linalg.solve(m[0], rhs[0])
-    assert single.shape == (4,)
-    assert np.allclose(single, x[0], rtol=1e-14, atol=0.0)
+    assert x.shape == (3, 4, 5, 2)
+    assert np.isnan(x[1, 2]).all()
+    for i, j in np.ndindex(3, 4):
+        if (i, j) != (1, 2):
+            assert np.array_equal(x[i, j], np.linalg.solve(m[i, j], rhs[0, 0]))
+
+
+def test_solve_stacks_names_the_singular_item():
+    m, rhs = _stacks_with_one_singular_item()
+    _, errors = linalg.solve_stacks(m, rhs, lambda i, j: f"item {(i, j)}")
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], SingularMatrixError)
+    assert str(errors[1]) == "singular matrix while evaluating item (1, 2): Singular matrix"
 
 
 def test_lyapunov_trivial_cases():

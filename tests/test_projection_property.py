@@ -87,7 +87,8 @@ def test_every_side_takes_one_projection_path(side, n, m, data):
     except QmorError as exc:
         event(f"{side}: raised {type(exc).__name__}")
         with pytest.raises(InfeasiblePointError):
-            selection._reduced_model(problem, points)
+            _, (error,) = selection._reduced_models(problem, points[None])
+            raise error
         return
 
     diag = result.diagnostics
@@ -101,7 +102,9 @@ def test_every_side_takes_one_projection_path(side, n, m, data):
     assert abs(exact.via_r - exact.direct) <= 1e-8 * scale
 
     full = problem.system.state_space()[:3]
-    projected = selection._reduced_model(problem, points).state_space()[:3]
+    (a, b, c, _), (error,) = selection._reduced_models(problem, points[None])
+    assert error is None
+    projected = a[0], b[0], c[0]
     expected = system.state_space()[:3] + result.reduced.state_space()[:3]
     assert all(np.array_equal(got, want) for got, want in zip(full + projected, expected))
     stable = linalg.is_hurwitz(full[0]) and linalg.is_hurwitz(projected[0])

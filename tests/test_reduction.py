@@ -13,7 +13,6 @@ from qmor.reduction import (
     InterpolationData,
     ReductionResult,
     left_subspace_basis,
-    left_subspace_vectors,
     passive_stability_certificate,
     passive_subspace_basis,
     real_basis_from_conjugate_data,
@@ -21,7 +20,6 @@ from qmor.reduction import (
     reduce_passive,
     reduce_right,
     right_subspace_basis,
-    right_subspace_vectors,
 )
 from qmor.selection import conjugate_pair_points
 from qmor.symplectic import skew_normal_form
@@ -30,6 +28,19 @@ from qmor.systems import symplectic_form, transfer
 
 def complex_span_rank(*mats):
     return np.linalg.matrix_rank(np.hstack(mats).astype(complex), tol=1e-8)
+
+
+def defining_vectors(system, side, data):
+    """Oracle columns ``(s I - A)^-1 B d`` (right) or ``(s I - A)^-H C^H d``, one solve per point."""
+    a, b, c, _ = system.state_space()
+    columns = []
+    for s, d in zip(data.points, data.directions):
+        shifted = s * np.eye(a.shape[0]) - a
+        if side == "right":
+            columns.append(np.linalg.solve(shifted, b @ d))
+        else:
+            columns.append(np.linalg.solve(shifted.conj().T, c.conj().T @ d))
+    return np.column_stack(columns)
 
 
 # --------------------------------------------------------------------------
@@ -119,7 +130,7 @@ def test_left_basis_spans_defining_vectors():
     )
     basis = left_subspace_basis(sys_q, data)
     assert basis.shape == (6, 4)
-    vectors = left_subspace_vectors(sys_q, data.points, data.directions)
+    vectors = defining_vectors(sys_q, "left", data)
     projector = orthogonal_projector(basis.astype(complex))
     for k in range(vectors.shape[1]):
         v = vectors[:, k]
@@ -132,7 +143,7 @@ def test_right_basis_optomech_case():
     basis = right_subspace_basis(sys_q, data)
     assert basis.shape == (6, 4)
     assert np.linalg.matrix_rank(basis) == 4
-    vectors = right_subspace_vectors(sys_q, data.points, data.directions)
+    vectors = defining_vectors(sys_q, "right", data)
     projector = orthogonal_projector(basis.astype(complex))
     for k in range(4):
         v = vectors[:, k]
@@ -336,12 +347,10 @@ def test_passive_basis_cascade_case():
 
 
 def test_passive_basis_defining_vector_oracle():
-    from qmor.reduction import passive_subspace_vectors
-
     sys_a = systems.random_realizable_annihilation(5, 2, 2, 8)
     data = make_passive_data(sys_a, 8, r=3)
     v_a = passive_subspace_basis(sys_a, data)
-    vectors = passive_subspace_vectors(sys_a, data.points, data.directions)
+    vectors = defining_vectors(sys_a, "passive", data)
     projector = v_a @ v_a.conj().T
     for k in range(vectors.shape[1]):
         v = vectors[:, k]

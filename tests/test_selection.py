@@ -158,7 +158,9 @@ def test_selection_scores_the_reduced_model(case):
         triple = (reduced.F, reduced.G, reduced.H)
     else:
         triple = (reduced.A, reduced.B, reduced.C)
-    projected = selection._reduced_model(problem, points).state_space()[:3]
+    (a, b, c, _), (error,) = selection._reduced_models(problem, points[None])
+    assert error is None
+    projected = a[0], b[0], c[0]
     for got, expected in zip(projected, triple):
         assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
 
