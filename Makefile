@@ -2,9 +2,11 @@
 
 PYTHON ?= python3
 BENCH_SECONDS ?= 25
+PAIRS ?= 10
+SEED ?= 0
 WORKLOADS = certify_small select reduce_batch
 
-.PHONY: test bench selftest fingerprint fingerprint-diff
+.PHONY: test bench bench-pairs selftest fingerprint fingerprint-diff
 
 test:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
@@ -13,6 +15,13 @@ bench:
 	for w in $(WORKLOADS); do \
 		$(PYTHON) bench/run.py --workload $$w --seed 0 --seconds $(BENCH_SECONDS) || exit 1; \
 	done
+
+# PAIRS alternating runs of WORKLOAD on BASE's src (a git revision) and on the
+# working tree, both by the working tree's bench/; prints each end-to-end
+# metric's median, quartiles and the pairs the working tree won.
+bench-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs BASE=<rev> WORKLOAD=<name> [PAIRS=10] [BENCH_SECONDS=25] [SEED=0]" >&2; exit 2; }
+	$(PYTHON) scripts/bench_pairs.py --base "$(BASE)" --workload $(WORKLOAD) --pairs $(PAIRS) --seconds $(BENCH_SECONDS) --seed $(SEED)
 
 selftest:
 	$(PYTHON) bench/selftest.py

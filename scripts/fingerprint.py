@@ -18,9 +18,9 @@ the coordinates moved (a value on a rounding boundary can still flip a last
 digit).  The inputs are ex1-ex3, ``stable_reduction_cases(5)`` with a
 left reduction of each system, four random passive reductions, six
 selection problems, and searches on the ex1 (right, H-infinity, tied and
-untied), ``stable0-left`` and ex3 (passive, H2, in two windows) problems,
-each with a digest of its trace costs (and, but for ex3, of its trace
-reasons).  Run both sides with the same BLAS thread count
+untied; right, H2, tied), ``stable0-left`` and ex3 (passive, H2, in two
+windows) problems, each with a digest of its trace costs (and, but for ex3,
+of its trace reasons).  Run both sides with the same BLAS thread count
 (``OPENBLAS_NUM_THREADS=1``), since threaded BLAS may round differently.
 """
 
@@ -142,6 +142,12 @@ for label, problem, omegas in problems:
         print(label, "projected raised", type(exc).__name__, exc)
 
 
+def trace_digests(rows):
+    """The row count and the digests of a search trace's costs and reasons."""
+    reasons = np.array([f"{row['feasible']} {row['reason']}" for row in rows])
+    return len(rows), digest(np.array([row["cost"] for row in rows])), digest(reasons)
+
+
 # Searches on the right (tied, untied) and left sides, with trace-cost and trace-reason digests.
 for label, problem, _ in problems:
     if label not in ("ex1", "ex1-untied", "stable0-left"):
@@ -151,9 +157,7 @@ for label, problem, _ in problems:
         rows, head = chosen.trace, f"{chosen.omegas.tolist()!r} {chosen.cost!r}"
     except QmorError as exc:
         rows, head = exc.trace, f"raised {type(exc).__name__}"
-    reasons = np.array([f"{row['feasible']} {row['reason']}" for row in rows])
-    print(label, "optimize_points", head, len(rows),
-          digest(np.array([row["cost"] for row in rows])), digest(reasons))
+    print(label, "optimize_points", head, *trace_digests(rows))
 
 for window in ((1e5, 1e9), None):
     problem = selection.SelectionProblem(
@@ -162,3 +166,10 @@ for window in ((1e5, 1e9), None):
     chosen = selection.optimize_points(problem)
     print("ex3 optimize_points", window, repr(chosen.omegas.tolist()), repr(chosen.cost),
           len(chosen.trace), digest(np.array([row["cost"] for row in chosen.trace])))
+
+# The real (dgees/dtrsyl) Lyapunov path over a whole trace: ex1, right, tied, H2.
+window = (1e3, 1e6)
+problem = selection.SelectionProblem(ex1, "right", 2, ex1_dirs, cost="h2", omega_bounds=window)
+chosen = selection.optimize_points(problem)
+print("ex1 optimize_points h2", window, repr(chosen.omegas.tolist()), repr(chosen.cost),
+      *trace_digests(chosen.trace))

@@ -8,7 +8,9 @@ of a whole stack of matrices in one call.  Every resolvent solve is one call
 of the stacked :func:`solve` on a stack built by :func:`shifted`, unchecked
 (an exactly singular item reads NaN) or checked item by item through
 :func:`solve_stacks`.  ``scipy.linalg`` serves only what numpy lacks: the
-Lyapunov solver here and the real Schur form in :mod:`qmor.symplectic`.
+LAPACK ``gees`` and ``trsyl`` calls of :func:`lyapunov_solve`, one Schur form
+per solve that also gives the Hurwitz test, and the real Schur form in
+:mod:`qmor.symplectic`.
 """
 
 import math
@@ -186,18 +188,47 @@ def is_hurwitz(m):
 def lyapunov_solve(a, q):
     """Solve ``a @ p + p @ a^H + q = 0`` for Hurwitz ``a`` and Hermitian ``q``.
 
-    The result is symmetrized before returning.  A non-Hurwitz ``a`` raises
-    :class:`StabilityError` because the Gramian integral does not converge.
+    Bartels-Stewart on one Schur form ``a = u r u^H`` from LAPACK ``gees``,
+    whose eigenvalues are also the Hurwitz test, then ``trsyl`` on
+    ``u^H (-q) u``: the calls of ``scipy.linalg.solve_continuous_lyapunov(a,
+    -q)``, in its order, bit for bit.  The result is symmetrized before
+    returning.  A non-Hurwitz ``a`` raises :class:`StabilityError` because
+    the Gramian integral does not converge, and so does a pole pair whose sum
+    is zero to working precision, which ``trsyl`` would perturb.
     """
     a = as_matrix(a, "state matrix")
     q = as_matrix(q, "right-hand side")
-    if not is_hurwitz(a):
+    if a.size == 0:  # gees rejects an empty matrix
+        return np.zeros(a.shape, np.result_type(a, q))
+    (gees,) = la.get_lapack_funcs(("gees",), (a,))
+    lwork = gees(_no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
+    # (t, sdim, wr, wi, vs, work, info) for real a, (t, sdim, w, vs, work, info) for complex
+    r, _, poles, *_, u, _, info = gees(_no_sort, a, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    if not np.all(poles.real < 0):
         raise StabilityError("state matrix is not Hurwitz; Lyapunov solution undefined")
-    p = la.solve_continuous_lyapunov(a, -q)
+    f = u.conj().T.dot((-q).dot(u))
+    (trsyl,) = la.get_lapack_funcs(("trsyl",), (r, f))
+    real = np.isrealobj(a) and np.isrealobj(q)
+    y, scale, info = trsyl(r, r, f, tranb="T" if real else "C")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of trsyl")
+    if info == 1:
+        raise StabilityError(
+            "state matrix has a pole pair whose sum is zero to working precision; "
+            "Lyapunov solution undefined"
+        )
+    y *= scale
+    p = u.dot(y).dot(u.conj().T)
     p = (p + p.conj().T) / 2
-    if np.isrealobj(a) and np.isrealobj(q):
+    if real:
         p = p.real
     return p
+
+
+def _no_sort(*_):
+    """The eigenvalue selector of an unsorted ``gees`` call, never called."""
 
 
 def spectral_norm(m):

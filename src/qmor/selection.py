@@ -10,8 +10,9 @@ reduction returns at the candidate points: the pair ``(W, V)`` of
 :func:`qmor.reduction.projection` for the problem's side and its compression
 by :func:`qmor.reduction.compress`.  A candidate whose reduction cannot be
 built, or whose error system is not Hurwitz, is infeasible.  The H2 cost is
-exact: :func:`qmor.analysis.h2_norm`, one Lyapunov solve of order ``n + r``,
-with no frequency quadrature.  The H-infinity cost is the level-set norm of
+exact: :func:`qmor.analysis.h2_norm`, one Lyapunov solve of order ``n + r``
+(one LAPACK ``gees`` Schur form and one ``trsyl``), with no frequency
+quadrature.  The H-infinity cost is the level-set norm of
 :func:`qmor.analysis.hinf_norm`, with no frequency grid.  Without explicit
 bounds the search window is that of :func:`qmor.analysis.default_grid`: two
 decades beyond the pole magnitudes.
@@ -20,10 +21,12 @@ The costs of :data:`COST_FUNCTIONS` score a stack of candidates in one
 pass: one stacked resolvent solve, one stacked SVD, the compressions, the
 error systems and one stacked eigenvalue call for the Hurwitz tests serve
 every candidate at once, and only the Lyapunov solve or the level-set
-iteration runs candidate by candidate.  The search scores its scan lattice
-that way, in as few passes as ``SCAN_BLOCK_BYTES`` of working memory allow
-(one for the bundled examples); :func:`cost_hinf` and :func:`cost_h2` are
-stacks of one.
+iteration runs candidate by candidate.  A stable H2 candidate thus costs its
+share of the stacked eigenvalue call plus one Schur form, whose eigenvalues
+the Lyapunov solve reads for its own Hurwitz test.  The search scores its
+scan lattice that way, in as few passes as ``SCAN_BLOCK_BYTES`` of working
+memory allow (one for the bundled examples); :func:`cost_hinf` and
+:func:`cost_h2` are stacks of one.
 """
 
 import itertools
@@ -286,19 +289,19 @@ def optimize_points(problem):
     The scan uses a logarithmic lattice (64 points for one free frequency,
     16 per dimension otherwise, capped at 4096 evaluations) over
     ``problem.omega_bounds`` or the default grid's window, scored in stacked
-    passes; the Lyapunov solve or level-set iteration still runs per
-    candidate.  A candidate with ``k`` points on an order-``n`` system takes
-    about ``(2 k + 1) n^2`` complex entries of working memory (its ``k``
-    shifted matrices, their norms and its singular vectors), so one pass
-    holds as many candidates as fit in ``SCAN_BLOCK_BYTES``: the whole
-    lattice of a small system, one candidate at a time for a large one.  The
-    best lattice point seeds a Nelder-Mead refinement in log-frequency space,
-    one candidate at a time.  Every evaluation is one trace row, and a
-    candidate the search revisits reuses its cost.  Infeasible candidates
-    keep their reason and cost a large finite penalty, ``PENALTY_FACTOR``
-    times the first feasible scan cost, so the search continues; an
-    all-infeasible scan raises, with the count and the first reason on one
-    line and the trace attached.
+    passes; the Lyapunov solve (one ``gees`` Schur form and one ``trsyl``)
+    or level-set iteration still runs per candidate.  A candidate with ``k``
+    points on an order-``n`` system takes about ``(2 k + 1) n^2`` complex
+    entries of working memory (its ``k`` shifted matrices, their norms and
+    its singular vectors), so one pass holds as many candidates as fit in
+    ``SCAN_BLOCK_BYTES``: the whole lattice of a small system, one candidate
+    at a time for a large one.  The best lattice point seeds a Nelder-Mead
+    refinement in log-frequency space, one candidate at a time.  Every
+    evaluation is one trace row, and a candidate the search revisits reuses
+    its cost.  Infeasible candidates keep their reason and cost a large
+    finite penalty, ``PENALTY_FACTOR`` times the first feasible scan cost,
+    so the search continues; an all-infeasible scan raises, with the count
+    and the first reason on one line and the trace attached.
     """
     cost_fn = COST_FUNCTIONS[problem.cost]
     if problem.omega_bounds is None:

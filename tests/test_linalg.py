@@ -6,8 +6,9 @@ import scipy.integrate
 import scipy.linalg as la
 
 from conftest import largest_principal_angle, orthogonal_projector
-from qmor import linalg
+from qmor import analysis, cases, linalg
 from qmor.errors import RankDeficiencyError, SingularMatrixError, StabilityError
+from qmor.reduction import reduce_passive, reduce_right
 
 
 def test_rank_identity():
@@ -210,14 +211,18 @@ def test_lyapunov_trivial_cases():
     )
 
 
+def _stable_pair():
+    """A real Hurwitz 4x4 ``a`` and ``q = b b^T`` with two columns."""
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((4, 4))
+    b = rng.standard_normal((4, 2))
+    return -(m @ m.T) - 0.5 * np.eye(4), b @ b.T
+
+
 def test_lyapunov_quadrature_oracle():
     # Cross-check against direct numerical integration of the Gramian
     # integral over [0, 40 / |min Re eig|].
-    rng = np.random.default_rng(8)
-    m = rng.standard_normal((4, 4))
-    a = -(m @ m.T) - 0.5 * np.eye(4)
-    b = rng.standard_normal((4, 2))
-    q = b @ b.T
+    a, q = _stable_pair()
     p = linalg.lyapunov_solve(a, q)
     horizon = 40.0 / abs(np.max(np.linalg.eigvals(a).real))
     integral = scipy.integrate.quad_vec(
@@ -231,6 +236,51 @@ def test_lyapunov_quadrature_oracle():
 def test_lyapunov_rejects_unstable():
     with pytest.raises(StabilityError):
         linalg.lyapunov_solve(np.diag([1.0, -2.0]), np.eye(2))
+
+
+def _error_gramian_pair(system, result):
+    a, b, _ = analysis.error_system(system, result)
+    return a, b @ b.conj().T
+
+
+LYAPUNOV_CASES = {
+    "1x1": lambda: (np.array([[-2.5]]), np.array([[3.0]])),
+    "real 4x4": _stable_pair,
+    "ex1 error system": lambda: _error_gramian_pair(
+        cases.optomechanical_system(),
+        reduce_right(cases.optomechanical_system(), cases.ex1_interpolation_data()),
+    ),
+    "ex3 error system": lambda: _error_gramian_pair(
+        cases.cascaded_cavity_system(),
+        reduce_passive(cases.cascaded_cavity_system(), cases.ex3_interpolation_data()),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LYAPUNOV_CASES))
+def test_lyapunov_is_scipy_bit_for_bit(label):
+    # The direct gees/trsyl calls are those of solve_continuous_lyapunov.
+    a, q = LYAPUNOV_CASES[label]()
+    assert np.iscomplexobj(a) == (label == "ex3 error system")
+    expected = la.solve_continuous_lyapunov(a, -q)
+    expected = (expected + expected.conj().T) / 2
+    if np.isrealobj(a) and np.isrealobj(q):
+        expected = expected.real
+    assert np.array_equal(linalg.lyapunov_solve(a, q), expected)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lyapunov_rejects_pole_pair_summing_to_zero(dtype):
+    # trsyl perturbs a pole pair whose sum is zero to working precision; its
+    # "solution" is not a Gramian, and h2_norm read -2.83e16 from it, a cost
+    # that would win a search.
+    a = np.diag([-1e-20, -1.0]).astype(dtype)
+    message = "^state matrix has a pole pair whose sum is zero to working precision; [^\n]*$"
+    with pytest.raises(StabilityError, match=message):
+        linalg.lyapunov_solve(a, np.eye(2))
+    with pytest.raises(StabilityError, match=message):
+        analysis.h2_norm(a, np.eye(2), np.eye(2))
 
 
 def test_largest_principal_angle_edges():

@@ -438,18 +438,6 @@ def test_optimizer_all_infeasible_message_is_one_line():
     assert len(message.encode()) < 1024
 
 
-def _ex3_h2_problem():
-    return SelectionProblem(
-        system=cases.cascaded_cavity_system(),
-        side="passive",
-        r=3,
-        directions=cases.ex3_interpolation_data().directions,
-        omega_bounds=(1e5, 1e9),
-        cost="h2",
-        template="symmetric_with_dc",
-    )
-
-
 SCAN_PROBLEMS = {
     "ex3-passive-h2": _ex3_h2_problem,
     "ex1-right-hinf": lambda: SelectionProblem(
@@ -492,21 +480,31 @@ def test_stacked_scan_rows_equal_single_candidate_costs(label):
             assert row["reason"] == str(raised.value)
 
 
-def _counting_solve(monkeypatch):
-    """Record the shape of every ``np.linalg.solve`` call."""
+def _counting(monkeypatch, name):
+    """Record the shape of the matrix argument of every ``np.linalg.<name>`` call."""
     shapes = []
-    solve = np.linalg.solve
+    original = getattr(np.linalg, name)
 
-    def counting_solve(a, b):
-        shapes.append(np.shape(a))
-        return solve(a, b)
+    def counting(m, *args):
+        shapes.append(np.shape(m))
+        return original(m, *args)
 
-    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(np.linalg, name, counting)
     return shapes
 
 
+def test_cost_h2_eigensolves_the_error_system_once(monkeypatch):
+    # The stacked Hurwitz test is the one eigenvalue call; the Lyapunov solve
+    # reads its own test off the eigenvalues of its Schur form.
+    shapes = _counting(monkeypatch, "eigvals")
+    problem = _ex3_h2_problem()
+    cost_h2(problem, [1.48e7])
+    order = cases.cascaded_cavity_system().n_modes + problem.r
+    assert shapes == [(1, order, order)]
+
+
 def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
-    shapes = _counting_solve(monkeypatch)
+    shapes = _counting(monkeypatch, "solve")
     chosen = optimize_points(_ex3_h2_problem())
     n = cases.cascaded_cavity_system().n_modes
     assert shapes[0] == (selection.SCAN_POINTS_1D, 3, n, n)
@@ -526,7 +524,7 @@ def test_scan_blocks_leave_the_trace_unchanged(monkeypatch, label):
     n = problem.state_matrix().shape[0]
     k = problem.expand_points(whole[0]["omegas"]).size
     monkeypatch.setattr(selection, "SCAN_BLOCK_BYTES", 7 * (2 * k + 1) * n * n * 16)
-    shapes = _counting_solve(monkeypatch)
+    shapes = _counting(monkeypatch, "solve")
     assert optimize_points(problem).trace == whole
     scan = sum(row["phase"] == "scan" for row in whole)
     blocks = [shape[0] for shape in shapes if len(shape) == 4][: -(-scan // 7)]
