@@ -201,16 +201,6 @@ def cmd_analyze(args):
     return 0
 
 
-def _default_directions(method, r, system):
-    if method == "passive":
-        # Indicator pattern (e1, e1, e2, e2, ...) truncated to r rows.
-        # An r below 1 gives no rows; the selection problem rejects it.
-        ell = system.n_outputs
-        return np.eye(ell, dtype=complex)[(np.arange(r) // 2) % ell]
-    dim_pairs = system.n_outputs if method == "left" else system.n_inputs
-    return selection.tangent_directions(r, dim_pairs)
-
-
 def cmd_select_points(args):
     if args.r < 1:
         raise SchemaError(f"--r {args.r}: need r >= 1")
@@ -223,7 +213,7 @@ def cmd_select_points(args):
             _load_json_arg(args.dirs, "directions"), "directions"
         )
     else:
-        directions = _default_directions(args.method, args.r, system)
+        directions = selection.default_directions(system, args.method, args.r)
     bounds = None
     if args.wmin is not None or args.wmax is not None:
         if args.wmin is None or args.wmax is None:

@@ -1,10 +1,13 @@
 """Heuristic tangent-direction templates and interpolation-frequency search.
 
 Tangent directions are picked so the most important output (or input) pairs
-are matched at the largest number of frequencies; interpolation points are
-placed on the imaginary axis in conjugate pairs ``(i w_j, -i w_j)`` so a real
-basis exists.  The frequencies themselves come from derivative-free local
-minimization of either an H-infinity or an H2 error cost.  Both costs score
+are matched at the largest number of frequencies; :func:`default_directions`
+ranks the port pairs by their Gramian share and puts first the best one
+whose directions give a full-rank interpolation subspace.  Interpolation
+points are placed on the imaginary axis in conjugate pairs
+``(i w_j, -i w_j)`` so a real basis exists.  The frequencies themselves come
+from a derivative-free search of either an H-infinity or an H2 error cost: a
+lattice scan, then a compass poll around its best point.  Both costs score
 the error system (:func:`qmor.analysis.error_system`) of the very model the
 reduction returns at the candidate points: the pair ``(W, V)`` of
 :func:`qmor.reduction.projection` for the problem's side and its compression
@@ -24,9 +27,9 @@ every candidate at once, and only the Lyapunov solve or the level-set
 iteration runs candidate by candidate.  A stable H2 candidate thus costs its
 share of the stacked eigenvalue call plus one Schur form, whose eigenvalues
 the Lyapunov solve reads for its own Hurwitz test.  The search scores its
-scan lattice that way, in as few passes as ``SCAN_BLOCK_BYTES`` of working
-memory allow (one for the bundled examples); :func:`cost_hinf` and
-:func:`cost_h2` are stacks of one.
+scan lattice and each poll of its refinement that way, each in as few
+passes as ``SCAN_BLOCK_BYTES`` of working memory allow (one for the bundled
+examples); :func:`cost_hinf` and :func:`cost_h2` are stacks of one.
 """
 
 import itertools
@@ -34,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg
 from .analysis import default_grid, error_system, h2_norm, hinf_norm
@@ -49,6 +51,9 @@ SCAN_POINTS_CAP = 4096
 SCAN_BLOCK_BYTES = 2**24
 PENALTY_FACTOR = 1e6
 REFINE_REL_TOL = 1e-4
+#: The poll of one refine pass steps ``h k / POLL_RATIO`` for ``k = +-1..+-POLL_RATIO``;
+#: a pass without a cheaper outer-ring point shrinks ``h`` ``POLL_RATIO``-fold.
+POLL_RATIO = 4
 
 
 def tangent_directions(r, n_output_pairs, permutation=None):
@@ -73,6 +78,50 @@ def tangent_directions(r, n_output_pairs, permutation=None):
             )
         directions = directions @ permutation  # rows become Pi^T e_i
     return directions
+
+
+def default_directions(system, side, r):
+    """The search's default directions: ``r`` passive rows, or ``2r`` left/right rows.
+
+    Passive: the indicator pattern ``(e_1, e_1, e_2, e_2, ...)`` truncated
+    to ``r`` rows.  Left/right: :func:`tangent_directions` with a port-pair
+    permutation.  The pairs are ranked by their Gramian share, one Lyapunov
+    solve each side: ``diag(B^T Q B)`` summed per input pair on the right,
+    with ``Q`` the observability Gramian, and ``diag(C P C^T)`` summed per
+    output pair on the left, with ``P`` the controllability Gramian.  The
+    best-ranked pair whose directions :func:`~qmor.reduction.projection`
+    accepts at a probe frequency (a full-rank subspace with a nonsingular
+    skew pairing), the middle of the default grid's window in log scale,
+    goes to the front; the other pairs follow in rank order.
+    When no pair passes, the ranking stands and the search reports the
+    infeasible candidates.
+    """
+    if side == "passive":
+        ell = system.n_outputs
+        return np.eye(ell, dtype=complex)[(np.arange(r) // 2) % ell]
+    if not isinstance(system, QuadratureSystem):
+        raise StructureError(f"{side} selection needs a quadrature-form system")
+    a, b, c, _ = system.state_space()
+    if side == "right":
+        share = np.diag(b.T @ linalg.lyapunov_solve(a.T, c.T @ c) @ b)
+    else:
+        share = np.diag(c @ linalg.lyapunov_solve(a, b @ b.T) @ c.T)
+    pairs = share.size // 2
+    ranked = np.argsort(-share.reshape(pairs, 2).sum(axis=1), kind="stable")
+
+    def directions(first):
+        order = np.concatenate([[first], ranked[ranked != first]])
+        columns = np.stack([2 * order, 2 * order + 1], axis=1).ravel()
+        return tangent_directions(r, pairs, np.eye(2 * pairs)[columns])
+
+    if r <= system.n_modes:  # more points than modes fail every pair's rank test
+        window = default_grid(a)
+        points = conjugate_pair_points(np.full(r, math.sqrt(window.wmin * window.wmax)))
+        for pair in ranked:
+            candidate = directions(pair)
+            if projection(system, side, points[None], candidate)[2][0] is None:
+                return candidate
+    return directions(ranked[0])
 
 
 def _template_frequencies(omegas):
@@ -284,24 +333,35 @@ class SelectionResult:
 
 
 def optimize_points(problem):
-    """Deterministic coarse-scan plus simplex refinement of the point cost.
+    """Deterministic coarse scan plus stacked compass-poll refinement of the point cost.
 
     The scan uses a logarithmic lattice (64 points for one free frequency,
     16 per dimension otherwise, capped at 4096 evaluations) over
-    ``problem.omega_bounds`` or the default grid's window, scored in stacked
-    passes; the Lyapunov solve (one ``gees`` Schur form and one ``trsyl``)
-    or level-set iteration still runs per candidate.  A candidate with ``k``
-    points on an order-``n`` system takes about ``(2 k + 1) n^2`` complex
-    entries of working memory (its ``k`` shifted matrices, their norms and
-    its singular vectors), so one pass holds as many candidates as fit in
-    ``SCAN_BLOCK_BYTES``: the whole lattice of a small system, one candidate
-    at a time for a large one.  The best lattice point seeds a Nelder-Mead
-    refinement in log-frequency space, one candidate at a time.  Every
-    evaluation is one trace row, and a candidate the search revisits reuses
-    its cost.  Infeasible candidates keep their reason and cost a large
-    finite penalty, ``PENALTY_FACTOR`` times the first feasible scan cost,
-    so the search continues; an all-infeasible scan raises, with the count
-    and the first reason on one line and the trace attached.
+    ``problem.omega_bounds`` or the default grid's window.  The refinement
+    is a compass search in log-frequency space (Torczon 1997; Kolda, Lewis
+    and Torczon 2003) that starts at the best lattice point with the lattice
+    spacing as its step ``h``.  Each pass polls ``x + h k / POLL_RATIO e_i``
+    for ``k = +-1..+-POLL_RATIO`` on every free axis ``i`` at once, dropping
+    the points outside the window.  A strictly cheaper winner on the outer
+    ring (``|k| = POLL_RATIO``) moves ``x`` and keeps ``h``; a cheaper one
+    inside it moves ``x`` and shrinks ``h`` ``POLL_RATIO``-fold, as does a
+    pass with no cheaper point.  The search stops once ``h`` falls below
+    ``log10(1 + REFINE_REL_TOL) / 2``, so its finest passes poll at a
+    spacing ``h / POLL_RATIO`` under that resolution.
+
+    The lattice and each poll are scored by :data:`COST_FUNCTIONS` in
+    stacked passes; the Lyapunov solve (one ``gees`` Schur form and one
+    ``trsyl``) or level-set iteration still runs per candidate.  A candidate
+    with ``k`` points on an order-``n`` system takes about ``(2 k + 1) n^2``
+    complex entries of working memory (its ``k`` shifted matrices, their
+    norms and its singular vectors), so one pass holds as many candidates as
+    fit in ``SCAN_BLOCK_BYTES``: the whole lattice of a small system, one
+    candidate at a time for a large one.  Every evaluation is one trace row,
+    and a candidate the search revisits reuses its cost.  Infeasible
+    candidates keep their reason and cost a large finite penalty,
+    ``PENALTY_FACTOR`` times the first feasible scan cost, so the search
+    continues; an all-infeasible scan raises, with the count and the first
+    reason on one line and the trace attached.
     """
     cost_fn = COST_FUNCTIONS[problem.cost]
     if problem.omega_bounds is None:
@@ -318,19 +378,26 @@ def optimize_points(problem):
         while per_dim**d > SCAN_POINTS_CAP:
             per_dim -= 1
     log_lo, log_hi = math.log10(lo), math.log10(hi)
+    axis = np.linspace(log_lo, log_hi, per_dim)
+    lattice = np.array(list(itertools.product(axis, repeat=d)))
+    n, k = problem.state_matrix().shape[0], problem.expand_points(10.0**lattice[0]).size
+    block = max(1, SCAN_BLOCK_BYTES // ((2 * k + 1) * n * n * 16))
     trace, penalty, scored = [], math.nan, {}
 
-    def evaluate(phase, candidates, inside=True):
-        """One trace row per candidate row, each distinct row scored once per search.
+    def evaluate(phase, logs):
+        """One trace row per row of log-frequencies, each distinct row scored once per search.
 
-        Infeasible rows keep their reason and cost ``penalty``.
+        Fresh rows are scored in blocks of ``block``.  Infeasible rows keep
+        their reason and cost ``penalty``.  Returns the new trace rows.
         """
+        candidates = 10.0**logs
         keys = [tuple(omegas) for omegas in candidates.tolist()]
-        fresh = [k for k, key in enumerate(keys) if inside and key not in scored]
-        if fresh:
-            scored.update(zip([keys[k] for k in fresh], cost_fn(problem, candidates[fresh])))
+        fresh = [k for k, key in enumerate(keys) if key not in scored]
+        for start in range(0, len(fresh), block):
+            part = fresh[start : start + block]
+            scored.update(zip([keys[k] for k in part], cost_fn(problem, candidates[part])))
         for key in keys:
-            outcome = scored[key] if inside else InfeasiblePointError("outside the search interval")
+            outcome = scored[key]
             failed = isinstance(outcome, Exception)
             value = math.nan if failed else outcome
             feasible = math.isfinite(value)
@@ -341,13 +408,9 @@ def optimize_points(problem):
                 "feasible": feasible,
                 "reason": str(outcome) if failed else "",
             })
-        return trace[-1]["cost"]
+        return trace[len(trace) - len(keys) :]
 
-    lattice = np.array(list(itertools.product(np.logspace(log_lo, log_hi, per_dim), repeat=d)))
-    n, k = problem.state_matrix().shape[0], problem.expand_points(lattice[0]).size
-    block = max(1, SCAN_BLOCK_BYTES // ((2 * k + 1) * n * n * 16))
-    for start in range(0, len(lattice), block):
-        evaluate("scan", lattice[start : start + block])
+    evaluate("scan", lattice)
     feasible_rows = [row for row in trace if row["feasible"]]
     if not feasible_rows:
         raised = [row for row in trace if row["reason"]]
@@ -362,26 +425,28 @@ def optimize_points(problem):
         if not row["feasible"]:
             row["cost"] = penalty
     k = int(np.argmin([row["cost"] for row in trace]))
-    best_omegas, best_cost = np.array(trace[k]["omegas"]), trace[k]["cost"]
+    x, best = lattice[k], trace[k]
 
-    sol = scipy.optimize.minimize(
-        lambda x: evaluate("refine", 10.0 ** x[None], np.all((log_lo <= x) & (x <= log_hi))),
-        np.log10(best_omegas),
-        method="Nelder-Mead",
-        options={
-            "xatol": math.log10(1.0 + REFINE_REL_TOL) / 2,
-            "fatol": 1e-6 * max(abs(best_cost), 1e-300),
-            "maxiter": 400 * d,
-            "disp": False,
-        },
-    )
-    refined = 10.0**sol.x
-    refined_cost = float(sol.fun)
-    if refined_cost < best_cost:
-        best_omegas, best_cost = refined, refined_cost
+    # The poll directions: k = +-1..+-POLL_RATIO along every free axis, axis by axis.
+    ring = np.concatenate([np.arange(-POLL_RATIO, 0), np.arange(1, POLL_RATIO + 1)])
+    steps = np.kron(np.eye(d), ring[:, None])
+    outer = np.abs(steps).max(axis=1) == POLL_RATIO
+    h = (log_hi - log_lo) / max(per_dim - 1, 1)
+    while h >= math.log10(1.0 + REFINE_REL_TOL) / 2:
+        poll = x + h / POLL_RATIO * steps
+        inside = np.all((log_lo <= poll) & (poll <= log_hi), axis=1)
+        poll, on_ring = poll[inside], outer[inside]
+        rows = evaluate("refine", poll)
+        j = int(np.argmin([row["cost"] for row in rows]))
+        if rows[j]["cost"] < best["cost"]:
+            x, best = poll[j], rows[j]
+            if on_ring[j]:
+                continue
+        h /= POLL_RATIO
+    omegas = np.array(best["omegas"], dtype=float)
     return SelectionResult(
-        omegas=np.asarray(best_omegas, dtype=float),
-        cost=float(best_cost),
-        points=problem.expand_points(best_omegas),
+        omegas=omegas,
+        cost=float(best["cost"]),
+        points=problem.expand_points(omegas),
         trace=trace,
     )

@@ -617,6 +617,19 @@ def test_select_points_rejects_direction_width(tmp_path, ex1_system_path, capsys
     assert capsys.readouterr().err == "error: directions live in C^7, the right side needs C^6\n"
 
 
+def test_select_points_default_directions_scan_feasibly(tmp_path, ex1_system_path, capsys):
+    # The default directions rank the port pairs, so the tied ex1 search
+    # scans no infeasible candidate and reaches the paper's error level.
+    args = ["select-points", str(ex1_system_path), "--method", "right", "--r", "2"]
+    assert main(args + ["--tie-omega", "--out", str(tmp_path / "sel")]) == 0
+    lines = (tmp_path / "sel" / "scan_trace.csv").read_text().splitlines()[1:]
+    scan = [line.split(",") for line in lines if line.startswith("scan,")]
+    assert len(scan) == 64 and all(row[3] == "1" for row in scan)
+    chosen = json.loads((tmp_path / "sel" / "selected_points.json").read_text())
+    assert chosen["cost"] == pytest.approx(2.0, rel=1e-3)
+    assert "error" not in capsys.readouterr().err
+
+
 def test_select_points_all_infeasible_one_line(tmp_path, ex1_system_path, capsys):
     dirs = json.dumps([[0, 0, 0, 0, 1, 0]] * 4)
     args = ["select-points", str(ex1_system_path), "--method", "right", "--r", "2"]

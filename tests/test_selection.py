@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import qmor
 
 from conftest import stable_reduction_cases
 from qmor import analysis, cases, linalg, selection, systems
@@ -474,10 +481,79 @@ def test_stacked_scan_rows_equal_single_candidate_costs(label):
     for row in trace:
         if row["feasible"]:
             assert row["cost"] == cost_fn(problem, row["omegas"])
-        elif row["reason"] != "outside the search interval":
+        else:
             with pytest.raises(QmorError) as raised:
                 cost_fn(problem, row["omegas"])
             assert row["reason"] == str(raised.value)
+
+
+def _fingerprint_problem(label):
+    """The searches of ``scripts/fingerprint.py`` that the scan problems above do not cover."""
+    ex1, ex3 = cases.optomechanical_system(), cases.cascaded_cavity_system()
+    ex1_dirs = cases.ex1_interpolation_data().directions
+    ex3_dirs = cases.ex3_interpolation_data().directions
+    return {
+        "fingerprint-ex1-untied": SelectionProblem(ex1, "right", 2, ex1_dirs, tie_omegas=False),
+        "fingerprint-ex1-h2": SelectionProblem(
+            ex1, "right", 2, ex1_dirs, cost="h2", omega_bounds=(1e3, 1e6)
+        ),
+        "fingerprint-ex3-default-window": SelectionProblem(
+            ex3, "passive", 3, ex3_dirs, cost="h2", template="symmetric_with_dc"
+        ),
+        "control-hinf": SelectionProblem(
+            cases.control_case_fixture()["quantum_controller"], "right", 2,
+            cases.ex2_interpolation_data().directions, omega_bounds=(1e-2, 1e2),
+        ),
+    }[label]
+
+
+#: The costs that the Nelder-Mead refinement, which the compass poll replaced,
+#: reached on each search of this file and of ``scripts/fingerprint.py`` (the
+#: ex3 window search there is ``ex3-passive-h2``, its ex1 search
+#: ``ex1-right-hinf``, its ``stable0-left`` search ``left-hinf``).
+NELDER_MEAD_COSTS = {
+    "ex3-passive-h2": 6607741.90566781,
+    "ex1-right-hinf": 2.000247260644655,
+    "ex1-right-hinf-untied": 2.0002472606446533,
+    "left-hinf": 4.06468000885055,
+    "unstable-h2": 1972.6524159909773,
+    "unstable-hinf": 26.26974675825915,
+    "fingerprint-ex1-untied": 2.0002472606446533,
+    "fingerprint-ex1-h2": 2513584.8667371273,
+    "fingerprint-ex3-default-window": 6607741.904539118,
+    "control-hinf": 148.87199817050575,
+}
+
+
+@pytest.mark.parametrize("label", sorted(NELDER_MEAD_COSTS))
+def test_refinement_no_worse_than_nelder_mead(label):
+    problem = SCAN_PROBLEMS[label]() if label in SCAN_PROBLEMS else _fingerprint_problem(label)
+    chosen = optimize_points(problem)
+    assert chosen.cost <= NELDER_MEAD_COSTS[label] * (1 + 1e-8)
+    assert chosen.cost == min(row["cost"] for row in chosen.trace)
+
+
+def test_import_leaves_scipy_optimize_out():
+    # The refinement is the package's own poll, so importing it costs no optimizer.
+    code = "import sys, qmor, qmor.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(qmor.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+def test_default_directions_pick_the_paper_port_of_ex1():
+    # Input pair 1 drives the cavity and has the largest Gramian share, but
+    # its four tangent vectors span three dimensions; pair 3 is the next
+    # ranked pair, the paper's e5/e6.
+    ex1 = cases.optomechanical_system()
+    directions = selection.default_directions(ex1, "right", 2)
+    assert np.array_equal(directions, cases.ex1_interpolation_data().directions)
+    # The passive default is the indicator pattern (e1, e1, e2, e2, ...).
+    ex3 = cases.cascaded_cavity_system()
+    assert np.array_equal(selection.default_directions(ex3, "passive", 3), np.eye(2)[[0, 0, 1]])
+    with pytest.raises(StructureError, match="right selection needs a quadrature-form system"):
+        selection.default_directions(ex3, "right", 2)
 
 
 def _counting(monkeypatch, name):
@@ -508,11 +584,23 @@ def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
     chosen = optimize_points(_ex3_h2_problem())
     n = cases.cascaded_cavity_system().n_modes
     assert shapes[0] == (selection.SCAN_POINTS_1D, 3, n, n)
-    # Every later solve is one refine candidate, each distinct one solved once.
-    assert set(shapes[1:]) == {(1, 3, n, n)}
-    scan = {tuple(row["omegas"]) for row in chosen.trace if row["phase"] == "scan"}
+    # The window keeps every poll point of this search, so each pass of the
+    # tied refinement is 2 * POLL_RATIO consecutive rows.
+    scan = [tuple(row["omegas"]) for row in chosen.trace if row["phase"] == "scan"]
     refine = [tuple(row["omegas"]) for row in chosen.trace if row["phase"] == "refine"]
-    assert len(shapes) - 1 == len(set(refine) - scan) < len(refine)
+    width = 2 * selection.POLL_RATIO
+    assert refine and len(refine) % width == 0
+    seen, fresh = set(scan), []
+    for start in range(0, len(refine), width):
+        poll = refine[start : start + width]
+        new = [key for key in poll if key not in seen]
+        seen.update(poll)
+        if new:
+            fresh.append(new)
+    # Each pass with a fresh candidate is one stacked solve of exactly those
+    # candidates, so each distinct candidate is solved once.
+    assert shapes[1:] == [(len(new), 3, n, n) for new in fresh]
+    assert sum(shape[0] for shape in shapes) == len(set(scan + refine)) < len(scan + refine)
 
 
 @pytest.mark.parametrize("label", ["ex3-passive-h2", "ex1-right-hinf-untied"])
