@@ -25,6 +25,16 @@ The angle bounds are suprema of their integrands over a dense logarithmic
 grid, refined by golden-section search around the best local maxima, so they
 are refined lower-bound estimates of the bound functions.
 
+``A_e = diag(A, A_r)``, so the error Gramian splits into the full model's
+Gramian ``P``, an ``n x r`` Sylvester block ``X`` and the reduced Gramian
+``P_r``, and the H2 cost is ``2 pi [tr(C P C^H) - 2 Re tr(C X C_r^H) +
+tr(C_r P_r C_r^H)]`` (Gugercin, Antoulas and Beattie, SIAM J. Matrix Anal.
+Appl. 30(2), 2008).  :func:`h2_error_gramians` scores a whole stack of
+reduced models that way: one Lyapunov solve and one complex Schur form of
+the full model, whose triangular factor turns ``X`` into row-by-row stacked
+solves (Golub, Nash and Van Loan, IEEE TAC 24(6), 1979).  :func:`h2_norm` is
+the H2 cost of a single system of any order, and the test oracle.
+
 Evaluation is batched: :func:`sweep` solves ``(s_k I - A_k) X = B_k`` for a
 whole block of ``GRID_BLOCK`` points at once, every frequency integrand maps
 an array of frequencies to an array of values (stacked SVDs for norms, one
@@ -210,6 +220,12 @@ def _gains(a, b, c, s, singular=math.inf):
     return out
 
 
+def _check_feedthrough(d1, d2):
+    """Every reduction keeps the feedthrough; a difference raises :class:`StabilityError`."""
+    if linalg.frobenius_norm(d1 - d2) > 0:
+        raise StabilityError("feedthrough terms differ; the error system is not strictly proper")
+
+
 def error_system(full, reduced):
     """``(A_e, B_e, C_e)`` of ``Xi - Xi_r``, a system of order ``n + r``.
 
@@ -220,8 +236,7 @@ def error_system(full, reduced):
     """
     a1, b1, c1, d1 = _abcd(full)
     a2, b2, c2, d2 = _abcd(_reduced_operand(reduced))
-    if linalg.frobenius_norm(d1 - d2) > 0:
-        raise StabilityError("feedthrough terms differ; the error system is not strictly proper")
+    _check_feedthrough(d1, d2)
     lead, n1 = a2.shape[:-2], a1.shape[0]
     a_e = np.zeros(lead + (n1 + a2.shape[-1],) * 2, np.result_type(a1, a2))
     a_e[..., :n1, :n1], a_e[..., n1:, n1:] = a1, a2
@@ -476,8 +491,106 @@ def h2_norm(a, b, c):
 
 
 def h2_error_gramian(full, reduced):
-    """The same H2-type cost, exactly: :func:`h2_norm` of :func:`error_system`."""
-    return h2_norm(*error_system(full, reduced))
+    """The same H2-type cost, exactly: :func:`h2_norm` of :func:`error_system`.
+
+    Computed from the blocks of the error Gramian: with ``A_e = diag(A,
+    A_r)`` the cost is ``2 pi [tr(C P C^H) - 2 Re tr(C X C_r^H) + tr(C_r P_r
+    C_r^H)]``, ``P`` and ``P_r`` the Gramians of the two models and ``X``
+    the solution of ``A X + X A_r^H + B B_r^H = 0`` (Gugercin, Antoulas and
+    Beattie, SIAM J. Matrix Anal. Appl. 30(2), 2008), which one Schur form
+    of ``A`` turns into row-by-row solves (Golub, Nash and Van Loan, IEEE
+    TAC 24(6), 1979).  The stack of one of :func:`h2_error_gramians`; an
+    infeasible pair raises its :class:`StabilityError`.
+    """
+    a, b, c, d = _abcd(_reduced_operand(reduced))
+    (value,) = h2_error_gramians(full, (a[None], b[None], c[None], d))
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+def h2_error_gramians(full, reduced, schur=None, poles=None):
+    """:func:`h2_error_gramian` of ``full`` against each of a stack of reduced models.
+
+    ``reduced`` is ``(A_r, B_r, C_r, D)`` with a leading axis of ``K`` on the
+    first three, as :func:`~qmor.reduction.compress` returns it.  The
+    Gramian blocks: ``P`` is one :func:`~qmor.linalg.lyapunov_solve` for the
+    whole stack.  ``X = U Y`` comes from one complex Schur form ``A = U T
+    U^H`` (``schur``, the pair ``(T, U)``, when the caller has it): ``T Y + Y
+    A_r^H = -U^H B B_r^H`` is solved bottom row first, each row one stacked
+    solve of ``t_ii I + conj(A_r)``.  ``P_r`` is one stacked solve of its
+    ``r^2 x r^2`` Kronecker system ``(A_r kron I + I kron conj(A_r)) vec(P_r)
+    = -vec(B_r B_r^H)``, with ``vec`` stacking rows.
+
+    ``poles``, the ``(K, r)`` eigenvalues of the ``A_r``, are computed when
+    not given.  Returns one float or :class:`StabilityError` per row: a row
+    whose ``A_r`` is not Hurwitz, that has a full-reduced or reduced-reduced
+    pole pair ``|lambda + conj(mu)|`` within ``eps`` of the matrix scale
+    (where LAPACK ``trsyl`` would perturb the order-``n + r`` solve), or
+    whose Sylvester or Lyapunov residual exceeds ``1e-8 |M| |X|``.  A full
+    model that is not Hurwitz, or a feedthrough difference, raises.
+    """
+    a, b, c, d = _abcd(full)
+    a_r, b_r, c_r, d_r = reduced
+    _check_feedthrough(d, d_r)
+    t, u = linalg.schur(a.astype(complex))[:2] if schur is None else schur
+    lam = np.diagonal(t)
+    if not np.all(lam.real < 0):
+        raise StabilityError(linalg.NOT_HURWITZ)
+    mu = np.linalg.eigvals(a_r) if poles is None else poles
+    scale = np.maximum(np.abs(t).max(), np.abs(a_r).max(axis=(1, 2)))
+    gap = np.minimum(
+        np.abs(lam[:, None] + mu.conj()[:, None, :]).min(axis=(1, 2)),
+        np.abs(mu[:, :, None] + mu.conj()[:, None, :]).min(axis=(1, 2)),
+    )
+    hurwitz = np.all(mu.real < 0, axis=1)
+    outcomes = [StabilityError(linalg.POLE_PAIR if h else linalg.NOT_HURWITZ) for h in hurwitz]
+    rows = np.flatnonzero(hurwitz & (gap > np.finfo(float).eps * scale))
+    if rows.size == 0:
+        return outcomes
+    a_r, b_r, c_r = a_r[rows], b_r[rows], c_r[rows]
+    k, n, r = rows.size, a.shape[0], a_r.shape[-1]
+    full_term = np.trace(c @ linalg.lyapunov_solve(a, b @ b.conj().T) @ c.conj().T).real
+    conj_r = a_r.conj()
+    with np.errstate(all="ignore"):  # a singular row reads NaN and fails its residual test
+        # X = U Y with T Y + Y A_r^H = F, bottom row first:
+        # y_i (t_ii I + A_r^H) = f_i - sum_{j > i} t_ij y_j.
+        f = -((u.conj().T @ b) @ b_r.conj().swapaxes(1, 2))
+        y = np.empty(f.shape, complex)
+        for i in reversed(range(n)):
+            g = f[:, i] - t[i, i + 1 :] @ y[:, i + 1 :]
+            shifted = linalg.shifted(-conj_r, np.full(k, t[i, i]))
+            y[:, i] = linalg.solve(shifted, g[..., None])[..., 0]
+        # (A_r kron I + I kron conj(A_r)) vec(P_r) = -vec(B_r B_r^H), rows of P_r stacked.
+        eye = np.eye(r)
+        kron = a_r[:, :, None, :, None] * eye[:, None, :]
+        kron = (kron + eye[:, None, :, None] * conj_r[:, None, :, None, :]).reshape(k, r * r, -1)
+        rhs = -(b_r @ b_r.conj().swapaxes(1, 2)).reshape(k, r * r, 1)
+        p_r = linalg.solve(kron, rhs)
+        sylvester = (np.linalg.norm(t) + np.linalg.norm(a_r, axis=(1, 2))) * _frobenius(y)
+        residuals = [
+            (_frobenius(t @ y + y @ conj_r.swapaxes(1, 2) - f), sylvester),
+            (_frobenius(kron @ p_r - rhs), _frobenius(kron) * _frobenius(p_r)),
+        ]
+        cross = np.sum((c @ u @ y) * c_r.conj(), axis=(1, 2)).real
+        reduced_term = np.sum((c_r @ p_r.reshape(k, r, r)) * c_r.conj(), axis=(1, 2)).real
+        values = 2.0 * math.pi * (full_term - 2.0 * cross + reduced_term)
+    for j, row in enumerate(rows.tolist()):
+        failed = [(res[j], tol[j]) for res, tol in residuals if not res[j] <= 1e-8 * tol[j]]
+        if failed:
+            res, tol = failed[0]
+            outcomes[row] = StabilityError(
+                f"Gramian residual {res:.3e} exceeds 1e-8 of scale {tol:.3e}; "
+                "Lyapunov solution undefined"
+            )
+        else:
+            outcomes[row] = float(values[j])
+    return outcomes
+
+
+def _frobenius(stack):
+    """Frobenius norm of every matrix in a stack."""
+    return np.linalg.norm(stack, axis=(1, 2))
 
 
 @dataclass(frozen=True)

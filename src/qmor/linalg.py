@@ -8,8 +8,8 @@ of a whole stack of matrices in one call.  Every resolvent solve is one call
 of the stacked :func:`solve` on a stack built by :func:`shifted`, unchecked
 (an exactly singular item reads NaN) or checked item by item through
 :func:`solve_stacks`.  ``scipy.linalg`` serves only what numpy lacks: the
-LAPACK ``gees`` and ``trsyl`` calls of :func:`lyapunov_solve`, one Schur form
-per solve that also gives the Hurwitz test, and the real Schur form in
+LAPACK ``gees`` Schur form of :func:`schur`, which also gives a Hurwitz test,
+the ``trsyl`` call of :func:`lyapunov_solve`, and the real Schur form in
 :mod:`qmor.symplectic`.
 """
 
@@ -179,16 +179,39 @@ def solve_stacks(m, b, context):
 
 
 def is_hurwitz(m):
-    """True when every eigenvalue has a negative real part; one flag per matrix of a stack."""
-    m = as_matrix(m, ndim=3 if np.ndim(m) == 3 else 2)
-    hurwitz = np.all(np.linalg.eigvals(m).real < 0, axis=-1)
-    return hurwitz if m.ndim == 3 else bool(hurwitz)
+    """True when every eigenvalue of a square matrix has a negative real part."""
+    return bool(np.all(np.linalg.eigvals(as_matrix(m)).real < 0))
+
+
+#: :func:`lyapunov_solve`'s :class:`StabilityError` texts, shared by the stacked H2 costs.
+NOT_HURWITZ = "state matrix is not Hurwitz; Lyapunov solution undefined"
+POLE_PAIR = (
+    "state matrix has a pole pair whose sum is zero to working precision; "
+    "Lyapunov solution undefined"
+)
+
+
+def schur(a):
+    """Schur form ``a = u t u^H`` from one LAPACK ``gees`` call: ``(t, u, poles)``.
+
+    The flavor follows ``a``'s dtype, as in ``scipy.linalg.schur``: complex
+    ``a`` gives an upper triangular ``t`` and its diagonal as ``poles``,
+    real ``a`` a quasi-triangular ``t`` and only the real parts of its
+    eigenvalues as ``poles``, which is all a Hurwitz test reads.
+    """
+    (gees,) = la.get_lapack_funcs(("gees",), (a,))
+    lwork = gees(_no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
+    # (t, sdim, wr, wi, vs, work, info) for real a, (t, sdim, w, vs, work, info) for complex
+    t, _, poles, *_, u, _, info = gees(_no_sort, a, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return t, u, poles
 
 
 def lyapunov_solve(a, q):
     """Solve ``a @ p + p @ a^H + q = 0`` for Hurwitz ``a`` and Hermitian ``q``.
 
-    Bartels-Stewart on one Schur form ``a = u r u^H`` from LAPACK ``gees``,
+    Bartels-Stewart on one Schur form ``a = u r u^H`` (:func:`schur`),
     whose eigenvalues are also the Hurwitz test, then ``trsyl`` on
     ``u^H (-q) u``: the calls of ``scipy.linalg.solve_continuous_lyapunov(a,
     -q)``, in its order, bit for bit.  The result is symmetrized before
@@ -200,14 +223,9 @@ def lyapunov_solve(a, q):
     q = as_matrix(q, "right-hand side")
     if a.size == 0:  # gees rejects an empty matrix
         return np.zeros(a.shape, np.result_type(a, q))
-    (gees,) = la.get_lapack_funcs(("gees",), (a,))
-    lwork = gees(_no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
-    # (t, sdim, wr, wi, vs, work, info) for real a, (t, sdim, w, vs, work, info) for complex
-    r, _, poles, *_, u, _, info = gees(_no_sort, a, lwork=lwork)
-    if info:
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    r, u, poles = schur(a)
     if not np.all(poles.real < 0):
-        raise StabilityError("state matrix is not Hurwitz; Lyapunov solution undefined")
+        raise StabilityError(NOT_HURWITZ)
     f = u.conj().T.dot((-q).dot(u))
     (trsyl,) = la.get_lapack_funcs(("trsyl",), (r, f))
     real = np.isrealobj(a) and np.isrealobj(q)
@@ -215,10 +233,7 @@ def lyapunov_solve(a, q):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of trsyl")
     if info == 1:
-        raise StabilityError(
-            "state matrix has a pole pair whose sum is zero to working precision; "
-            "Lyapunov solution undefined"
-        )
+        raise StabilityError(POLE_PAIR)
     y *= scale
     p = u.dot(y).dot(u.conj().T)
     p = (p + p.conj().T) / 2

@@ -13,23 +13,24 @@ reduction returns at the candidate points: the pair ``(W, V)`` of
 :func:`qmor.reduction.projection` for the problem's side and its compression
 by :func:`qmor.reduction.compress`.  A candidate whose reduction cannot be
 built, or whose error system is not Hurwitz, is infeasible.  The H2 cost is
-exact: :func:`qmor.analysis.h2_norm`, one Lyapunov solve of order ``n + r``
-(one LAPACK ``gees`` Schur form and one ``trsyl``), with no frequency
-quadrature.  The H-infinity cost is the level-set norm of
-:func:`qmor.analysis.hinf_norm`, with no frequency grid.  Without explicit
-bounds the search window is that of :func:`qmor.analysis.default_grid`: two
-decades beyond the pole magnitudes.
+exact: :func:`qmor.analysis.h2_error_gramians`, the error Gramian assembled
+from its full, cross and reduced blocks, with no frequency quadrature.  The
+H-infinity cost is the level-set norm of :func:`qmor.analysis.hinf_norm`,
+with no frequency grid.  Without explicit bounds the search window is that
+of :func:`qmor.analysis.default_grid`: two decades beyond the pole
+magnitudes.
 
 The costs of :data:`COST_FUNCTIONS` score a stack of candidates in one
-pass: one stacked resolvent solve, one stacked SVD, the compressions, the
-error systems and one stacked eigenvalue call for the Hurwitz tests serve
-every candidate at once, and only the Lyapunov solve or the level-set
-iteration runs candidate by candidate.  A stable H2 candidate thus costs its
-share of the stacked eigenvalue call plus one Schur form, whose eigenvalues
-the Lyapunov solve reads for its own Hurwitz test.  The search scores its
-scan lattice and each poll of its refinement that way, each in as few
-passes as ``SCAN_BLOCK_BYTES`` of working memory allow (one for the bundled
-examples); :func:`cost_hinf` and :func:`cost_h2` are stacks of one.
+pass: one stacked resolvent solve, one stacked SVD and the compressions
+serve every candidate at once.  The Hurwitz tests of the error systems take
+one complex Schur form of the full state matrix and one stacked eigenvalue
+call on the reduced ones.  The H2 cost adds, per pass, one Lyapunov solve
+of the full model and stacked solves for the candidates' Gramian blocks;
+only the H-infinity level-set iteration runs candidate by candidate.  The
+search scores its scan lattice and each poll of its refinement that way,
+each in as few passes as ``SCAN_BLOCK_BYTES`` of working memory allow (one
+for the bundled examples); :func:`cost_hinf` and :func:`cost_h2` are stacks
+of one.
 """
 
 import itertools
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .analysis import default_grid, error_system, h2_norm, hinf_norm
+from .analysis import default_grid, error_system, h2_error_gramians, hinf_norm
 from .errors import InfeasiblePointError, QmorError, StructureError
 from .reduction import InterpolationData, check_data, compress, data_side, projection
 from .systems import AnnihilationSystem, QuadratureSystem
@@ -263,38 +264,61 @@ def _reduced_models(problem, points):
     return reduced, [None if e is None else InfeasiblePointError(str(e)) for e in errors]
 
 
-def _candidate_costs(problem, candidates, norm):
-    """``norm`` of the error system of every candidate row, or the error that makes it infeasible.
+def _candidate_costs(problem, candidates, norms):
+    """The cost of every candidate row, or the error that makes it infeasible.
 
-    The reduced models, the error systems (:func:`~qmor.analysis.error_system`)
-    and their Hurwitz tests are built for the whole stack at once; ``norm``
-    runs row by row on the stable ones.  An unstable candidate is infeasible.
+    The reduced models and the Hurwitz tests of their error systems are
+    built for the whole stack at once: one complex Schur form of the full
+    state matrix, whose diagonal tests it, and one stacked eigenvalue call
+    on the reduced state matrices.  An unstable candidate is infeasible.
+    ``norms(system, reduced, schur, poles)`` scores the stable rows: the
+    stacked reduced models, the Schur pair ``(T, U)`` and the reduced poles,
+    one value or :class:`~qmor.errors.QmorError` per row.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     try:
         reduced, outcomes = _reduced_models(problem, problem.expand_points(candidates))
     except QmorError as exc:
         return [exc] * len(candidates)
-    a_e, b_e, c_e = error_system(problem.system, reduced)
-    built = [i for i, error in enumerate(outcomes) if error is None]
-    for i, stable in zip(built, linalg.is_hurwitz(a_e[built])):
+    built = np.flatnonzero([error is None for error in outcomes])
+    if built.size == 0:
+        return outcomes
+    t, u, poles = linalg.schur(problem.state_matrix().astype(complex))
+    reduced_poles = np.linalg.eigvals(reduced[0][built])
+    stable = np.all(poles.real < 0) & np.all(reduced_poles.real < 0, axis=1)
+    for i in built[~stable]:
+        outcomes[i] = InfeasiblePointError("projected model is unstable; the error norms diverge")
+    keep = built[stable]
+    if keep.size:
+        rows = [m[keep] for m in reduced[:3]] + [reduced[3]]
         try:
-            if not stable:
-                raise InfeasiblePointError("projected model is unstable; the error norms diverge")
-            outcomes[i] = norm(a_e[i], b_e[i], c_e[i])
+            scores = norms(problem.system, rows, (t, u), reduced_poles[stable])
         except QmorError as exc:
-            outcomes[i] = exc
+            scores = [exc] * keep.size
+        for i, score in zip(keep, scores):
+            outcomes[i] = score
+    return outcomes
+
+
+def _hinf_norms(system, reduced, schur, poles):
+    """:func:`~qmor.analysis.hinf_norm` of each error system, one level-set run per row."""
+    outcomes = []
+    for error in zip(*error_system(system, reduced)):
+        try:
+            outcomes.append(hinf_norm(*error).value)
+        except QmorError as exc:
+            outcomes.append(exc)
     return outcomes
 
 
 def hinf_costs(problem, candidates):
     """:func:`cost_hinf` of every row of ``candidates``, or the error that makes it infeasible."""
-    return _candidate_costs(problem, candidates, lambda *error: hinf_norm(*error).value)
+    return _candidate_costs(problem, candidates, _hinf_norms)
 
 
 def h2_costs(problem, candidates):
     """:func:`cost_h2` of every row of ``candidates``, or the error that makes it infeasible."""
-    return _candidate_costs(problem, candidates, h2_norm)
+    return _candidate_costs(problem, candidates, h2_error_gramians)
 
 
 def _one(outcomes):
@@ -313,7 +337,7 @@ def cost_hinf(problem, omegas):
 
 
 def cost_h2(problem, omegas):
-    """Frequency-integrated squared error for ``omegas``, exact by the Lyapunov identity."""
+    """Frequency-integrated squared error for ``omegas``, exact by the Gramian identity."""
     return _one(h2_costs(problem, [omegas]))
 
 
@@ -350,8 +374,8 @@ def optimize_points(problem):
     spacing ``h / POLL_RATIO`` under that resolution.
 
     The lattice and each poll are scored by :data:`COST_FUNCTIONS` in
-    stacked passes; the Lyapunov solve (one ``gees`` Schur form and one
-    ``trsyl``) or level-set iteration still runs per candidate.  A candidate
+    stacked passes; the H2 cost makes one Lyapunov solve per pass, and only
+    the H-infinity level-set iteration still runs per candidate.  A candidate
     with ``k`` points on an order-``n`` system takes about ``(2 k + 1) n^2``
     complex entries of working memory (its ``k`` shifted matrices, their
     norms and its singular vectors), so one pass holds as many candidates as

@@ -57,8 +57,25 @@ def complex_matrix_from_json(obj, name):
     width = len(obj[0])
     if any(len(r) != width for r in obj):
         raise SchemaError(f"{name} has ragged rows")
-    rows = [[_entry_to_complex(x, name) for x in r] for r in obj]
-    m = np.array(rows, dtype=complex)
+    try:
+        numbers = np.array(obj)
+    except (ValueError, OverflowError):  # pairs mixed with numbers, ragged pairs, huge integers
+        numbers = None
+    if (
+        numbers is not None
+        and numbers.dtype.kind in "fi"
+        and numbers.shape[2:] in ((), (2,))
+    ):
+        # Assign the parts: re + 1j * im would turn an entry's -0.0 into +0.0.
+        m = np.zeros(numbers.shape[:2], dtype=complex)
+        if numbers.ndim == 2:
+            m.real = numbers
+        else:
+            m.real, m.imag = numbers[..., 0], numbers[..., 1]
+    else:
+        # Booleans, strings, oversized integers and malformed entries: the
+        # entry-by-entry reading names the first bad one.
+        m = np.array([[_entry_to_complex(x, name) for x in r] for r in obj], dtype=complex)
     if not np.all(np.isfinite(m)):
         raise SchemaError(f"{name} contains non-finite entries")
     return m

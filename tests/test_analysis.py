@@ -294,6 +294,76 @@ def test_h2_quadrature_matches_gramian_ex3(omega):
     assert analysis.h2_error_quadrature(system, result) == pytest.approx(gramian, rel=1e-9)
 
 
+def _galerkin(system, basis):
+    """The reduced ``(A_r, B_r, C_r, D)`` of ``system`` on an orthonormal ``basis``."""
+    a, b, c, d = system.state_space()
+    return basis.conj().T @ a @ basis, basis.conj().T @ b, c @ basis, d
+
+
+@pytest.mark.parametrize("form", ["annihilation", "quadrature"])
+def test_h2_error_gramians_match_the_error_system_norm(form):
+    # Random realizable systems, reduced by Galerkin projections (stable: the
+    # Hermitian part of A is negative semidefinite) to orders 1-8, so the
+    # reduced Gramian's Kronecker system runs up to 64 x 64.
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        modes = 9 if form == "annihilation" else 5
+        full = systems.random_realizable_annihilation(modes, 2, 2, seed)
+        if form == "quadrature":
+            full = systems.annihilation_to_quadrature(full)
+        n = full.state_space()[0].shape[0]
+        for r in range(1, 9):
+            basis = rng.standard_normal((n, r))
+            if form == "annihilation":
+                basis = basis + 1j * rng.standard_normal((n, r))
+            reduced = _galerkin(full, np.linalg.qr(basis)[0])
+            oracle = analysis.h2_norm(*analysis.error_system(full, reduced))
+            assert analysis.h2_error_gramian(full, reduced) == pytest.approx(oracle, rel=1e-11)
+
+
+def test_h2_error_gramians_rows_equal_their_stacks_of_one():
+    full = systems.random_realizable_annihilation(6, 2, 2, 3)
+    rng = np.random.default_rng(3)
+    bases = [np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))[0]
+             for _ in range(5)]
+    models = [_galerkin(full, basis) for basis in bases]
+    stacked = [np.stack(parts) for parts in zip(*(model[:3] for model in models))]
+    rows = analysis.h2_error_gramians(full, stacked + [full.K])
+    assert rows == [analysis.h2_error_gramian(full, model) for model in models]
+
+
+@pytest.mark.parametrize("order", [2, 4], ids=["sylvester-rows", "kronecker"])
+def test_h2_error_gramian_rejects_a_solve_off_its_residual(monkeypatch, order):
+    # A Gramian block whose solve misses its equation by 1e-6 relative is
+    # not a Gramian: the pair is infeasible, not a slightly wrong cost.
+    full = systems.random_realizable_annihilation(4, 2, 2, 1)
+    basis = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 2)) + 0j)[0]
+    solve = linalg.solve
+
+    def perturbed(m, b):
+        x = solve(m, b)
+        return x * (1 + 1e-6) if m.shape[-1] == order else x
+
+    monkeypatch.setattr(linalg, "solve", perturbed)
+    with pytest.raises(StabilityError, match=r"^Gramian residual \S+ exceeds 1e-8 of scale"):
+        analysis.h2_error_gramian(full, _galerkin(full, basis))
+
+
+def test_h2_error_gramian_rejects_a_pole_pair_on_the_axis():
+    # A reduced pole at -1e-20 is Hurwitz, but its pair sums to zero to
+    # working precision: the order n + r Lyapunov solve would be perturbed.
+    full = systems.random_realizable_annihilation(3, 2, 2, 0)
+    f, g, h, k = full.state_space()
+    reduced = (np.diag([-1e-20, -1.0]).astype(complex), g[:2], h[:, :2], k)
+    with pytest.raises(StabilityError, match="^" + linalg.POLE_PAIR + "$"):
+        analysis.h2_error_gramian(full, reduced)
+    with pytest.raises(StabilityError, match="^" + linalg.POLE_PAIR + "$"):
+        analysis.h2_norm(*analysis.error_system(full, reduced))
+    unstable = (np.diag([1e-3, -1.0]).astype(complex), g[:2], h[:, :2], k)
+    with pytest.raises(StabilityError, match="^" + linalg.NOT_HURWITZ + "$"):
+        analysis.h2_error_gramian(full, unstable)
+
+
 def test_error_report_bounds_dominate_estimate():
     quad, _, result = stable_reduction_cases(1)[0]
     grid = analysis.default_grid(quad.A, result.reduced.A, count=400)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import qmor
 
 from conftest import stable_reduction_cases
 from qmor import analysis, cases, linalg, selection, systems
-from qmor.errors import InfeasiblePointError, QmorError, StructureError
+from qmor.errors import InfeasiblePointError, QmorError, StabilityError, StructureError
 from qmor.reduction import InterpolationData, reduce_passive, reduce_right
 from qmor.selection import (
     SelectionProblem,
@@ -533,6 +534,68 @@ def test_refinement_no_worse_than_nelder_mead(label):
     assert chosen.cost == min(row["cost"] for row in chosen.trace)
 
 
+#: The H2 searches of this file and of ``scripts/fingerprint.py``, with the
+#: ex2 control problem of ``control-hinf`` under the H2 cost.
+H2_SEARCHES = {
+    "ex3-passive-h2": _ex3_h2_problem,
+    "fingerprint-ex3-default-window": lambda: _fingerprint_problem(
+        "fingerprint-ex3-default-window"
+    ),
+    "fingerprint-ex1-h2": lambda: _fingerprint_problem("fingerprint-ex1-h2"),
+    "unstable-h2": lambda: _unstable_projection_problem("h2"),
+    "control-h2": lambda: replace(_fingerprint_problem("control-hinf"), cost="h2"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(H2_SEARCHES))
+def test_stacked_h2_costs_match_the_error_system_norm(label):
+    # Every lattice and poll candidate, scored in stacked passes from the
+    # error Gramian's blocks, against h2_norm of its own order n + r error
+    # system.
+    problem = H2_SEARCHES[label]()
+    trace = optimize_points(problem).trace
+    omegas = np.array([row["omegas"] for row in trace])
+    (a, b, c, d), errors = selection._reduced_models(problem, problem.expand_points(omegas))
+    checked = 0
+    for row, error, model in zip(trace, errors, zip(a, b, c)):
+        if error is not None:
+            assert not row["feasible"] and row["reason"] == str(error)
+            continue
+        try:
+            oracle = analysis.h2_norm(*analysis.error_system(problem.system, (*model, d)))
+        except StabilityError:
+            assert not row["feasible"]
+            continue
+        assert row["feasible"] and row["cost"] == pytest.approx(oracle, rel=1e-11, abs=0)
+        checked += 1
+    assert checked > len(trace) // 2
+
+
+def test_pole_pair_on_the_axis_is_a_penalized_row(monkeypatch):
+    # A reduced pole at -1e-20 is Hurwitz, but it pairs with itself to zero
+    # to working precision, where the Gramian is not defined: such a row is
+    # infeasible with the Lyapunov solve's reason, never a huge cost.
+    problem = _ex3_h2_problem()
+    reduced_models = selection._reduced_models
+
+    def pole_near_axis(problem, points):
+        (a, b, c, d), errors = reduced_models(problem, points)
+        a = a.copy()
+        a[points[:, 0].imag > 1e8] = np.diag([-1e-20, -1.0, -2.0])
+        return (a, b, c, d), errors
+
+    monkeypatch.setattr(selection, "_reduced_models", pole_near_axis)
+    chosen = optimize_points(problem)
+    penalized = [row for row in chosen.trace if not row["feasible"]]
+    assert penalized and all(row["omegas"][0] > 1e8 for row in penalized)
+    assert all(row["reason"] == linalg.POLE_PAIR for row in penalized)
+    first = next(row["cost"] for row in chosen.trace if row["feasible"])
+    assert all(row["cost"] == selection.PENALTY_FACTOR * first for row in penalized)
+    assert chosen.cost == min(row["cost"] for row in chosen.trace if row["feasible"])
+    with pytest.raises(StabilityError, match=linalg.POLE_PAIR):
+        cost_h2(problem, [5e8])
+
+
 def test_import_leaves_scipy_optimize_out():
     # The refinement is the package's own poll, so importing it costs no optimizer.
     code = "import sys, qmor, qmor.cli; print('scipy.optimize' in sys.modules)"
@@ -569,14 +632,35 @@ def _counting(monkeypatch, name):
     return shapes
 
 
-def test_cost_h2_eigensolves_the_error_system_once(monkeypatch):
-    # The stacked Hurwitz test is the one eigenvalue call; the Lyapunov solve
-    # reads its own test off the eigenvalues of its Schur form.
+def test_cost_h2_eigensolves_only_the_reduced_model(monkeypatch):
+    # The full model's Hurwitz test reads the diagonal of its Schur form, so
+    # the one eigenvalue call is the stacked one on the reduced state
+    # matrices; nothing of order n + r is eigensolved.
     shapes = _counting(monkeypatch, "eigvals")
     problem = _ex3_h2_problem()
     cost_h2(problem, [1.48e7])
-    order = cases.cascaded_cavity_system().n_modes + problem.r
-    assert shapes == [(1, order, order)]
+    assert shapes == [(1, problem.r, problem.r)]
+
+
+def test_optimize_points_solves_one_lyapunov_per_pass(monkeypatch):
+    # The full-model Gramian is the one Lyapunov solve of a stacked H2 pass;
+    # the candidate blocks of the error Gramian are stacked solves.
+    solves, passes = [], []
+    lyapunov_solve, h2_costs = linalg.lyapunov_solve, selection.COST_FUNCTIONS["h2"]
+
+    def counting_solve(*args):
+        solves.append(args)
+        return lyapunov_solve(*args)
+
+    def counting_costs(problem, candidates):
+        passes.append(len(candidates))
+        return h2_costs(problem, candidates)
+
+    monkeypatch.setattr(linalg, "lyapunov_solve", counting_solve)
+    monkeypatch.setitem(selection.COST_FUNCTIONS, "h2", counting_costs)
+    optimize_points(_ex3_h2_problem())
+    assert len(passes) > 1
+    assert len(solves) == len(passes)
 
 
 def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
@@ -599,8 +683,14 @@ def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
             fresh.append(new)
     # Each pass with a fresh candidate is one stacked solve of exactly those
     # candidates, so each distinct candidate is solved once.
-    assert shapes[1:] == [(len(new), 3, n, n) for new in fresh]
-    assert sum(shape[0] for shape in shapes) == len(set(scan + refine)) < len(scan + refine)
+    resolvents = [shape for shape in shapes if len(shape) == 4]
+    assert resolvents[1:] == [(len(new), 3, n, n) for new in fresh]
+    assert sum(shape[0] for shape in resolvents) == len(set(scan + refine)) < len(scan + refine)
+    # The other solves are the H2 cost's stacked Gramian blocks, per pass: the
+    # n rows of the Sylvester block, order r, then the Kronecker system of
+    # the reduced Gramian, order r^2.
+    gramians = [shape[1:] for shape in shapes if len(shape) == 3]
+    assert gramians == ([(3, 3)] * n + [(9, 9)]) * len(resolvents)
 
 
 @pytest.mark.parametrize("label", ["ex3-passive-h2", "ex1-right-hinf-untied"])

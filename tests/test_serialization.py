@@ -96,6 +96,48 @@ def test_matrix_encoding_matches_per_entry_text():
         assert json.dumps(poles) == json.dumps(_per_entry_points(result.diagnostics.poles))
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[-0.0, 0.0, 5e-324], [1e308, -2.5, 3]],
+        [[[-0.0, -0.0], [1, 2.5]], [[0.0, -1e-310], [7, -0.0]]],
+        [[True, 1], [False, 2.5]],
+        [[[True, 1]]],
+        [[2**62 + 1, 2**63], [2**64, -(2**63)]],
+        [[1, [2, 3]]],
+        [[]],
+    ],
+    ids=["real", "pairs", "bools", "bool-pair", "large-ints", "mixed", "empty-row"],
+)
+def test_matrix_decoding_matches_per_entry_reading(obj):
+    # One np.array call decodes numbers and [re, im] pairs; the entry-by-entry
+    # reading is the reference, bit for bit (signed zeros included).
+    expected = np.array(
+        [[serialization._entry_to_complex(x, "M") for x in row] for row in obj], dtype=complex
+    )
+    got = serialization.complex_matrix_from_json(obj, "M")
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([[1.5, 10**400]], "M: an integer entry is too large for a float"),
+        ([[[1, 2], [3]]], "M: entries must be numbers or [re, im] pairs, got [3]"),
+        ([[1, "2"]], "M: entries must be numbers or [re, im] pairs, got '2'"),
+        ([[[1, 2, 3]]], "M: entries must be numbers or [re, im] pairs, got [1, 2, 3]"),
+        ([[[[1, 2]]]], "M: entries must be numbers or [re, im] pairs, got [[1, 2]]"),
+        ([[None, 1.0]], "M: entries must be numbers or [re, im] pairs, got None"),
+        ([[[1.0, math.inf]]], "M contains non-finite entries"),
+    ],
+)
+def test_matrix_decoding_names_the_bad_entry(obj, message):
+    with pytest.raises(SchemaError) as raised:
+        serialization.complex_matrix_from_json(obj, "M")
+    assert str(raised.value) == message
+
+
 def test_schema_rejects_unknown_form():
     with pytest.raises(SchemaError, match="form"):
         serialization.system_from_dict({"form": "modal", "A": [[1.0]]})
