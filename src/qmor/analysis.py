@@ -22,8 +22,9 @@ level-set method (Boyd and Balakrishnan; Bruinsma and Steinbuch; Systems &
 Control Letters 1990): :func:`hinf_norm` returns a value the error attains,
 its frequency, and a certified upper value within a relative ``2 tol`` of it.
 The angle bounds are suprema of their integrands over a dense logarithmic
-grid, refined by golden-section search around the best local maxima, so they
-are refined lower-bound estimates of the bound functions.
+grid, refined around the best local maxima by Brent's bounded search
+(parabolic steps, golden-section steps where a parabola is not acceptable),
+so they are refined lower-bound estimates of the bound functions.
 
 ``A_e = diag(A, A_r)``, so the error Gramian splits into the full model's
 Gramian ``P``, an ``n x r`` Sylvester block ``X`` and the reduced Gramian
@@ -38,7 +39,7 @@ the H2 cost of a single system of any order, and the test oracle.
 Evaluation is batched: :func:`sweep` solves ``(s_k I - A_k) X = B_k`` for a
 whole block of ``GRID_BLOCK`` points at once, every frequency integrand maps
 an array of frequencies to an array of values (stacked SVDs for norms, one
-stacked solve and QR per block for an angle bound), and the golden-section
+stacked solve and QR per block for an angle bound), and the bracket
 searches of every bound term advance in one lockstep search.
 """
 
@@ -52,16 +53,17 @@ from .errors import QmorError, StabilityError
 from .systems import transfer
 
 DEFAULT_GRID_COUNT = 2000
-#: Golden-section refinement: local grid maxima per term, relative final bracket width.
+#: Bracket refinement: local grid maxima per term, relative final bracket width.
 REFINE_TOP, REFINE_REL_WIDTH = 3, 1e-6
 #: Points per stacked evaluation; bounds the size of the live resolvent stacks.
 GRID_BLOCK = 64
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Relative gap between the certified upper and the attained lower H-infinity value.
 LEVEL_SET_TOL = 1e-10
 #: A Hamiltonian eigenvalue is a crossing candidate when ``|Re| <= AXIS_TOL (|lambda| + |H|_1)``.
 AXIS_TOL = 1e-6
 MAX_LEVEL_SET_ITERATIONS = 30
+#: Samples within this relative gap of the largest one tie for :func:`hinf_norm`'s peak frequency.
+PEAK_TIE_REL = 1e-13
 #: Composite Gauss-Legendre rule of :func:`h2_error_quadrature`: panels, nodes per panel.
 H2_PANELS, H2_NODES = 64, 32
 #: Points per axis of :func:`error_surface`'s default rectangle.
@@ -124,32 +126,94 @@ def _grid_values(f, *columns):
     return np.concatenate([f(*(col[k : k + GRID_BLOCK] for col in columns)) for k in starts])
 
 
-def _golden_lockstep(f, terms, lo, hi):
-    """Golden-section maxima of ``f(terms, .)`` on every bracket ``[lo_j, hi_j]`` at once.
+def _bounded_brent(lo, hi):
+    """Brent's bounded minimization on ``[lo, hi]`` as a coroutine.
 
-    Each step makes one batched call over the brackets that are still wider
-    than ``REFINE_REL_WIDTH`` (relative); each bracket stops on its own.
-    Returns the values at, and the midpoints of, the final brackets.
+    Scipy's ``minimize_scalar(method="bounded")`` step for step (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5; the
+    ``fmin`` of Forsythe, Malcolm and Moler): parabolic steps through the
+    three best points where they are acceptable, golden-section steps
+    elsewhere, and scipy's stopping test with the absolute tolerance
+    ``xatol = REFINE_REL_WIDTH max(1, |lo|, |hi|) / 2``.  Yields each point
+    to evaluate, takes the function's value there, and returns the best
+    ``(value, point)``.
     """
-    a, b = lo.copy(), hi.copy()
-    x1 = b - INV_PHI * (b - a)
-    x2 = a + INV_PHI * (b - a)
-    f1, f2 = np.split(f(np.concatenate([terms, terms]), np.concatenate([x1, x2])), 2)
-    while True:
-        active = (b - a) > REFINE_REL_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        if not active.any():
-            break
-        up = active & (f1 < f2)
-        down = active & ~(f1 < f2)
-        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
-        x2[up] = a[up] + INV_PHI * (b[up] - a[up])
-        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
-        x1[down] = b[down] - INV_PHI * (b[down] - a[down])
-        fresh = f(terms[active], np.where(up, x2, x1)[active])
-        f2[up] = fresh[up[active]]
-        f1[down] = fresh[down[active]]
-    mid = (a + b) / 2
-    return f(terms, mid), mid
+    golden_mean, sqrt_eps = 0.5 * (3.0 - math.sqrt(5.0)), math.sqrt(2.2e-16)
+    xatol = REFINE_REL_WIDTH * max(1.0, abs(lo), abs(hi)) / 2
+    a, b = lo, hi
+    # x is the best point so far, w the second best, v the previous w (scipy's xf, nfc, fulc).
+    x = w = v = a + golden_mean * (b - a)
+    fx = fw = fv = yield x
+    e = rat = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                rat = (p + 0.0) / q
+                if (x + rat) - a < tol2 or b - (x + rat) < tol2:
+                    rat = tol1 if xm >= x else -tol1
+        if golden:
+            e = (a if x >= xm else b) - x
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        u = x + step if rat >= 0 else x - step
+        fu = yield u
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return fx, x
+
+
+def _lockstep_maxima(f, terms, lo, hi):
+    """Maxima of ``f(terms, .)`` on brackets ``[lo_j, hi_j]``: :func:`_bounded_brent` of ``-f``.
+
+    The searches run in lockstep: each step makes one batched call of ``f``
+    at the next point of every search that has not stopped.  Returns the
+    best value of every bracket and the point where ``f`` took it.
+    """
+    searches = [_bounded_brent(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+    best = [None] * len(searches)
+    active = list(range(len(searches)))
+    points = [next(search) for search in searches]
+    while active:
+        values = f(terms[active], np.array(points))
+        still, points = [], []
+        for j, value in zip(active, (-values).tolist()):
+            try:
+                points.append(searches[j].send(value))
+                still.append(j)
+            except StopIteration as stop:
+                best[j] = stop.value
+        active = still
+    value, point = (np.array(column) for column in zip(*best))
+    return -value, point
 
 
 def grid_suprema(f, omegas, n_terms):
@@ -158,9 +222,10 @@ def grid_suprema(f, omegas, n_terms):
     ``f`` maps an array of term labels in ``range(n_terms)`` and an array of
     frequencies to an array of values.  The grid is evaluated over all
     (term, frequency) rows, and the brackets of the ``REFINE_TOP`` best local
-    maxima of every term advance in one lockstep golden-section search.  Ties
-    break toward lower frequency.  A term with an infinite sample reads ``inf``
-    at the first one.  Returns one ``(value, omega)`` pair per term.
+    maxima of every term advance in one lockstep bounded search
+    (:func:`_lockstep_maxima`).  Ties break toward lower frequency.  A term
+    with an infinite sample reads ``inf`` at the first one.  Returns one
+    ``(value, omega)`` pair per term.
     """
     omegas = np.asarray(omegas, dtype=float)
     n = omegas.size
@@ -186,7 +251,7 @@ def grid_suprema(f, omegas, n_terms):
     peak_values, peak_omegas = np.array(peak_values, dtype=float), omegas[index]
     refine = hi > lo
     if refine.any():
-        peak_values[refine], peak_omegas[refine] = _golden_lockstep(
+        peak_values[refine], peak_omegas[refine] = _lockstep_maxima(
             f, labels[refine], lo[refine], hi[refine]
         )
     for term, value, omega in zip(labels, peak_values, peak_omegas):
@@ -268,6 +333,18 @@ class HinfEstimate:
     iterations: int
 
 
+def _peak_frequency(w, sampled, value):
+    """Where the samples ``sampled`` at ``w`` reach ``value``, their maximum.
+
+    Every sample within ``PEAK_TIE_REL`` of ``value`` ties for it: the
+    nonnegative frequencies come first, then the smallest ``|w|``.  So the
+    mirrored flat tops of a two-sided curve, which rounding orders at random,
+    report one sign.
+    """
+    tied = w[sampled >= value * (1.0 - PEAK_TIE_REL)]
+    return float(tied[np.lexsort((np.abs(tied), tied < 0))[0]])
+
+
 def hinf_norm(a, b, c, omegas=None, values=None):
     """H-infinity norm of ``C (sI - A)^-1 B`` by the Hamiltonian level-set method.
 
@@ -281,9 +358,11 @@ def hinf_norm(a, b, c, omegas=None, values=None):
     evaluating ``sigma_max`` at each of them and between neighbours, so the
     lower value is always attained.  When no candidate raises it, no interval
     of the curve lies above ``g``, which is returned as the certified upper
-    value.  Real systems report ``w >= 0``.  A non-Hurwitz ``A`` (a pole on
-    the axis included) reads ``inf``; ``MAX_LEVEL_SET_ITERATIONS`` steps
-    without convergence raise :class:`QmorError`.
+    value.  The peak frequency is that of the lower value among every sample
+    taken, near ties broken by :func:`_peak_frequency`; real systems report
+    ``w >= 0``.  A non-Hurwitz ``A`` (a pole on the axis included) reads
+    ``inf``; ``MAX_LEVEL_SET_ITERATIONS`` steps without convergence raise
+    :class:`QmorError`.
     """
     a, b, c = (np.asarray(m) for m in (a, b, c))
     real = not any(np.iscomplexobj(m) for m in (a, b, c))
@@ -300,10 +379,9 @@ def hinf_norm(a, b, c, omegas=None, values=None):
     w, sampled = curve(np.concatenate([[0.0], poles.imag, mags, -mags]))
     if omegas is not None:
         w, sampled = np.concatenate([omegas, w]), np.concatenate([values, sampled])
-    k = int(np.argmax(sampled))
-    lower, peak = float(sampled[k]), float(w[k])
+    lower = float(sampled.max())
     if lower == 0.0 or math.isinf(lower):
-        return HinfEstimate(lower, peak, lower, 0)
+        return HinfEstimate(lower, _peak_frequency(w, sampled, lower), lower, 0)
     bb, cc, a_h = b @ b.conj().T, c.conj().T @ c, -a.conj().T
     for iteration in range(1, MAX_LEVEL_SET_ITERATIONS + 1):
         gamma = (1.0 + 2.0 * LEVEL_SET_TOL) * lower
@@ -311,11 +389,11 @@ def hinf_norm(a, b, c, omegas=None, values=None):
         eig = np.linalg.eigvals(h)
         scale = np.abs(h).sum(axis=0).max()
         crossings = np.sort(eig.imag[np.abs(eig.real) <= AXIS_TOL * (np.abs(eig) + scale)])
-        w, sampled = curve(np.concatenate([crossings, (crossings[:-1] + crossings[1:]) / 2]))
-        if sampled.size == 0 or sampled.max() <= lower:
-            return HinfEstimate(lower, peak, gamma, iteration)
-        k = int(np.argmax(sampled))
-        lower, peak = float(sampled[k]), float(w[k])
+        step_w, step = curve(np.concatenate([crossings, (crossings[:-1] + crossings[1:]) / 2]))
+        w, sampled = np.concatenate([w, step_w]), np.concatenate([sampled, step])
+        if step.size == 0 or step.max() <= lower:
+            return HinfEstimate(lower, _peak_frequency(w, sampled, lower), gamma, iteration)
+        lower = float(step.max())
     raise QmorError(
         f"H-infinity level-set iteration did not converge in {MAX_LEVEL_SET_ITERATIONS} steps"
     )
@@ -394,16 +472,24 @@ def _angle_bound(a, b, c, kernel, u_perp, s):
 
 
 def _bound_suprema(full, result, grid, terms):
-    """Grid supremum of the angle bound for each ``(side, basis, complement basis)``.
+    """:func:`_angle_suprema` on ``grid``, or on the default grid, of a checked pair.
+
+    The pair must pass :func:`_stable_error_system`: both models Hurwitz and
+    the error system defined.
+    """
+    _stable_error_system(full, result)
+    spec = grid or default_grid(_abcd(full)[0], _abcd(result.reduced)[0])
+    return _angle_suprema(full, result, spec.frequencies(), terms)
+
+
+def _angle_suprema(full, result, omegas, terms):
+    """Supremum over ``omegas`` of the angle bound for each ``(side, basis, complement basis)``.
 
     The terms are the row blocks of one integrand over (term, frequency), so
     a single lockstep search refines the brackets of all of them.  Their port
     widths are zero-padded to a common one, which changes no norm.
     """
     a, b, c, _ = _abcd(full)
-    a_r = _abcd(result.reduced)[0]
-    _stable_error_system(full, result)
-    omegas = (grid or default_grid(a, a_r)).frequencies()
     # The left integrand is the right one of the adjoint (A^H, C^H, B^H) at conj(s).
     forms = {"right": (a, b, c, 1j), "left": (a.conj().T, c.conj().T, b.conj().T, -1j)}
     inputs = max(forms[side][1].shape[1] for side, _, _ in terms)
@@ -699,8 +785,9 @@ def error_report(full, result, grid=None):
                 "supremum, not an H-infinity norm, and the bounds are omitted",
             ),
         )
+    # A finite upper value shows both models Hurwitz, and error_system the pair fitting.
     terms = [("left", result.v, result.w), ("right", result.w, result.v)]
-    bound_left, bound_right = _bound_suprema(full, result, spec, terms)
+    bound_left, bound_right = _angle_suprema(full, result, omegas, terms)
     return ErrorReport(
         hinf_error_estimate=norm.value,
         hinf_error_upper=norm.upper,

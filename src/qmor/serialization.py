@@ -235,10 +235,10 @@ def _fmt(x):
 
 
 def write_error_curve_csv(path, pointwise):
+    """The ``(k, 2)`` curve as ``omega,error`` rows, ``.17g`` each, in one write."""
+    rows = np.asarray(pointwise).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("omega,error\n")
-        for omega, err in np.asarray(pointwise):
-            fh.write(f"{_fmt(omega)},{_fmt(err)}\n")
+        fh.write("omega,error\n" + "".join(f"{o:.17g},{e:.17g}\n" for o, e in rows))
 
 
 def write_frequency_response_csv(path, response):

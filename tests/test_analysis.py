@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -417,7 +418,8 @@ def test_error_report_pole_on_grid_frequency():
 
 
 def test_error_report_eigensolves_error_system_once(monkeypatch):
-    # The level-set norm's pole test is also the Hurwitz test of A_e.
+    # The level-set norm's pole test is also the Hurwitz test of A_e, and of
+    # the bounds: neither model's own state matrix is eigensolved again.
     system = cases.optomechanical_system()
     result = reduce_right(system, cases.ex1_interpolation_data())
     sizes = []
@@ -431,6 +433,33 @@ def test_error_report_eigensolves_error_system_once(monkeypatch):
     report = analysis.error_report(system, result, grid=analysis.GridSpec(1e3, 1e6, count=50))
     assert report.stable
     assert sizes.count(10) == 1
+    assert sizes.count(6) == sizes.count(4) == 0
+    sizes.clear()
+    analysis.hinf_bound_left(system, result, grid=analysis.GridSpec(1e3, 1e6, count=50))
+    assert sorted(sizes) == [4, 6]
+
+
+def test_hinf_norm_breaks_a_near_tie_of_mirrored_peaks():
+    # The ex3 error curve has flat tops at +/- 803422.58 rad/s that agree to
+    # rounding, so which one holds the largest sample changes with the last
+    # bit of the data.  The reported peak stays on the positive one; within
+    # the flat top, whose samples tie to 1e-13, it moves by under 1e-9.
+    system = cases.cascaded_cavity_system()
+    data = cases.ex3_interpolation_data()
+    peaks = []
+    for k in range(-1, data.directions.size):
+        directions = np.array(data.directions, dtype=complex)
+        if k >= 0:
+            entry = directions.flat[k]
+            directions.flat[k] = complex(np.nextafter(entry.real, 2.0), entry.imag)
+        result = reduce_passive(system, replace(data, directions=directions), pr_tol=1e-8)
+        report = analysis.error_report(system, result)
+        peak = report.peak_frequency
+        gap = systems.transfer(system, 1j * peak) - systems.transfer(result.reduced, 1j * peak)
+        assert linalg.spectral_norm(gap) >= (1 - 1e-13) * report.hinf_error_estimate
+        peaks.append(peak)
+    assert min(peaks) > 0
+    assert max(peaks) - min(peaks) <= 1e-9 * min(peaks)
 
 
 def test_frequency_response_feedthrough_only():

@@ -65,7 +65,7 @@ def _problem(system, side, r, shifted, repeated, seed):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(
     side=st.sampled_from(["left", "right", "passive"]),
-    n=st.integers(1, 4),
+    n=st.integers(1, 8),
     m=st.integers(1, 2),
     data=st.data(),
 )

@@ -357,6 +357,23 @@ def test_error_curve_csv_full_precision(tmp_path):
     assert float(err) == value
 
 
+def test_error_curve_csv_bytes_match_per_row_formatting(tmp_path):
+    # Signed zeros, infinities and NaN, as numpy scalars formatted row by row.
+    curve = np.array([
+        [0.0, -0.0],
+        [-0.0, 0.0],
+        [1.0 / 3.0, math.inf],
+        [-2.5e-300, -math.inf],
+        [803422.5816510525, math.nan],
+        [1e308, 2.0000000000000004],
+    ])
+    path = tmp_path / "curve.csv"
+    serialization.write_error_curve_csv(path, curve)
+    expected = "omega,error\n" + "".join(f"{o:.17g},{e:.17g}\n" for o, e in curve)
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert b"-0,0\n" in path.read_bytes() and b"inf" in path.read_bytes()
+
+
 def test_frequency_response_csv_layout(tmp_path):
     response = FrequencyResponse(
         omegas=np.array([2.0]),
