@@ -24,7 +24,9 @@ its frequency, and a certified upper value within a relative ``2 tol`` of it.
 The angle bounds are suprema of their integrands over a dense logarithmic
 grid, refined around the best local maxima by Brent's bounded search
 (parabolic steps, golden-section steps where a parabola is not acceptable),
-so they are refined lower-bound estimates of the bound functions.
+so they are refined lower-bound estimates of the bound functions.  A real
+model's integrand is even in frequency, so a maximum at ``omega = 0`` is
+refined on a bracket mirrored about 0.
 
 ``A_e = diag(A, A_r)``, so the error Gramian splits into the full model's
 Gramian ``P``, an ``n x r`` Sylvester block ``X`` and the reduced Gramian
@@ -37,10 +39,14 @@ solves (Golub, Nash and Van Loan, IEEE TAC 24(6), 1979).  :func:`h2_norm` is
 the H2 cost of a single system of any order, and the test oracle.
 
 Evaluation is batched: :func:`sweep` solves ``(s_k I - A_k) X = B_k`` for a
-whole block of ``GRID_BLOCK`` points at once, every frequency integrand maps
-an array of frequencies to an array of values (stacked SVDs for norms, one
-stacked solve and QR per block for an angle bound), and the bracket
-searches of every bound term advance in one lockstep search.
+whole block of ``GRID_BLOCK`` points at once, and every frequency integrand
+maps an array of frequencies to an array of values (stacked SVDs for norms,
+one stacked solve and QR per call for an angle bound).  An angle bound's
+grid is not solved point by point: one complex Schur form per term screens
+the whole grid by back-substitution in Schur coordinates (Laub, IEEE TAC
+26(2), 1981), and the screened values only choose where the integrand
+itself is evaluated, at each term's grid maximum and in the brackets whose
+searches advance, for every term at once, in one lockstep search.
 """
 
 import math
@@ -216,48 +222,56 @@ def _lockstep_maxima(f, terms, lo, hi):
     return -value, point
 
 
-def grid_suprema(f, omegas, n_terms):
+def grid_suprema(f, omegas, grid, even=False):
     """Supremum of every term of ``f`` over the grid, refined around its best local maxima.
 
-    ``f`` maps an array of term labels in ``range(n_terms)`` and an array of
-    frequencies to an array of values.  The grid is evaluated over all
-    (term, frequency) rows, and the brackets of the ``REFINE_TOP`` best local
-    maxima of every term advance in one lockstep bounded search
-    (:func:`_lockstep_maxima`).  Ties break toward lower frequency.  A term
-    with an infinite sample reads ``inf`` at the first one.  Returns one
-    ``(value, omega)`` pair per term.
+    ``f`` maps an array of term labels in ``range(len(grid))`` and an array
+    of frequencies to an array of values, and ``grid[t]`` holds term ``t``'s
+    values on ``omegas``: ``f``'s own, or those of a cheaper form that ranks
+    the points the same.  The grid values only choose where ``f`` is
+    evaluated: at each term's grid argmax, the floor, in one call of ``f``,
+    and in the brackets of its ``REFINE_TOP`` best local maxima, which
+    advance in one lockstep bounded search (:func:`_lockstep_maxima`).  So
+    every value returned is one of ``f``'s.  A term whose floor reads
+    ``inf`` (an infinite grid value that ``f`` confirms) reads ``inf`` there
+    and is not refined.  With ``even``, ``f`` is even in frequency and a
+    maximum at ``omegas[0] == 0`` is bracketed by ``[-omegas[1],
+    omegas[1]]``: on ``[0, omegas[1]]`` the search, which never lands on an
+    end, would only creep toward 0.  Ties break toward lower frequency.
+    Returns one ``(value, omega)`` pair per term.
     """
     omegas = np.asarray(omegas, dtype=float)
-    n = omegas.size
-    grid = _grid_values(f, np.repeat(np.arange(n_terms), n), np.tile(omegas, n_terms))
+    grid = np.asarray(grid, dtype=float)
+    n_terms, n = grid.shape
+    # The grid maximum, or the first infinite value, is a floor: refinement only improves on it.
+    top = np.argmax(grid, axis=1)
+    best = list(zip(f(np.arange(n_terms), omegas[top]).tolist(), omegas[top].tolist()))
     prev = np.maximum(np.arange(n) - 1, 0)
     after = np.minimum(np.arange(n) + 1, n - 1)
-    best, labels, index, peak_values = [], [], [], []
-    for term, values in enumerate(grid.reshape(n_terms, n)):
-        if np.any(np.isinf(values)):
-            best.append((math.inf, float(omegas[np.argmax(np.isinf(values))])))
+    labels, index = [], []
+    for term, values in enumerate(grid):
+        if math.isinf(best[term][0]):
             continue
         peaks = np.flatnonzero((values >= values[prev]) & (values >= values[after]))
         chosen = sorted(peaks, key=lambda i: (-values[i], omegas[i]))[:REFINE_TOP]
-        # The raw grid maximum is a floor: refinement can only improve on it.
-        k = int(np.argmax(values))
-        best.append((float(values[k]), float(omegas[k])))
         labels += [term] * len(chosen)
         index += chosen
-        peak_values += [values[i] for i in chosen]
     labels, index = np.array(labels, dtype=int), np.array(index, dtype=int)
     lo = omegas[np.maximum(index - 1, 0)]
     hi = omegas[np.minimum(index + 1, n - 1)]
-    peak_values, peak_omegas = np.array(peak_values, dtype=float), omegas[index]
+    mirror = even & (index == 0) & (lo == 0.0)
+    lo[mirror] = -hi[mirror]
+    # A one-point grid has no bracket; its only point is the floor.
     refine = hi > lo
-    if refine.any():
-        peak_values[refine], peak_omegas[refine] = _lockstep_maxima(
-            f, labels[refine], lo[refine], hi[refine]
-        )
-    for term, value, omega in zip(labels, peak_values, peak_omegas):
+    if not refine.any():
+        return best
+    labels = labels[refine]
+    values, points = _lockstep_maxima(f, labels, lo[refine], hi[refine])
+    points = np.where(mirror[refine], np.abs(points), points)
+    for term, value, omega in zip(labels.tolist(), values.tolist(), points.tolist()):
         best_value, best_omega = best[term]
         if value > best_value or (value == best_value and omega < best_omega):
-            best[term] = (float(value), float(omega))
+            best[term] = (value, omega)
     return best
 
 
@@ -449,26 +463,71 @@ def error_exact(full, result, s):
     )
 
 
-def _angle_bound(a, b, c, kernel, u_perp, s):
+def _angle_bound(a, b_kernel, c, u_perp_h, s):
     """Angle-bound integrand ``|C Q_u| |U_perp^H (sI-A)^-1 B| / cos(theta)`` over ``s``.
 
-    ``kernel`` spans ``ker(basis^H)``, so ``Q_u``, an orthonormal basis of
-    ``(sI-A)^-1 kernel``, spans ``ker(basis^H (sI-A))``; both come from one
-    stacked solve with ``B``.  ``cos(theta) = sigma_min(U_perp^H Q_u)``: the
-    integrand is ``inf`` where it is 0, and 0 at full order.  Every argument
-    but ``s`` is one matrix or one per point.
+    ``b_kernel`` is ``[B | kernel]``, with ``kernel`` spanning
+    ``ker(basis^H)`` in as many columns as ``u_perp_h = U_perp^H`` has rows.
+    So ``Q_u``, an orthonormal basis of ``(sI-A)^-1 kernel``, spans
+    ``ker(basis^H (sI-A))``; both come from one stacked solve.
+    ``cos(theta) = sigma_min(U_perp^H Q_u)``: the integrand is ``inf`` where
+    it is 0, and 0 at full order.  Every argument but ``s`` is one matrix or
+    one per point.
     """
-    if kernel.shape[-1] == 0:
+    k = u_perp_h.shape[-2]
+    if k == 0:
         return np.zeros(s.size)
-    m = b.shape[-1]
-    x = sweep(a, np.concatenate([b, kernel], axis=-1), s)
-    q_u = np.linalg.qr(x[:, :, m:])[0]
-    u_perp_h = np.swapaxes(u_perp.conj(), -1, -2)
+    x = sweep(a, b_kernel, s)
+    q_u = np.linalg.qr(x[:, :, -k:])[0]
     t1 = _norms(c @ q_u)
-    t2 = _norms(u_perp_h @ x[:, :, :m])
+    t2 = _norms(u_perp_h @ x[:, :, :-k])
     cos = np.linalg.svd(u_perp_h @ q_u, compute_uv=False)[:, -1]
     with np.errstate(divide="ignore"):
         return np.where(cos > 0.0, t1 * t2 / cos, math.inf)
+
+
+def _gram_norms(stack):
+    """Spectral norm of every matrix in a stack, from its smaller Gram matrix's top eigenvalue."""
+    h = np.swapaxes(stack.conj(), -1, -2)
+    gram = h @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ h
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
+def _angle_screen(a, b_kernel, c, u_perp_h, unit, omegas):
+    """:func:`_angle_bound` of one term over ``s = unit * omegas``, in Schur coordinates.
+
+    With one complex Schur form ``A = U T U^H``, ``(sI - A)^-1 [B | kernel]
+    = U Z`` and ``Z = (sI - T)^-1 U^H [B | kernel]`` is a back-substitution
+    that advances over a whole block of points in ``n`` steps of one BLAS
+    call each (Laub, IEEE TAC 26(2), 1981).  ``Q``, a stacked QR basis of
+    the kernel block of ``Z``, takes the place of ``U^H Q_u``: ``|C U Q|``
+    and ``|U_perp^H U Z_B|`` come from :func:`_gram_norms`, and the cosine
+    is ``sigma_min(U_perp^H U Q)``, as in :func:`_angle_bound`.  The values
+    agree with :func:`_angle_bound`'s to rounding, which is enough to rank
+    the grid.  ``Z`` and ``Q``, about ``n (m + 2 k)`` complex entries per
+    point, take at most ``linalg.SCAN_BLOCK_BYTES`` per block of points.
+    """
+    k = u_perp_h.shape[0]
+    if k == 0:
+        return np.zeros(omegas.size)
+    t, u, _ = linalg.schur(a.astype(complex))
+    n, m = t.shape[0], b_kernel.shape[1] - k
+    rhs, cu, pu = u.conj().T @ b_kernel, c @ u, u_perp_h @ u
+    block = max(1, linalg.SCAN_BLOCK_BYTES // (16 * n * (m + 2 * k)))
+    out = []
+    for start in range(0, omegas.size, block):
+        s = unit * omegas[start : start + block]
+        # Row i of Z for every point at once: (s - t_ii) z_i = rhs_i + t_i,i+1: Z_i+1:.
+        z = np.empty((n, s.size, m + k), complex)
+        for i in reversed(range(n)):
+            z[i] = (rhs[i] + np.tensordot(t[i, i + 1 :], z[i + 1 :], 1)) / (s - t[i, i])[:, None]
+        z = np.moveaxis(z, 0, 1)
+        q = np.linalg.qr(z[:, :, m:])[0]
+        cos = np.linalg.svd(pu @ q, compute_uv=False)[:, -1]
+        with np.errstate(divide="ignore"):
+            value = _gram_norms(cu @ q) * _gram_norms(pu @ z[:, :, :m]) / cos
+        out.append(np.where(cos > 0.0, value, math.inf))
+    return np.concatenate(out)
 
 
 def _bound_suprema(full, result, grid, terms):
@@ -482,12 +541,16 @@ def _bound_suprema(full, result, grid, terms):
     return _angle_suprema(full, result, spec.frequencies(), terms)
 
 
-def _angle_suprema(full, result, omegas, terms):
-    """Supremum over ``omegas`` of the angle bound for each ``(side, basis, complement basis)``.
+def _angle_terms(full, terms):
+    """The angle-bound integrand of each ``(side, basis, complement basis)``, and its screen.
 
-    The terms are the row blocks of one integrand over (term, frequency), so
-    a single lockstep search refines the brackets of all of them.  Their port
-    widths are zero-padded to a common one, which changes no norm.
+    Returns ``(f, screen, even)``: ``f(t, w)`` is :func:`_angle_bound` of
+    the terms ``t`` at the frequencies ``w``, ``screen(omegas)`` the
+    ``(len(terms), omegas.size)`` values of :func:`_angle_screen`, and
+    ``even`` whether every matrix is real, which makes ``f`` even in
+    frequency.  Each term's ``[B | kernel]`` and ``U_perp^H`` are built
+    here once, and the port widths are zero-padded to a common one, which
+    changes no norm.
     """
     a, b, c, _ = _abcd(full)
     # The left integrand is the right one of the adjoint (A^H, C^H, B^H) at conj(s).
@@ -497,20 +560,35 @@ def _angle_suprema(full, result, omegas, terms):
     rows = []
     for side, basis, perp in terms:
         a_t, b_t, c_t, unit = forms[side]
+        b_t = np.pad(b_t, ((0, 0), (0, inputs - b_t.shape[1])))
         rows.append((
             a_t,
-            np.pad(b_t, ((0, 0), (0, inputs - b_t.shape[1]))),
+            np.concatenate([b_t, linalg.kernel_basis(basis.conj().T)], axis=1),
             np.pad(c_t, ((0, outputs - c_t.shape[0]), (0, 0))),
-            linalg.kernel_basis(basis.conj().T),
-            linalg.kernel_basis(perp.conj().T),
+            linalg.kernel_basis(perp.conj().T).conj().T,
             unit,
         ))
-    a_t, b_t, c_t, kernel, u_perp, unit = (np.array(x) for x in zip(*rows))
+    a_t, b_kernel, c_t, u_perp_h, unit = (np.array(x) for x in zip(*rows))
+    even = not any(np.iscomplexobj(x) for x in (a_t, b_kernel, c_t, u_perp_h))
 
     def f(t, w):
-        return _angle_bound(a_t[t], b_t[t], c_t[t], kernel[t], u_perp[t], unit[t] * w)
+        return _angle_bound(a_t[t], b_kernel[t], c_t[t], u_perp_h[t], unit[t] * w)
 
-    return [value for value, _ in grid_suprema(f, omegas, len(terms))]
+    def screen(omegas):
+        return np.array([_angle_screen(*row, omegas) for row in rows])
+
+    return f, screen, even
+
+
+def _angle_suprema(full, result, omegas, terms):
+    """Supremum over ``omegas`` of the angle bound for each ``(side, basis, complement basis)``.
+
+    The grid is screened by :func:`_angle_screen`; :func:`grid_suprema`
+    evaluates :func:`_angle_bound` at each term's floor and refines the
+    brackets of all terms in a single lockstep search.
+    """
+    f, screen, even = _angle_terms(full, terms)
+    return [value for value, _ in grid_suprema(f, omegas, screen(omegas), even)]
 
 
 def hinf_bound_left(full, result, grid=None):

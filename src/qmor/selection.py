@@ -28,9 +28,9 @@ call on the reduced ones.  The H2 cost adds, per pass, one Lyapunov solve
 of the full model and stacked solves for the candidates' Gramian blocks;
 only the H-infinity level-set iteration runs candidate by candidate.  The
 search scores its scan lattice and each poll of its refinement that way,
-each in as few passes as ``SCAN_BLOCK_BYTES`` of working memory allow (one
-for the bundled examples); :func:`cost_hinf` and :func:`cost_h2` are stacks
-of one.
+each in as few passes as ``linalg.SCAN_BLOCK_BYTES`` of working memory allow
+(one for the bundled examples); :func:`cost_hinf` and :func:`cost_h2` are
+stacks of one.
 """
 
 import itertools
@@ -48,8 +48,6 @@ from .systems import AnnihilationSystem, QuadratureSystem
 SCAN_POINTS_1D = 64
 SCAN_POINTS_ND = 16
 SCAN_POINTS_CAP = 4096
-#: Bytes of stacked working memory one block of scan candidates may take.
-SCAN_BLOCK_BYTES = 2**24
 PENALTY_FACTOR = 1e6
 REFINE_REL_TOL = 1e-4
 #: The poll of one refine pass steps ``h k / POLL_RATIO`` for ``k = +-1..+-POLL_RATIO``;
@@ -379,8 +377,8 @@ def optimize_points(problem):
     with ``k`` points on an order-``n`` system takes about ``(2 k + 1) n^2``
     complex entries of working memory (its ``k`` shifted matrices, their
     norms and its singular vectors), so one pass holds as many candidates as
-    fit in ``SCAN_BLOCK_BYTES``: the whole lattice of a small system, one
-    candidate at a time for a large one.  Every evaluation is one trace row,
+    fit in ``linalg.SCAN_BLOCK_BYTES``: the whole lattice of a small system,
+    one candidate at a time for a large one.  Every evaluation is one trace row,
     and a candidate the search revisits reuses its cost.  Infeasible
     candidates keep their reason and cost a large finite penalty,
     ``PENALTY_FACTOR`` times the first feasible scan cost, so the search
@@ -405,7 +403,7 @@ def optimize_points(problem):
     axis = np.linspace(log_lo, log_hi, per_dim)
     lattice = np.array(list(itertools.product(axis, repeat=d)))
     n, k = problem.state_matrix().shape[0], problem.expand_points(10.0**lattice[0]).size
-    block = max(1, SCAN_BLOCK_BYTES // ((2 * k + 1) * n * n * 16))
+    block = max(1, linalg.SCAN_BLOCK_BYTES // ((2 * k + 1) * n * n * 16))
     trace, penalty, scored = [], math.nan, {}
 
     def evaluate(phase, logs):

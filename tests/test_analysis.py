@@ -144,7 +144,7 @@ def test_hinf_norm_certified_against_refined_grid(form, n, m, seed):
         return np.linalg.norm(c @ analysis.sweep(a, b, 1j * np.asarray(w)), 2, axis=(1, 2))
 
     omegas = analysis.default_grid(a).frequencies()
-    oracle = analysis.grid_suprema(lambda _, w: curve(w), omegas, 1)[0][0]
+    oracle = analysis.grid_suprema(lambda _, w: curve(w), omegas, [curve(omegas)])[0][0]
     norm = analysis.hinf_norm(a, b, c)
     assert norm.upper >= oracle
     assert abs(norm.value - oracle) <= 1e-6 * oracle
@@ -220,9 +220,9 @@ def test_angle_bound_right_integrand_matches_mpmath():
     result = reduce_right(sys_q, cases.ex1_interpolation_data())
     a, b, c = sys_q.A, sys_q.B, sys_q.C
     omegas = np.array([1e4, 10155.28, 2e4])
-    kernel = linalg.kernel_basis(result.w.conj().T)
-    u_perp = linalg.kernel_basis(result.v.conj().T)
-    values = analysis._angle_bound(a, b, c, kernel, u_perp, 1j * omegas)
+    b_kernel = np.hstack([b, linalg.kernel_basis(result.w.conj().T)])
+    u_perp_h = linalg.kernel_basis(result.v.conj().T).conj().T
+    values = analysis._angle_bound(a, b_kernel, c, u_perp_h, 1j * omegas)
     for omega, value in zip(omegas, values):
         expected = _right_integrand_mpmath(mpmath, a, b, c, result.w, result.v, omega)
         assert abs(value - expected) <= 1e-11 * expected
@@ -232,8 +232,11 @@ def test_angle_bound_degenerate_angle_is_inf():
     # ker(basis^H (sI-A)) = (sI-A)^-1 e1 = span(e1), orthogonal to U_perp = e2.
     a = -np.eye(2)
     e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
-    values = analysis._angle_bound(a, np.eye(2), np.eye(2), e1, e2, 1j * np.array([0.0, 1.0, 1e3]))
+    b_kernel = np.hstack([np.eye(2), e1])
+    omegas = np.array([0.0, 1.0, 1e3])
+    values = analysis._angle_bound(a, b_kernel, np.eye(2), e2.T, 1j * omegas)
     assert np.all(np.isposinf(values))
+    assert np.all(np.isposinf(analysis._angle_screen(a, b_kernel, np.eye(2), e2.T, 1j, omegas)))
 
 
 def test_bounds_passive_cascade_values():

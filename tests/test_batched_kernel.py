@@ -5,10 +5,12 @@ integrands with per-point kernel bases, and refines the grid maxima one at a
 time with scipy's bounded Brent search, ``minimize_scalar(method="bounded")``.
 The batched error curves and angle bounds in ``qmor.analysis`` must agree
 with it to 1e-12 relative, and a sequential golden-section refinement must
-reach the same bounds to 1e-9 relative.  The level-set H-infinity values
-must meet the certified gates against it: the upper value is at least the
-oracle, the attained value is within ``CERTIFIED_REL`` of it, and the error
-at the reported peak is that value.
+reach the same bounds to 1e-9 relative.  The Schur-coordinate grid screen
+must agree with the integrand to ``SCREEN_REL``, and the bounds it leads to
+must be those of the integrand's own grid, bit for bit.  The level-set
+H-infinity values must meet the certified gates against it: the upper value
+is at least the oracle, the attained value is within ``CERTIFIED_REL`` of
+it, and the error at the reported peak is that value.
 """
 
 import dataclasses
@@ -20,13 +22,25 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from conftest import orthogonal_projector, stable_reduction_cases
+from conftest import (
+    make_passive_data,
+    make_quadrature_data,
+    orthogonal_projector,
+    stable_reduction_cases,
+)
 from qmor import analysis, cases, linalg, selection, systems
-from qmor.reduction import InterpolationData, ReductionResult, reduce_passive, reduce_right
+from qmor.reduction import (
+    InterpolationData,
+    ReductionResult,
+    reduce_left,
+    reduce_passive,
+    reduce_right,
+)
 
 REL = 1e-12
 CERTIFIED_REL = 1e-6
 GOLDEN_REL = 1e-9
+SCREEN_REL = 1e-10
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -293,16 +307,15 @@ def test_lockstep_refinement_matches_sequential_search():
         return f(w)
 
     omegas = np.linspace(0.0, 6.0, 150)
-    value, peak = analysis.grid_suprema(lambda _, w: counted(w), omegas, 1)[0]
+    value, peak = analysis.grid_suprema(lambda _, w: counted(w), omegas, [f(omegas)])[0]
     expected_value, expected_peak, _, evaluations = supremum_oracle(
         lambda w: float(f([w])[0]), omegas
     )
     assert value == expected_value
     assert peak == expected_peak
-    blocks = math.ceil(omegas.size / analysis.GRID_BLOCK)
-    # Grid blocks, then one call per evaluation of the longest bracket search.
-    assert len(calls) == blocks + max(evaluations)
-    assert calls[blocks] == len(evaluations)
+    # The floor, then one call per evaluation of the longest bracket search.
+    assert len(calls) == 1 + max(evaluations)
+    assert calls[1] == len(evaluations)
 
 
 def test_stacked_terms_refine_in_one_lockstep_search():
@@ -320,7 +333,7 @@ def test_stacked_terms_refine_in_one_lockstep_search():
         return np.where(np.asarray(terms) == 0, shapes[0](w), shapes[1](w))
 
     omegas = np.linspace(0.0, 6.0, 150)
-    suprema = analysis.grid_suprema(f, omegas, 2)
+    suprema = analysis.grid_suprema(f, omegas, [shape(omegas) for shape in shapes])
     evaluations = []
     for shape, (value, peak) in zip(shapes, suprema):
         expected_value, expected_peak, _, term_evaluations = supremum_oracle(
@@ -328,9 +341,9 @@ def test_stacked_terms_refine_in_one_lockstep_search():
         )
         assert (value, peak) == (expected_value, expected_peak)
         evaluations += term_evaluations
-    blocks = math.ceil(2 * omegas.size / analysis.GRID_BLOCK)
-    assert len(calls) == blocks + max(evaluations)
-    assert calls[blocks] == len(evaluations)
+    assert calls[0] == 2
+    assert len(calls) == 1 + max(evaluations)
+    assert calls[1] == len(evaluations)
 
 
 def test_lockstep_brackets_match_the_bounded_search():
@@ -378,10 +391,8 @@ def test_lockstep_brackets_match_the_bounded_search_on_steps():
         assert (values[t], points[t]) == expected[:2]
 
 
-def test_ex3_bound_refinement_takes_few_integrand_calls(monkeypatch):
-    # Both ex3 terms refine their brackets in at most 10 batched calls of the
-    # integrand past the grid (26 with the golden-section search it replaces).
-    _, full, result, grid = _ex3()
+def _count_integrand_calls(monkeypatch):
+    """Record the number of points of every call of ``analysis._angle_bound``."""
     calls = []
     integrand = analysis._angle_bound
 
@@ -390,9 +401,151 @@ def test_ex3_bound_refinement_takes_few_integrand_calls(monkeypatch):
         return integrand(*args)
 
     monkeypatch.setattr(analysis, "_angle_bound", counted)
+    return calls
+
+
+def test_ex3_bound_refinement_takes_few_integrand_calls(monkeypatch):
+    # The screen evaluates the grid, so the integrand is called only for the
+    # floors (one call) and the refinement: 9 lockstep steps for both ex3
+    # terms (25 with the golden-section search it replaced).
+    _, full, result, grid = _ex3()
+    calls = _count_integrand_calls(monkeypatch)
     analysis.error_report(full, result, grid=grid)
-    blocks = math.ceil(2 * grid.frequencies().size / analysis.GRID_BLOCK)
-    assert len(calls) - blocks <= 10
+    assert calls[0] == 2
+    assert len(calls) <= 1 + 9
+
+
+def test_ex1_boundary_maximum_is_refined_on_a_mirrored_bracket(monkeypatch):
+    # The ex1 left integrand is even in omega and peaks at the grid's first
+    # point, omega = 0.  On [0, w1] the bounded search creeps toward that end
+    # (33 steps); on [-w1, w1] it takes 23 and still reaches the floor.
+    _, full, result, grid = _ex1()
+    omegas = grid.frequencies()
+    f, _, even = analysis._angle_terms(full, _bound_terms(full, result))
+    exact = f(np.zeros(omegas.size, dtype=int), omegas)
+    assert even and omegas[0] == 0.0 and np.argmax(exact) == 0
+    steps = []
+    for lo in (-omegas[1], 0.0):
+        calls = []
+        value, _ = analysis._lockstep_maxima(
+            lambda t, w: calls.append(w.size) or f(t, w),
+            np.array([0]), np.array([lo]), np.array([omegas[1]]),
+        )
+        steps.append(len(calls))
+        assert value[0] >= exact[0]
+    mirrored, one_sided = steps
+    assert mirrored <= 23 < one_sided
+    calls = _count_integrand_calls(monkeypatch)
+    report = analysis.error_report(full, result, grid=grid)
+    assert len(calls) <= 1 + mirrored
+    assert report.hinf_bound_left >= exact[0]
+
+
+def test_mirrored_bracket_reports_a_nonnegative_frequency():
+    # An even integrand with peaks at +-0.03 and its grid maximum at 0: the
+    # bracket [-0.1, 0.1] holds both peaks, and the search's point at -0.03
+    # is reported as +0.03.
+    def f(_, w):
+        return np.exp(-((np.abs(np.asarray(w)) - 0.03) ** 2) / 0.001)
+
+    omegas = np.linspace(0.0, 4.0, 41)
+    _, point = analysis._lockstep_maxima(f, np.array([0]), np.array([-0.1]), np.array([0.1]))
+    assert point[0] < 0.0
+    ((value, peak),) = analysis.grid_suprema(f, omegas, [f(0, omegas)], even=True)
+    assert abs(peak - 0.03) <= 1e-6 and value >= 1.0 - 1e-12
+
+
+def _screen_cases():
+    """``(label, full, result, grid)``: the report cases, ex2, and random reductions.
+
+    The random ones are left and right reductions of quadrature systems of
+    2 to 4 modes and passive reductions of the annihilation forms, kernels
+    of 0 to 4 columns; not every one is Hurwitz, which the screen does not need.
+    """
+    built = [build() for build in REPORT_CASES]
+    ex2 = cases.control_case_fixture()["quantum_controller"]
+    result = reduce_right(ex2, cases.ex2_interpolation_data())
+    built.append(("ex2", ex2, result, analysis.default_grid(ex2.A, result.reduced.A, count=200)))
+    for seed in range(6):
+        passive = systems.random_realizable_annihilation(2 + seed % 3, 2, 2, 400 + seed)
+        quad = systems.annihilation_to_quadrature(passive)
+        for side, reduce in (("left", reduce_left), ("right", reduce_right)):
+            result = reduce(quad, make_quadrature_data(quad, side, seed))
+            grid = analysis.default_grid(quad.A, result.reduced.A, count=200)
+            built.append((f"{side}{seed}", quad, result, grid))
+        result = reduce_passive(passive, make_passive_data(passive, seed))
+        grid = analysis.default_grid(passive.F, result.reduced.F, count=200)
+        built.append((f"passive{seed}", passive, result, grid))
+    return built
+
+
+SCREEN_CASES = _screen_cases()
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES])
+def test_screened_grid_matches_the_integrand(case):
+    # Wherever a term reaches 1e-8 of its maximum, the screen is within
+    # SCREEN_REL of the integrand; an infinite value is infinite in both.
+    _, full, result, grid = case
+    omegas = grid.frequencies()
+    f, screen, _ = analysis._angle_terms(full, _bound_terms(full, result))
+    for term, screened in enumerate(screen(omegas)):
+        exact = f(np.full(omegas.size, term), omegas)
+        assert np.array_equal(np.isinf(screened), np.isinf(exact))
+        finite = np.isfinite(exact)
+        shown = finite & (exact > 1e-8 * exact[finite].max())
+        assert np.all(np.abs(screened[shown] - exact[shown]) <= SCREEN_REL * exact[shown])
+
+
+@pytest.mark.parametrize("case", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES])
+def test_screened_bounds_match_the_integrands_own_grid(case):
+    # The screen only chooses where the integrand is evaluated: every bound
+    # and its frequency equal those of the integrand's own grid, bit for bit,
+    # and so do the stable reports' bounds.
+    _, full, result, grid = case
+    omegas = grid.frequencies()
+    terms = _bound_terms(full, result)
+    f, screen, even = analysis._angle_terms(full, terms)
+    exact = [f(np.full(omegas.size, term), omegas) for term in range(len(terms))]
+    screened = analysis.grid_suprema(f, omegas, screen(omegas), even)
+    assert screened == analysis.grid_suprema(f, omegas, exact, even)
+    report = analysis.error_report(full, result, grid=grid)
+    if report.stable:
+        assert [report.hinf_bound_left, report.hinf_bound_right] == [v for v, _ in screened]
+
+
+@pytest.mark.parametrize("build", REPORT_CASES, ids=["ex1", "ex3", "stable0", "stable1", "stable2"])
+def test_screen_blocks_leave_the_bounds_unchanged(monkeypatch, build):
+    # A working-memory budget of about seven points splits the grid into
+    # many blocks: the screened values move only by rounding (the row
+    # products are BLAS calls over a whole block), and no bound moves.
+    _, full, result, grid = build()
+    omegas = grid.frequencies()
+    _, screen, _ = analysis._angle_terms(full, _bound_terms(full, result))
+    whole, report = screen(omegas), analysis.error_report(full, result, grid=grid)
+    monkeypatch.setattr(linalg, "SCAN_BLOCK_BYTES", 7 * 16 * 8 * 30)
+    blocked = screen(omegas)
+    assert np.all(np.abs(blocked - whole) <= 1e-13 * whole)
+    again = analysis.error_report(full, result, grid=grid)
+    assert (again.hinf_bound_left, again.hinf_bound_right) == (
+        report.hinf_bound_left, report.hinf_bound_right
+    )
+
+
+def test_grid_suprema_confirms_an_infinite_grid_value():
+    # An infinite grid value is the floor; the term reads inf there only
+    # when f confirms it, and is refined otherwise.
+    omegas = np.linspace(0.0, 4.0, 41)
+
+    def f(terms, w):
+        return np.where(np.asarray(terms) == 0, math.inf, np.exp(-((np.asarray(w) - 2.0) ** 2)))
+
+    grid = [np.exp(-((omegas - 2.0) ** 2)), np.exp(-((omegas - 2.0) ** 2))]
+    grid[0][30] = grid[1][30] = grid[0][35] = math.inf
+    (inf_value, inf_omega), (value, peak) = analysis.grid_suprema(f, omegas, grid)
+    assert (inf_value, inf_omega) == (math.inf, omegas[30])
+    assert 1.0 - 1e-10 <= value <= 1.0
+    assert abs(peak - 2.0) <= 1e-5
 
 
 def test_sweep_matches_pointwise_solves():

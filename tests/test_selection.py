@@ -701,7 +701,7 @@ def test_scan_blocks_leave_the_trace_unchanged(monkeypatch, label):
     whole = optimize_points(problem).trace
     n = problem.state_matrix().shape[0]
     k = problem.expand_points(whole[0]["omegas"]).size
-    monkeypatch.setattr(selection, "SCAN_BLOCK_BYTES", 7 * (2 * k + 1) * n * n * 16)
+    monkeypatch.setattr(linalg, "SCAN_BLOCK_BYTES", 7 * (2 * k + 1) * n * n * 16)
     shapes = _counting(monkeypatch, "solve")
     assert optimize_points(problem).trace == whole
     scan = sum(row["phase"] == "scan" for row in whole)
