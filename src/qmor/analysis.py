@@ -44,9 +44,13 @@ maps an array of frequencies to an array of values (stacked SVDs for norms,
 one stacked solve and QR per call for an angle bound).  An angle bound's
 grid is not solved point by point: one complex Schur form per term screens
 the whole grid by back-substitution in Schur coordinates (Laub, IEEE TAC
-26(2), 1981), and the screened values only choose where the integrand
-itself is evaluated, at each term's grid maximum and in the brackets whose
-searches advance, for every term at once, in one lockstep search.
+26(2), 1981).  A kernel of at most two columns is screened in closed form,
+with no LAPACK call per point: Gram-Schmidt applied twice, 2 x 2 Gram
+eigenvalues and ``|det| / sigma_max`` for the cosine; a wider one by
+stacked QR, ``eigvalsh`` and SVD.  The screened values only choose where
+the integrand itself is evaluated, at each term's grid maximum and in the
+brackets whose searches advance, for every term at once, in one lockstep
+search.
 """
 
 import math
@@ -486,11 +490,67 @@ def _angle_bound(a, b_kernel, c, u_perp_h, s):
         return np.where(cos > 0.0, t1 * t2 / cos, math.inf)
 
 
+def _dots(x, y):
+    """``sum_i conj(x_i) y_i`` over the leading (state or row) axis of two stacks."""
+    return np.sum(x.conj() * y, axis=0)
+
+
+def _orthonormal_columns(z):
+    """An orthonormal basis of each matrix of an ``(n, points, k)`` stack, in that layout.
+
+    Up to two columns, Gram-Schmidt applied twice, which leaves them
+    orthonormal to working precision (Giraud, Langou and Rozloznik, Comput.
+    Math. Appl. 50, 2005) in elementwise products over the state axis; wider
+    stacks take one stacked QR.
+    """
+    if z.shape[-1] > 2:
+        return np.moveaxis(np.linalg.qr(np.moveaxis(z, 0, 1))[0], 1, 0)
+    q = []
+    for v in np.moveaxis(z, -1, 0):
+        for _ in range(2):
+            for u in q:
+                v = v - u * _dots(u, v)
+        q.append(v / np.sqrt(_dots(v, v).real))
+    return np.stack(q, axis=-1)
+
+
 def _gram_norms(stack):
-    """Spectral norm of every matrix in a stack, from its smaller Gram matrix's top eigenvalue."""
-    h = np.swapaxes(stack.conj(), -1, -2)
-    gram = h @ stack if stack.shape[-1] <= stack.shape[-2] else stack @ h
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+    """Spectral norm of every matrix of a ``(rows, points, cols)`` stack.
+
+    The square root of the top eigenvalue of its smaller Gram matrix: in
+    closed form, ``(a + d) / 2 + hypot((a - d) / 2, |b|)``, when that matrix
+    is 1 x 1 or 2 x 2, and from a stacked ``eigvalsh`` when it is larger.
+    """
+    if stack.shape[0] < stack.shape[2]:
+        stack = stack.transpose(2, 1, 0)  # M^T: the same singular values
+    width = stack.shape[2]
+    if width > 2:
+        x = np.moveaxis(stack, 1, 0)
+        top = np.linalg.eigvalsh(np.swapaxes(x.conj(), -1, -2) @ x)[:, -1]
+        return np.sqrt(np.maximum(top, 0.0))
+    a = _dots(stack[:, :, 0], stack[:, :, 0]).real
+    if width == 1:
+        return np.sqrt(a)
+    d = _dots(stack[:, :, 1], stack[:, :, 1]).real
+    b = _dots(stack[:, :, 0], stack[:, :, 1])
+    return np.sqrt((a + d) / 2 + np.hypot((a - d) / 2, np.abs(b)))
+
+
+def _sigma_min(stack):
+    """Smallest singular value of every matrix of a ``(k, points, k)`` stack.
+
+    ``|x|`` for ``k = 1`` and ``|det| / sigma_max`` for ``k = 2``, which is
+    exactly 0 for a singular stack and as accurate, absolutely, as an SVD;
+    a stacked ``svd`` for wider ones.
+    """
+    k = stack.shape[0]
+    if k > 2:
+        return np.linalg.svd(np.moveaxis(stack, 1, 0), compute_uv=False)[:, -1]
+    if k == 1:
+        return np.abs(stack[0, :, 0])
+    det = np.abs(stack[0, :, 0] * stack[1, :, 1] - stack[0, :, 1] * stack[1, :, 0])
+    top = _gram_norms(stack)
+    return np.divide(det, top, out=np.zeros_like(det), where=top > 0.0)
 
 
 def _angle_screen(a, b_kernel, c, u_perp_h, unit, omegas):
@@ -499,13 +559,18 @@ def _angle_screen(a, b_kernel, c, u_perp_h, unit, omegas):
     With one complex Schur form ``A = U T U^H``, ``(sI - A)^-1 [B | kernel]
     = U Z`` and ``Z = (sI - T)^-1 U^H [B | kernel]`` is a back-substitution
     that advances over a whole block of points in ``n`` steps of one BLAS
-    call each (Laub, IEEE TAC 26(2), 1981).  ``Q``, a stacked QR basis of
-    the kernel block of ``Z``, takes the place of ``U^H Q_u``: ``|C U Q|``
-    and ``|U_perp^H U Z_B|`` come from :func:`_gram_norms`, and the cosine
-    is ``sigma_min(U_perp^H U Q)``, as in :func:`_angle_bound`.  The values
-    agree with :func:`_angle_bound`'s to rounding, which is enough to rank
-    the grid.  ``Z`` and ``Q``, about ``n (m + 2 k)`` complex entries per
-    point, take at most ``linalg.SCAN_BLOCK_BYTES`` per block of points.
+    call each (Laub, IEEE TAC 26(2), 1981), and stays in the ``(n, points,
+    m + k)`` layout it produces.  ``Q``, an orthonormal basis of the kernel
+    block of ``Z`` (:func:`_orthonormal_columns`), takes the place of ``U^H
+    Q_u``: ``|C U Q|`` and ``|U_perp^H U Z_B|`` come from
+    :func:`_gram_norms`, and the cosine is ``sigma_min(U_perp^H U Q)``
+    (:func:`_sigma_min`), as in :func:`_angle_bound`.  For a kernel of
+    ``k <= 2`` columns all three are closed forms on arrays of grid length,
+    with no LAPACK call per point; a wider kernel takes stacked QR, SVD and
+    ``eigvalsh``.  The values agree with :func:`_angle_bound`'s to
+    rounding, which is enough to rank the grid.  ``Z`` and ``Q``, about ``n
+    (m + 2 k)`` complex entries per point, take at most
+    ``linalg.SCAN_BLOCK_BYTES`` per block of points.
     """
     k = u_perp_h.shape[0]
     if k == 0:
@@ -521,12 +586,11 @@ def _angle_screen(a, b_kernel, c, u_perp_h, unit, omegas):
         z = np.empty((n, s.size, m + k), complex)
         for i in reversed(range(n)):
             z[i] = (rhs[i] + np.tensordot(t[i, i + 1 :], z[i + 1 :], 1)) / (s - t[i, i])[:, None]
-        z = np.moveaxis(z, 0, 1)
-        q = np.linalg.qr(z[:, :, m:])[0]
-        cos = np.linalg.svd(pu @ q, compute_uv=False)[:, -1]
-        with np.errstate(divide="ignore"):
-            value = _gram_norms(cu @ q) * _gram_norms(pu @ z[:, :, :m]) / cos
-        out.append(np.where(cos > 0.0, value, math.inf))
+        q = _orthonormal_columns(z[:, :, m:])
+        cos = _sigma_min(np.tensordot(pu, q, 1))
+        t1 = _gram_norms(np.tensordot(cu, q, 1))
+        t2 = _gram_norms(np.tensordot(pu, z[:, :, :m], 1))
+        out.append(np.divide(t1 * t2, cos, out=np.full(s.size, math.inf), where=cos > 0.0))
     return np.concatenate(out)
 
 

@@ -16,6 +16,7 @@ it, and the error at the reported peak is that value.
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -461,6 +462,8 @@ def _screen_cases():
     The random ones are left and right reductions of quadrature systems of
     2 to 4 modes and passive reductions of the annihilation forms, kernels
     of 0 to 4 columns; not every one is Hurwitz, which the screen does not need.
+    The last, a passive 5-mode reduction to 2, has a kernel of 3 columns and
+    2 outputs: ``|C U Q|`` takes the 2 x 2 closed form, the cosine the SVD.
     """
     built = [build() for build in REPORT_CASES]
     ex2 = cases.control_case_fixture()["quantum_controller"]
@@ -476,6 +479,10 @@ def _screen_cases():
         result = reduce_passive(passive, make_passive_data(passive, seed))
         grid = analysis.default_grid(passive.F, result.reduced.F, count=200)
         built.append((f"passive{seed}", passive, result, grid))
+    passive = systems.random_realizable_annihilation(5, 2, 2, 406)
+    result = reduce_passive(passive, make_passive_data(passive, 406))
+    grid = analysis.default_grid(passive.F, result.reduced.F, count=200)
+    built.append(("passive-k3", passive, result, grid))
     return built
 
 
@@ -530,6 +537,89 @@ def test_screen_blocks_leave_the_bounds_unchanged(monkeypatch, build):
     assert (again.hinf_bound_left, again.hinf_bound_right) == (
         report.hinf_bound_left, report.hinf_bound_right
     )
+
+
+def _svd_stacks(rows, cols, seed, count=60):
+    """Seeded complex ``(count, rows, cols)`` stacks over six decades of scale."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, rows, cols)) + 1j * rng.standard_normal((count, rows, cols))
+    return x * 10.0 ** rng.uniform(-3.0, 3.0, size=(count, 1, 1))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 5), (5, 2)])
+def test_closed_form_singular_values_match_svd(shape):
+    # The screen's (rows, points, cols) layout; no LAPACK call at these sizes.
+    x = _svd_stacks(*shape, seed=sum(shape))
+    if shape == (2, 2):
+        # Nearly singular: rank one plus 1e-9 of noise, where sqrt(det(M^H M)) would cancel.
+        x[:20] = x[:20, :, :1] * x[:20, :1, :] + 1e-9 * x[20:40]
+    sigma = np.linalg.svd(x, compute_uv=False)
+    layout = np.moveaxis(x, 0, 1)
+    assert np.all(np.abs(analysis._gram_norms(layout) - sigma[:, 0]) <= 1e-14 * sigma[:, 0])
+    if shape[0] == shape[1]:
+        low = analysis._sigma_min(layout)
+        assert np.all(np.abs(low - sigma[:, -1]) <= 1e-14 * sigma[:, 0])
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_orthonormal_columns_of_nearly_dependent_stacks(width):
+    # Columns 1e-8 apart: one Gram-Schmidt pass would leave them 1e-8 from
+    # orthogonal; the second pass leaves them orthonormal to working precision.
+    z = _svd_stacks(6, width, seed=width)
+    z[:, :, -1] = z[:, :, 0] + 1e-8 * z[:, :, -1]
+    q = analysis._orthonormal_columns(np.moveaxis(z, 0, 1))
+    gram = np.einsum("npi,npj->pij", q.conj(), q)
+    assert np.all(np.abs(gram - np.eye(width)) <= 1e-14)
+    # The same column spaces: each column of z lies in the span of q.
+    residual = z - np.moveaxis(q, 0, 1) @ np.einsum("npi,pnj->pij", q.conj(), z)
+    assert np.all(np.abs(residual) <= 1e-12 * np.abs(z).max(axis=(1, 2), keepdims=True))
+
+
+def test_closed_forms_read_zero_on_singular_stacks():
+    # Exactly 0, with no RuntimeWarning, so that the screen reads inf there.
+    rank_one = np.outer([1 + 2j, -3j], [2 - 1j, 1j])
+    stack = np.moveaxis(np.array([rank_one, np.zeros((2, 2))]), 0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(analysis._sigma_min(stack), [0.0, 0.0])
+        assert analysis._gram_norms(stack)[1] == 0.0
+        a, e = -np.eye(3), np.eye(3)
+        # ker(basis^H (sI-A)) = span(e1, e2); U_perp = [e1, e3] meets it at a right angle.
+        b_kernel = np.hstack([np.eye(3), e[:, :2]])
+        u_perp_h = e[[0, 2]]
+        omegas = np.array([0.0, 1.0, 1e3])
+        assert np.all(np.isposinf(analysis._angle_screen(a, b_kernel, e, u_perp_h, 1j, omegas)))
+        assert np.all(np.isposinf(analysis._angle_bound(a, b_kernel, e, u_perp_h, 1j * omegas)))
+
+
+def _counting_lapack(monkeypatch):
+    """Record the name of every ``np.linalg`` QR, SVD and ``eigvalsh`` call."""
+    calls = []
+    for name in ("qr", "svd", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(m, *args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(("label", "width"), [("ex1", 2), ("left2", 4)])
+def test_only_wide_kernels_are_screened_by_lapack(monkeypatch, label, width):
+    # A kernel of at most two columns is screened in closed form; a wider
+    # one by stacked QR, SVD and eigvalsh.
+    _, full, result, grid = next(case for case in SCREEN_CASES if case[0] == label)
+    terms = _bound_terms(full, result)
+    assert {basis.shape[0] - basis.shape[1] for _, basis, _ in terms} == {width}
+    _, screen, _ = analysis._angle_terms(full, terms)
+    calls = _counting_lapack(monkeypatch)
+    screen(grid.frequencies())
+    if width <= 2:
+        assert calls == []
+    else:
+        assert set(calls) == {"qr", "svd", "eigvalsh"}
 
 
 def test_grid_suprema_confirms_an_infinite_grid_value():
