@@ -40,16 +40,17 @@ the H2 cost of a single system of any order, and the test oracle.
 
 Evaluation is batched: :func:`sweep` solves ``(s_k I - A_k) X = B_k`` for a
 whole block of ``GRID_BLOCK`` points at once, and every frequency integrand
-maps an array of frequencies to an array of values (stacked SVDs for norms,
-one stacked solve and QR per call for an angle bound).  An angle bound's
-grid is not solved point by point: one complex Schur form per term screens
-the whole grid by back-substitution in Schur coordinates (Laub, IEEE TAC
-26(2), 1981).  A kernel of at most two columns is screened in closed form,
-with no LAPACK call per point: Gram-Schmidt applied twice, 2 x 2 Gram
-eigenvalues and ``|det| / sigma_max`` for the cosine; a wider one by
-stacked QR, ``eigvalsh`` and SVD.  The screened values only choose where
-the integrand itself is evaluated, at each term's grid maximum and in the
-brackets whose searches advance, for every term at once, in one lockstep
+maps an array of frequencies to an array of values.  The angle bounds have
+one integrand, evaluated in Schur coordinates: one complex Schur form of
+``A`` serves the left and the right term, which are stacked on a leading
+axis, and the resolvent is a back-substitution over the whole grid (Laub,
+IEEE TAC 26(2), 1981), or one stacked LU solve at the few points of a
+refinement step.  A kernel of at most two columns takes closed forms, with
+no QR, SVD or ``eigvalsh`` per point: Gram-Schmidt applied twice, 2 x 2 Gram
+eigenvalues and ``|det| / sigma_max`` for the cosine; a wider one takes
+stacked QR, ``eigvalsh`` and SVD.  The grid values are the integrand's
+own: each term's grid maximum is its first estimate, and the brackets of
+its best grid maxima advance, for every term at once, in one lockstep
 search.
 """
 
@@ -67,6 +68,8 @@ DEFAULT_GRID_COUNT = 2000
 REFINE_TOP, REFINE_REL_WIDTH = 3, 1e-6
 #: Points per stacked evaluation; bounds the size of the live resolvent stacks.
 GRID_BLOCK = 64
+#: Angle-bound calls of at most this many points, all terms counted, take a stacked solve.
+FEW_POINTS = 6
 #: Relative gap between the certified upper and the attained lower H-infinity value.
 LEVEL_SET_TOL = 1e-10
 #: A Hamiltonian eigenvalue is a crossing candidate when ``|Re| <= AXIS_TOL (|lambda| + |H|_1)``.
@@ -231,25 +234,21 @@ def grid_suprema(f, omegas, grid, even=False):
 
     ``f`` maps an array of term labels in ``range(len(grid))`` and an array
     of frequencies to an array of values, and ``grid[t]`` holds term ``t``'s
-    values on ``omegas``: ``f``'s own, or those of a cheaper form that ranks
-    the points the same.  The grid values only choose where ``f`` is
-    evaluated: at each term's grid argmax, the floor, in one call of ``f``,
-    and in the brackets of its ``REFINE_TOP`` best local maxima, which
-    advance in one lockstep bounded search (:func:`_lockstep_maxima`).  So
-    every value returned is one of ``f``'s.  A term whose floor reads
-    ``inf`` (an infinite grid value that ``f`` confirms) reads ``inf`` there
-    and is not refined.  With ``even``, ``f`` is even in frequency and a
-    maximum at ``omegas[0] == 0`` is bracketed by ``[-omegas[1],
-    omegas[1]]``: on ``[0, omegas[1]]`` the search, which never lands on an
-    end, would only creep toward 0.  Ties break toward lower frequency.
-    Returns one ``(value, omega)`` pair per term.
+    values on ``omegas``.  Each term's grid maximum is its first estimate,
+    and the brackets of its ``REFINE_TOP`` best local maxima advance in one
+    lockstep bounded search for all terms (:func:`_lockstep_maxima`).  A
+    term with an infinite grid value reads ``inf`` at the first one and is
+    not refined.  With ``even``, ``f`` is even in frequency and a maximum at
+    ``omegas[0] == 0`` is bracketed by ``[-omegas[1], omegas[1]]``: on ``[0,
+    omegas[1]]`` the search, which never lands on an end, would only creep
+    toward 0.  Ties break toward lower frequency.  Returns one ``(value,
+    omega)`` pair per term.
     """
     omegas = np.asarray(omegas, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    n_terms, n = grid.shape
-    # The grid maximum, or the first infinite value, is a floor: refinement only improves on it.
+    n = grid.shape[1]
     top = np.argmax(grid, axis=1)
-    best = list(zip(f(np.arange(n_terms), omegas[top]).tolist(), omegas[top].tolist()))
+    best = list(zip(np.max(grid, axis=1).tolist(), omegas[top].tolist()))
     prev = np.maximum(np.arange(n) - 1, 0)
     after = np.minimum(np.arange(n) + 1, n - 1)
     labels, index = [], []
@@ -265,7 +264,7 @@ def grid_suprema(f, omegas, grid, even=False):
     hi = omegas[np.minimum(index + 1, n - 1)]
     mirror = even & (index == 0) & (lo == 0.0)
     lo[mirror] = -hi[mirror]
-    # A one-point grid has no bracket; its only point is the floor.
+    # A one-point grid has no bracket; its only point is the grid maximum.
     refine = hi > lo
     if not refine.any():
         return best
@@ -467,36 +466,13 @@ def error_exact(full, result, s):
     )
 
 
-def _angle_bound(a, b_kernel, c, u_perp_h, s):
-    """Angle-bound integrand ``|C Q_u| |U_perp^H (sI-A)^-1 B| / cos(theta)`` over ``s``.
-
-    ``b_kernel`` is ``[B | kernel]``, with ``kernel`` spanning
-    ``ker(basis^H)`` in as many columns as ``u_perp_h = U_perp^H`` has rows.
-    So ``Q_u``, an orthonormal basis of ``(sI-A)^-1 kernel``, spans
-    ``ker(basis^H (sI-A))``; both come from one stacked solve.
-    ``cos(theta) = sigma_min(U_perp^H Q_u)``: the integrand is ``inf`` where
-    it is 0, and 0 at full order.  Every argument but ``s`` is one matrix or
-    one per point.
-    """
-    k = u_perp_h.shape[-2]
-    if k == 0:
-        return np.zeros(s.size)
-    x = sweep(a, b_kernel, s)
-    q_u = np.linalg.qr(x[:, :, -k:])[0]
-    t1 = _norms(c @ q_u)
-    t2 = _norms(u_perp_h @ x[:, :, :-k])
-    cos = np.linalg.svd(u_perp_h @ q_u, compute_uv=False)[:, -1]
-    with np.errstate(divide="ignore"):
-        return np.where(cos > 0.0, t1 * t2 / cos, math.inf)
-
-
 def _dots(x, y):
-    """``sum_i conj(x_i) y_i`` over the leading (state or row) axis of two stacks."""
-    return np.sum(x.conj() * y, axis=0)
+    """``sum_i conj(x_i) y_i`` over the second last axis of two stacks (``np.sum``, unwrapped)."""
+    return np.add.reduce(x.conj() * y, axis=-2)
 
 
 def _orthonormal_columns(z):
-    """An orthonormal basis of each matrix of an ``(n, points, k)`` stack, in that layout.
+    """An orthonormal basis of each matrix of an ``(..., n, points, k)`` stack, in that layout.
 
     Up to two columns, Gram-Schmidt applied twice, which leaves them
     orthonormal to working precision (Giraud, Langou and Rozloznik, Comput.
@@ -504,94 +480,106 @@ def _orthonormal_columns(z):
     stacks take one stacked QR.
     """
     if z.shape[-1] > 2:
-        return np.moveaxis(np.linalg.qr(np.moveaxis(z, 0, 1))[0], 1, 0)
-    q = []
-    for v in np.moveaxis(z, -1, 0):
+        return np.moveaxis(np.linalg.qr(np.moveaxis(z, -3, -2))[0], -2, -3)
+    q = np.empty(z.shape, complex)
+    for j in range(z.shape[-1]):
+        v = z[..., j]
         for _ in range(2):
-            for u in q:
-                v = v - u * _dots(u, v)
-        q.append(v / np.sqrt(_dots(v, v).real))
-    return np.stack(q, axis=-1)
+            for i in range(j):
+                v = v - q[..., i] * _dots(q[..., i], v)[..., None, :]
+        q[..., j] = v / np.sqrt(_dots(v, v).real)[..., None, :]
+    return q
 
 
 def _gram_norms(stack):
-    """Spectral norm of every matrix of a ``(rows, points, cols)`` stack.
+    """Spectral norm of every matrix of an ``(..., rows, points, cols)`` stack.
 
     The square root of the top eigenvalue of its smaller Gram matrix: in
     closed form, ``(a + d) / 2 + hypot((a - d) / 2, |b|)``, when that matrix
     is 1 x 1 or 2 x 2, and from a stacked ``eigvalsh`` when it is larger.
     """
-    if stack.shape[0] < stack.shape[2]:
-        stack = stack.transpose(2, 1, 0)  # M^T: the same singular values
-    width = stack.shape[2]
+    if stack.shape[-3] < stack.shape[-1]:
+        stack = np.swapaxes(stack, -3, -1)  # M^T: the same singular values
+    width = stack.shape[-1]
     if width > 2:
-        x = np.moveaxis(stack, 1, 0)
-        top = np.linalg.eigvalsh(np.swapaxes(x.conj(), -1, -2) @ x)[:, -1]
+        x = np.moveaxis(stack, -2, -3)
+        top = np.linalg.eigvalsh(np.swapaxes(x.conj(), -1, -2) @ x)[..., -1]
         return np.sqrt(np.maximum(top, 0.0))
-    a = _dots(stack[:, :, 0], stack[:, :, 0]).real
+    x, y = stack[..., 0], stack[..., -1]
+    a = _dots(x, x).real
     if width == 1:
         return np.sqrt(a)
-    d = _dots(stack[:, :, 1], stack[:, :, 1]).real
-    b = _dots(stack[:, :, 0], stack[:, :, 1])
-    return np.sqrt((a + d) / 2 + np.hypot((a - d) / 2, np.abs(b)))
+    d = _dots(y, y).real
+    return np.sqrt((a + d) / 2 + np.hypot((a - d) / 2, np.abs(_dots(x, y))))
 
 
 def _sigma_min(stack):
-    """Smallest singular value of every matrix of a ``(k, points, k)`` stack.
+    """Smallest singular value of every matrix of an ``(..., k, points, k)`` stack.
 
     ``|x|`` for ``k = 1`` and ``|det| / sigma_max`` for ``k = 2``, which is
     exactly 0 for a singular stack and as accurate, absolutely, as an SVD;
     a stacked ``svd`` for wider ones.
     """
-    k = stack.shape[0]
+    k = stack.shape[-1]
     if k > 2:
-        return np.linalg.svd(np.moveaxis(stack, 1, 0), compute_uv=False)[:, -1]
+        return np.linalg.svd(np.moveaxis(stack, -2, -3), compute_uv=False)[..., -1]
     if k == 1:
-        return np.abs(stack[0, :, 0])
-    det = np.abs(stack[0, :, 0] * stack[1, :, 1] - stack[0, :, 1] * stack[1, :, 0])
-    top = _gram_norms(stack)
+        return np.abs(stack[..., 0, :, 0])
+    det = stack[..., 0, :, 0] * stack[..., 1, :, 1] - stack[..., 0, :, 1] * stack[..., 1, :, 0]
+    det, top = np.abs(det), _gram_norms(stack)
     return np.divide(det, top, out=np.zeros_like(det), where=top > 0.0)
 
 
-def _angle_screen(a, b_kernel, c, u_perp_h, unit, omegas):
-    """:func:`_angle_bound` of one term over ``s = unit * omegas``, in Schur coordinates.
+def _angle_integrand(t, rhs, cu, pu, s):
+    """Angle-bound integrand ``|C Q_u| |U_perp^H (sI-A)^-1 B| / cos(theta)`` in Schur coordinates.
 
-    With one complex Schur form ``A = U T U^H``, ``(sI - A)^-1 [B | kernel]
-    = U Z`` and ``Z = (sI - T)^-1 U^H [B | kernel]`` is a back-substitution
-    that advances over a whole block of points in ``n`` steps of one BLAS
-    call each (Laub, IEEE TAC 26(2), 1981), and stays in the ``(n, points,
-    m + k)`` layout it produces.  ``Q``, an orthonormal basis of the kernel
-    block of ``Z`` (:func:`_orthonormal_columns`), takes the place of ``U^H
-    Q_u``: ``|C U Q|`` and ``|U_perp^H U Z_B|`` come from
-    :func:`_gram_norms`, and the cosine is ``sigma_min(U_perp^H U Q)``
-    (:func:`_sigma_min`), as in :func:`_angle_bound`.  For a kernel of
-    ``k <= 2`` columns all three are closed forms on arrays of grid length,
-    with no LAPACK call per point; a wider kernel takes stacked QR, SVD and
-    ``eigvalsh``.  The values agree with :func:`_angle_bound`'s to
-    rounding, which is enough to rank the grid.  ``Z`` and ``Q``, about ``n
-    (m + 2 k)`` complex entries per point, take at most
-    ``linalg.SCAN_BLOCK_BYTES`` per block of points.
+    Row ``j`` of the frequencies ``s`` belongs to one term: ``t[j]`` is the
+    triangular factor of a complex Schur form ``A = U T U^H``, ``rhs[j] =
+    U^H [B | kernel]`` with ``kernel`` spanning ``ker(basis^H)``, ``cu[j] =
+    C U`` and ``pu[j] = U_perp^H U``, ``k`` rows for ``k`` kernel columns.
+    ``(sI - A)^-1 [B | kernel] = U Z`` with ``Z = (sI - T)^-1 rhs``, and
+    ``Q``, an orthonormal basis of the kernel block of ``Z``, stands for
+    ``U^H Q_u``, ``Q_u`` spanning ``ker(basis^H (sI-A))``: ``|C U Q|`` and
+    ``|U_perp^H U Z_B|`` are :func:`_gram_norms`, and ``cos(theta)`` is the
+    smallest singular value of ``U_perp^H U Q`` (Bjorck and Golub, Math.
+    Comp. 1973).  For ``k <= 2`` all three are closed forms, with no QR, SVD
+    or ``eigvalsh`` per point.  The value is ``inf`` where the cosine is 0.
+
+    ``Z`` is a back-substitution over every point of every row in ``n``
+    batched products (Laub, IEEE TAC 26(2), 1981), a block of points at a
+    time: ``Z`` and ``Q``, about ``n (m + 2 k)`` complex entries per point,
+    take at most ``linalg.SCAN_BLOCK_BYTES``.  A call of at most
+    ``FEW_POINTS`` points, as every refinement step is, takes one stacked LU
+    solve of ``sI - T`` instead, the faster form there for 5 to 30 states.
     """
-    k = u_perp_h.shape[0]
+    g, n, width = rhs.shape
+    k, m = pu.shape[1], width - pu.shape[1]
     if k == 0:
-        return np.zeros(omegas.size)
-    t, u, _ = linalg.schur(a.astype(complex))
-    n, m = t.shape[0], b_kernel.shape[1] - k
-    rhs, cu, pu = u.conj().T @ b_kernel, c @ u, u_perp_h @ u
-    block = max(1, linalg.SCAN_BLOCK_BYTES // (16 * n * (m + 2 * k)))
+        return np.zeros(s.shape)
+    block = max(1, linalg.SCAN_BLOCK_BYTES // (16 * g * n * (width + k)))
     out = []
-    for start in range(0, omegas.size, block):
-        s = unit * omegas[start : start + block]
-        # Row i of Z for every point at once: (s - t_ii) z_i = rhs_i + t_i,i+1: Z_i+1:.
-        z = np.empty((n, s.size, m + k), complex)
-        for i in reversed(range(n)):
-            z[i] = (rhs[i] + np.tensordot(t[i, i + 1 :], z[i + 1 :], 1)) / (s - t[i, i])[:, None]
-        q = _orthonormal_columns(z[:, :, m:])
-        cos = _sigma_min(np.tensordot(pu, q, 1))
-        t1 = _gram_norms(np.tensordot(cu, q, 1))
-        t2 = _gram_norms(np.tensordot(pu, z[:, :, :m], 1))
-        out.append(np.divide(t1 * t2, cos, out=np.full(s.size, math.inf), where=cos > 0.0))
-    return np.concatenate(out)
+    for start in range(0, s.shape[1], block):
+        sb = s[:, start : start + block]
+        points = sb.shape[1]
+        if sb.size <= FEW_POINTS:
+            shifted = linalg.shifted(np.repeat(t, points, axis=0), sb.ravel())
+            z = linalg.solve(shifted, np.repeat(rhs, points, axis=0))
+            z = z.reshape(g, points, n, width).swapaxes(1, 2)
+        else:
+            # Row i of Z at every point at once: (s - t_ii) z_i = rhs_i + t_i,i+1: Z_i+1:.
+            z = np.empty((g, n, points, width), complex)
+            for i in reversed(range(n)):
+                row = t[:, i, None, i + 1 :] @ z[:, i + 1 :].reshape(g, n - i - 1, points * width)
+                z[:, i] = rhs[:, i, None] + row.reshape(g, points, width)
+                z[:, i] /= (sb - t[:, i, i, None])[..., None]
+        q = _orthonormal_columns(z[..., m:])
+        t1 = _gram_norms((cu @ q.reshape(g, n, -1)).reshape(g, -1, points, k))
+        z[..., m:] = q
+        perp = (pu @ z.reshape(g, n, -1)).reshape(g, k, points, width)  # U_perp^H U [Z_B | Q]
+        t2 = _gram_norms(perp[..., :m])
+        cos = _sigma_min(perp[..., m:])
+        out.append(np.divide(t1 * t2, cos, out=np.full(sb.shape, math.inf), where=cos > 0.0))
+    return np.concatenate(out, axis=1)
 
 
 def _bound_suprema(full, result, grid, terms):
@@ -602,57 +590,68 @@ def _bound_suprema(full, result, grid, terms):
     """
     _stable_error_system(full, result)
     spec = grid or default_grid(_abcd(full)[0], _abcd(result.reduced)[0])
-    return _angle_suprema(full, result, spec.frequencies(), terms)
+    return _angle_suprema(full, spec.frequencies(), terms)
+
+
+def _narrow(m):
+    """``m``, or if it has more columns than rows ``R^H`` of ``m^H = Q R``: the same ``m m^H``."""
+    return m if m.shape[1] <= m.shape[0] else np.linalg.qr(m.conj().T, mode="r").conj().T
 
 
 def _angle_terms(full, terms):
-    """The angle-bound integrand of each ``(side, basis, complement basis)``, and its screen.
+    """The angle-bound integrand of each ``(side, basis, complement basis)``.
 
-    Returns ``(f, screen, even)``: ``f(t, w)`` is :func:`_angle_bound` of
-    the terms ``t`` at the frequencies ``w``, ``screen(omegas)`` the
-    ``(len(terms), omegas.size)`` values of :func:`_angle_screen`, and
-    ``even`` whether every matrix is real, which makes ``f`` even in
-    frequency.  Each term's ``[B | kernel]`` and ``U_perp^H`` are built
-    here once, and the port widths are zero-padded to a common one, which
-    changes no norm.
+    Returns ``(f, even)``: ``f(t, w)`` is :func:`_angle_integrand` of the
+    terms ``t``, a 1-D array of labels, at the frequencies ``w``, one per
+    label or one row per label.  ``even`` tells whether every matrix is
+    real, which makes ``f`` even in frequency.  The left integrand is the
+    right one of the adjoint ``(A^H, C^H, B^H)`` at ``conj(s)``, and one
+    complex Schur form ``A = U T U^H`` serves both sides: with ``J`` the
+    index reversal, ``A^H = (U J) (J T^H J) (U J)^H``, and ``J T^H J`` is
+    upper triangular.  Each term's ``U^H [B | kernel]``, ``C U`` and
+    ``U_perp^H U`` are built once, with ``U^H B`` and ``(C U)^H`` narrowed
+    (:func:`_narrow`) and zero-padded to a common width: no norm changes.
     """
     a, b, c, _ = _abcd(full)
-    # The left integrand is the right one of the adjoint (A^H, C^H, B^H) at conj(s).
-    forms = {"right": (a, b, c, 1j), "left": (a.conj().T, c.conj().T, b.conj().T, -1j)}
-    inputs = max(forms[side][1].shape[1] for side, _, _ in terms)
-    outputs = max(forms[side][2].shape[0] for side, _, _ in terms)
-    rows = []
+    t, u, _ = linalg.schur(a.astype(complex))
+    forms = {
+        "right": (t, u, b, c, 1j),
+        "left": (t.conj().T[::-1, ::-1], u[:, ::-1], c.conj().T, b.conj().T, -1j),
+    }
+    ports = {
+        side: (_narrow(u_s.conj().T @ b_s), _narrow((c_s @ u_s).conj().T))
+        for side, (_, u_s, b_s, c_s, _) in forms.items()
+    }
+    widths = [max(ports[side][j].shape[1] for side, _, _ in terms) for j in (0, 1)]
+    stacked = []
     for side, basis, perp in terms:
-        a_t, b_t, c_t, unit = forms[side]
-        b_t = np.pad(b_t, ((0, 0), (0, inputs - b_t.shape[1])))
-        rows.append((
-            a_t,
-            np.concatenate([b_t, linalg.kernel_basis(basis.conj().T)], axis=1),
-            np.pad(c_t, ((0, outputs - c_t.shape[0]), (0, 0))),
-            linalg.kernel_basis(perp.conj().T).conj().T,
-            unit,
-        ))
-    a_t, b_kernel, c_t, u_perp_h, unit = (np.array(x) for x in zip(*rows))
-    even = not any(np.iscomplexobj(x) for x in (a_t, b_kernel, c_t, u_perp_h))
+        t_s, u_s, _, _, unit = forms[side]
+        ub, cu_h = (np.pad(x, ((0, 0), (0, w - x.shape[1]))) for x, w in zip(ports[side], widths))
+        kernel = u_s.conj().T @ linalg.kernel_basis(basis.conj().T)
+        u_perp_h = linalg.kernel_basis(perp.conj().T).conj().T
+        stacked.append((t_s, np.hstack([ub, kernel]), cu_h.conj().T, u_perp_h @ u_s, unit))
+    t, rhs, cu, pu, unit = (np.array(x) for x in zip(*stacked))
+    bases = [x for _, basis, perp in terms for x in (basis, perp)]
+    even = not any(np.iscomplexobj(x) for x in (a, b, c, *bases))
 
-    def f(t, w):
-        return _angle_bound(a_t[t], b_kernel[t], c_t[t], u_perp_h[t], unit[t] * w)
+    def f(labels, w):
+        s = unit[labels].reshape(-1, 1) * np.reshape(w, (len(labels), -1))
+        values = _angle_integrand(t[labels], rhs[labels], cu[labels], pu[labels], s)
+        return values.reshape(np.shape(w))
 
-    def screen(omegas):
-        return np.array([_angle_screen(*row, omegas) for row in rows])
-
-    return f, screen, even
+    return f, even
 
 
-def _angle_suprema(full, result, omegas, terms):
+def _angle_suprema(full, omegas, terms):
     """Supremum over ``omegas`` of the angle bound for each ``(side, basis, complement basis)``.
 
-    The grid is screened by :func:`_angle_screen`; :func:`grid_suprema`
-    evaluates :func:`_angle_bound` at each term's floor and refines the
-    brackets of all terms in a single lockstep search.
+    Every term's grid is one call of the integrand, and :func:`grid_suprema`
+    refines the brackets of all terms in a single lockstep search.
     """
-    f, screen, even = _angle_terms(full, terms)
-    return [value for value, _ in grid_suprema(f, omegas, screen(omegas), even)]
+    f, even = _angle_terms(full, terms)
+    labels = np.arange(len(terms))
+    grid = f(labels, np.broadcast_to(omegas, (labels.size, omegas.size)))
+    return [value for value, _ in grid_suprema(f, omegas, grid, even)]
 
 
 def hinf_bound_left(full, result, grid=None):
@@ -929,7 +928,7 @@ def error_report(full, result, grid=None):
         )
     # A finite upper value shows both models Hurwitz, and error_system the pair fitting.
     terms = [("left", result.v, result.w), ("right", result.w, result.v)]
-    bound_left, bound_right = _angle_suprema(full, result, omegas, terms)
+    bound_left, bound_right = _angle_suprema(full, omegas, terms)
     return ErrorReport(
         hinf_error_estimate=norm.value,
         hinf_error_upper=norm.upper,

@@ -23,7 +23,7 @@ from .errors import SingularMatrixError, StabilityError, StructureError
 #: Relative magnitude below which an imaginary part is considered rounding noise.
 IMAG_NOISE = 1e-12
 #: Bytes of working memory one block of a stacked pass may take: a selection
-#: scan's candidates, or the frequencies of an angle-bound grid screen.
+#: scan's candidates, or the frequencies of an angle-bound grid.
 SCAN_BLOCK_BYTES = 2**24
 
 

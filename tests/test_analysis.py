@@ -220,23 +220,24 @@ def test_angle_bound_right_integrand_matches_mpmath():
     result = reduce_right(sys_q, cases.ex1_interpolation_data())
     a, b, c = sys_q.A, sys_q.B, sys_q.C
     omegas = np.array([1e4, 10155.28, 2e4])
-    b_kernel = np.hstack([b, linalg.kernel_basis(result.w.conj().T)])
-    u_perp_h = linalg.kernel_basis(result.v.conj().T).conj().T
-    values = analysis._angle_bound(a, b_kernel, c, u_perp_h, 1j * omegas)
-    for omega, value in zip(omegas, values):
-        expected = _right_integrand_mpmath(mpmath, a, b, c, result.w, result.v, omega)
-        assert abs(value - expected) <= 1e-11 * expected
+    f, _ = analysis._angle_terms(sys_q, [("right", result.w, result.v)])
+    # A row of nine points takes the back-substitution, three single points the stacked solve.
+    row = f(np.array([0]), np.tile(omegas, 3)[None])[0, :3]
+    single = f(np.zeros(3, dtype=int), omegas)
+    for values in (row, single):
+        for omega, value in zip(omegas, values):
+            expected = _right_integrand_mpmath(mpmath, a, b, c, result.w, result.v, omega)
+            assert abs(value - expected) <= 1e-11 * expected
 
 
 def test_angle_bound_degenerate_angle_is_inf():
     # ker(basis^H (sI-A)) = (sI-A)^-1 e1 = span(e1), orthogonal to U_perp = e2.
-    a = -np.eye(2)
-    e1, e2 = np.eye(2)[:, :1], np.eye(2)[:, 1:]
-    b_kernel = np.hstack([np.eye(2), e1])
+    eye = np.eye(2)
+    e1, e2 = eye[:, :1], eye[:, 1:]
+    f, _ = analysis._angle_terms((-eye, eye, eye, 0 * eye), [("right", e2, e1)])
     omegas = np.array([0.0, 1.0, 1e3])
-    values = analysis._angle_bound(a, b_kernel, np.eye(2), e2.T, 1j * omegas)
-    assert np.all(np.isposinf(values))
-    assert np.all(np.isposinf(analysis._angle_screen(a, b_kernel, np.eye(2), e2.T, 1j, omegas)))
+    assert np.all(np.isposinf(f(np.array([0]), omegas[None])))
+    assert all(np.isposinf(f(np.array([0]), np.array([w]))[0]) for w in omegas)
 
 
 def test_bounds_passive_cascade_values():

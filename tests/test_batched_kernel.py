@@ -3,11 +3,12 @@
 The oracle below solves one resolvent per frequency, evaluates the angle-bound
 integrands with per-point kernel bases, and refines the grid maxima one at a
 time with scipy's bounded Brent search, ``minimize_scalar(method="bounded")``.
-The batched error curves and angle bounds in ``qmor.analysis`` must agree
-with it to 1e-12 relative, and a sequential golden-section refinement must
-reach the same bounds to 1e-9 relative.  The Schur-coordinate grid screen
-must agree with the integrand to ``SCREEN_REL``, and the bounds it leads to
-must be those of the integrand's own grid, bit for bit.  The level-set
+The batched error curves, the angle-bound integrand on every grid point and
+the angle bounds in ``qmor.analysis`` must agree with it to 1e-12 relative,
+and a sequential golden-section refinement must reach the same bounds to
+1e-9 relative.  The integrand is evaluated in Schur coordinates, by
+back-substitution over a whole grid row and by one stacked solve at a few
+points; the two forms must agree to 1e-12 relative too.  The level-set
 H-infinity values must meet the certified gates against it: the upper value
 is at least the oracle, the attained value is within ``CERTIFIED_REL`` of
 it, and the error at the reported peak is that value.
@@ -41,7 +42,6 @@ from qmor.reduction import (
 REL = 1e-12
 CERTIFIED_REL = 1e-6
 GOLDEN_REL = 1e-9
-SCREEN_REL = 1e-10
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -314,9 +314,9 @@ def test_lockstep_refinement_matches_sequential_search():
     )
     assert value == expected_value
     assert peak == expected_peak
-    # The floor, then one call per evaluation of the longest bracket search.
-    assert len(calls) == 1 + max(evaluations)
-    assert calls[1] == len(evaluations)
+    # One call per evaluation of the longest bracket search.
+    assert len(calls) == max(evaluations)
+    assert calls[0] == len(evaluations)
 
 
 def test_stacked_terms_refine_in_one_lockstep_search():
@@ -342,9 +342,8 @@ def test_stacked_terms_refine_in_one_lockstep_search():
         )
         assert (value, peak) == (expected_value, expected_peak)
         evaluations += term_evaluations
-    assert calls[0] == 2
-    assert len(calls) == 1 + max(evaluations)
-    assert calls[1] == len(evaluations)
+    assert len(calls) == max(evaluations)
+    assert calls[0] == len(evaluations)
 
 
 def test_lockstep_brackets_match_the_bounded_search():
@@ -393,39 +392,40 @@ def test_lockstep_brackets_match_the_bounded_search_on_steps():
 
 
 def _count_integrand_calls(monkeypatch):
-    """Record the number of points of every call of ``analysis._angle_bound``."""
+    """Record the number of points of every call of ``analysis._angle_integrand``."""
     calls = []
-    integrand = analysis._angle_bound
+    integrand = analysis._angle_integrand
 
     def counted(*args):
         calls.append(args[-1].size)
         return integrand(*args)
 
-    monkeypatch.setattr(analysis, "_angle_bound", counted)
+    monkeypatch.setattr(analysis, "_angle_integrand", counted)
     return calls
 
 
 def test_ex3_bound_refinement_takes_few_integrand_calls(monkeypatch):
-    # The screen evaluates the grid, so the integrand is called only for the
-    # floors (one call) and the refinement: 9 lockstep steps for both ex3
-    # terms (25 with the golden-section search it replaced).
+    # One call evaluates both terms on the whole grid, and the refinement
+    # takes 9 lockstep steps for both ex3 terms (25 with the golden-section
+    # search it replaced).
     _, full, result, grid = _ex3()
     calls = _count_integrand_calls(monkeypatch)
     analysis.error_report(full, result, grid=grid)
-    assert calls[0] == 2
+    assert calls[0] == 2 * grid.frequencies().size
     assert len(calls) <= 1 + 9
 
 
 def test_ex1_boundary_maximum_is_refined_on_a_mirrored_bracket(monkeypatch):
     # The ex1 left integrand is even in omega and peaks at the grid's first
     # point, omega = 0.  On [0, w1] the bounded search creeps toward that end
-    # (33 steps); on [-w1, w1] it takes 23 and still reaches the floor.
+    # (33 steps) and ends within REL of the grid value; on [-w1, w1] it takes
+    # 23 and reaches it.
     _, full, result, grid = _ex1()
     omegas = grid.frequencies()
-    f, _, even = analysis._angle_terms(full, _bound_terms(full, result))
-    exact = f(np.zeros(omegas.size, dtype=int), omegas)
+    f, even = analysis._angle_terms(full, _bound_terms(full, result))
+    exact = f(np.array([0]), omegas[None])[0]
     assert even and omegas[0] == 0.0 and np.argmax(exact) == 0
-    steps = []
+    steps, values = [], []
     for lo in (-omegas[1], 0.0):
         calls = []
         value, _ = analysis._lockstep_maxima(
@@ -433,9 +433,11 @@ def test_ex1_boundary_maximum_is_refined_on_a_mirrored_bracket(monkeypatch):
             np.array([0]), np.array([lo]), np.array([omegas[1]]),
         )
         steps.append(len(calls))
-        assert value[0] >= exact[0]
+        values.append(value[0])
     mirrored, one_sided = steps
     assert mirrored <= 23 < one_sided
+    assert values[0] >= exact[0]
+    assert _close(values[1], exact[0])
     calls = _count_integrand_calls(monkeypatch)
     report = analysis.error_report(full, result, grid=grid)
     assert len(calls) <= 1 + mirrored
@@ -461,7 +463,7 @@ def _screen_cases():
 
     The random ones are left and right reductions of quadrature systems of
     2 to 4 modes and passive reductions of the annihilation forms, kernels
-    of 0 to 4 columns; not every one is Hurwitz, which the screen does not need.
+    of 0 to 4 columns; not every one is Hurwitz, which the grid values do not need.
     The last, a passive 5-mode reduction to 2, has a kernel of 3 columns and
     2 outputs: ``|C U Q|`` takes the 2 x 2 closed form, the cosine the SVD.
     """
@@ -487,51 +489,89 @@ def _screen_cases():
 
 
 SCREEN_CASES = _screen_cases()
+KERNEL_CASES = [case for case in SCREEN_CASES if case[2].v.shape[0] > case[2].v.shape[1]]
+
+
+def _grid_values(f, n_terms, omegas):
+    """Every term's integrand on the grid: one call, a row of points per term."""
+    return f(np.arange(n_terms), np.broadcast_to(omegas, (n_terms, omegas.size)))
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=[case[0] for case in KERNEL_CASES])
+def test_angle_grid_and_bounds_match_the_oracle(case):
+    # Wherever a term reaches 1e-8 of its maximum, its grid value is within
+    # REL of the per-point oracle, and it is infinite exactly where the
+    # oracle's is; a stable report's bounds are within REL of the oracle's.
+    _, full, result, grid = case
+    omegas = grid.frequencies()
+    terms = _bound_terms(full, result)
+    f, _ = analysis._angle_terms(full, terms)
+    report = analysis.error_report(full, result, grid=grid)
+    bounds = (report.hinf_bound_left, report.hinf_bound_right)
+    for (side, basis, perp), values, bound in zip(terms, _grid_values(f, 2, omegas), bounds):
+        integrand = functools.lru_cache(maxsize=None)(angle_bound_oracle(full, basis, perp, side))
+        expected = np.array([integrand(w) for w in omegas])
+        assert np.array_equal(np.isinf(values), np.isinf(expected))
+        finite = np.isfinite(expected)
+        shown = finite & (expected > 1e-8 * expected[finite].max())
+        assert np.all(np.abs(values[shown] - expected[shown]) <= REL * expected[shown])
+        if report.stable:
+            assert _close(bound, supremum_oracle(integrand, omegas)[0])
 
 
 @pytest.mark.parametrize("case", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES])
 def test_screened_grid_matches_the_integrand(case):
-    # Wherever a term reaches 1e-8 of its maximum, the screen is within
-    # SCREEN_REL of the integrand; an infinite value is infinite in both.
+    # The grid values that screen each term for its brackets come from the
+    # back-substitution over a whole row of points; the refinement's calls,
+    # at most FEW_POINTS points, from one stacked solve.  Wherever a
+    # term reaches 1e-8 of its maximum the two are within REL, an infinite
+    # value is infinite in both, and a full-order term reads 0 in both.
     _, full, result, grid = case
     omegas = grid.frequencies()
-    f, screen, _ = analysis._angle_terms(full, _bound_terms(full, result))
-    for term, screened in enumerate(screen(omegas)):
-        exact = f(np.full(omegas.size, term), omegas)
-        assert np.array_equal(np.isinf(screened), np.isinf(exact))
-        finite = np.isfinite(exact)
-        shown = finite & (exact > 1e-8 * exact[finite].max())
-        assert np.all(np.abs(screened[shown] - exact[shown]) <= SCREEN_REL * exact[shown])
+    f, _ = analysis._angle_terms(full, _bound_terms(full, result))
+    chunks = np.array_split(omegas, -(-omegas.size // analysis.FEW_POINTS))
+    for term, row in enumerate(_grid_values(f, 2, omegas)):
+        few = np.concatenate([f(np.full(chunk.size, term), chunk) for chunk in chunks])
+        assert np.array_equal(np.isinf(row), np.isinf(few))
+        finite = np.isfinite(few)
+        if not finite.any() or few[finite].max() == 0.0:
+            assert np.array_equal(row, few)
+            continue
+        shown = finite & (few > 1e-8 * few[finite].max())
+        assert np.all(np.abs(row[shown] - few[shown]) <= REL * few[shown])
 
 
 @pytest.mark.parametrize("case", SCREEN_CASES, ids=[case[0] for case in SCREEN_CASES])
 def test_screened_bounds_match_the_integrands_own_grid(case):
-    # The screen only chooses where the integrand is evaluated: every bound
-    # and its frequency equal those of the integrand's own grid, bit for bit,
-    # and so do the stable reports' bounds.
+    # Every supremum is at least its term's grid maximum, and the integrand
+    # at the reported frequency is within REL of it: the value and the
+    # frequency belong together.  A stable report's bounds are those suprema.
     _, full, result, grid = case
     omegas = grid.frequencies()
     terms = _bound_terms(full, result)
-    f, screen, even = analysis._angle_terms(full, terms)
-    exact = [f(np.full(omegas.size, term), omegas) for term in range(len(terms))]
-    screened = analysis.grid_suprema(f, omegas, screen(omegas), even)
-    assert screened == analysis.grid_suprema(f, omegas, exact, even)
+    f, even = analysis._angle_terms(full, terms)
+    values = _grid_values(f, 2, omegas)
+    suprema = analysis.grid_suprema(f, omegas, values, even)
+    for term, (value, omega) in enumerate(suprema):
+        assert value >= values[term].max()
+        if math.isfinite(value):
+            assert _close(f(np.array([term]), np.array([omega]))[0], value)
     report = analysis.error_report(full, result, grid=grid)
     if report.stable:
-        assert [report.hinf_bound_left, report.hinf_bound_right] == [v for v, _ in screened]
+        assert [report.hinf_bound_left, report.hinf_bound_right] == [v for v, _ in suprema]
 
 
 @pytest.mark.parametrize("build", REPORT_CASES, ids=["ex1", "ex3", "stable0", "stable1", "stable2"])
 def test_screen_blocks_leave_the_bounds_unchanged(monkeypatch, build):
     # A working-memory budget of about seven points splits the grid into
-    # many blocks: the screened values move only by rounding (the row
-    # products are BLAS calls over a whole block), and no bound moves.
+    # many blocks: the grid values move only by rounding (the row products
+    # are BLAS calls over a whole block), and no bound moves.
     _, full, result, grid = build()
     omegas = grid.frequencies()
-    _, screen, _ = analysis._angle_terms(full, _bound_terms(full, result))
-    whole, report = screen(omegas), analysis.error_report(full, result, grid=grid)
+    f, _ = analysis._angle_terms(full, _bound_terms(full, result))
+    whole, report = _grid_values(f, 2, omegas), analysis.error_report(full, result, grid=grid)
     monkeypatch.setattr(linalg, "SCAN_BLOCK_BYTES", 7 * 16 * 8 * 30)
-    blocked = screen(omegas)
+    blocked = _grid_values(f, 2, omegas)
     assert np.all(np.abs(blocked - whole) <= 1e-13 * whole)
     again = analysis.error_report(full, result, grid=grid)
     assert (again.hinf_bound_left, again.hinf_bound_right) == (
@@ -548,7 +588,7 @@ def _svd_stacks(rows, cols, seed, count=60):
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 5), (5, 2)])
 def test_closed_form_singular_values_match_svd(shape):
-    # The screen's (rows, points, cols) layout; no LAPACK call at these sizes.
+    # The integrand's (rows, points, cols) layout; no LAPACK call at these sizes.
     x = _svd_stacks(*shape, seed=sum(shape))
     if shape == (2, 2):
         # Nearly singular: rank one plus 1e-9 of noise, where sqrt(det(M^H M)) would cancel.
@@ -575,31 +615,43 @@ def test_orthonormal_columns_of_nearly_dependent_stacks(width):
     assert np.all(np.abs(residual) <= 1e-12 * np.abs(z).max(axis=(1, 2), keepdims=True))
 
 
+def test_narrowed_ports_keep_their_gram_matrix():
+    # ex2's 16 inputs on 6 states: the integrand carries 6 columns with the
+    # same m m^H; a block with no more columns than rows is left as it is.
+    m = _svd_stacks(6, 16, seed=5, count=1)[0]
+    narrow = analysis._narrow(m)
+    assert narrow.shape == (6, 6)
+    gram = m @ m.conj().T
+    assert np.all(np.abs(narrow @ narrow.conj().T - gram) <= 1e-14 * np.abs(gram).max())
+    square = m[:, :6]
+    assert analysis._narrow(square) is square
+
+
 def test_closed_forms_read_zero_on_singular_stacks():
-    # Exactly 0, with no RuntimeWarning, so that the screen reads inf there.
+    # Exactly 0, with no RuntimeWarning, so that the integrand reads inf there.
     rank_one = np.outer([1 + 2j, -3j], [2 - 1j, 1j])
     stack = np.moveaxis(np.array([rank_one, np.zeros((2, 2))]), 0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(analysis._sigma_min(stack), [0.0, 0.0])
         assert analysis._gram_norms(stack)[1] == 0.0
-        a, e = -np.eye(3), np.eye(3)
+        e = np.eye(3)
         # ker(basis^H (sI-A)) = span(e1, e2); U_perp = [e1, e3] meets it at a right angle.
-        b_kernel = np.hstack([np.eye(3), e[:, :2]])
-        u_perp_h = e[[0, 2]]
-        omegas = np.array([0.0, 1.0, 1e3])
-        assert np.all(np.isposinf(analysis._angle_screen(a, b_kernel, e, u_perp_h, 1j, omegas)))
-        assert np.all(np.isposinf(analysis._angle_bound(a, b_kernel, e, u_perp_h, 1j * omegas)))
+        f, _ = analysis._angle_terms((-e, e, e, 0 * e), [("right", e[:, 2:], e[:, 1:2])])
+        omegas = np.array([0.0, 1.0, 1e3, 1e4])
+        assert np.all(np.isposinf(f(np.array([0]), omegas[None])))
+        assert np.all(np.isposinf(f(np.zeros(3, dtype=int), omegas[:3])))
 
 
 def _counting_lapack(monkeypatch):
-    """Record the name of every ``np.linalg`` QR, SVD and ``eigvalsh`` call."""
+    """Record the name of every ``np.linalg`` QR, SVD and ``eigvalsh`` call on a stack."""
     calls = []
     for name in ("qr", "svd", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def counting(m, *args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
+            if np.ndim(m) > 2:
+                calls.append(_name)
             return _original(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
@@ -608,32 +660,55 @@ def _counting_lapack(monkeypatch):
 
 @pytest.mark.parametrize(("label", "width"), [("ex1", 2), ("left2", 4)])
 def test_only_wide_kernels_are_screened_by_lapack(monkeypatch, label, width):
-    # A kernel of at most two columns is screened in closed form; a wider
-    # one by stacked QR, SVD and eigvalsh.
+    # A whole bound, grid and refinement, takes no QR, SVD or eigvalsh of a
+    # stack of points when the kernel has at most two columns: closed forms
+    # replace them (a refinement step's resolvent is one stacked LU solve).  A wider kernel takes stacked QR, SVD and eigvalsh.  The
+    # kernel bases themselves are one SVD of one matrix each, per term.
     _, full, result, grid = next(case for case in SCREEN_CASES if case[0] == label)
     terms = _bound_terms(full, result)
     assert {basis.shape[0] - basis.shape[1] for _, basis, _ in terms} == {width}
-    _, screen, _ = analysis._angle_terms(full, terms)
     calls = _counting_lapack(monkeypatch)
-    screen(grid.frequencies())
     if width <= 2:
+        analysis.hinf_bound_left(full, result, grid=grid)
+        analysis.hinf_bound_right(full, result, grid=grid)
         assert calls == []
     else:
+        f, _ = analysis._angle_terms(full, terms)
+        _grid_values(f, 2, grid.frequencies())
         assert set(calls) == {"qr", "svd", "eigvalsh"}
 
 
-def test_grid_suprema_confirms_an_infinite_grid_value():
-    # An infinite grid value is the floor; the term reads inf there only
-    # when f confirms it, and is refined otherwise.
+def test_one_schur_form_serves_both_terms(monkeypatch):
+    # The left term's triangular factor is the right one's, reversed and
+    # conjugate-transposed: one Schur form per report.
+    _, full, result, _ = _ex1()
+    calls = []
+    schur = linalg.schur
+
+    def counted(a):
+        calls.append(a.shape)
+        return schur(a)
+
+    monkeypatch.setattr(linalg, "schur", counted)
+    analysis._angle_terms(full, _bound_terms(full, result))
+    assert calls == [(6, 6)]
+
+
+def test_grid_suprema_takes_an_infinite_grid_value_as_the_supremum():
+    # An infinite grid value is its term's supremum, at the first such
+    # frequency; that term is not refined, and f is never called for it.
     omegas = np.linspace(0.0, 4.0, 41)
+    labels = []
 
     def f(terms, w):
-        return np.where(np.asarray(terms) == 0, math.inf, np.exp(-((np.asarray(w) - 2.0) ** 2)))
+        labels.extend(np.asarray(terms).tolist())
+        return np.exp(-((np.asarray(w) - 2.0) ** 2))
 
     grid = [np.exp(-((omegas - 2.0) ** 2)), np.exp(-((omegas - 2.0) ** 2))]
-    grid[0][30] = grid[1][30] = grid[0][35] = math.inf
+    grid[0][30] = grid[0][35] = math.inf
     (inf_value, inf_omega), (value, peak) = analysis.grid_suprema(f, omegas, grid)
     assert (inf_value, inf_omega) == (math.inf, omegas[30])
+    assert labels and set(labels) == {1}
     assert 1.0 - 1e-10 <= value <= 1.0
     assert abs(peak - 2.0) <= 1e-5
 
