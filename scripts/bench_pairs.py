@@ -6,9 +6,10 @@ Usage, from the root of a qmor checkout::
 
 or ``make bench-pairs BASE=HEAD~1 WORKLOAD=select`` (``PAIRS``,
 ``BENCH_SECONDS`` and ``SEED`` set the rest).  The working tree's
-``bench/run.py`` runs on two checkouts: a ``git archive`` of the base
-revision's ``src`` with a copy of the working tree's ``bench/``, and the
-working tree itself.  Each pair runs both sides once, one after the other,
+``bench/run.py`` runs on two checkouts built the same way, each in its own
+temporary directory: a copy of the working tree's ``bench/`` beside a
+``git archive`` of the base revision's ``src`` or a copy of the working
+tree's ``src``.  Each pair runs both sides once, one after the other,
 and the side that runs first alternates from pair to pair so that a drift of
 the host's speed does not favour one side.  For every end-to-end metric of
 ``BENCHMARK.json`` the script prints each side's median and quartiles, the
@@ -38,15 +39,21 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def base_checkout(rev, directory):
-    """``rev``'s ``src`` with a copy of the working tree's ``bench/``, in ``directory``."""
-    archive = subprocess.run(
-        ["git", "archive", rev, "src"], cwd=ROOT, capture_output=True, check=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
-    shutil.copytree(
-        ROOT / "bench", directory / "bench", ignore=shutil.ignore_patterns("__pycache__")
-    )
+def checkout(directory, rev=None):
+    """The working tree's ``bench/`` and ``rev``'s ``src`` in ``directory``.
+
+    Without ``rev``, a copy of the working tree's ``src``.
+    """
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+    directory.mkdir()
+    if rev is None:
+        shutil.copytree(ROOT / "src", directory / "src", ignore=ignore)
+    else:
+        archive = subprocess.run(
+            ["git", "archive", rev, "src"], cwd=ROOT, capture_output=True, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(directory)], input=archive, check=True)
+    shutil.copytree(ROOT / "bench", directory / "bench", ignore=ignore)
     return directory
 
 
@@ -78,7 +85,10 @@ def main(argv=None):
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"base": [], "work": []}
     with tempfile.TemporaryDirectory() as tmp:
-        checkouts = {"base": base_checkout(args.base, Path(tmp)), "work": ROOT}
+        checkouts = {
+            "base": checkout(Path(tmp) / "base", args.base),
+            "work": checkout(Path(tmp) / "work"),
+        }
         for pair in range(args.pairs):
             order = ("base", "work") if pair % 2 == 0 else ("work", "base")
             for side in order:

@@ -38,7 +38,7 @@ the full model, whose triangular factor turns ``X`` into row-by-row stacked
 solves (Golub, Nash and Van Loan, IEEE TAC 24(6), 1979).  :func:`h2_norm` is
 the H2 cost of a single system of any order, and the test oracle.
 
-Evaluation is batched: :func:`sweep` solves ``(s_k I - A_k) X = B_k`` for a
+Evaluation is batched: :func:`sweep` solves ``(s_k I - A) X_k = B`` for a
 whole block of ``GRID_BLOCK`` points at once, and every frequency integrand
 maps an array of frequencies to an array of values.  The angle bounds have
 one integrand, evaluated in Schur coordinates: one complex Schur form of
@@ -279,13 +279,12 @@ def grid_suprema(f, omegas, grid, even=False):
 
 
 def sweep(a, b, s):
-    """Stacked resolvent solves ``X[k] = (s_k I - A_k)^-1 B_k`` over a 1-D array ``s``.
+    """Stacked resolvent solves ``X[k] = (s_k I - A)^-1 B`` over a 1-D array ``s``.
 
-    ``a`` and ``b`` are one matrix each, or one per point; an exactly
-    singular point reads NaN (:func:`~qmor.linalg.solve`).
+    An exactly singular point reads NaN (:func:`~qmor.linalg.solve`).
     """
     # b[None]: a stack of one matrix on every numpy version, never a stack of vectors.
-    return linalg.solve(linalg.shifted(a, s), b if b.ndim == 3 else b[None])
+    return linalg.solve(linalg.shifted(a, s), b[None])
 
 
 def _norms(stack):
@@ -910,14 +909,14 @@ def error_report(full, result, grid=None):
     # The upper value is inf exactly when A_e is not Hurwitz (its pole test).
     norm = hinf_norm(*system, omegas, values)
     if math.isinf(norm.upper):
-        k = int(np.argmax(values))
+        peak = float(values.max())
         return ErrorReport(
-            hinf_error_estimate=float(values[k]),
+            hinf_error_estimate=peak,
             hinf_error_upper=None,
             hinf_iterations=0,
             hinf_bound_left=None,
             hinf_bound_right=None,
-            peak_frequency=float(omegas[k]),
+            peak_frequency=_peak_frequency(omegas, values, peak),
             pointwise=curve,
             grid=spec,
             stable=False,

@@ -20,8 +20,6 @@ import scipy.linalg as la
 
 from .errors import SingularMatrixError, StabilityError, StructureError
 
-#: Relative magnitude below which an imaginary part is considered rounding noise.
-IMAG_NOISE = 1e-12
 #: Bytes of working memory one block of a stacked pass may take: a selection
 #: scan's candidates, or the frequencies of an angle-bound grid.
 SCAN_BLOCK_BYTES = 2**24
@@ -79,24 +77,6 @@ def orthonormal_range(m):
 def kernel_basis(m):
     """Orthonormal basis of the null space of ``m``."""
     return rank_and_bases(m)[2]
-
-
-def eigenpairs(m):
-    """Eigenvalues and unit-norm eigenvectors of a square matrix.
-
-    Returns ``(values, vectors)`` with ``vectors[:, k]`` the eigenvector of
-    ``values[k]``.  No diagonalizability assumption is made by callers; for
-    defective matrices the returned vectors are whatever the QR algorithm
-    yields for each eigenvalue.
-    """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise StructureError(f"eigendecomposition needs a square matrix, got {m.shape}")
-    values, vectors = np.linalg.eig(m)
-    values, vectors = values.astype(complex, copy=False), vectors.astype(complex, copy=False)
-    norms = np.linalg.norm(vectors, axis=0)
-    norms[norms == 0] = 1.0
-    return values, vectors / norms
 
 
 def eigenvalues(m):
@@ -259,14 +239,3 @@ def spectral_norm(m):
 
 def frobenius_norm(m):
     return float(np.linalg.norm(np.asarray(m)))
-
-
-def real_if_close(m):
-    """Drop an imaginary part that is below ``IMAG_NOISE`` relative to the matrix scale."""
-    m = np.asarray(m)
-    if np.isrealobj(m):
-        return m
-    scale = max(np.abs(m).max(initial=0.0), 1.0)
-    if np.abs(m.imag).max(initial=0.0) <= IMAG_NOISE * scale:
-        return np.ascontiguousarray(m.real)
-    return m

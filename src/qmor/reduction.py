@@ -450,7 +450,7 @@ def passive_stability_certificate(result, g):
     g = np.asarray(g, dtype=complex)
     v_a = np.asarray(result.v, dtype=complex)
     f_r = result.reduced.F
-    values, vectors = linalg.eigenpairs(f_r)
+    values, vectors = np.linalg.eig(f_r)
     condition_values = np.array(
         [np.linalg.norm(g.conj().T @ v_a @ vectors[:, k]) for k in range(values.size)]
     )

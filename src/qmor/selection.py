@@ -42,7 +42,7 @@ import numpy as np
 from . import linalg
 from .analysis import default_grid, error_system, h2_error_gramians, hinf_norm
 from .errors import InfeasiblePointError, QmorError, StructureError
-from .reduction import InterpolationData, check_data, compress, data_side, projection
+from .reduction import compress, projection
 from .systems import AnnihilationSystem, QuadratureSystem
 
 SCAN_POINTS_1D = 64
@@ -205,6 +205,9 @@ class SelectionProblem:
             raise StructureError(
                 f"directions live in C^{directions.shape[1]}, the {self.side} side needs C^{width}"
             )
+        zero = np.flatnonzero(~directions.any(axis=1))
+        if zero.size:
+            raise StructureError(f"direction {zero[0]} is the zero vector")
         if self.omega_bounds is not None:
             lo, hi = self.omega_bounds
             if not (0 < lo < hi < math.inf):
@@ -241,13 +244,12 @@ def _reduced_models(problem, points):
 
     Returns ``((A_r, B_r, C_r, D), errors)``: the matrices of
     :func:`~qmor.reduction.compress`, and the :class:`InfeasiblePointError`
-    (or ``None``) of each row whose model cannot be built.  Data that fit no
-    row raise it.
+    (or ``None``) of each row whose model cannot be built.  ``problem``
+    checked its directions when it was built; an error of the stacked
+    projection as a whole raises :class:`InfeasiblePointError`.
     """
     system = problem.system
     try:
-        data = InterpolationData(data_side(problem.side), points[0], problem.directions)
-        check_data(system, data, problem.side)
         w, v, errors = projection(system, problem.side, points, problem.directions)
     except QmorError as exc:
         raise InfeasiblePointError(str(exc)) from exc

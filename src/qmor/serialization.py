@@ -275,9 +275,7 @@ def write_error_surface_csv(path, real_points, imag_points, values):
         fh.write("re,im,error\n")
         for i, im in enumerate(imag_points):
             for j, re in enumerate(real_points):
-                cell = values[i, j]
-                rendered = "nan" if math.isnan(cell) else _fmt(cell)
-                fh.write(f"{_fmt(re)},{_fmt(im)},{rendered}\n")
+                fh.write(f"{_fmt(re)},{_fmt(im)},{_fmt(values[i, j])}\n")
 
 
 def write_scan_trace_csv(path, trace):

@@ -21,8 +21,6 @@ from .systems import symplectic_form
 MAX_CONDITION = 1e12
 #: Asymmetry of Theta, relative to its norm, accepted as rounding.
 SKEW_TOL = 1e-9
-#: Frobenius norm of ``M J M^T - J`` below which :func:`is_symplectic` holds.
-SYMPLECTIC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,16 +36,15 @@ def skew_normal_form(theta):
 
     ``Theta`` is symmetrized when its asymmetry is below ``SKEW_TOL`` relative to
     its norm (products like ``W^T J W`` are skew only up to rounding); larger
-    asymmetry raises :class:`StructureError`.  Near-singular input (condition
-    number above ``MAX_CONDITION``) raises :class:`RankDeficiencyError`.
+    asymmetry, or a complex ``Theta``, raises :class:`StructureError`.
+    Near-singular input (condition number above ``MAX_CONDITION``) raises
+    :class:`RankDeficiencyError`.
     """
     theta = linalg.as_matrix(theta, "theta")
     if theta.shape[0] != theta.shape[1] or theta.shape[0] % 2:
         raise StructureError(f"theta must be square of even size, got {theta.shape}")
     if np.iscomplexobj(theta):
-        theta = linalg.real_if_close(theta)
-        if np.iscomplexobj(theta):
-            raise StructureError("theta must be real")
+        raise StructureError("theta must be real")
     scale = np.linalg.norm(theta)
     if scale == 0.0:
         raise RankDeficiencyError("theta is zero, hence singular")
@@ -80,24 +77,3 @@ def skew_normal_form(theta):
     t = inv_sqrt[:, None] * z.T
     residual = np.linalg.norm(t @ theta @ t.T - symplectic_form(size // 2))
     return SkewNormalForm(T=t, residual=float(residual))
-
-
-def is_symplectic(m, n_in=None, n_out=None):
-    """True when ``M J_{n_in} M^T = J_{n_out}`` within ``SYMPLECTIC_TOL``.
-
-    Sizes default to ``cols/2`` and ``rows/2``; rectangular matrices (output
-    truncation) are allowed.
-    """
-    m = linalg.as_matrix(m)
-    if m.shape[0] % 2 or m.shape[1] % 2:
-        raise StructureError(f"matrix dimensions must be even, got {m.shape}")
-    if n_in is None:
-        n_in = m.shape[1] // 2
-    if n_out is None:
-        n_out = m.shape[0] // 2
-    if m.shape != (2 * n_out, 2 * n_in):
-        raise StructureError(
-            f"matrix has shape {m.shape}, expected ({2 * n_out}, {2 * n_in})"
-        )
-    defect = m @ symplectic_form(n_in) @ m.T - symplectic_form(n_out)
-    return bool(np.linalg.norm(defect) <= SYMPLECTIC_TOL)

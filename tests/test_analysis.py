@@ -369,6 +369,40 @@ def test_h2_error_gramian_rejects_a_pole_pair_on_the_axis():
         analysis.h2_error_gramian(full, unstable)
 
 
+def _unstable_annihilation_pair():
+    # Poles 0.1 +/- i: the full model is not Hurwitz; the reduction is.
+    g = np.array([[1.0], [0.0]])
+    full = systems.AnnihilationSystem(
+        F=np.array([[0.1, 1.0], [-1.0, 0.1]]), G=g, H=-g.T, K=np.eye(1)
+    )
+    reduced = systems.AnnihilationSystem(F=-np.eye(1), G=np.eye(1), H=-np.eye(1), K=np.eye(1))
+    return full, reduced
+
+
+@pytest.mark.parametrize("pole", [-1.0, 1.0], ids=["stable-reduced", "unstable-reduced"])
+def test_h2_error_gramians_rejects_a_non_hurwitz_full_model(pole):
+    # Raised for the whole stack, also when no reduced row is feasible.
+    full, reduced = _unstable_annihilation_pair()
+    _, g, h, k = reduced.state_space()
+    f = np.full((1, 1, 1), pole, dtype=complex)
+    with pytest.raises(StabilityError, match="^" + linalg.NOT_HURWITZ + "$"):
+        analysis.h2_error_gramians(full, (f, g[None], h[None], k))
+
+
+def test_unstable_report_peak_takes_the_nonnegative_frequency():
+    # The two-sided curve of a real-coefficient pair is mirrored: its
+    # samples at +/-1 tie exactly, and the peak is reported at +1, the
+    # rule of the stable branch.
+    full, reduced = _unstable_annihilation_pair()
+    grid = analysis.GridSpec(0.1, 10.0, 201, two_sided=True)
+    report = analysis.error_report(full, reduced, grid=grid)
+    omegas, values = report.pointwise.T
+    assert not report.stable
+    assert values[omegas == 1.0] == values[omegas == -1.0]
+    assert report.hinf_error_estimate == values.max() == values[omegas == 1.0]
+    assert report.peak_frequency == 1.0
+
+
 def test_error_report_bounds_dominate_estimate():
     quad, _, result = stable_reduction_cases(1)[0]
     grid = analysis.default_grid(quad.A, result.reduced.A, count=400)

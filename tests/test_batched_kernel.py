@@ -713,6 +713,36 @@ def test_grid_suprema_takes_an_infinite_grid_value_as_the_supremum():
     assert abs(peak - 2.0) <= 1e-5
 
 
+@pytest.mark.parametrize("case", ["every-term-infinite", "one-point-grid"])
+def test_grid_suprema_without_a_bracket_returns_the_grid_maxima(case):
+    # No term has a bracket to refine, so the lockstep search gets no
+    # bracket and f is never called.
+    def f(terms, w):
+        raise AssertionError("f called without a bracket")
+
+    if case == "every-term-infinite":
+        omegas = np.linspace(0.0, 4.0, 41)
+        grid = np.ones((2, omegas.size))
+        grid[0, 7] = grid[1, 3] = grid[1, 9] = math.inf
+        expected = [(math.inf, omegas[7]), (math.inf, omegas[3])]
+    else:
+        omegas = analysis.GridSpec(0.1, 10.0, count=0).frequencies()
+        grid = [[0.5], [2.0]]
+        expected = [(0.5, 0.0), (2.0, 0.0)]
+    for even in (False, True):
+        assert analysis.grid_suprema(f, omegas, grid, even) == expected
+
+
+def test_error_report_on_a_one_point_grid():
+    # The grid of count 0 is omega = 0 alone: each bound is its grid value.
+    _, full, result, _ = _ex1()
+    report = analysis.error_report(full, result, grid=analysis.GridSpec(0.1, 10.0, count=0))
+    assert report.pointwise[:, 0].tolist() == [0.0]
+    f, _ = analysis._angle_terms(full, _bound_terms(full, result))
+    left, right = f(np.arange(2), np.zeros((2, 1)))
+    assert (report.hinf_bound_left, report.hinf_bound_right) == (left[0], right[0])
+
+
 def test_sweep_matches_pointwise_solves():
     system = cases.optomechanical_system()
     s = 1j * np.linspace(-2e4, 2e4, 150) - 30.0

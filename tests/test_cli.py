@@ -617,6 +617,17 @@ def test_select_points_rejects_direction_width(tmp_path, ex1_system_path, capsys
     assert capsys.readouterr().err == "error: directions live in C^7, the right side needs C^6\n"
 
 
+def test_select_points_zero_direction_fails_before_the_scan(tmp_path, capsys):
+    # Rejected when the problem is built: exit 1, one line, and no trace.
+    sys_path = tmp_path / "sys.json"
+    serialization.save_system(cases.cascaded_cavity_system(), sys_path)
+    args = ["select-points", str(sys_path), "--method", "passive", "--r", "3", "--cost", "h2"]
+    args += ["--template", "symmetric_with_dc", "--dirs", json.dumps([[1, 0], [0, 0], [1, 0]])]
+    assert main(args + ["--out", str(tmp_path / "sel")]) == 1
+    assert capsys.readouterr().err == "error: direction 1 is the zero vector\n"
+    assert not (tmp_path / "sel").exists()
+
+
 def test_select_points_default_directions_scan_feasibly(tmp_path, ex1_system_path, capsys):
     # The default directions rank the port pairs, so the tied ex1 search
     # scans no infeasible candidate and reaches the paper's error level.

@@ -113,6 +113,27 @@ def test_problem_validation():
         SelectionProblem(system=sys_q, side="right", r=2, directions=np.ones((4, 5)))
 
 
+@pytest.mark.parametrize("side", ["passive", "right"])
+def test_zero_direction_rejected_before_any_cost(monkeypatch, side):
+    # The problem checks its directions when it is built: no candidate is
+    # scored, and the search never starts.
+    calls = []
+    for cost in ("hinf", "h2"):
+        monkeypatch.setitem(selection.COST_FUNCTIONS, cost, lambda *args: calls.append(args))
+    if side == "passive":
+        system, r, template = cases.cascaded_cavity_system(), 3, "symmetric_with_dc"
+        directions = np.array(cases.ex3_interpolation_data().directions)
+    else:
+        system, r, template = cases.optomechanical_system(), 2, "conjugate_pairs"
+        directions = np.array(cases.ex1_interpolation_data().directions)
+    directions[1] = 0.0
+    with pytest.raises(StructureError, match="^direction 1 is the zero vector$"):
+        selection.optimize_points(
+            SelectionProblem(system, side, r, directions, cost="h2", template=template)
+        )
+    assert calls == []
+
+
 def test_passive_conjugate_pairs_expand_to_r_points():
     ex3 = cases.cascaded_cavity_system()
     # The command line's default pattern (e1, e1, e2, e2).

@@ -374,6 +374,20 @@ def test_error_curve_csv_bytes_match_per_row_formatting(tmp_path):
     assert b"-0,0\n" in path.read_bytes() and b"inf" in path.read_bytes()
 
 
+def test_error_surface_csv_writes_singular_points_as_nan(tmp_path):
+    # error_surface marks a singular point NaN, of either sign.
+    values = np.array([[0.25, math.nan], [-math.nan, 1.0 / 3.0]])
+    path = tmp_path / "surface.csv"
+    serialization.write_error_surface_csv(path, [-1.0, 0.0], [2.0, 3.0], values)
+    assert path.read_text().splitlines() == [
+        "re,im,error",
+        "-1,2,0.25",
+        "0,2,nan",
+        "-1,3,nan",
+        "0,3,0.33333333333333331",
+    ]
+
+
 def test_frequency_response_csv_layout(tmp_path):
     response = FrequencyResponse(
         omegas=np.array([2.0]),

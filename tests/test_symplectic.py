@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmor.errors import RankDeficiencyError, StructureError
-from qmor.symplectic import is_symplectic, skew_normal_form
+from qmor.symplectic import skew_normal_form
 from qmor.systems import symplectic_form
 
 
@@ -72,15 +72,10 @@ def test_normal_form_rejects_huge_condition():
         skew_normal_form(theta)
 
 
-def test_is_symplectic_identity():
-    assert is_symplectic(np.eye(6))
-
-
-def test_is_symplectic_truncated_output():
-    m = np.hstack([-np.eye(2), np.zeros((2, 4))])
-    assert is_symplectic(m, n_in=3, n_out=1)
-
-
-def test_is_symplectic_squeezer():
-    assert is_symplectic(np.diag([2.0, 0.5]))
-    assert not is_symplectic(np.diag([2.0, 2.0]))
+@pytest.mark.parametrize("imag", [0.0, 1e-14, 1.0])
+def test_normal_form_rejects_complex_theta(imag):
+    # Every caller passes the pairing matrix of a real basis; a complex
+    # theta is rejected whatever its imaginary part.
+    theta = symplectic_form(2) + 1j * imag * np.eye(4)
+    with pytest.raises(StructureError, match="^theta must be real$"):
+        skew_normal_form(theta)
