@@ -21,8 +21,8 @@ class StabilityError(QmorError):
     """An operation requiring a Hurwitz state matrix received an unstable one."""
 
 
-class DataValidationError(QmorError):
-    """Interpolation data violates one of its admissibility conditions."""
+class DataValidationError(StructureError):
+    """Interpolation points or directions unfit for a reduction or a frequency search."""
 
 
 class InfeasiblePointError(QmorError):

@@ -71,10 +71,14 @@ class InterpolationData:
             raise DataValidationError(
                 f"{points.shape[0]} points but {directions.shape[0]} directions"
             )
-        norms = np.linalg.norm(directions, axis=1)
-        if np.any(norms == 0.0):
-            bad = int(np.flatnonzero(norms == 0.0)[0])
-            raise DataValidationError(f"direction {bad} is the zero vector")
+        if not np.isfinite(points).all():
+            raise DataValidationError(f"point {np.argmin(np.isfinite(points))} is not finite")
+        finite = np.isfinite(directions).all(axis=1)
+        if not finite.all():
+            raise DataValidationError(f"direction {np.argmin(finite)} is not finite")
+        zero = np.linalg.norm(directions, axis=1) == 0.0
+        if zero.any():
+            raise DataValidationError(f"direction {np.argmax(zero)} is the zero vector")
         points.setflags(write=False)
         directions.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -112,68 +116,45 @@ class ReductionResult:
     diagnostics: ReductionDiagnostics | None
 
 
-def _conjugate_pairing(points, directions):
-    """Pair data items with their conjugates.
+def real_basis_from_conjugate_data(points, directions, vectors):
+    """Real matrix spanning (over C) the same space as the complex columns.
 
-    Returns a list of ``("real", i)`` and ``("pair", i, j)`` entries covering
-    every index exactly once, in order of first appearance.  Raises when the
-    multiset is not conjugation-closed.
+    ``vectors[:, i]`` belongs to ``(points[i], directions[i])``.  In order of
+    first appearance, each real datum contributes ``Re v`` and each conjugate
+    pair ``(Re v, Im v)`` of its first item; the column count is preserved.
+    Raises when the data are not closed under conjugation.
     """
+    points = np.asarray(points, dtype=complex)
+    directions = np.atleast_2d(np.asarray(directions, dtype=complex))
+    vectors = np.asarray(vectors, dtype=complex)
+    p_tol = CONJUGATION_TOL * max(1.0, np.abs(points).max(initial=0.0))
+    d_tol = CONJUGATION_TOL * max(1.0, np.abs(directions).max(initial=0.0))
     k = points.shape[0]
-    point_scale = max(1.0, np.abs(points).max(initial=0.0))
-    dir_scale = max(1.0, np.abs(directions).max(initial=0.0))
-    p_tol = CONJUGATION_TOL * point_scale
-    d_tol = CONJUGATION_TOL * dir_scale
-
-    def is_real(i):
-        return (
-            abs(points[i].imag) <= p_tol
-            and np.abs(directions[i].imag).max(initial=0.0) <= d_tol
-        )
-
-    def conjugates(i, j):
-        return (
-            abs(points[j] - points[i].conjugate()) <= p_tol
-            and np.abs(directions[j] - directions[i].conjugate()).max() <= d_tol
-        )
-
     used = np.zeros(k, dtype=bool)
-    pairing = []
+    columns = []
     for i in range(k):
         if used[i]:
             continue
-        used[i] = True
-        if is_real(i):
-            pairing.append(("real", i))
+        columns.append(vectors[:, i].real)
+        if abs(points[i].imag) <= p_tol and np.abs(directions[i].imag).max(initial=0.0) <= d_tol:
             continue
-        partner = next((j for j in range(i + 1, k) if not used[j] and conjugates(i, j)), None)
+        partner = next(
+            (
+                j
+                for j in range(i + 1, k)
+                if not used[j]
+                and abs(points[j] - points[i].conjugate()) <= p_tol
+                and np.abs(directions[j] - directions[i].conjugate()).max() <= d_tol
+            ),
+            None,
+        )
         if partner is None:
             raise DataValidationError(
                 f"data item {i} (point {points[i]}) has no conjugate partner; "
                 "quadrature-form reductions need conjugation-closed data"
             )
         used[partner] = True
-        pairing.append(("pair", i, partner))
-    return pairing
-
-
-def real_basis_from_conjugate_data(points, directions, vectors):
-    """Real matrix spanning (over C) the same space as the complex columns.
-
-    ``vectors[:, i]`` belongs to ``(points[i], directions[i])``.  Each
-    conjugate pair contributes ``(Re v, Im v)``; each real datum contributes
-    ``Re v``; the column count is preserved.
-    """
-    points = np.asarray(points, dtype=complex)
-    directions = np.atleast_2d(np.asarray(directions, dtype=complex))
-    vectors = np.asarray(vectors, dtype=complex)
-    columns = []
-    for entry in _conjugate_pairing(points, directions):
-        if entry[0] == "real":
-            columns.append(vectors[:, entry[1]].real)
-        else:
-            columns.append(vectors[:, entry[1]].real)
-            columns.append(vectors[:, entry[1]].imag)
+        columns.append(vectors[:, i].imag)
     return np.column_stack(columns)
 
 
@@ -270,28 +251,20 @@ def passive_subspace_basis(system, data):
 
 def check_data(system, data, side):
     """Raise :class:`DataValidationError` unless ``data`` fit a ``side`` reduction of ``system``."""
-    if side == "passive":
-        if not isinstance(system, AnnihilationSystem):
-            raise DataValidationError("passive reductions need an annihilation-form system")
-        if data.side != "left":
-            raise DataValidationError("the passive Galerkin construction uses left data")
-        if data.directions.shape[1] != system.n_outputs:
-            raise DataValidationError(
-                f"directions live in C^{data.directions.shape[1]} but the system has "
-                f"{system.n_outputs} outputs"
-            )
-        return
-    if not isinstance(system, QuadratureSystem):
-        raise DataValidationError("left/right reductions need a quadrature-form system")
-    if data.side != side:
-        raise DataValidationError(f"expected {side}-side data, got {data.side}")
-    if len(data) % 2:
+    passive = side == "passive"
+    if not isinstance(system, AnnihilationSystem if passive else QuadratureSystem):
+        form = "an annihilation" if passive else "a quadrature"
+        raise DataValidationError(f"{side} reductions need {form}-form system")
+    expected = data_side(side)
+    if data.side != expected:
+        raise DataValidationError(f"{side} reductions use {expected}-side data, got {data.side}")
+    if len(data) % 2 and not passive:
         raise DataValidationError("quadrature reductions need an even number of data items")
-    expected = 2 * (system.n_outputs if side == "left" else system.n_inputs)
-    if data.directions.shape[1] != expected:
+    ports = system.n_inputs if side == "right" else system.n_outputs
+    width = ports if passive else 2 * ports
+    if data.directions.shape[1] != width:
         raise DataValidationError(
-            f"directions live in C^{data.directions.shape[1]} but the {side} side of "
-            f"this system needs C^{expected}"
+            f"directions live in C^{data.directions.shape[1]}, the {side} side needs C^{width}"
         )
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from . import linalg
 from .analysis import default_grid, error_system, h2_error_gramians, hinf_norm
 from .errors import InfeasiblePointError, QmorError, StructureError
-from .reduction import compress, projection
+from .reduction import InterpolationData, check_data, compress, data_side, projection
 from .systems import AnnihilationSystem, QuadratureSystem
 
 SCAN_POINTS_1D = 64
@@ -125,8 +125,8 @@ def default_directions(system, side, r):
 
 def _template_frequencies(omegas):
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if np.any(omegas < 0):
-        raise StructureError("template frequencies must be nonnegative")
+    if not np.all((omegas >= 0) & (omegas < math.inf)):
+        raise StructureError("template frequencies must be finite and nonnegative")
     return omegas
 
 
@@ -179,41 +179,25 @@ class SelectionProblem:
             )
         if self.template == "symmetric_with_dc" and self.r % 2 == 0:
             raise StructureError("the symmetric-with-dc template needs an odd point count")
-        passive = self.side == "passive"
-        if passive and self.template == "conjugate_pairs" and self.r % 2:
+        if self.side == "passive" and self.template == "conjugate_pairs" and self.r % 2:
             raise StructureError(
                 "passive selection with conjugate pairs needs an even point count r; "
                 "use the symmetric-with-dc template for an odd one"
             )
-        if not isinstance(self.system, AnnihilationSystem if passive else QuadratureSystem):
-            form = "an annihilation" if passive else "a quadrature"
-            raise StructureError(f"{self.side} selection needs {form}-form system")
+        data = InterpolationData(
+            data_side(self.side), self.expand_points(np.ones(self.n_free)), self.directions
+        )
+        check_data(self.system, data, self.side)
         if self.r > self.system.n_modes:
             raise StructureError(
                 f"r = {self.r} exceeds the {self.system.n_modes} modes of the system; "
                 "a reduced model cannot have more modes than the full one"
             )
-        directions = np.atleast_2d(np.array(self.directions, dtype=complex))
-        expected = self.r if passive else 2 * self.r
-        if directions.shape[0] != expected:
-            raise StructureError(
-                f"{directions.shape[0]} directions supplied, expected {expected}"
-            )
-        ports = self.system.n_inputs if self.side == "right" else self.system.n_outputs
-        width = ports if passive else 2 * ports
-        if directions.shape[1] != width:
-            raise StructureError(
-                f"directions live in C^{directions.shape[1]}, the {self.side} side needs C^{width}"
-            )
-        zero = np.flatnonzero(~directions.any(axis=1))
-        if zero.size:
-            raise StructureError(f"direction {zero[0]} is the zero vector")
         if self.omega_bounds is not None:
             lo, hi = self.omega_bounds
             if not (0 < lo < hi < math.inf):
                 raise StructureError("omega bounds must satisfy 0 < lo < hi < inf")
-        directions.setflags(write=False)
-        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "directions", data.directions)
 
     @property
     def _frequencies(self):
@@ -245,14 +229,10 @@ def _reduced_models(problem, points):
     Returns ``((A_r, B_r, C_r, D), errors)``: the matrices of
     :func:`~qmor.reduction.compress`, and the :class:`InfeasiblePointError`
     (or ``None``) of each row whose model cannot be built.  ``problem``
-    checked its directions when it was built; an error of the stacked
-    projection as a whole raises :class:`InfeasiblePointError`.
+    checked its data when it was built, so every error belongs to a row.
     """
     system = problem.system
-    try:
-        w, v, errors = projection(system, problem.side, points, problem.directions)
-    except QmorError as exc:
-        raise InfeasiblePointError(str(exc)) from exc
+    w, v, errors = projection(system, problem.side, points, problem.directions)
     a, b, c, d = reduced = compress(system, w, v)
     finite = np.logical_and.reduce([np.isfinite(m).all(axis=(1, 2)) for m in (a, b, c)])
     for i in np.flatnonzero(~finite):
@@ -276,10 +256,7 @@ def _candidate_costs(problem, candidates, norms):
     one value or :class:`~qmor.errors.QmorError` per row.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    try:
-        reduced, outcomes = _reduced_models(problem, problem.expand_points(candidates))
-    except QmorError as exc:
-        return [exc] * len(candidates)
+    reduced, outcomes = _reduced_models(problem, problem.expand_points(candidates))
     built = np.flatnonzero([error is None for error in outcomes])
     if built.size == 0:
         return outcomes

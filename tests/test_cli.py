@@ -156,6 +156,27 @@ def test_reduce_deterministic_outputs(tmp_path, ex1_system_path, ex1_points_path
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_reduce_bare_array_points(tmp_path, ex1_system_path, ex1_points_path, capsys):
+    # The bare-array form of --points takes its directions from --dirs and
+    # gives the same reduction as the combined document.
+    points = json.dumps([[0, 10500], [0, -10500], [0, 10500], [0, -10500]])
+    e5, e6 = np.eye(6)[4:].tolist()
+    dirs = json.dumps([e5, e5, e6, e6])
+    args = ["reduce", str(ex1_system_path), "--method", "right"]
+    bare = args + ["--points", points, "--dirs", dirs, "--out", str(tmp_path / "bare")]
+    assert main(bare) == 0
+    assert main(args + ["--points", str(ex1_points_path), "--out", str(tmp_path / "doc")]) == 0
+    for name in ("reduced.json", "reduction.json"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "doc" / name).read_bytes()
+    capsys.readouterr()
+    assert main(args + ["--points", points, "--out", str(tmp_path / "no-dirs")]) == 2
+    assert capsys.readouterr().err == "error: --dirs is required when --points is a bare array\n"
+    assert main(bare + ["--r", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --r 1 needs 2 data items for method right, got 4\n"
+    )
+
+
 def test_reduce_full_order_identity(tmp_path, capsys):
     sys_q = systems.annihilation_to_quadrature(
         systems.random_realizable_annihilation(2, 2, 2, 3)

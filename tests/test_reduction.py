@@ -95,6 +95,84 @@ def test_real_basis_rejects_unpaired_data():
 
 
 # --------------------------------------------------------------------------
+# data checks
+
+
+def _ex1_data(side, count=4):
+    data = cases.ex1_interpolation_data()
+    return InterpolationData(side, data.points[:count], data.directions[:count])
+
+
+def _ex3_data(side="left", width=2):
+    return InterpolationData(side, cases.ex3_interpolation_data().points, np.ones((3, width)))
+
+
+DATA_REJECTIONS = {
+    # InterpolationData itself.
+    "side": (lambda: InterpolationData("up", [1j], [[1.0]]), "^side must be 'left' or 'right'"),
+    "points-2d": (
+        lambda: InterpolationData("left", [[1j, -1j]], np.ones((2, 1))),
+        "^points must be a 1-D sequence$",
+    ),
+    "count": (lambda: InterpolationData("left", [1j, -1j], [[1.0]]), "^2 points but 1 directions$"),
+    "nan-point": (
+        lambda: InterpolationData("left", [1j, complex(np.nan, 1.0)], np.ones((2, 1))),
+        "^point 1 is not finite$",
+    ),
+    "inf-point": (
+        lambda: InterpolationData("left", [np.inf, 1j], np.ones((2, 1))),
+        "^point 0 is not finite$",
+    ),
+    "nan-direction": (
+        lambda: InterpolationData("right", [1j, -1j], [[1.0, 0.0], [0.0, np.nan]]),
+        "^direction 1 is not finite$",
+    ),
+    "inf-direction": (
+        lambda: InterpolationData("right", [1j, -1j], [[complex(0.0, np.inf)], [1.0]]),
+        "^direction 0 is not finite$",
+    ),
+    # check_data, through the reducers.
+    "passive-form": (
+        lambda: reduce_passive(cases.optomechanical_system(), _ex1_data("left")),
+        "^passive reductions need an annihilation-form system$",
+    ),
+    "quadrature-form": (
+        lambda: reduce_right(cases.cascaded_cavity_system(), _ex3_data("right")),
+        "^right reductions need a quadrature-form system$",
+    ),
+    "data-side": (
+        lambda: reduce_right(cases.optomechanical_system(), _ex1_data("left")),
+        "^right reductions use right-side data, got left$",
+    ),
+    "passive-data-side": (
+        lambda: reduce_passive(cases.cascaded_cavity_system(), _ex3_data("right")),
+        "^passive reductions use left-side data, got right$",
+    ),
+    "odd-count": (
+        lambda: reduce_right(cases.optomechanical_system(), _ex1_data("right", count=3)),
+        "^quadrature reductions need an even number of data items$",
+    ),
+    "quadrature-width": (
+        lambda: reduce_left(cases.optomechanical_system(), _ex1_data("left")),
+        r"^directions live in C\^6, the left side needs C\^2$",
+    ),
+    "passive-width": (
+        lambda: reduce_passive(cases.cascaded_cavity_system(), _ex3_data(width=3)),
+        r"^directions live in C\^3, the passive side needs C\^2$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_REJECTIONS))
+def test_invalid_data_rejected(case):
+    # Every rejection of InterpolationData and check_data, the one check of
+    # interpolation data for the reducers and the frequency search.
+    build, message = DATA_REJECTIONS[case]
+    with pytest.raises(DataValidationError, match=message):
+        build()
+
+
+# --------------------------------------------------------------------------
 # subspace bases
 
 

@@ -11,7 +11,13 @@ import qmor
 
 from conftest import stable_reduction_cases
 from qmor import analysis, cases, linalg, selection, systems
-from qmor.errors import InfeasiblePointError, QmorError, StabilityError, StructureError
+from qmor.errors import (
+    DataValidationError,
+    InfeasiblePointError,
+    QmorError,
+    StabilityError,
+    StructureError,
+)
 from qmor.reduction import InterpolationData, reduce_passive, reduce_right
 from qmor.selection import (
     SelectionProblem,
@@ -131,7 +137,19 @@ def test_zero_direction_rejected_before_any_cost(monkeypatch, side):
         selection.optimize_points(
             SelectionProblem(system, side, r, directions, cost="h2", template=template)
         )
+    # A non-finite row fails the same way, when the problem is built.
+    directions[1] = np.nan
+    with pytest.raises(DataValidationError, match="^direction 1 is not finite$"):
+        SelectionProblem(system, side, r, directions, cost="h2", template=template)
     assert calls == []
+
+
+def test_non_finite_frequency_rejected():
+    problem = _ex1_right_case()[0]
+    for cost in (cost_hinf, cost_h2):
+        for omega in (np.nan, np.inf, -1.0):
+            with pytest.raises(StructureError, match="^template frequencies must be finite"):
+                cost(problem, [omega])
 
 
 def test_passive_conjugate_pairs_expand_to_r_points():
@@ -739,3 +757,46 @@ def test_problem_rejects_r_above_system_order(side):
     dirs = np.ones((6, ports)) if side == "passive" else tangent_directions(6, ports)
     with pytest.raises(StructureError, match="r = 6 exceeds the 5 modes"):
         SelectionProblem(system, side, 6, dirs)
+
+
+def test_outer_ring_winner_keeps_the_step(monkeypatch):
+    # A separable quadratic in log-frequency whose minimum lies off the
+    # lattice: passes whose strictly cheaper winner is on the outer ring
+    # (|k| = POLL_RATIO) move x and poll again at the same step h.
+    problem = SelectionProblem(
+        cases.optomechanical_system(),
+        "right",
+        2,
+        cases.ex1_interpolation_data().directions,
+        omega_bounds=(1e3, 1e6),
+        cost="h2",
+        tie_omegas=False,
+    )
+    h = 3.0 / (selection.SCAN_POINTS_ND - 1)
+    target = np.array([3 + 5.4 * h, 3 + 9.45 * h])
+    monkeypatch.setitem(
+        selection.COST_FUNCTIONS,
+        "h2",
+        lambda problem, candidates: list(((np.log10(candidates) - target) ** 2).sum(axis=1)),
+    )
+    trace = optimize_points(problem).trace
+    refine = np.log10([row["omegas"] for row in trace if row["phase"] == "refine"])
+    costs = [row["cost"] for row in trace if row["phase"] == "refine"]
+    # The minimum is inside the window, so every pass polls all 2 * 2 * POLL_RATIO points.
+    size = 4 * selection.POLL_RATIO
+    assert len(refine) % size == 0
+    best = min(row["cost"] for row in trace if row["phase"] == "scan")
+    ring_moves, pending = 0, None  # pending: the step and winner of a move to the ring
+    for start in range(0, len(refine), size):
+        poll, values = refine[start : start + size], costs[start : start + size]
+        centre = poll.mean(axis=0)
+        step = np.abs(poll - centre).max()
+        if pending is not None:
+            ring_moves += 1
+            assert step == pytest.approx(pending[0], rel=1e-9)
+            assert centre == pytest.approx(pending[1], rel=1e-12)
+        j = int(np.argmin(values))
+        on_ring = np.isclose(np.abs(poll[j] - centre).max(), step, rtol=1e-9)
+        pending = (step, poll[j]) if values[j] < best and on_ring else None
+        best = min(best, values[j])
+    assert ring_moves >= 1
