@@ -32,10 +32,12 @@ refined on a bracket mirrored about 0.
 Gramian ``P``, an ``n x r`` Sylvester block ``X`` and the reduced Gramian
 ``P_r``, and the H2 cost is ``2 pi [tr(C P C^H) - 2 Re tr(C X C_r^H) +
 tr(C_r P_r C_r^H)]`` (Gugercin, Antoulas and Beattie, SIAM J. Matrix Anal.
-Appl. 30(2), 2008).  :func:`h2_error_gramians` scores a whole stack of
-reduced models that way: one Lyapunov solve and one complex Schur form of
-the full model, whose triangular factor turns ``X`` into row-by-row stacked
-solves (Golub, Nash and Van Loan, IEEE TAC 24(6), 1979).  :func:`h2_norm` is
+Appl. 30(2), 2008).  Only ``X`` and ``P_r`` depend on the reduced model.
+:func:`prepare_h2` builds the rest once per full model: one Lyapunov solve
+for ``tr(C P C^H)`` and one complex Schur form, whose triangular factor
+turns ``X`` into row-by-row stacked solves (Golub, Nash and Van Loan, IEEE
+TAC 24(6), 1979).  :func:`h2_error_gramians` scores a whole stack of
+reduced models against it.  :func:`h2_norm` is
 the H2 cost of a single system of any order, and the test oracle.
 
 Evaluation is batched: :func:`sweep` solves ``(s_k I - A) X_k = B`` for a
@@ -716,6 +718,51 @@ def h2_norm(a, b, c):
     return float(2.0 * math.pi * np.trace(c @ p @ c.conj().T).real)
 
 
+@dataclass(frozen=True)
+class PreparedH2:
+    """A full model prepared for stacked H2 scoring: what no reduced model changes.
+
+    ``t``, ``u`` and ``poles`` are the complex Schur form ``A = U T U^H`` and
+    its diagonal; ``ub`` and ``cu`` are ``U^H B`` and ``C U``; ``full_term`` is
+    ``tr(C P C^H)`` with ``P`` the full model's Gramian; ``t_max`` and
+    ``t_norm`` are ``max |T|`` and ``|T|_F``, the scales of the pole-pair and
+    Sylvester residual tests.  Built by :func:`prepare_h2`.
+    """
+
+    t: np.ndarray
+    u: np.ndarray
+    poles: np.ndarray
+    ub: np.ndarray
+    cu: np.ndarray
+    full_term: float
+    t_max: float
+    t_norm: float
+
+
+def prepare_h2(full):
+    """The :class:`PreparedH2` of ``full``: one complex Schur form and one Lyapunov solve.
+
+    The Schur diagonal is the Hurwitz test: a full model that is not Hurwitz
+    raises :class:`StabilityError` before the Lyapunov solve, whose own
+    :class:`StabilityError` (a pole pair summing to zero) also propagates.
+    """
+    a, b, c, _ = _abcd(full)
+    t, u, poles = linalg.schur(a.astype(complex))
+    if not np.all(poles.real < 0):
+        raise StabilityError(linalg.NOT_HURWITZ)
+    full_term = np.trace(c @ linalg.lyapunov_solve(a, b @ b.conj().T) @ c.conj().T).real
+    return PreparedH2(
+        t=t,
+        u=u,
+        poles=poles,
+        ub=u.conj().T @ b,
+        cu=c @ u,
+        full_term=full_term,
+        t_max=np.abs(t).max(),
+        t_norm=np.linalg.norm(t),
+    )
+
+
 def h2_error_gramian(full, reduced):
     """The same H2-type cost, exactly: :func:`h2_norm` of :func:`error_system`.
 
@@ -725,8 +772,9 @@ def h2_error_gramian(full, reduced):
     the solution of ``A X + X A_r^H + B B_r^H = 0`` (Gugercin, Antoulas and
     Beattie, SIAM J. Matrix Anal. Appl. 30(2), 2008), which one Schur form
     of ``A`` turns into row-by-row solves (Golub, Nash and Van Loan, IEEE
-    TAC 24(6), 1979).  The stack of one of :func:`h2_error_gramians`; an
-    infeasible pair raises its :class:`StabilityError`.
+    TAC 24(6), 1979).  The stack of one of :func:`h2_error_gramians`, which
+    prepares ``full`` itself; an infeasible pair raises its
+    :class:`StabilityError`.
     """
     a, b, c, d = _abcd(_reduced_operand(reduced))
     (value,) = h2_error_gramians(full, (a[None], b[None], c[None], d))
@@ -735,18 +783,21 @@ def h2_error_gramian(full, reduced):
     return value
 
 
-def h2_error_gramians(full, reduced, schur=None, poles=None):
+def h2_error_gramians(full, reduced, prepared=None, poles=None):
     """:func:`h2_error_gramian` of ``full`` against each of a stack of reduced models.
 
     ``reduced`` is ``(A_r, B_r, C_r, D)`` with a leading axis of ``K`` on the
-    first three, as :func:`~qmor.reduction.compress` returns it.  The
-    Gramian blocks: ``P`` is one :func:`~qmor.linalg.lyapunov_solve` for the
-    whole stack.  ``X = U Y`` comes from one complex Schur form ``A = U T
-    U^H`` (``schur``, the pair ``(T, U)``, when the caller has it): ``T Y + Y
-    A_r^H = -U^H B B_r^H`` is solved bottom row first, each row one stacked
-    solve of ``t_ii I + conj(A_r)``.  ``P_r`` is one stacked solve of its
-    ``r^2 x r^2`` Kronecker system ``(A_r kron I + I kron conj(A_r)) vec(P_r)
-    = -vec(B_r B_r^H)``, with ``vec`` stacking rows.
+    first three, as :func:`~qmor.reduction.compress` returns it.
+    ``prepared`` is the :class:`PreparedH2` of ``full``, built once for the
+    caller's every stack; without it, :func:`prepare_h2` builds it for this
+    stack.  It holds all that belongs to the full model: its Gramian term,
+    from one :func:`~qmor.linalg.lyapunov_solve`, and one complex Schur form
+    ``A = U T U^H``.  A stack adds only what its candidates change.  ``X = U
+    Y``: ``T Y + Y A_r^H = -U^H B B_r^H`` is solved bottom row first, each
+    row one stacked solve of ``t_ii I + conj(A_r)``, the shifts of every row
+    built in one :func:`~qmor.linalg.shifted` call.  ``P_r`` is one stacked
+    solve of its ``r^2 x r^2`` Kronecker system ``(A_r kron I + I kron
+    conj(A_r)) vec(P_r) = -vec(B_r B_r^H)``, with ``vec`` stacking rows.
 
     ``poles``, the ``(K, r)`` eigenvalues of the ``A_r``, are computed when
     not given.  Returns one float or :class:`StabilityError` per row: a row
@@ -756,62 +807,60 @@ def h2_error_gramians(full, reduced, schur=None, poles=None):
     whose Sylvester or Lyapunov residual exceeds ``1e-8 |M| |X|``.  A full
     model that is not Hurwitz, or a feedthrough difference, raises.
     """
-    a, b, c, d = _abcd(full)
     a_r, b_r, c_r, d_r = reduced
-    _check_feedthrough(d, d_r)
-    t, u = linalg.schur(a.astype(complex))[:2] if schur is None else schur
-    lam = np.diagonal(t)
-    if not np.all(lam.real < 0):
-        raise StabilityError(linalg.NOT_HURWITZ)
+    _check_feedthrough(_abcd(full)[3], d_r)
+    model = prepare_h2(full) if prepared is None else prepared
+    t, lam = model.t, model.poles
     mu = np.linalg.eigvals(a_r) if poles is None else poles
-    scale = np.maximum(np.abs(t).max(), np.abs(a_r).max(axis=(1, 2)))
+    scale = np.maximum(model.t_max, np.abs(a_r).max(axis=(1, 2)))
     gap = np.minimum(
         np.abs(lam[:, None] + mu.conj()[:, None, :]).min(axis=(1, 2)),
         np.abs(mu[:, :, None] + mu.conj()[:, None, :]).min(axis=(1, 2)),
     )
     hurwitz = np.all(mu.real < 0, axis=1)
-    outcomes = [StabilityError(linalg.POLE_PAIR if h else linalg.NOT_HURWITZ) for h in hurwitz]
+    outcomes = np.empty(hurwitz.size, object)
+    outcomes[~hurwitz] = StabilityError(linalg.NOT_HURWITZ)
+    outcomes[hurwitz] = StabilityError(linalg.POLE_PAIR)
     rows = np.flatnonzero(hurwitz & (gap > np.finfo(float).eps * scale))
     if rows.size == 0:
-        return outcomes
+        return outcomes.tolist()
     a_r, b_r, c_r = a_r[rows], b_r[rows], c_r[rows]
-    k, n, r = rows.size, a.shape[0], a_r.shape[-1]
-    full_term = np.trace(c @ linalg.lyapunov_solve(a, b @ b.conj().T) @ c.conj().T).real
+    k, n, r = rows.size, t.shape[0], a_r.shape[-1]
     conj_r = a_r.conj()
     with np.errstate(all="ignore"):  # a singular row reads NaN and fails its residual test
         # X = U Y with T Y + Y A_r^H = F, bottom row first:
         # y_i (t_ii I + A_r^H) = f_i - sum_{j > i} t_ij y_j.
-        f = -((u.conj().T @ b) @ b_r.conj().swapaxes(1, 2))
+        f = -(model.ub @ b_r.conj().swapaxes(1, 2))
         y = np.empty(f.shape, complex)
+        shifts = linalg.shifted(-conj_r, np.repeat(lam[:, None], k, axis=1))
         for i in reversed(range(n)):
             g = f[:, i] - t[i, i + 1 :] @ y[:, i + 1 :]
-            shifted = linalg.shifted(-conj_r, np.full(k, t[i, i]))
-            y[:, i] = linalg.solve(shifted, g[..., None])[..., 0]
+            y[:, i] = linalg.solve(shifts[i], g[..., None])[..., 0]
         # (A_r kron I + I kron conj(A_r)) vec(P_r) = -vec(B_r B_r^H), rows of P_r stacked.
         eye = np.eye(r)
         kron = a_r[:, :, None, :, None] * eye[:, None, :]
         kron = (kron + eye[:, None, :, None] * conj_r[:, None, :, None, :]).reshape(k, r * r, -1)
         rhs = -(b_r @ b_r.conj().swapaxes(1, 2)).reshape(k, r * r, 1)
         p_r = linalg.solve(kron, rhs)
-        sylvester = (np.linalg.norm(t) + np.linalg.norm(a_r, axis=(1, 2))) * _frobenius(y)
-        residuals = [
-            (_frobenius(t @ y + y @ conj_r.swapaxes(1, 2) - f), sylvester),
-            (_frobenius(kron @ p_r - rhs), _frobenius(kron) * _frobenius(p_r)),
-        ]
-        cross = np.sum((c @ u @ y) * c_r.conj(), axis=(1, 2)).real
+        sylvester = (model.t_norm + np.linalg.norm(a_r, axis=(1, 2))) * _frobenius(y)
+        residuals = np.array([
+            _frobenius(t @ y + y @ conj_r.swapaxes(1, 2) - f),
+            _frobenius(kron @ p_r - rhs),
+        ])
+        scales = np.array([sylvester, _frobenius(kron) * _frobenius(p_r)])
+        cross = np.sum((model.cu @ y) * c_r.conj(), axis=(1, 2)).real
         reduced_term = np.sum((c_r @ p_r.reshape(k, r, r)) * c_r.conj(), axis=(1, 2)).real
-        values = 2.0 * math.pi * (full_term - 2.0 * cross + reduced_term)
-    for j, row in enumerate(rows.tolist()):
-        failed = [(res[j], tol[j]) for res, tol in residuals if not res[j] <= 1e-8 * tol[j]]
-        if failed:
-            res, tol = failed[0]
-            outcomes[row] = StabilityError(
-                f"Gramian residual {res:.3e} exceeds 1e-8 of scale {tol:.3e}; "
-                "Lyapunov solution undefined"
-            )
-        else:
-            outcomes[row] = float(values[j])
-    return outcomes
+        values = 2.0 * math.pi * (model.full_term - 2.0 * cross + reduced_term)
+    passed = residuals <= 1e-8 * scales
+    ok = passed.all(axis=0)
+    outcomes[rows[ok]] = values[ok].tolist()
+    for j in np.flatnonzero(~ok).tolist():
+        check = int(np.argmin(passed[:, j]))  # the first failing residual test
+        outcomes[rows[j]] = StabilityError(
+            f"Gramian residual {residuals[check, j]:.3e} exceeds 1e-8 of scale "
+            f"{scales[check, j]:.3e}; Lyapunov solution undefined"
+        )
+    return outcomes.tolist()
 
 
 def _frobenius(stack):

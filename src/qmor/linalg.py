@@ -85,13 +85,18 @@ def eigenvalues(m):
 
 
 def shifted(a, s):
-    """The stack ``s_k I - A_k`` over a 1-D array ``s``; ``a`` is one matrix or one per point."""
+    """The stack ``s_k I - A_k`` over an array ``s``, of shape ``s.shape + (n, n)``.
+
+    ``a`` is one matrix, or a stack broadcast against the trailing axes of
+    ``s``: one matrix per point of a 1-D ``s``, or the same ``K`` matrices
+    for every row of a ``(m, K)`` ``s``.
+    """
     s = np.asarray(s)
     n = a.shape[-1]
     # Copy -A and add s on the diagonals: s * I - A would cast through numpy's
     # large ufunc buffers.
-    out = np.broadcast_to(-a.astype(np.result_type(s, a)), (s.size, n, n)).copy()
-    out.reshape(s.size, n * n)[:, :: n + 1] += s[:, None]
+    out = np.broadcast_to(-a.astype(np.result_type(s, a)), s.shape + (n, n)).copy()
+    out.reshape(s.size, n * n)[:, :: n + 1] += s.reshape(-1, 1)
     return out
 
 

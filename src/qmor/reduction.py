@@ -76,9 +76,15 @@ class InterpolationData:
         finite = np.isfinite(directions).all(axis=1)
         if not finite.all():
             raise DataValidationError(f"direction {np.argmin(finite)} is not finite")
-        zero = np.linalg.norm(directions, axis=1) == 0.0
-        if zero.any():
-            raise DataValidationError(f"direction {np.argmax(zero)} is the zero vector")
+        nonzero = directions.any(axis=1)
+        if not nonzero.all():
+            raise DataValidationError(f"direction {np.argmin(nonzero)} is the zero vector")
+        underflow = np.linalg.norm(directions, axis=1) == 0.0
+        if underflow.any():
+            raise DataValidationError(
+                f"direction {np.argmax(underflow)} is nonzero, but its squared entries "
+                "underflow and its 2-norm reads zero; scale it up"
+            )
         points.setflags(write=False)
         directions.setflags(write=False)
         object.__setattr__(self, "points", points)

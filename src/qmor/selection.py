@@ -20,12 +20,17 @@ with no frequency grid.  Without explicit bounds the search window is that
 of :func:`qmor.analysis.default_grid`: two decades beyond the pole
 magnitudes.
 
-The costs of :data:`COST_FUNCTIONS` score a stack of candidates in one
-pass: one stacked resolvent solve, one stacked SVD and the compressions
-serve every candidate at once.  The Hurwitz tests of the error systems take
-one complex Schur form of the full state matrix and one stacked eigenvalue
-call on the reduced ones.  The H2 cost adds, per pass, one Lyapunov solve
-of the full model and stacked solves for the candidates' Gramian blocks;
+What belongs to the full model is built once per problem,
+:attr:`SelectionProblem.full_model` (:func:`qmor.analysis.prepare_h2`): one
+complex Schur form of the full state matrix, whose diagonal is the full half
+of every Hurwitz test, and one Lyapunov solve for its Gramian term.  A full
+model that is not Hurwitz fails the search, and each cost, with one error
+that names it, before any error norm is computed; only a candidate whose
+reduced model cannot be built keeps its own reason first.  The costs of
+:data:`COST_FUNCTIONS` score a stack of candidates in one pass: one stacked
+resolvent solve, one stacked SVD and the compressions serve every candidate
+at once, and one stacked eigenvalue call gives the reduced poles.  The H2
+cost adds, per pass, only the candidates' Gramian blocks, in stacked solves;
 only the H-infinity level-set iteration runs candidate by candidate.  The
 search scores its scan lattice and each poll of its refinement that way,
 each in as few passes as ``linalg.SCAN_BLOCK_BYTES`` of working memory allow
@@ -36,12 +41,13 @@ stacks of one.
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .analysis import default_grid, error_system, h2_error_gramians, hinf_norm
-from .errors import InfeasiblePointError, QmorError, StructureError
+from .analysis import default_grid, error_system, h2_error_gramians, hinf_norm, prepare_h2
+from .errors import InfeasiblePointError, QmorError, StabilityError, StructureError
 from .reduction import InterpolationData, check_data, compress, data_side, projection
 from .systems import AnnihilationSystem, QuadratureSystem
 
@@ -222,6 +228,19 @@ class SelectionProblem:
     def state_matrix(self):
         return self.system.state_space()[0]
 
+    @cached_property
+    def full_model(self):
+        """The full model prepared once for every scoring pass: :func:`~qmor.analysis.prepare_h2`.
+
+        A full model that is not Hurwitz (or whose Gramian is undefined)
+        raises a :class:`~qmor.errors.StabilityError` that names it: no
+        candidate of the problem has a finite error norm.
+        """
+        try:
+            return prepare_h2(self.system)
+        except StabilityError as exc:
+            raise StabilityError(f"full model: {exc}") from None
+
 
 def _reduced_models(problem, points):
     """The reduced models of ``reduce_*`` at every row of ``points``, stacked.
@@ -247,37 +266,42 @@ def _reduced_models(problem, points):
 def _candidate_costs(problem, candidates, norms):
     """The cost of every candidate row, or the error that makes it infeasible.
 
-    The reduced models and the Hurwitz tests of their error systems are
-    built for the whole stack at once: one complex Schur form of the full
-    state matrix, whose diagonal tests it, and one stacked eigenvalue call
-    on the reduced state matrices.  An unstable candidate is infeasible.
-    ``norms(system, reduced, schur, poles)`` scores the stable rows: the
-    stacked reduced models, the Schur pair ``(T, U)`` and the reduced poles,
-    one value or :class:`~qmor.errors.QmorError` per row.
+    Per pass, the reduced models are built for the whole stack at once, and
+    a row whose model cannot be built keeps that reason.  What belongs to
+    the full model comes from ``problem.full_model``, built once per
+    problem: its Schur diagonal is the full half of every Hurwitz test, so a
+    pass makes no Schur form.  A full model that is not Hurwitz raises its
+    :class:`~qmor.errors.StabilityError` at the first pass with a built row,
+    before any error norm is computed.  The reduced poles come from one
+    stacked eigenvalue call; an unstable candidate is infeasible.
+    ``norms(system, reduced, full_model, poles)`` scores the stable rows:
+    the stacked reduced models, the prepared full model and the reduced
+    poles, one value or :class:`~qmor.errors.QmorError` per row.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    reduced, outcomes = _reduced_models(problem, problem.expand_points(candidates))
-    built = np.flatnonzero([error is None for error in outcomes])
+    reduced, errors = _reduced_models(problem, problem.expand_points(candidates))
+    outcomes = np.array(errors, dtype=object)
+    built = np.flatnonzero(np.equal(outcomes, None))
     if built.size == 0:
-        return outcomes
-    t, u, poles = linalg.schur(problem.state_matrix().astype(complex))
+        return errors
+    full_model = problem.full_model
     reduced_poles = np.linalg.eigvals(reduced[0][built])
-    stable = np.all(poles.real < 0) & np.all(reduced_poles.real < 0, axis=1)
-    for i in built[~stable]:
-        outcomes[i] = InfeasiblePointError("projected model is unstable; the error norms diverge")
+    stable = np.all(reduced_poles.real < 0, axis=1)
+    outcomes[built[~stable]] = InfeasiblePointError(
+        "projected model is unstable; the error norms diverge"
+    )
     keep = built[stable]
     if keep.size:
         rows = [m[keep] for m in reduced[:3]] + [reduced[3]]
         try:
-            scores = norms(problem.system, rows, (t, u), reduced_poles[stable])
+            scores = norms(problem.system, rows, full_model, reduced_poles[stable])
         except QmorError as exc:
             scores = [exc] * keep.size
-        for i, score in zip(keep, scores):
-            outcomes[i] = score
-    return outcomes
+        outcomes[keep] = scores
+    return outcomes.tolist()
 
 
-def _hinf_norms(system, reduced, schur, poles):
+def _hinf_norms(system, reduced, full_model, poles):
     """:func:`~qmor.analysis.hinf_norm` of each error system, one level-set run per row."""
     outcomes = []
     for error in zip(*error_system(system, reduced)):
@@ -351,9 +375,13 @@ def optimize_points(problem):
     spacing ``h / POLL_RATIO`` under that resolution.
 
     The lattice and each poll are scored by :data:`COST_FUNCTIONS` in
-    stacked passes; the H2 cost makes one Lyapunov solve per pass, and only
-    the H-infinity level-set iteration still runs per candidate.  A candidate
-    with ``k`` points on an order-``n`` system takes about ``(2 k + 1) n^2``
+    stacked passes against ``problem.full_model``, the full model's Schur
+    form and Gramian term built once per problem; a pass builds only what
+    its candidates change, and only the H-infinity level-set iteration
+    still runs per candidate.  A full model that is not Hurwitz raises its
+    :class:`~qmor.errors.StabilityError`, with no trace, at the first pass
+    that builds a reduced model, before any error norm.  A candidate with
+    ``k`` points on an order-``n`` system takes about ``(2 k + 1) n^2``
     complex entries of working memory (its ``k`` shifted matrices, their
     norms and its singular vectors), so one pass holds as many candidates as
     fit in ``linalg.SCAN_BLOCK_BYTES``: the whole lattice of a small system,

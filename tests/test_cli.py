@@ -649,6 +649,21 @@ def test_select_points_zero_direction_fails_before_the_scan(tmp_path, capsys):
     assert not (tmp_path / "sel").exists()
 
 
+def test_select_points_non_hurwitz_system_fails_before_the_scan(tmp_path, capsys):
+    # No candidate has a finite error norm: exit 1, one line that names the
+    # full model, and no trace.
+    f, g, h, k = cases.cascaded_cavity_system().state_space()
+    sys_path = tmp_path / "sys.json"
+    system = systems.AnnihilationSystem(F=f + 1.5e6 * np.eye(f.shape[0]), G=g, H=h, K=k)
+    serialization.save_system(system, sys_path)
+    args = ["select-points", str(sys_path), "--method", "passive", "--r", "3", "--cost", "h2"]
+    args += ["--template", "symmetric_with_dc", "--out", str(tmp_path / "sel")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "error: full model: state matrix is not Hurwitz; Lyapunov solution undefined\n"
+    assert not (tmp_path / "sel" / "scan_trace.csv").exists()
+
+
 def test_select_points_default_directions_scan_feasibly(tmp_path, ex1_system_path, capsys):
     # The default directions rank the port pairs, so the tied ex1 search
     # scans no infeasible candidate and reaches the paper's error level.

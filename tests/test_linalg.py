@@ -93,6 +93,20 @@ def _no_context(i, j):
     return None
 
 
+def test_shifted_rows_of_shifts_match_their_1d_stacks():
+    # A (m, K) array of shifts against K matrices: row i is the 1-D stack of
+    # row i, bit for bit, as the H2 cost builds every Sylvester row at once.
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    s = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    rows = linalg.shifted(a, s)
+    assert rows.shape == (5, 4, 3, 3)
+    for i in range(5):
+        assert np.array_equal(rows[i], linalg.shifted(a, s[i]))
+        assert np.array_equal(rows[i], s[i, :, None, None] * np.eye(3) - a)
+    assert np.array_equal(linalg.shifted(a[0], s[0]), s[0, :, None, None] * np.eye(3) - a[0])
+
+
 def test_solve_identity():
     rhs = np.arange(6.0).reshape(3, 2)
     x, errors = linalg.solve_stacks(np.eye(3)[None, None], rhs[None, None], _no_context)

@@ -131,6 +131,22 @@ DATA_REJECTIONS = {
         lambda: InterpolationData("right", [1j, -1j], [[complex(0.0, np.inf)], [1.0]]),
         "^direction 0 is not finite$",
     ),
+    "zero-direction": (
+        lambda: InterpolationData("right", [1j, -1j], [[1.0, 0.0], [0.0, 0.0]]),
+        "^direction 1 is the zero vector$",
+    ),
+    "underflowing-direction": (
+        lambda: reduce_right(
+            cases.optomechanical_system(),
+            InterpolationData(
+                "right",
+                cases.ex1_interpolation_data().points,
+                np.array(cases.ex1_interpolation_data().directions) * 1e-170,
+            ),
+        ),
+        "^direction 0 is nonzero, but its squared entries underflow and its 2-norm reads "
+        "zero; scale it up$",
+    ),
     # check_data, through the reducers.
     "passive-form": (
         lambda: reduce_passive(cases.optomechanical_system(), _ex1_data("left")),

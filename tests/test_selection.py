@@ -144,6 +144,14 @@ def test_zero_direction_rejected_before_any_cost(monkeypatch, side):
     assert calls == []
 
 
+def test_underflowing_direction_rejected_with_its_cause():
+    # ex1's directions scaled by 1e-170 are nonzero, but their squares
+    # underflow: the problem names that, not "the zero vector".
+    directions = np.array(cases.ex1_interpolation_data().directions) * 1e-170
+    with pytest.raises(DataValidationError, match="^direction 0 is nonzero, but its squared"):
+        SelectionProblem(cases.optomechanical_system(), "right", 2, directions)
+
+
 def test_non_finite_frequency_rejected():
     problem = _ex1_right_case()[0]
     for cost in (cost_hinf, cost_h2):
@@ -448,6 +456,30 @@ def test_cost_hinf_unstable_projection_raises_or_penalizes():
     _assert_penalized(problem, cost_hinf)
 
 
+def _non_hurwitz_ex3_problem(cost):
+    f, g, h, k = cases.cascaded_cavity_system().state_space()
+    shifted = systems.AnnihilationSystem(F=f + 1.5e6 * np.eye(f.shape[0]), G=g, H=h, K=k)
+    return replace(_ex3_h2_problem(), system=shifted, cost=cost)
+
+
+@pytest.mark.parametrize("cost", ["h2", "hinf"])
+def test_non_hurwitz_full_model_fails_before_any_error_norm(monkeypatch, cost):
+    # No candidate has a finite error norm: the search and both costs raise
+    # one error that names the full model, and no candidate is scored.
+    scored = []
+    monkeypatch.setattr(selection, "h2_error_gramians", lambda *args: scored.append(args))
+    monkeypatch.setattr(selection, "_hinf_norms", lambda *args: scored.append(args))
+    eigensolves = _counting(monkeypatch, "eigvals")
+    problem = _non_hurwitz_ex3_problem(cost)
+    message = "^full model: " + linalg.NOT_HURWITZ + "$"
+    with pytest.raises(StabilityError, match=message):
+        optimize_points(problem)
+    for cost_fn in (cost_h2, cost_hinf):
+        with pytest.raises(StabilityError, match=message):
+            cost_fn(problem, [1.48e7])
+    assert scored == [] and eigensolves == []
+
+
 def test_optimizer_refine_rows_keep_the_reason(monkeypatch):
     # A cost that falls toward an infeasible edge, so the refinement crosses it.
     def cost(problem, candidates):
@@ -502,6 +534,33 @@ SCAN_PROBLEMS = {
     "unstable-hinf": lambda: _unstable_projection_problem("hinf"),
     "rank-deficient": _rank_deficient_problem,
 }
+
+
+STACK_PROBLEMS = {
+    "ex3-h2": _ex3_h2_problem,
+    "ex1-h2": lambda: replace(SCAN_PROBLEMS["ex1-right-hinf"](), cost="h2"),
+    "ex1-hinf": SCAN_PROBLEMS["ex1-right-hinf"],
+}
+
+
+def _bits(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return float(outcome).hex()
+
+
+@pytest.mark.parametrize("label", sorted(STACK_PROBLEMS))
+def test_costs_do_not_depend_on_the_stack(label):
+    # The search reuses scored rows and splits its scan into blocks of
+    # SCAN_BLOCK_BYTES: a row's cost must not depend on the rows scored
+    # with it.  The 64-row lattice in one stack against 64 stacks of one.
+    problem = STACK_PROBLEMS[label]()
+    lo, hi = np.log10(problem.omega_bounds)
+    lattice = np.logspace(lo, hi, selection.SCAN_POINTS_1D)[:, None]
+    costs = selection.COST_FUNCTIONS[problem.cost]
+    stacked = [_bits(outcome) for outcome in costs(problem, lattice)]
+    assert stacked == [_bits(costs(problem, row[None])[0]) for row in lattice]
+    assert sum(isinstance(bits, str) for bits in stacked) > len(lattice) // 2
 
 
 @pytest.mark.parametrize("label", sorted(SCAN_PROBLEMS))
@@ -681,25 +740,37 @@ def test_cost_h2_eigensolves_only_the_reduced_model(monkeypatch):
     assert shapes == [(1, problem.r, problem.r)]
 
 
-def test_optimize_points_solves_one_lyapunov_per_pass(monkeypatch):
-    # The full-model Gramian is the one Lyapunov solve of a stacked H2 pass;
-    # the candidate blocks of the error Gramian are stacked solves.
-    solves, passes = [], []
-    lyapunov_solve, h2_costs = linalg.lyapunov_solve, selection.COST_FUNCTIONS["h2"]
+def test_optimize_points_prepares_the_full_model_once(monkeypatch):
+    # The full model's Gramian term and Schur form belong to the problem, not
+    # to a pass: a whole search makes one Lyapunov solve and, besides the one
+    # inside that solve, one Schur form of the full state matrix.
+    problem = _ex3_h2_problem()
+    a = problem.state_matrix()
+    solves, schurs, passes = [], [], []
+    lyapunov_solve, schur = linalg.lyapunov_solve, linalg.schur
+    h2_costs = selection.COST_FUNCTIONS["h2"]
 
-    def counting_solve(*args):
-        solves.append(args)
-        return lyapunov_solve(*args)
+    def counting_solve(m, q):
+        solves.append(m)
+        return lyapunov_solve(m, q)
+
+    def counting_schur(m):
+        schurs.append((len(solves), m))
+        return schur(m)
 
     def counting_costs(problem, candidates):
         passes.append(len(candidates))
         return h2_costs(problem, candidates)
 
     monkeypatch.setattr(linalg, "lyapunov_solve", counting_solve)
+    monkeypatch.setattr(linalg, "schur", counting_schur)
     monkeypatch.setitem(selection.COST_FUNCTIONS, "h2", counting_costs)
-    optimize_points(_ex3_h2_problem())
+    optimize_points(problem)
     assert len(passes) > 1
-    assert len(solves) == len(passes)
+    assert len(solves) == 1 and np.array_equal(solves[0], a)
+    # The prepared Schur form, taken before the solve, then the solve's own.
+    assert [called for called, _ in schurs] == [0, 1]
+    assert all(np.array_equal(m, a) for _, m in schurs)
 
 
 def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
