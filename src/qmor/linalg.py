@@ -8,9 +8,9 @@ of a whole stack of matrices in one call.  Every resolvent solve is one call
 of the stacked :func:`solve` on a stack built by :func:`shifted`, unchecked
 (an exactly singular item reads NaN) or checked item by item through
 :func:`solve_stacks`.  ``scipy.linalg`` serves only what numpy lacks: the
-LAPACK ``gees`` Schur form of :func:`schur`, which also gives a Hurwitz test,
-the ``trsyl`` call of :func:`lyapunov_solve`, and the real Schur form in
-:mod:`qmor.symplectic`.
+LAPACK ``gees`` Schur form of :func:`schur`, which also gives a Hurwitz test
+and the real Schur form of :mod:`qmor.symplectic`, and the ``trsyl`` call of
+:func:`lyapunov_solve`.
 """
 
 import math

@@ -212,15 +212,17 @@ def _subspace_bases(system, side, points, directions):
     """Rank-checked bases of the ``side`` interpolation subspace for every row of ``points``.
 
     Left/right rows get the real basis of their unit-scaled defining vectors;
-    passive rows the orthonormal range of them.  Returns ``(bases, errors)``,
-    one ``(n, k)`` basis and one error (or ``None``) per row; the basis of a
-    failing row is meaningless but finite.
+    passive rows the orthonormal range of them.  Returns ``(bases, errors,
+    columns)``: one ``(n, k)`` basis and one error (or ``None``) per row, and
+    the unscaled defining vectors of :func:`_resolvent_columns`; the basis of
+    a failing row is meaningless but finite.
     """
-    vectors, errors = _resolvent_columns(system, side, points, directions)
-    vectors = linalg.unit_columns(vectors)
+    columns, errors = _resolvent_columns(system, side, points, directions)
+    vectors = linalg.unit_columns(columns)
     what = f"{side} interpolation subspace"
     if side == "passive":
-        return _checked_ranges(vectors, points, what, errors)[..., : points.shape[1]], errors
+        bases = _checked_ranges(vectors, points, what, errors)[..., : points.shape[1]]
+        return bases, errors, columns
     bases = np.zeros(vectors.shape)
     for i, error in enumerate(errors):
         if error is None:
@@ -229,12 +231,12 @@ def _subspace_bases(system, side, points, directions):
             except DataValidationError as exc:
                 errors[i] = exc
     _checked_ranges(bases, points, what, errors)
-    return bases, errors
+    return bases, errors, columns
 
 
 def _subspace_basis(system, data, side):
     check_data(system, data, side)
-    bases, (error,) = _subspace_bases(system, side, data.points[None], data.directions)
+    bases, (error,), _ = _subspace_bases(system, side, data.points[None], data.directions)
     if error is not None:
         raise error
     return bases[0]
@@ -274,15 +276,23 @@ def check_data(system, data, side):
         )
 
 
-def _interpolation_residuals(full, reduced, data):
-    """Tangential residuals ``|mu^H (Xi - Xi_r)|`` or ``|(Xi - Xi_r) nu|`` and target norms."""
-    full_tf, red_tf = transfer(full, data.points), transfer(reduced, data.points)
+def _interpolation_residuals(full, reduced, data, columns):
+    """Tangential residuals ``|mu^H (Xi - Xi_r)|`` or ``|(Xi - Xi_r) nu|`` and target norms.
+
+    The targets come from the full model's defining vectors ``columns``
+    (``(n, k)``, unscaled): ``C x_i + D nu_i`` for right data and
+    ``x_i^H B + mu_i^H D`` for left data, since ``x_i`` is
+    ``(sigma_i I - A)^-1 B nu_i`` or ``(sigma_i I - A)^-H C^H mu_i``.  Only
+    the reduced model is solved here.
+    """
+    _, b, c, d = full.state_space()
+    red_tf = transfer(reduced, data.points)
     if data.side == "left":
-        row = data.directions.conj()[:, None, :]
-        target, got = (row @ full_tf)[:, 0], (row @ red_tf)[:, 0]
+        row = data.directions.conj()
+        target, got = columns.conj().T @ b + row @ d, (row[:, None, :] @ red_tf)[:, 0]
     else:
-        column = data.directions[:, :, None]
-        target, got = (full_tf @ column)[..., 0], (red_tf @ column)[..., 0]
+        column = data.directions
+        target, got = (c @ columns).T + column @ d.T, (red_tf @ column[:, :, None])[..., 0]
     return np.linalg.norm(got - target, axis=1), np.linalg.norm(target, axis=1)
 
 
@@ -324,13 +334,16 @@ def projection(system, side, points, directions):
     data: the same with the roles of ``W`` and ``V`` swapped.  Passive data:
     ``W = V`` the orthonormal basis of the left interpolation subspace.  The
     resolvents, unit scalings and rank tests run once for the whole stack;
-    only the symplectic scaling runs row by row.  Returns ``(w, v, errors)``:
-    the ``(g, n, k)`` stacks and one error (or ``None``) per row; where a row
-    has an error, its ``w`` and ``v`` are meaningless.
+    only the symplectic scaling runs row by row.  Returns ``(w, v, errors,
+    columns)``: the ``(g, n, k)`` stacks, one error (or ``None``) per row,
+    and the ``(g, n, k)`` unscaled resolvent columns the subspaces were
+    built from, which give a reduction its interpolation targets (the
+    selection search ignores them); where a row has an error, its ``w`` and
+    ``v`` are meaningless.
     """
-    bases, errors = _subspace_bases(system, side, points, directions)
+    bases, errors, columns = _subspace_bases(system, side, points, directions)
     if side == "passive":
-        return bases, bases, errors
+        return bases, bases, errors, columns
     x, complement = np.zeros((2,) + bases.shape)
     for i, error in enumerate(errors):
         if error is None:
@@ -338,7 +351,8 @@ def projection(system, side, points, directions):
                 x[i], complement[i] = _symplectic_pair(bases[i], system.n_modes, side)
             except QmorError as exc:
                 errors[i] = exc
-    return (x, complement, errors) if side == "left" else (complement, x, errors)
+    w, v = (x, complement) if side == "left" else (complement, x)
+    return w, v, errors, columns
 
 
 def compress(system, w, v):
@@ -353,14 +367,20 @@ def compress(system, w, v):
 
 
 def _reduce(system, data, side, pr_tol):
+    """The ``side`` reduction of ``system``: :func:`projection` and :func:`compress` on a stack of one.
+
+    The full model is solved once, for the resolvent columns of the
+    projection; the diagnostics take their interpolation targets from those
+    columns and solve only the reduced model.
+    """
     check_data(system, data, side)
-    w, v, (error,) = projection(system, side, data.points[None], data.directions)
+    w, v, (error,), columns = projection(system, side, data.points[None], data.directions)
     if error is not None:
         raise error
     a, b, c, d = compress(system, w, v)
     w, v = w[0], v[0]
     reduced = type(system)(a[0], b[0], c[0], d)
-    abs_res, refs = _interpolation_residuals(system, reduced, data)
+    abs_res, refs = _interpolation_residuals(system, reduced, data, columns[0])
     diagnostics = ReductionDiagnostics(
         interpolation_residuals=abs_res,
         interpolation_references=refs,

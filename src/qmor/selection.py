@@ -251,7 +251,7 @@ def _reduced_models(problem, points):
     checked its data when it was built, so every error belongs to a row.
     """
     system = problem.system
-    w, v, errors = projection(system, problem.side, points, problem.directions)
+    w, v, errors, _ = projection(system, problem.side, points, problem.directions)
     a, b, c, d = reduced = compress(system, w, v)
     finite = np.logical_and.reduce([np.isfinite(m).all(axis=(1, 2)) for m in (a, b, c)])
     for i in np.flatnonzero(~finite):

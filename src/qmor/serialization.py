@@ -2,8 +2,13 @@
 
 System documents carry a ``form`` tag (``quadrature`` or ``annihilation``),
 the mode/field counts, and the four matrices.  Real matrices are plain nested
-number arrays; complex entries are two-element ``[re, im]`` arrays.  Floats
-round-trip bit-for-bit through ``json`` (shortest-repr encoding).
+number arrays; complex entries are two-element ``[re, im]`` arrays.  A
+reduction document's projection matrices ``W`` and ``V`` follow their dtype:
+the real ones of a left or right reduction are plain numbers, the complex
+ones of a passive reduction pairs; a left or right document with pairs whose
+imaginary parts are zero (the older layout) still loads.  A real matrix of
+plain numbers decodes in one ``np.array`` call.  Floats round-trip
+bit-for-bit through ``json`` (shortest-repr encoding).
 
 CSV files use full double precision (17 significant digits) so downstream
 plots are reproducible; rows the evaluator skipped are emitted as ``#``
@@ -44,23 +49,29 @@ def _entry_to_complex(entry, name):
     raise SchemaError(f"{name}: entries must be numbers or [re, im] pairs, got {entry!r}")
 
 
-def real_matrix_from_json(obj, name):
-    m = complex_matrix_from_json(obj, name)
-    if np.abs(m.imag).max(initial=0.0) != 0.0:
-        raise SchemaError(f"{name} must be real")
-    return np.ascontiguousarray(m.real)
+def _matrix_to_json(m):
+    """A real matrix as plain numbers, a complex one as ``[re, im]`` pairs: chosen by dtype."""
+    return real_matrix_to_json(m) if np.isrealobj(m) else complex_matrix_to_json(m)
 
 
-def complex_matrix_from_json(obj, name):
+def _numbers(obj, name):
+    """``obj`` read by one ``np.array`` call, or ``None`` when numpy cannot read it.
+
+    Raises unless ``obj`` is a non-empty list of rows of equal length.
+    """
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError(f"{name} must be a non-empty nested array")
     width = len(obj[0])
     if any(len(r) != width for r in obj):
         raise SchemaError(f"{name} has ragged rows")
     try:
-        numbers = np.array(obj)
+        return np.array(obj)
     except (ValueError, OverflowError):  # pairs mixed with numbers, ragged pairs, huge integers
-        numbers = None
+        return None
+
+
+def _complex_matrix(obj, numbers, name):
+    """The complex matrix of ``obj``, whose :func:`_numbers` reading is ``numbers``."""
     if (
         numbers is not None
         and numbers.dtype.kind in "fi"
@@ -79,6 +90,23 @@ def complex_matrix_from_json(obj, name):
     if not np.all(np.isfinite(m)):
         raise SchemaError(f"{name} contains non-finite entries")
     return m
+
+
+def real_matrix_from_json(obj, name):
+    numbers = _numbers(obj, name)
+    if numbers is not None and numbers.ndim == 2 and numbers.dtype.kind in "fi":
+        if not np.isfinite(numbers).all():
+            raise SchemaError(f"{name} contains non-finite entries")
+        return numbers.astype(float, copy=False)
+    # Pairs, and entries numpy cannot read as numbers, take the complex reading.
+    m = _complex_matrix(obj, numbers, name)
+    if np.abs(m.imag).max(initial=0.0) != 0.0:
+        raise SchemaError(f"{name} must be real")
+    return np.ascontiguousarray(m.real)
+
+
+def complex_matrix_from_json(obj, name):
+    return _complex_matrix(obj, _numbers(obj, name), name)
 
 
 #: Per form tag: the system class, its matrix names, and the matrix encoder and decoder.
@@ -183,8 +211,8 @@ def reduction_to_dict(result, method):
         "method": method,
         "reduced": system_to_dict(result.reduced),
         "data": points_to_dict(result.data.points, result.data.directions),
-        "W": complex_matrix_to_json(result.w),
-        "V": complex_matrix_to_json(result.v),
+        "W": _matrix_to_json(result.w),
+        "V": _matrix_to_json(result.v),
     }
     if diag is not None:
         doc["diagnostics"] = {
@@ -211,6 +239,7 @@ def reduction_from_dict(data):
     reduced = system_from_dict(data["reduced"])
     points, directions = points_from_dict(data["data"])
     # Left and right projections are real; only a passive one may be complex.
+    # Either may be written as plain numbers or as [re, im] pairs.
     decode = complex_matrix_from_json if method == "passive" else real_matrix_from_json
     w, v = decode(data["W"], "W"), decode(data["V"], "V")
     order = reduced.state_space()[0].shape[0]

@@ -11,7 +11,6 @@ scaling finishes the job.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from . import linalg
 from .errors import RankDeficiencyError, StructureError
@@ -57,7 +56,7 @@ def skew_normal_form(theta):
 
     # Real Schur form of a skew-symmetric (hence normal) matrix is block
     # diagonal with 2x2 blocks [[0, beta], [-beta, 0]].
-    t_schur, z = la.schur(theta, output="real")
+    t_schur, z, _ = linalg.schur(theta)
     size = theta.shape[0]
     betas = np.empty(size // 2)
     for k in range(size // 2):

@@ -17,6 +17,7 @@ the realizability constraints checked by :func:`check_realizability`:
                 rows of ``K`` orthonormal (so ``K`` extends to a unitary).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,13 @@ from . import linalg
 from .errors import StructureError
 
 
+@functools.lru_cache(maxsize=64)
 def symplectic_form(n):
-    """Block-diagonal matrix of ``n`` copies of ``[[0, 1], [-1, 0]]``."""
+    """Block-diagonal matrix of ``n`` copies of ``[[0, 1], [-1, 0]]``.
+
+    Built once per ``n`` and shared by every caller, so the array is
+    read-only; copy it before writing to it.
+    """
     if n < 1:
         raise StructureError("symplectic form needs at least one mode")
     j = np.zeros((n, 2, n, 2))
@@ -35,7 +41,9 @@ def symplectic_form(n):
     k = np.arange(n)
     j[k, 0, k, 1] = 1.0
     j[k, 1, k, 0] = -1.0
-    return j.reshape(2 * n, 2 * n)
+    j = j.reshape(2 * n, 2 * n)
+    j.setflags(write=False)
+    return j
 
 
 def _frozen_array(value, name, *, real):

@@ -466,7 +466,7 @@ def test_analyze_malformed_reduction_exits_2(tmp_path, ex1_system_path, document
 
 
 def _complex_w(doc):
-    doc["W"][0][0] = [doc["W"][0][0][0], 0.5]
+    doc["W"][0][0] = [doc["W"][0][0], 0.5]
 
 
 def _zero_direction(doc):

@@ -7,7 +7,7 @@ from conftest import (
     make_quadrature_data,
     orthogonal_projector,
 )
-from qmor import cases, systems
+from qmor import cases, linalg, systems
 from qmor.errors import DataValidationError, RankDeficiencyError
 from qmor.reduction import (
     InterpolationData,
@@ -375,6 +375,24 @@ def test_interpolation_residuals_below_gates():
             target = direction.conj() @ full if data.side == "left" else full @ direction
             ref = np.linalg.norm(target)
             assert abs(diag.interpolation_references[k] - ref) <= 1e-14 * ref
+
+
+def test_reduction_solves_the_full_model_once(monkeypatch):
+    # The interpolation targets come from the projection's resolvent columns:
+    # one stacked solve of the full-order shifted matrices, then one of the
+    # reduced model's for the residuals.
+    solve, orders = linalg.solve, []
+
+    def counting(m, b):
+        orders.append(m.shape[-1])
+        return solve(m, b)
+
+    monkeypatch.setattr(linalg, "solve", counting)
+    for system, data, reducer in _interpolation_cases():
+        orders.clear()
+        result = reducer(system, data)
+        full, reduced = (model.state_space()[0].shape[0] for model in (system, result.reduced))
+        assert orders == [full, reduced]
 
 
 def test_reduced_matrices_are_real():

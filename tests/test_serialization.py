@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_quadrature_data
 from qmor import cases, serialization, systems
 from qmor.analysis import FrequencyResponse
 from qmor.errors import SchemaError
-from qmor.reduction import reduce_passive, reduce_right
+from qmor.reduction import reduce_left, reduce_passive, reduce_right
 
 
 def test_quadrature_round_trip_bit_exact(tmp_path):
@@ -224,6 +225,81 @@ def test_reduction_bundle_round_trip_passive(tmp_path):
     assert np.iscomplexobj(loaded.v)
 
 
+def _reductions():
+    """A reduction of every method: ex1 right, a random left, ex3 passive."""
+    quad = systems.random_realizable_quadrature(3, 2, 1, 41)
+    return {
+        "left": reduce_left(quad, make_quadrature_data(quad, "left", 1)),
+        "right": reduce_right(cases.optomechanical_system(), cases.ex1_interpolation_data()),
+        "passive": reduce_passive(cases.cascaded_cavity_system(), cases.ex3_interpolation_data()),
+    }
+
+
+def test_reduction_projections_encode_by_dtype():
+    # Real left/right projections are plain numbers, complex passive ones pairs.
+    for method, result in _reductions().items():
+        doc = serialization.reduction_to_dict(result, method)
+        for name in "WV":
+            entries = [x for row in doc[name] for x in row]
+            if method == "passive":
+                assert all(isinstance(x, list) and len(x) == 2 for x in entries)
+            else:
+                assert all(type(x) is float for x in entries)
+
+
+@pytest.mark.parametrize("layout", ["numbers", "pairs"])
+def test_reduction_projections_load_bit_for_bit(layout):
+    # Documents written with [re, im] pairs for a real W and V still load,
+    # to the same bits as the plain-number layout (signed zeros included).
+    for method, result in _reductions().items():
+        doc = serialization.reduction_to_dict(result, method)
+        if layout == "pairs":
+            doc["W"] = serialization.complex_matrix_to_json(result.w)
+            doc["V"] = serialization.complex_matrix_to_json(result.v)
+        loaded = serialization.reduction_from_dict(json.loads(json.dumps(doc)))
+        for got, expected in ((loaded.w, result.w), (loaded.v, result.v)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[-0.0, 0.0, 5e-324], [1e308, -2.5, 3]],
+        [[1, 2], [-3, 0]],
+        [[[-0.0, 0.0], [1, -0.0]], [[0.0, -0.0], [7, 0]]],
+        [[True, 1], [False, 2.5]],
+        [[2**62 + 1, 2**63], [2**64, -(2**63)]],
+        [[]],
+    ],
+    ids=["real", "ints", "zero-pairs", "bools", "large-ints", "empty-row"],
+)
+def test_real_matrix_decoding_matches_the_complex_reading(obj):
+    expected = np.ascontiguousarray(serialization.complex_matrix_from_json(obj, "M").real)
+    got = serialization.real_matrix_from_json(obj, "M")
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([[1.5, math.inf]], "M contains non-finite entries"),
+        ([[1.5, math.nan], [2.0, 1.0]], "M contains non-finite entries"),
+        ([[1.5, 0.5], [2.0]], "M has ragged rows"),
+        ([[1.5, "2"]], "M: entries must be numbers or [re, im] pairs, got '2'"),
+        ([[1.5, [2.0, 0.5]]], "M must be real"),
+        (np.eye(2), "M must be a non-empty nested array"),
+        ([(1.5, 2.0)], "M must be a non-empty nested array"),
+        ([], "M must be a non-empty nested array"),
+    ],
+)
+def test_real_matrix_decoding_keeps_its_messages(obj, message):
+    with pytest.raises(SchemaError) as raised:
+        serialization.real_matrix_from_json(obj, "M")
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("matrix", ["W", "V"])
 def test_reduction_rejects_projection_of_wrong_order(matrix):
     result = reduce_right(cases.optomechanical_system(), cases.ex1_interpolation_data())
@@ -245,7 +321,7 @@ def test_load_reduction_rejects_malformed_documents(tmp_path, document):
 def test_reduction_rejects_complex_projection_of_real_method(matrix):
     result = reduce_right(cases.optomechanical_system(), cases.ex1_interpolation_data())
     doc = serialization.reduction_to_dict(result, "right")
-    doc[matrix][0][0] = [doc[matrix][0][0][0], 0.5]
+    doc[matrix][0][0] = [doc[matrix][0][0], 0.5]
     with pytest.raises(SchemaError, match=f"{matrix} must be real"):
         serialization.reduction_from_dict(doc)
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as la
 
+from qmor import linalg
 from qmor.errors import RankDeficiencyError, StructureError
 from qmor.symplectic import skew_normal_form
 from qmor.systems import symplectic_form
@@ -79,3 +81,15 @@ def test_normal_form_rejects_complex_theta(imag):
     theta = symplectic_form(2) + 1j * imag * np.eye(4)
     with pytest.raises(StructureError, match="^theta must be real$"):
         skew_normal_form(theta)
+
+
+def test_schur_form_matches_scipy_real_schur():
+    # skew_normal_form reads linalg.schur, one gees call; it gives the T and Z
+    # of scipy.linalg.schur(theta, output="real") bit for bit.
+    rng = np.random.default_rng(5)
+    for size in range(2, 17):
+        m = rng.standard_normal((size, size))
+        theta = (m - m.T) / 2
+        t, z, _ = linalg.schur(theta)
+        t_ref, z_ref = la.schur(theta, output="real")
+        assert t.tobytes() == t_ref.tobytes() and z.tobytes() == z_ref.tobytes()

@@ -20,6 +20,18 @@ def test_symplectic_form_squares_to_minus_identity():
     assert np.allclose(j5 @ j5, -np.eye(10))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symplectic_form_is_shared_read_only_and_bit_exact(n):
+    j = systems.symplectic_form(n)
+    old = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
+    assert j.dtype == old.dtype and j.shape == old.shape
+    assert j.tobytes() == old.tobytes()  # the -0.0 entries included
+    assert systems.symplectic_form(n) is j
+    assert not j.flags.writeable
+    with pytest.raises(ValueError):
+        j[0, 0] = 1.0
+
+
 def test_realizability_static_network():
     sys0 = systems.QuadratureSystem(
         A=np.zeros((2, 2)), B=np.zeros((2, 2)), C=np.zeros((2, 2)), D=np.eye(2)
