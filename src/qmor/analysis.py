@@ -33,24 +33,24 @@ Gramian ``P``, an ``n x r`` Sylvester block ``X`` and the reduced Gramian
 ``P_r``, and the H2 cost is ``2 pi [tr(C P C^H) - 2 Re tr(C X C_r^H) +
 tr(C_r P_r C_r^H)]`` (Gugercin, Antoulas and Beattie, SIAM J. Matrix Anal.
 Appl. 30(2), 2008).  Only ``X`` and ``P_r`` depend on the reduced model.
-:func:`prepare_h2` builds the rest once per full model: one Lyapunov solve
-for ``tr(C P C^H)`` and one complex Schur form, whose triangular factor
-turns ``X`` into row-by-row stacked solves (Golub, Nash and Van Loan, IEEE
-TAC 24(6), 1979).  :func:`h2_error_gramians` scores a whole stack of
-reduced models against it.  :func:`h2_norm` is
-the H2 cost of a single system of any order, and the test oracle.
+The rest is the full model's, from :func:`prepare_model`: one complex
+Schur form, whose triangular factor turns ``X`` into row-by-row solves
+(Golub, Nash and Van Loan, IEEE TAC 24(6), 1979), and ``tr(C P C^H)``, one
+Lyapunov solve made when first read.  :func:`h2_error_gramians` scores a
+stack of reduced models against it; :func:`h2_norm`, the test oracle, is
+the H2 cost of a single system of any order.
 
 Evaluation is batched: :func:`sweep` solves ``(s_k I - A) X_k = B`` for a
 whole block of ``GRID_BLOCK`` points at once, and every frequency integrand
 maps an array of frequencies to an array of values.  The angle bounds have
-one integrand, evaluated in Schur coordinates: one complex Schur form of
-``A`` serves the left and the right term, which are stacked on a leading
-axis, and the resolvent is a back-substitution over the whole grid (Laub,
-IEEE TAC 26(2), 1981), or one stacked LU solve at the few points of a
-refinement step.  A kernel of at most two columns takes closed forms, with
-no QR, SVD or ``eigvalsh`` per point: Gram-Schmidt applied twice, 2 x 2 Gram
-eigenvalues and ``|det| / sigma_max`` for the cosine; a wider one takes
-stacked QR, ``eigvalsh`` and SVD.  The grid values are the integrand's
+one integrand, evaluated in Schur coordinates: the same prepared Schur
+form of ``A`` serves the left and the right term, which are stacked on a
+leading axis, and the resolvent is a back-substitution over the whole grid
+(Laub, IEEE TAC 26(2), 1981), or one stacked LU solve at the few points of
+a refinement step.  A kernel of at most two columns takes closed forms,
+with no QR, SVD or ``eigvalsh`` per point: Gram-Schmidt applied twice, 2 x
+2 Gram eigenvalues and ``|det| / sigma_max`` for the cosine; a wider one
+takes stacked QR, ``eigvalsh`` and SVD.  The grid values are the integrand's
 own: each term's grid maximum is its first estimate, and the brackets of
 its best grid maxima advance, for every term at once, in one lockstep
 search.
@@ -58,6 +58,7 @@ search.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -591,7 +592,7 @@ def _bound_suprema(full, result, grid, terms):
     """
     _stable_error_system(full, result)
     spec = grid or default_grid(_abcd(full)[0], _abcd(result.reduced)[0])
-    return _angle_suprema(full, spec.frequencies(), terms)
+    return _angle_suprema(prepare_model(full), spec.frequencies(), terms)
 
 
 def _narrow(m):
@@ -599,22 +600,23 @@ def _narrow(m):
     return m if m.shape[1] <= m.shape[0] else np.linalg.qr(m.conj().T, mode="r").conj().T
 
 
-def _angle_terms(full, terms):
+def _angle_terms(model, terms):
     """The angle-bound integrand of each ``(side, basis, complement basis)``.
 
-    Returns ``(f, even)``: ``f(t, w)`` is :func:`_angle_integrand` of the
-    terms ``t``, a 1-D array of labels, at the frequencies ``w``, one per
-    label or one row per label.  ``even`` tells whether every matrix is
-    real, which makes ``f`` even in frequency.  The left integrand is the
-    right one of the adjoint ``(A^H, C^H, B^H)`` at ``conj(s)``, and one
-    complex Schur form ``A = U T U^H`` serves both sides: with ``J`` the
-    index reversal, ``A^H = (U J) (J T^H J) (U J)^H``, and ``J T^H J`` is
-    upper triangular.  Each term's ``U^H [B | kernel]``, ``C U`` and
+    ``model`` is the full model's :class:`PreparedModel`.  Returns ``(f,
+    even)``: ``f(t, w)`` is :func:`_angle_integrand` of the terms ``t``, a
+    1-D array of labels, at the frequencies ``w``, one per label or one row
+    per label.  ``even`` tells whether every matrix is real, which makes
+    ``f`` even in frequency.  The left integrand is the right one of the
+    adjoint ``(A^H, C^H, B^H)`` at ``conj(s)``, and the model's complex
+    Schur form ``A = U T U^H`` serves both sides: with ``J`` the index
+    reversal, ``A^H = (U J) (J T^H J) (U J)^H``, and ``J T^H J`` is upper
+    triangular.  Each term's ``U^H [B | kernel]``, ``C U`` and
     ``U_perp^H U`` are built once, with ``U^H B`` and ``(C U)^H`` narrowed
     (:func:`_narrow`) and zero-padded to a common width: no norm changes.
     """
-    a, b, c, _ = _abcd(full)
-    t, u, _ = linalg.schur(a.astype(complex))
+    a, b, c, _ = model.abcd
+    t, u = model.t, model.u
     forms = {
         "right": (t, u, b, c, 1j),
         "left": (t.conj().T[::-1, ::-1], u[:, ::-1], c.conj().T, b.conj().T, -1j),
@@ -643,13 +645,13 @@ def _angle_terms(full, terms):
     return f, even
 
 
-def _angle_suprema(full, omegas, terms):
+def _angle_suprema(model, omegas, terms):
     """Supremum over ``omegas`` of the angle bound for each ``(side, basis, complement basis)``.
 
     Every term's grid is one call of the integrand, and :func:`grid_suprema`
     refines the brackets of all terms in a single lockstep search.
     """
-    f, even = _angle_terms(full, terms)
+    f, even = _angle_terms(model, terms)
     labels = np.arange(len(terms))
     grid = f(labels, np.broadcast_to(omegas, (labels.size, omegas.size)))
     return [value for value, _ in grid_suprema(f, omegas, grid, even)]
@@ -719,45 +721,49 @@ def h2_norm(a, b, c):
 
 
 @dataclass(frozen=True)
-class PreparedH2:
-    """A full model prepared for stacked H2 scoring: what no reduced model changes.
+class PreparedModel:
+    """A full model prepared once for every analysis that reads it: what no reduced model changes.
 
-    ``t``, ``u`` and ``poles`` are the complex Schur form ``A = U T U^H`` and
-    its diagonal; ``ub`` and ``cu`` are ``U^H B`` and ``C U``; ``full_term`` is
-    ``tr(C P C^H)`` with ``P`` the full model's Gramian; ``t_max`` and
-    ``t_norm`` are ``max |T|`` and ``|T|_F``, the scales of the pole-pair and
-    Sylvester residual tests.  Built by :func:`prepare_h2`.
+    ``abcd`` is the model's ``(A, B, C, D)``; ``t``, ``u`` and ``poles`` are
+    the complex Schur form ``A = U T U^H`` and its diagonal; ``ub`` and
+    ``cu`` are ``U^H B`` and ``C U``; ``t_max`` and ``t_norm`` are ``max |T|``
+    and ``|T|_F``, the scales of the pole-pair and Sylvester residual tests.
+    Built by :func:`prepare_model`.
     """
 
+    abcd: tuple
     t: np.ndarray
     u: np.ndarray
     poles: np.ndarray
     ub: np.ndarray
     cu: np.ndarray
-    full_term: float
     t_max: float
     t_norm: float
 
+    @cached_property
+    def full_term(self):
+        """``tr(C P C^H)``, ``P`` the Gramian: one Lyapunov solve, made when first read."""
+        a, b, c, _ = self.abcd
+        return np.trace(c @ linalg.lyapunov_solve(a, b @ b.conj().T) @ c.conj().T).real
 
-def prepare_h2(full):
-    """The :class:`PreparedH2` of ``full``: one complex Schur form and one Lyapunov solve.
+
+def prepare_model(full):
+    """The :class:`PreparedModel` of ``full``: one complex Schur form.
 
     The Schur diagonal is the Hurwitz test: a full model that is not Hurwitz
-    raises :class:`StabilityError` before the Lyapunov solve, whose own
-    :class:`StabilityError` (a pole pair summing to zero) also propagates.
+    raises :class:`StabilityError`.
     """
-    a, b, c, _ = _abcd(full)
+    a, b, c, _ = abcd = _abcd(full)
     t, u, poles = linalg.schur(a.astype(complex))
     if not np.all(poles.real < 0):
         raise StabilityError(linalg.NOT_HURWITZ)
-    full_term = np.trace(c @ linalg.lyapunov_solve(a, b @ b.conj().T) @ c.conj().T).real
-    return PreparedH2(
+    return PreparedModel(
+        abcd=abcd,
         t=t,
         u=u,
         poles=poles,
         ub=u.conj().T @ b,
         cu=c @ u,
-        full_term=full_term,
         t_max=np.abs(t).max(),
         t_norm=np.linalg.norm(t),
     )
@@ -766,52 +772,44 @@ def prepare_h2(full):
 def h2_error_gramian(full, reduced):
     """The same H2-type cost, exactly: :func:`h2_norm` of :func:`error_system`.
 
-    Computed from the blocks of the error Gramian: with ``A_e = diag(A,
-    A_r)`` the cost is ``2 pi [tr(C P C^H) - 2 Re tr(C X C_r^H) + tr(C_r P_r
-    C_r^H)]``, ``P`` and ``P_r`` the Gramians of the two models and ``X``
-    the solution of ``A X + X A_r^H + B B_r^H = 0`` (Gugercin, Antoulas and
-    Beattie, SIAM J. Matrix Anal. Appl. 30(2), 2008), which one Schur form
-    of ``A`` turns into row-by-row solves (Golub, Nash and Van Loan, IEEE
-    TAC 24(6), 1979).  The stack of one of :func:`h2_error_gramians`, which
-    prepares ``full`` itself; an infeasible pair raises its
+    From the blocks of the error Gramian (module docstring): the stack of one
+    of :func:`h2_error_gramians` on :func:`prepare_model` of ``full``.  A
+    feedthrough difference raises first, then an infeasible pair's
     :class:`StabilityError`.
     """
     a, b, c, d = _abcd(_reduced_operand(reduced))
-    (value,) = h2_error_gramians(full, (a[None], b[None], c[None], d))
+    _check_feedthrough(_abcd(full)[3], d)
+    stack = (a[None], b[None], c[None], d)
+    (value,) = h2_error_gramians(prepare_model(full), stack, np.linalg.eigvals(stack[0]))
     if isinstance(value, Exception):
         raise value
     return value
 
 
-def h2_error_gramians(full, reduced, prepared=None, poles=None):
-    """:func:`h2_error_gramian` of ``full`` against each of a stack of reduced models.
+def h2_error_gramians(model, reduced, poles):
+    """:func:`h2_error_gramian` of the full ``model`` against each of a stack of reduced models.
 
-    ``reduced`` is ``(A_r, B_r, C_r, D)`` with a leading axis of ``K`` on the
-    first three, as :func:`~qmor.reduction.compress` returns it.
-    ``prepared`` is the :class:`PreparedH2` of ``full``, built once for the
-    caller's every stack; without it, :func:`prepare_h2` builds it for this
-    stack.  It holds all that belongs to the full model: its Gramian term,
-    from one :func:`~qmor.linalg.lyapunov_solve`, and one complex Schur form
-    ``A = U T U^H``.  A stack adds only what its candidates change.  ``X = U
-    Y``: ``T Y + Y A_r^H = -U^H B B_r^H`` is solved bottom row first, each
-    row one stacked solve of ``t_ii I + conj(A_r)``, the shifts of every row
-    built in one :func:`~qmor.linalg.shifted` call.  ``P_r`` is one stacked
-    solve of its ``r^2 x r^2`` Kronecker system ``(A_r kron I + I kron
-    conj(A_r)) vec(P_r) = -vec(B_r B_r^H)``, with ``vec`` stacking rows.
+    ``model`` is the full model's :class:`PreparedModel`, built once for
+    every stack; ``reduced`` is ``(A_r, B_r, C_r, D)`` with a leading axis
+    of ``K`` on the first three, as :func:`~qmor.reduction.compress` returns
+    it, and ``poles`` the ``(K, r)`` eigenvalues of the ``A_r``.  A stack
+    adds only what its candidates change.  ``X = U Y``: ``T Y + Y A_r^H =
+    -U^H B B_r^H`` is solved bottom row first, each row one stacked solve of
+    ``t_ii I + conj(A_r)``, the shifts of every row built in one
+    :func:`~qmor.linalg.shifted` call.  ``P_r`` is one stacked solve of its
+    ``r^2 x r^2`` Kronecker system ``(A_r kron I + I kron conj(A_r))
+    vec(P_r) = -vec(B_r B_r^H)``, with ``vec`` stacking rows.
 
-    ``poles``, the ``(K, r)`` eigenvalues of the ``A_r``, are computed when
-    not given.  Returns one float or :class:`StabilityError` per row: a row
-    whose ``A_r`` is not Hurwitz, that has a full-reduced or reduced-reduced
-    pole pair ``|lambda + conj(mu)|`` within ``eps`` of the matrix scale
-    (where LAPACK ``trsyl`` would perturb the order-``n + r`` solve), or
-    whose Sylvester or Lyapunov residual exceeds ``1e-8 |M| |X|``.  A full
-    model that is not Hurwitz, or a feedthrough difference, raises.
+    Returns one float or :class:`StabilityError` per row: a row whose
+    ``A_r`` is not Hurwitz, that has a full-reduced or reduced-reduced pole
+    pair ``|lambda + conj(mu)|`` within ``eps`` of the matrix scale (where
+    LAPACK ``trsyl`` would perturb the order-``n + r`` solve), or whose
+    Sylvester or Lyapunov residual exceeds ``1e-8 |M| |X|``.  A feedthrough
+    difference, or a full model whose Gramian is undefined, raises.
     """
     a_r, b_r, c_r, d_r = reduced
-    _check_feedthrough(_abcd(full)[3], d_r)
-    model = prepare_h2(full) if prepared is None else prepared
-    t, lam = model.t, model.poles
-    mu = np.linalg.eigvals(a_r) if poles is None else poles
+    _check_feedthrough(model.abcd[3], d_r)
+    t, lam, mu, full_term = model.t, model.poles, poles, model.full_term
     scale = np.maximum(model.t_max, np.abs(a_r).max(axis=(1, 2)))
     gap = np.minimum(
         np.abs(lam[:, None] + mu.conj()[:, None, :]).min(axis=(1, 2)),
@@ -850,7 +848,7 @@ def h2_error_gramians(full, reduced, prepared=None, poles=None):
         scales = np.array([sylvester, _frobenius(kron) * _frobenius(p_r)])
         cross = np.sum((model.cu @ y) * c_r.conj(), axis=(1, 2)).real
         reduced_term = np.sum((c_r @ p_r.reshape(k, r, r)) * c_r.conj(), axis=(1, 2)).real
-        values = 2.0 * math.pi * (model.full_term - 2.0 * cross + reduced_term)
+        values = 2.0 * math.pi * (full_term - 2.0 * cross + reduced_term)
     passed = residuals <= 1e-8 * scales
     ok = passed.all(axis=0)
     outcomes[rows[ok]] = values[ok].tolist()
@@ -980,7 +978,7 @@ def error_report(full, result, grid=None):
         )
     # A finite upper value shows both models Hurwitz, and error_system the pair fitting.
     terms = [("left", result.v, result.w), ("right", result.w, result.v)]
-    bound_left, bound_right = _angle_suprema(full, omegas, terms)
+    bound_left, bound_right = _angle_suprema(prepare_model(full), omegas, terms)
     return ErrorReport(
         hinf_error_estimate=norm.value,
         hinf_error_upper=norm.upper,

@@ -48,6 +48,10 @@ def _check_tol(tol):
         raise SchemaError(f"need 0 <= tol < inf, got tol={tol:g}")
 
 
+#: Largest ``--wpts``: 50 times the default grid count.
+MAX_GRID_COUNT = 100_000
+
+
 def _grid_override(args, *state_matrices):
     spec = analysis.default_grid(*state_matrices)
     wmin = args.wmin if args.wmin is not None else spec.wmin
@@ -56,6 +60,8 @@ def _grid_override(args, *state_matrices):
     _check_window(wmin, wmax)
     if count < 2:
         raise SchemaError(f"--wpts must be at least 2, got {count}")
+    if count > MAX_GRID_COUNT:
+        raise SchemaError(f"--wpts must be at most {MAX_GRID_COUNT}, got {count}")
     return analysis.GridSpec(
         wmin=wmin, wmax=wmax, count=count, two_sided=spec.two_sided
     )

@@ -189,48 +189,39 @@ def _resolvent_columns(system, side, points, directions):
     return x.transpose(0, 2, 1), errors
 
 
-def _checked_ranges(bases, points, what, errors):
-    """Left singular vectors of a stack of ``(n, k)`` bases, from one stacked SVD.
-
-    The first ``k`` columns of ``u[i]`` span the range of ``bases[i]``.  A
-    basis of rank below ``k`` gets a :class:`RankDeficiencyError` in
-    ``errors`` unless its row already holds one.
-    """
-    k = bases.shape[-1]
-    u, s, _ = np.linalg.svd(bases)
-    for i, rank in enumerate(linalg.numerical_rank(s, bases.shape)):
-        if rank < k and errors[i] is None:
-            errors[i] = RankDeficiencyError(
-                f"{what} spanned by points "
-                f"{np.array2string(points[i], precision=6, max_line_width=np.inf)} has "
-                f"dimension {rank}, expected {k}; interpolation data are degenerate"
-            )
-    return u
-
-
 def _subspace_bases(system, side, points, directions):
     """Rank-checked bases of the ``side`` interpolation subspace for every row of ``points``.
 
-    Left/right rows get the real basis of their unit-scaled defining vectors;
-    passive rows the orthonormal range of them.  Returns ``(bases, errors,
-    columns)``: one ``(n, k)`` basis and one error (or ``None``) per row, and
-    the unscaled defining vectors of :func:`_resolvent_columns`; the basis of
-    a failing row is meaningless but finite.
+    Left/right rows get the real basis of their unit-scaled defining vectors,
+    ranked by its singular values alone; passive rows the orthonormal range
+    of them, from the same stacked SVD that ranks them.  Returns ``(bases,
+    errors, columns)``: one ``(n, k)`` basis and one error (or ``None``) per
+    row, and the unscaled defining vectors of :func:`_resolvent_columns`;
+    the basis of a failing row is meaningless but finite.
     """
     columns, errors = _resolvent_columns(system, side, points, directions)
     vectors = linalg.unit_columns(columns)
-    what = f"{side} interpolation subspace"
+    k = vectors.shape[-1]
     if side == "passive":
-        bases = _checked_ranges(vectors, points, what, errors)[..., : points.shape[1]]
-        return bases, errors, columns
-    bases = np.zeros(vectors.shape)
-    for i, error in enumerate(errors):
-        if error is None:
-            try:
-                bases[i] = real_basis_from_conjugate_data(points[i], directions, vectors[i])
-            except DataValidationError as exc:
-                errors[i] = exc
-    _checked_ranges(bases, points, what, errors)
+        # The first k left singular vectors span the range of the k vectors.
+        u, s, _ = np.linalg.svd(vectors)
+        bases = u[..., :k]
+    else:
+        bases = np.zeros(vectors.shape)
+        for i, error in enumerate(errors):
+            if error is None:
+                try:
+                    bases[i] = real_basis_from_conjugate_data(points[i], directions, vectors[i])
+                except DataValidationError as exc:
+                    errors[i] = exc
+        s = np.linalg.svd(bases, compute_uv=False)
+    for i, rank in enumerate(linalg.numerical_rank(s, vectors.shape)):
+        if rank < k and errors[i] is None:
+            errors[i] = RankDeficiencyError(
+                f"{side} interpolation subspace spanned by points "
+                f"{np.array2string(points[i], precision=6, max_line_width=np.inf)} has "
+                f"dimension {rank}, expected {k}; interpolation data are degenerate"
+            )
     return bases, errors, columns
 
 

@@ -21,12 +21,13 @@ of :func:`qmor.analysis.default_grid`: two decades beyond the pole
 magnitudes.
 
 What belongs to the full model is built once per problem,
-:attr:`SelectionProblem.full_model` (:func:`qmor.analysis.prepare_h2`): one
-complex Schur form of the full state matrix, whose diagonal is the full half
-of every Hurwitz test, and one Lyapunov solve for its Gramian term.  A full
-model that is not Hurwitz fails the search, and each cost, with one error
-that names it, before any error norm is computed; only a candidate whose
-reduced model cannot be built keeps its own reason first.  The costs of
+:attr:`SelectionProblem.full_model` (:func:`qmor.analysis.prepare_model`):
+one complex Schur form of the full state matrix, whose diagonal is the full
+half of every Hurwitz test, and for the H2 cost its Gramian term.  A full
+model that is not Hurwitz, or an H2 problem's whose Gramian is undefined,
+fails the search, and each cost, with one error that names it, before any
+error norm is computed; only a candidate whose reduced model cannot be
+built keeps its own reason first.  The costs of
 :data:`COST_FUNCTIONS` score a stack of candidates in one pass: one stacked
 resolvent solve, one stacked SVD and the compressions serve every candidate
 at once, and one stacked eigenvalue call gives the reduced poles.  The H2
@@ -46,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .analysis import default_grid, error_system, h2_error_gramians, hinf_norm, prepare_h2
+from .analysis import default_grid, error_system, h2_error_gramians, hinf_norm, prepare_model
 from .errors import InfeasiblePointError, QmorError, StabilityError, StructureError
 from .reduction import InterpolationData, check_data, compress, data_side, projection
 from .systems import AnnihilationSystem, QuadratureSystem
@@ -230,14 +231,17 @@ class SelectionProblem:
 
     @cached_property
     def full_model(self):
-        """The full model prepared once for every scoring pass: :func:`~qmor.analysis.prepare_h2`.
+        """The full model prepared once for every pass: :func:`~qmor.analysis.prepare_model`.
 
-        A full model that is not Hurwitz (or whose Gramian is undefined)
-        raises a :class:`~qmor.errors.StabilityError` that names it: no
-        candidate of the problem has a finite error norm.
+        A full model that is not Hurwitz, or an H2 problem's whose Gramian is
+        undefined, raises a :class:`~qmor.errors.StabilityError` that names
+        it: no candidate of the problem has a finite error norm.
         """
         try:
-            return prepare_h2(self.system)
+            model = prepare_model(self.system)
+            if self.cost == "h2":
+                model.full_term  # noqa: B018 -- solved here, so it fails the problem once
+            return model
         except StabilityError as exc:
             raise StabilityError(f"full model: {exc}") from None
 
@@ -267,16 +271,13 @@ def _candidate_costs(problem, candidates, norms):
     """The cost of every candidate row, or the error that makes it infeasible.
 
     Per pass, the reduced models are built for the whole stack at once, and
-    a row whose model cannot be built keeps that reason.  What belongs to
-    the full model comes from ``problem.full_model``, built once per
-    problem: its Schur diagonal is the full half of every Hurwitz test, so a
-    pass makes no Schur form.  A full model that is not Hurwitz raises its
-    :class:`~qmor.errors.StabilityError` at the first pass with a built row,
-    before any error norm is computed.  The reduced poles come from one
-    stacked eigenvalue call; an unstable candidate is infeasible.
-    ``norms(system, reduced, full_model, poles)`` scores the stable rows:
-    the stacked reduced models, the prepared full model and the reduced
-    poles, one value or :class:`~qmor.errors.QmorError` per row.
+    a row whose model cannot be built keeps that reason.  The full model's
+    Schur diagonal, from ``problem.full_model``, is the full half of every
+    Hurwitz test, so a pass makes no Schur form; a full model that fails it
+    raises at the first pass with a built row, before any error norm.  The
+    reduced poles come from one stacked eigenvalue call; an unstable
+    candidate is infeasible.  ``norms(model, reduced, poles)`` scores the
+    stable rows, one value or :class:`~qmor.errors.QmorError` per row.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     reduced, errors = _reduced_models(problem, problem.expand_points(candidates))
@@ -284,7 +285,7 @@ def _candidate_costs(problem, candidates, norms):
     built = np.flatnonzero(np.equal(outcomes, None))
     if built.size == 0:
         return errors
-    full_model = problem.full_model
+    model = problem.full_model
     reduced_poles = np.linalg.eigvals(reduced[0][built])
     stable = np.all(reduced_poles.real < 0, axis=1)
     outcomes[built[~stable]] = InfeasiblePointError(
@@ -294,17 +295,17 @@ def _candidate_costs(problem, candidates, norms):
     if keep.size:
         rows = [m[keep] for m in reduced[:3]] + [reduced[3]]
         try:
-            scores = norms(problem.system, rows, full_model, reduced_poles[stable])
+            scores = norms(model, rows, reduced_poles[stable])
         except QmorError as exc:
             scores = [exc] * keep.size
         outcomes[keep] = scores
     return outcomes.tolist()
 
 
-def _hinf_norms(system, reduced, full_model, poles):
+def _hinf_norms(model, reduced, poles):
     """:func:`~qmor.analysis.hinf_norm` of each error system, one level-set run per row."""
     outcomes = []
-    for error in zip(*error_system(system, reduced)):
+    for error in zip(*error_system(model.abcd, reduced)):
         try:
             outcomes.append(hinf_norm(*error).value)
         except QmorError as exc:
@@ -375,12 +376,11 @@ def optimize_points(problem):
     spacing ``h / POLL_RATIO`` under that resolution.
 
     The lattice and each poll are scored by :data:`COST_FUNCTIONS` in
-    stacked passes against ``problem.full_model``, the full model's Schur
-    form and Gramian term built once per problem; a pass builds only what
-    its candidates change, and only the H-infinity level-set iteration
-    still runs per candidate.  A full model that is not Hurwitz raises its
-    :class:`~qmor.errors.StabilityError`, with no trace, at the first pass
-    that builds a reduced model, before any error norm.  A candidate with
+    stacked passes against ``problem.full_model``, built once per problem;
+    a pass builds only what its candidates change, and only the H-infinity
+    level-set iteration still runs per candidate.  A full model that is not
+    Hurwitz raises its :class:`~qmor.errors.StabilityError`, with no trace,
+    at the first pass that builds a reduced model, before any error norm.  A candidate with
     ``k`` points on an order-``n`` system takes about ``(2 k + 1) n^2``
     complex entries of working memory (its ``k`` shifted matrices, their
     norms and its singular vectors), so one pass holds as many candidates as

@@ -220,7 +220,7 @@ def test_angle_bound_right_integrand_matches_mpmath():
     result = reduce_right(sys_q, cases.ex1_interpolation_data())
     a, b, c = sys_q.A, sys_q.B, sys_q.C
     omegas = np.array([1e4, 10155.28, 2e4])
-    f, _ = analysis._angle_terms(sys_q, [("right", result.w, result.v)])
+    f, _ = analysis._angle_terms(analysis.prepare_model(sys_q), [("right", result.w, result.v)])
     # A row of nine points takes the back-substitution, three single points the stacked solve.
     row = f(np.array([0]), np.tile(omegas, 3)[None])[0, :3]
     single = f(np.zeros(3, dtype=int), omegas)
@@ -234,7 +234,8 @@ def test_angle_bound_degenerate_angle_is_inf():
     # ker(basis^H (sI-A)) = (sI-A)^-1 e1 = span(e1), orthogonal to U_perp = e2.
     eye = np.eye(2)
     e1, e2 = eye[:, :1], eye[:, 1:]
-    f, _ = analysis._angle_terms((-eye, eye, eye, 0 * eye), [("right", e2, e1)])
+    model = analysis.prepare_model((-eye, eye, eye, 0 * eye))
+    f, _ = analysis._angle_terms(model, [("right", e2, e1)])
     omegas = np.array([0.0, 1.0, 1e3])
     assert np.all(np.isposinf(f(np.array([0]), omegas[None])))
     assert all(np.isposinf(f(np.array([0]), np.array([w]))[0]) for w in omegas)
@@ -344,7 +345,9 @@ def test_h2_error_gramians_rows_equal_their_stacks_of_one():
              for _ in range(5)]
     models = [_galerkin(full, basis) for basis in bases]
     stacked = [np.stack(parts) for parts in zip(*(model[:3] for model in models))]
-    rows = analysis.h2_error_gramians(full, stacked + [full.K])
+    rows = analysis.h2_error_gramians(
+        analysis.prepare_model(full), stacked + [full.K], np.linalg.eigvals(stacked[0])
+    )
     assert rows == [analysis.h2_error_gramian(full, model) for model in models]
 
 
@@ -397,7 +400,9 @@ def test_h2_error_gramians_rejects_a_non_hurwitz_full_model(pole):
     _, g, h, k = reduced.state_space()
     f = np.full((1, 1, 1), pole, dtype=complex)
     with pytest.raises(StabilityError, match="^" + linalg.NOT_HURWITZ + "$"):
-        analysis.h2_error_gramians(full, (f, g[None], h[None], k))
+        analysis.h2_error_gramians(
+            analysis.prepare_model(full), (f, g[None], h[None], k), np.linalg.eigvals(f)
+        )
 
 
 def test_unstable_report_peak_takes_the_nonnegative_frequency():

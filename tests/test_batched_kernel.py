@@ -422,7 +422,7 @@ def test_ex1_boundary_maximum_is_refined_on_a_mirrored_bracket(monkeypatch):
     # 23 and reaches it.
     _, full, result, grid = _ex1()
     omegas = grid.frequencies()
-    f, even = analysis._angle_terms(full, _bound_terms(full, result))
+    f, even = analysis._angle_terms(analysis.prepare_model(full), _bound_terms(full, result))
     exact = f(np.array([0]), omegas[None])[0]
     assert even and omegas[0] == 0.0 and np.argmax(exact) == 0
     steps, values = [], []
@@ -505,7 +505,7 @@ def test_angle_grid_and_bounds_match_the_oracle(case):
     _, full, result, grid = case
     omegas = grid.frequencies()
     terms = _bound_terms(full, result)
-    f, _ = analysis._angle_terms(full, terms)
+    f, _ = analysis._angle_terms(analysis.prepare_model(full), terms)
     report = analysis.error_report(full, result, grid=grid)
     bounds = (report.hinf_bound_left, report.hinf_bound_right)
     for (side, basis, perp), values, bound in zip(terms, _grid_values(f, 2, omegas), bounds):
@@ -528,7 +528,7 @@ def test_screened_grid_matches_the_integrand(case):
     # value is infinite in both, and a full-order term reads 0 in both.
     _, full, result, grid = case
     omegas = grid.frequencies()
-    f, _ = analysis._angle_terms(full, _bound_terms(full, result))
+    f, _ = analysis._angle_terms(analysis.prepare_model(full), _bound_terms(full, result))
     chunks = np.array_split(omegas, -(-omegas.size // analysis.FEW_POINTS))
     for term, row in enumerate(_grid_values(f, 2, omegas)):
         few = np.concatenate([f(np.full(chunk.size, term), chunk) for chunk in chunks])
@@ -549,7 +549,7 @@ def test_screened_bounds_match_the_integrands_own_grid(case):
     _, full, result, grid = case
     omegas = grid.frequencies()
     terms = _bound_terms(full, result)
-    f, even = analysis._angle_terms(full, terms)
+    f, even = analysis._angle_terms(analysis.prepare_model(full), terms)
     values = _grid_values(f, 2, omegas)
     suprema = analysis.grid_suprema(f, omegas, values, even)
     for term, (value, omega) in enumerate(suprema):
@@ -568,7 +568,7 @@ def test_screen_blocks_leave_the_bounds_unchanged(monkeypatch, build):
     # are BLAS calls over a whole block), and no bound moves.
     _, full, result, grid = build()
     omegas = grid.frequencies()
-    f, _ = analysis._angle_terms(full, _bound_terms(full, result))
+    f, _ = analysis._angle_terms(analysis.prepare_model(full), _bound_terms(full, result))
     whole, report = _grid_values(f, 2, omegas), analysis.error_report(full, result, grid=grid)
     monkeypatch.setattr(linalg, "SCAN_BLOCK_BYTES", 7 * 16 * 8 * 30)
     blocked = _grid_values(f, 2, omegas)
@@ -637,7 +637,8 @@ def test_closed_forms_read_zero_on_singular_stacks():
         assert analysis._gram_norms(stack)[1] == 0.0
         e = np.eye(3)
         # ker(basis^H (sI-A)) = span(e1, e2); U_perp = [e1, e3] meets it at a right angle.
-        f, _ = analysis._angle_terms((-e, e, e, 0 * e), [("right", e[:, 2:], e[:, 1:2])])
+        model = analysis.prepare_model((-e, e, e, 0 * e))
+        f, _ = analysis._angle_terms(model, [("right", e[:, 2:], e[:, 1:2])])
         omegas = np.array([0.0, 1.0, 1e3, 1e4])
         assert np.all(np.isposinf(f(np.array([0]), omegas[None])))
         assert np.all(np.isposinf(f(np.zeros(3, dtype=int), omegas[:3])))
@@ -673,7 +674,7 @@ def test_only_wide_kernels_are_screened_by_lapack(monkeypatch, label, width):
         analysis.hinf_bound_right(full, result, grid=grid)
         assert calls == []
     else:
-        f, _ = analysis._angle_terms(full, terms)
+        f, _ = analysis._angle_terms(analysis.prepare_model(full), terms)
         _grid_values(f, 2, grid.frequencies())
         assert set(calls) == {"qr", "svd", "eigvalsh"}
 
@@ -690,7 +691,7 @@ def test_one_schur_form_serves_both_terms(monkeypatch):
         return schur(a)
 
     monkeypatch.setattr(linalg, "schur", counted)
-    analysis._angle_terms(full, _bound_terms(full, result))
+    analysis._angle_terms(analysis.prepare_model(full), _bound_terms(full, result))
     assert calls == [(6, 6)]
 
 
@@ -738,7 +739,7 @@ def test_error_report_on_a_one_point_grid():
     _, full, result, _ = _ex1()
     report = analysis.error_report(full, result, grid=analysis.GridSpec(0.1, 10.0, count=0))
     assert report.pointwise[:, 0].tolist() == [0.0]
-    f, _ = analysis._angle_terms(full, _bound_terms(full, result))
+    f, _ = analysis._angle_terms(analysis.prepare_model(full), _bound_terms(full, result))
     left, right = f(np.arange(2), np.zeros((2, 1)))
     assert (report.hinf_bound_left, report.hinf_bound_right) == (left[0], right[0])
 

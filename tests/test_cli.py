@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from qmor import cases, serialization, systems
+from qmor import analysis, cases, cli, serialization, systems
 from qmor.cli import main
 from qmor.reduction import reduce_passive, reduce_right
 
@@ -522,6 +522,25 @@ def test_wpts_below_two_exits_2(tmp_path, ex1_system_path, ex1_points_path, wpts
         assert main(command + ["--wpts", wpts, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: --wpts must be at least 2, got {wpts}\n"
+        assert not out.exists()
+
+
+def test_wpts_above_the_ceiling_exits_2(tmp_path, ex1_system_path, monkeypatch, capsys):
+    # Rejected before the grid is built: a grid of this count would need 745 GiB.
+    def no_grid(spec):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(analysis.GridSpec, "frequencies", no_grid)
+    result = reduce_right(cases.optomechanical_system(), cases.ex1_interpolation_data())
+    path = tmp_path / "reduction.json"
+    path.write_text(json.dumps(serialization.reduction_to_dict(result, "right")))
+    wpts = "100000000000"
+    commands = [["analyze", str(ex1_system_path), str(path)], ["freqresp", str(ex1_system_path)]]
+    for k, command in enumerate(commands):
+        out = tmp_path / f"out{k}"
+        assert main(command + ["--wpts", wpts, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --wpts must be at most {cli.MAX_GRID_COUNT}, got {wpts}\n"
         assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -771,6 +772,48 @@ def test_optimize_points_prepares_the_full_model_once(monkeypatch):
     # The prepared Schur form, taken before the solve, then the solve's own.
     assert [called for called, _ in schurs] == [0, 1]
     assert all(np.array_equal(m, a) for _, m in schurs)
+
+
+def test_error_report_and_hinf_search_factor_the_full_model_once(monkeypatch):
+    # One prepared model serves the angle bounds and the H-infinity search:
+    # one Schur form of the full state matrix, and no Gramian at all.
+    system = cases.optomechanical_system()
+    a = system.state_space()[0]
+    result = reduce_right(system, cases.ex1_interpolation_data())
+    runs = {
+        "error_report": lambda: analysis.error_report(system, result),
+        "hinf search": lambda: optimize_points(SCAN_PROBLEMS["ex1-right-hinf"]()),
+    }
+    for label, run in runs.items():
+        calls = {"schur": [], "lyapunov_solve": []}
+        for name, found in calls.items():
+            def counting(m, *args, original=getattr(linalg, name), found=found):
+                found.append(m)
+                return original(m, *args)
+
+            monkeypatch.setattr(linalg, name, counting)
+        run()
+        monkeypatch.undo()
+        full_order = [m for m in calls["schur"] if np.array_equal(m, a)]
+        assert (len(full_order), len(calls["lyapunov_solve"])) == (1, 0), label
+
+
+def test_undefined_gramian_fails_only_an_h2_problem():
+    # A Hurwitz full model with a pole pair summing to zero: an H2 problem
+    # fails once, naming the full model; an H-infinity one never computes
+    # the Gramian, so the same model has a finite H-infinity cost.
+    _, g, h, k = systems.random_realizable_annihilation(3, 2, 2, 0).state_space()
+    f = np.diag([-1e-20, -1.0, -2.0]).astype(complex)
+    system = systems.AnnihilationSystem(F=f, G=g, H=h, K=k)
+    directions = np.array([[1.0, 0.0], [1.0, 0.0]])
+    problem = SelectionProblem(system, "passive", 2, directions, omega_bounds=(0.1, 100.0))
+    message = "^full model: " + linalg.POLE_PAIR + "$"
+    with pytest.raises(StabilityError, match=message):
+        optimize_points(replace(problem, cost="h2"))
+    with pytest.raises(StabilityError, match=message):
+        cost_h2(replace(problem, cost="h2"), [1.0])
+    assert math.isfinite(cost_hinf(problem, [1.0]))
+    assert "full_term" not in vars(problem.full_model)
 
 
 def test_scan_resolvents_come_from_one_stacked_solve(monkeypatch):
