@@ -21,6 +21,8 @@ Gramian the exact H2 cost.  Its H-infinity norm is computed by the Hamiltonian
 level-set method (Boyd and Balakrishnan; Bruinsma and Steinbuch; Systems &
 Control Letters 1990): :func:`hinf_norm` returns a value the error attains,
 its frequency, and a certified upper value within a relative ``2 tol`` of it.
+Its poles, those of ``A_e = diag(A, A_r)``, are the full model's Schur
+diagonal and one eigenvalue call on ``A_r`` (:func:`_stable_pair`).
 The angle bounds are suprema of their integrands over a dense logarithmic
 grid, refined around the best local maxima by Brent's bounded search
 (parabolic steps, golden-section steps where a parabola is not acceptable),
@@ -95,9 +97,7 @@ def _abcd(system):
 
 
 def _reduced_operand(obj):
-    if hasattr(obj, "reduced"):
-        return obj.reduced
-    return obj
+    return getattr(obj, "reduced", obj)
 
 
 @dataclass(frozen=True)
@@ -290,17 +290,12 @@ def sweep(a, b, s):
     return linalg.solve(linalg.shifted(a, s), b[None])
 
 
-def _norms(stack):
-    """Spectral norm of every matrix in a stack."""
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-
 def _gains(a, b, c, s, singular=math.inf):
     """``|C (s_k I - A)^-1 B|`` over a 1-D array ``s``; ``singular`` where it is singular."""
     stack = c @ sweep(a, b, s)
     finite = np.isfinite(stack).all(axis=(1, 2))
     out = np.full(stack.shape[0], singular)
-    out[finite] = _norms(stack[finite])
+    out[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
     return out
 
 
@@ -328,18 +323,20 @@ def error_system(full, reduced):
     return a_e, b_e, np.concatenate([np.broadcast_to(c1, lead + c1.shape), -c2], axis=-1)
 
 
-def _stable_error_system(full, reduced):
-    """:func:`error_system` of a pair of Hurwitz models.
+def _stable_pair(full, reduced):
+    """:func:`prepare_model` of ``full`` and the poles of ``A_e = diag(A, A_r)``.
 
-    Each model is tested before the error system is built, so an unstable
-    one raises :class:`StabilityError` even when the pair does not fit.
+    The full poles are the Schur diagonal, the reduced ones one eigenvalue
+    call.  A model that is not Hurwitz raises :class:`StabilityError`, and
+    then a feedthrough difference.
     """
-    for system in (full, _reduced_operand(reduced)):
-        if not linalg.is_hurwitz(_abcd(system)[0]):
-            raise StabilityError(
-                "state matrix is not Hurwitz; H-infinity quantities are undefined"
-            )
-    return error_system(full, reduced)
+    model = prepare_model(full)
+    a_r, _, _, d_r = _abcd(_reduced_operand(reduced))
+    poles = np.concatenate([model.poles, linalg.eigenvalues(a_r)])
+    if not np.all(poles.real < 0):
+        raise StabilityError(linalg.NOT_HURWITZ)
+    _check_feedthrough(model.abcd[3], d_r)
+    return model, poles
 
 
 @dataclass(frozen=True)
@@ -364,28 +361,29 @@ def _peak_frequency(w, sampled, value):
     return float(tied[np.lexsort((np.abs(tied), tied < 0))[0]])
 
 
-def hinf_norm(a, b, c, omegas=None, values=None):
+def hinf_norm(a, b, c, poles, omegas=None, values=None):
     """H-infinity norm of ``C (sI - A)^-1 B`` by the Hamiltonian level-set method.
 
-    The lower value starts as the largest ``sigma_max`` at 0, at the poles'
-    frequencies and magnitudes, and in ``values``, samples of the curve at
-    ``omegas`` that the caller already holds.  Each step takes the
-    eigenvalues of ``H = [[A, B B^H / g], [-C^H C / g, -A^H]]`` at
-    ``g = (1 + 2 LEVEL_SET_TOL) lower``: ``i w`` is one exactly when ``g``
-    is a singular value at ``w`` (Boyd and Balakrishnan; Bruinsma and
-    Steinbuch).  The candidates near the imaginary axis are confirmed by
-    evaluating ``sigma_max`` at each of them and between neighbours, so the
-    lower value is always attained.  When no candidate raises it, no interval
-    of the curve lies above ``g``, which is returned as the certified upper
-    value.  The peak frequency is that of the lower value among every sample
-    taken, near ties broken by :func:`_peak_frequency`; real systems report
-    ``w >= 0``.  A non-Hurwitz ``A`` (a pole on the axis included) reads
-    ``inf``; ``MAX_LEVEL_SET_ITERATIONS`` steps without convergence raise
+    ``poles`` are the eigenvalues of ``A``, from the caller: only the
+    Hamiltonian is eigensolved here.  The lower value starts as the largest
+    ``sigma_max`` at 0, at the poles' frequencies and magnitudes, and in
+    ``values``, samples of the curve at ``omegas`` that the caller already
+    holds.  Each step takes the eigenvalues of ``H = [[A, B B^H / g], [-C^H
+    C / g, -A^H]]`` at ``g = (1 + 2 LEVEL_SET_TOL) lower``: ``i w`` is one
+    exactly when ``g`` is a singular value at ``w`` (Boyd and Balakrishnan;
+    Bruinsma and Steinbuch).  The candidates near the imaginary axis are
+    confirmed by evaluating ``sigma_max`` at each of them and between
+    neighbours, so the lower value is always attained.  When no candidate
+    raises it, no interval of the curve lies above ``g``, which is returned
+    as the certified upper value.  The peak frequency is that of the lower
+    value among every sample taken, near ties broken by
+    :func:`_peak_frequency`; real systems report ``w >= 0``.  Poles not all
+    in the open left half-plane (one on the axis included) read ``inf``;
+    ``MAX_LEVEL_SET_ITERATIONS`` steps without convergence raise
     :class:`QmorError`.
     """
-    a, b, c = (np.asarray(m) for m in (a, b, c))
+    a, b, c, poles = (np.asarray(m) for m in (a, b, c, poles))
     real = not any(np.iscomplexobj(m) for m in (a, b, c))
-    poles = linalg.eigenvalues(a)
     if not np.all(poles.real < 0):
         pole = poles[np.argmax(poles.real)]
         return HinfEstimate(math.inf, float(abs(pole.imag) if real else pole.imag), math.inf, 0)
@@ -421,14 +419,15 @@ def hinf_norm(a, b, c, omegas=None, values=None):
 def hinf_error(full, result, grid=None):
     """H-infinity norm of ``Xi - Xi_r`` (:func:`hinf_norm` of :func:`error_system`).
 
-    The curve's samples on ``grid``, when one is given, seed the lower value.
+    Poles from :func:`_stable_pair`; samples on ``grid``, when given, seed the lower value.
     """
-    system = _stable_error_system(full, result)
+    model, poles = _stable_pair(full, result)
+    system = error_system(model.abcd, result)
     if grid is None:
-        return hinf_norm(*system)
+        return hinf_norm(*system, poles)
     omegas = grid.frequencies()
     values = _grid_values(lambda w: _gains(*system, 1j * w), omegas)
-    return hinf_norm(*system, omegas, values)
+    return hinf_norm(*system, poles, omegas, values)
 
 
 @dataclass(frozen=True)
@@ -587,12 +586,12 @@ def _angle_integrand(t, rhs, cu, pu, s):
 def _bound_suprema(full, result, grid, terms):
     """:func:`_angle_suprema` on ``grid``, or on the default grid, of a checked pair.
 
-    The pair must pass :func:`_stable_error_system`: both models Hurwitz and
-    the error system defined.
+    The pair must pass :func:`_stable_pair`, whose prepared model the
+    integrand reads; only a default grid eigensolves the models again.
     """
-    _stable_error_system(full, result)
-    spec = grid or default_grid(_abcd(full)[0], _abcd(result.reduced)[0])
-    return _angle_suprema(prepare_model(full), spec.frequencies(), terms)
+    model, _ = _stable_pair(full, result)
+    spec = grid or default_grid(model.abcd[0], _abcd(result.reduced)[0])
+    return _angle_suprema(model, spec.frequencies(), terms)
 
 
 def _narrow(m):
@@ -691,13 +690,13 @@ def h2_error_quadrature(full, reduced, w_max=None):
     ``|Xi - Xi_r|_F^2 w_max sec^2 t`` is smooth and bounded on ``|t| < pi/2``
     (it tends to ``|C_e B_e|_F^2 / w_max`` at the ends), so ``H2_PANELS``
     panels of ``H2_NODES`` nodes need no breakpoints and no tail.  ``w_max``
-    defaults to the largest pole magnitude.  ``reduced`` may be a reduction
-    result, a system, or a plain matrix tuple.
+    defaults to the largest magnitude of the poles of :func:`_stable_pair`.
+    ``reduced`` may be a reduction result, a system, or a plain matrix tuple.
     """
-    a_e, b_e, c_e = _stable_error_system(full, reduced)
+    model, poles = _stable_pair(full, reduced)
+    a_e, b_e, c_e = error_system(model.abcd, reduced)
     if w_max is None:
-        eigs = [linalg.eigenvalues(_abcd(m)[0]) for m in (full, _reduced_operand(reduced))]
-        w_max = float(np.abs(np.concatenate(eigs)).max())
+        w_max = float(np.abs(poles).max())
     # Real models have a curve symmetric in omega: integrate t > 0 and double.
     two_sided = any(np.iscomplexobj(m) for m in (a_e, b_e, c_e))
     edges = np.linspace(-math.pi / 2 if two_sided else 0.0, math.pi / 2, H2_PANELS + 1)
@@ -947,19 +946,20 @@ def error_report(full, result, grid=None):
     """Assemble the full error analysis for a reduction result.
 
     The grid is swept once: the pointwise curve also seeds the level-set
-    H-infinity norm, and both angle bounds come from one stacked search.  For
-    unstable pairs the curve and its grid peak are still reported, but the
-    norm and the bounds are omitted with an explanatory note; a pole on a grid
-    frequency reads ``inf`` there and becomes the peak.
+    H-infinity norm, and both angle bounds come from one stacked search.  The
+    pair's poles and the prepared full model come from :func:`_stable_pair`.
+    For a pair that fails it the curve and its grid peak are still reported,
+    but the norm and the bounds are omitted with an explanatory note; a pole
+    on a grid frequency reads ``inf`` there and becomes the peak.
     """
     spec = grid or default_grid(_abcd(full)[0], _abcd(_reduced_operand(result))[0])
     omegas = spec.frequencies()
     system = error_system(full, result)
     values = _grid_values(lambda w: _gains(*system, 1j * w), omegas)
     curve = np.column_stack([omegas, values])
-    # The upper value is inf exactly when A_e is not Hurwitz (its pole test).
-    norm = hinf_norm(*system, omegas, values)
-    if math.isinf(norm.upper):
+    try:
+        model, poles = _stable_pair(full, result)
+    except StabilityError:  # error_system has shown the pair fitting: a model is not Hurwitz
         peak = float(values.max())
         return ErrorReport(
             hinf_error_estimate=peak,
@@ -976,9 +976,9 @@ def error_report(full, result, grid=None):
                 "supremum, not an H-infinity norm, and the bounds are omitted",
             ),
         )
-    # A finite upper value shows both models Hurwitz, and error_system the pair fitting.
+    norm = hinf_norm(*system, poles, omegas, values)
     terms = [("left", result.v, result.w), ("right", result.w, result.v)]
-    bound_left, bound_right = _angle_suprema(prepare_model(full), omegas, terms)
+    bound_left, bound_right = _angle_suprema(model, omegas, terms)
     return ErrorReport(
         hinf_error_estimate=norm.value,
         hinf_error_upper=norm.upper,

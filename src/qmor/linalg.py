@@ -171,8 +171,8 @@ def is_hurwitz(m):
     return bool(np.all(np.linalg.eigvals(as_matrix(m)).real < 0))
 
 
-#: :func:`lyapunov_solve`'s :class:`StabilityError` texts, shared by the stacked H2 costs.
-NOT_HURWITZ = "state matrix is not Hurwitz; Lyapunov solution undefined"
+#: :class:`StabilityError` texts: any failed Hurwitz test, and :func:`lyapunov_solve`'s pole pair.
+NOT_HURWITZ = "state matrix is not Hurwitz: a pole has a nonnegative real part"
 POLE_PAIR = (
     "state matrix has a pole pair whose sum is zero to working precision; "
     "Lyapunov solution undefined"

@@ -16,9 +16,9 @@ built, or whose error system is not Hurwitz, is infeasible.  The H2 cost is
 exact: :func:`qmor.analysis.h2_error_gramians`, the error Gramian assembled
 from its full, cross and reduced blocks, with no frequency quadrature.  The
 H-infinity cost is the level-set norm of :func:`qmor.analysis.hinf_norm`,
-with no frequency grid.  Without explicit bounds the search window is that
-of :func:`qmor.analysis.default_grid`: two decades beyond the pole
-magnitudes.
+with no frequency grid, on the full Schur diagonal and the reduced poles.
+Without explicit bounds the search window is that of
+:func:`qmor.analysis.default_grid`: two decades beyond the pole magnitudes.
 
 What belongs to the full model is built once per problem,
 :attr:`SelectionProblem.full_model` (:func:`qmor.analysis.prepare_model`):
@@ -303,11 +303,11 @@ def _candidate_costs(problem, candidates, norms):
 
 
 def _hinf_norms(model, reduced, poles):
-    """:func:`~qmor.analysis.hinf_norm` of each error system, one level-set run per row."""
+    """:func:`~qmor.analysis.hinf_norm` of each error system, on ``model.poles`` and its row's."""
     outcomes = []
-    for error in zip(*error_system(model.abcd, reduced)):
+    for error, row_poles in zip(zip(*error_system(model.abcd, reduced)), poles):
         try:
-            outcomes.append(hinf_norm(*error).value)
+            outcomes.append(hinf_norm(*error, np.concatenate([model.poles, row_poles])).value)
         except QmorError as exc:
             outcomes.append(exc)
     return outcomes

@@ -145,7 +145,7 @@ def test_hinf_norm_certified_against_refined_grid(form, n, m, seed):
 
     omegas = analysis.default_grid(a).frequencies()
     oracle = analysis.grid_suprema(lambda _, w: curve(w), omegas, [curve(omegas)])[0][0]
-    norm = analysis.hinf_norm(a, b, c)
+    norm = analysis.hinf_norm(a, b, c, linalg.eigenvalues(a))
     assert norm.upper >= oracle
     assert abs(norm.value - oracle) <= 1e-6 * oracle
     assert curve([norm.peak_omega])[0] == pytest.approx(norm.value, rel=1e-12)
@@ -156,15 +156,16 @@ def test_hinf_norm_iteration_cap_raises(monkeypatch):
     system = cases.cascaded_cavity_system()
     result = reduce_passive(system, cases.ex3_interpolation_data(), pr_tol=1e-8)
     error = analysis.error_system(system, result)
-    steps = analysis.hinf_norm(*error).iterations
+    steps = analysis.hinf_norm(*error, linalg.eigenvalues(error[0])).iterations
     assert steps >= 2
     monkeypatch.setattr(analysis, "MAX_LEVEL_SET_ITERATIONS", steps - 1)
     with pytest.raises(QmorError, match=f"did not converge in {steps - 1} steps"):
-        analysis.hinf_norm(*error)
+        analysis.hinf_norm(*error, linalg.eigenvalues(error[0]))
 
 
 def test_hinf_norm_pole_on_axis_is_inf():
-    norm = analysis.hinf_norm(systems.symplectic_form(1), np.eye(2), np.eye(2))
+    a = systems.symplectic_form(1)
+    norm = analysis.hinf_norm(a, np.eye(2), np.eye(2), linalg.eigenvalues(a))
     assert norm.value == norm.upper == math.inf
     assert norm.peak_omega == 1.0
 
@@ -472,8 +473,9 @@ def test_error_report_pole_on_grid_frequency():
 
 
 def test_error_report_eigensolves_error_system_once(monkeypatch):
-    # The level-set norm's pole test is also the Hurwitz test of A_e, and of
-    # the bounds: neither model's own state matrix is eigensolved again.
+    # The pair's poles are the full Schur diagonal and one eigenvalue call on
+    # the reduced state matrix: neither A nor A_e is eigensolved, and the
+    # bounds reuse the same check.
     system = cases.optomechanical_system()
     result = reduce_right(system, cases.ex1_interpolation_data())
     sizes = []
@@ -486,11 +488,30 @@ def test_error_report_eigensolves_error_system_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counted)
     report = analysis.error_report(system, result, grid=analysis.GridSpec(1e3, 1e6, count=50))
     assert report.stable
-    assert sizes.count(10) == 1
-    assert sizes.count(6) == sizes.count(4) == 0
+    assert sizes.count(10) == sizes.count(6) == 0
+    assert sizes.count(4) == 1
     sizes.clear()
     analysis.hinf_bound_left(system, result, grid=analysis.GridSpec(1e3, 1e6, count=50))
-    assert sorted(sizes) == [4, 6]
+    assert sorted(sizes) == [4]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["error_report", "hinf_error", "hinf_bound_left", "hinf_bound_right", "hinf_bounds_passive"],
+)
+def test_hinf_analyses_take_the_full_poles_from_one_schur_form(monkeypatch, name):
+    # One Schur form of the 6 x 6 full A gives its poles and Hurwitz test, and
+    # one eigenvalue call the 4 x 4 reduced A_r's.  Neither A nor the 10 x 10
+    # A_e is eigensolved; the level-set Hamiltonians are 20 x 20.
+    system = cases.optomechanical_system()
+    result = reduce_right(system, cases.ex1_interpolation_data())
+    schurs, eigensolves = [], []
+    schur, eigvals = linalg.schur, np.linalg.eigvals
+    monkeypatch.setattr(linalg, "schur", lambda m: schurs.append(m.shape) or schur(m))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: eigensolves.append(m.shape) or eigvals(m))
+    getattr(analysis, name)(system, result, grid=analysis.GridSpec(1e3, 1e6, count=50))
+    assert schurs == [(6, 6)]
+    assert [shape for shape in eigensolves if shape != (20, 20)] == [(4, 4)]
 
 
 def test_hinf_norm_breaks_a_near_tie_of_mirrored_peaks():

@@ -287,7 +287,10 @@ def test_cost_hinf_matches_scalar_oracle():
         )
         norm_at = error_norm_oracle((*full, zero), (*reduced, zero))
         expected = supremum_oracle(norm_at, spec.frequencies())[0]
-        norm = analysis.hinf_norm(*analysis.error_system((*full, zero), (*reduced, zero)))
+        error = analysis.error_system((*full, zero), (*reduced, zero))
+        # The cost's poles: the full model's Schur diagonal and the reduced eigenvalues.
+        poles = np.concatenate([problem.full_model.poles, linalg.eigenvalues(reduced[0])])
+        norm = analysis.hinf_norm(*error, poles)
         assert selection.cost_hinf(problem, omegas) == norm.value
         _assert_certified(norm.value, norm.peak_omega, norm.upper, expected, norm_at)
 

@@ -177,6 +177,29 @@ def test_reduce_bare_array_points(tmp_path, ex1_system_path, ex1_points_path, ca
     )
 
 
+def test_reduce_dirs_replace_the_directions_of_a_points_document(
+    tmp_path, ex1_system_path, ex1_points_path, capsys
+):
+    # --dirs overrides the directions of a combined {"points", "directions"}
+    # document: the reduction is that of the bare points with those --dirs,
+    # not that of the document's own directions.
+    points = json.dumps([[0, 10500], [0, -10500], [0, 10500], [0, -10500]])
+    e3, e5 = np.eye(6)[[2, 4]].tolist()
+    dirs = [e3, e3, e5, e5]
+    args = ["reduce", str(ex1_system_path), "--method", "right"]
+    doc = ["--points", str(ex1_points_path), "--out", str(tmp_path / "doc")]
+    assert main(args + doc + ["--dirs", json.dumps(dirs)]) == 0
+    bare = ["--points", points, "--dirs", json.dumps(dirs), "--out", str(tmp_path / "bare")]
+    assert main(args + bare) == 0
+    assert main(args + ["--points", str(ex1_points_path), "--out", str(tmp_path / "own")]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "doc" / "reduction.json").read_text())
+    assert written["data"]["directions"] == [[[x, 0.0] for x in row] for row in dirs]
+    for name in ("reduced.json", "reduction.json"):
+        assert (tmp_path / "doc" / name).read_bytes() == (tmp_path / "bare" / name).read_bytes()
+        assert (tmp_path / "doc" / name).read_bytes() != (tmp_path / "own" / name).read_bytes()
+
+
 def test_reduce_full_order_identity(tmp_path, capsys):
     sys_q = systems.annihilation_to_quadrature(
         systems.random_realizable_annihilation(2, 2, 2, 3)
@@ -679,8 +702,19 @@ def test_select_points_non_hurwitz_system_fails_before_the_scan(tmp_path, capsys
     args += ["--template", "symmetric_with_dc", "--out", str(tmp_path / "sel")]
     assert main(args) == 1
     err = capsys.readouterr().err
-    assert err == "error: full model: state matrix is not Hurwitz; Lyapunov solution undefined\n"
+    assert err == (
+        "error: full model: state matrix is not Hurwitz: a pole has a nonnegative real part\n"
+    )
     assert not (tmp_path / "sel" / "scan_trace.csv").exists()
+
+
+def test_select_points_half_window_exits_2(tmp_path, ex1_system_path, capsys):
+    # One end of the search window without the other: exit 2, one line, no output.
+    args = ["select-points", str(ex1_system_path), "--method", "right", "--r", "2"]
+    for half in (["--wmin", "1e3"], ["--wmax", "1e6"]):
+        assert main(args + half + ["--out", str(tmp_path / "sel")]) == 2
+        assert capsys.readouterr().err == "error: provide both --wmin and --wmax, or neither\n"
+    assert not (tmp_path / "sel").exists()
 
 
 def test_select_points_default_directions_scan_feasibly(tmp_path, ex1_system_path, capsys):

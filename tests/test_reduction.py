@@ -259,6 +259,23 @@ def test_right_basis_duplicate_rejected():
 # left/right reductions
 
 
+def test_isotropic_right_subspace_has_a_singular_pairing():
+    # The inputs drive only the q quadratures of a diagonal A, so every
+    # resolvent column lies in span(q1, q2): a subspace of full rank 2 on
+    # which the symplectic form vanishes, X^T J X = 0, and no symplectic
+    # scaling exists.
+    b = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    a = np.diag([-1.0, -2.0, -3.0, -4.0])
+    system = systems.QuadratureSystem(A=a, B=b, C=b.T, D=np.eye(2))
+    data = InterpolationData("right", [2j, -2j], [[1.0, 0.0], [1.0, 0.0]])
+    basis = right_subspace_basis(system, data)
+    assert np.linalg.matrix_rank(basis) == 2
+    assert not (basis.T @ symplectic_form(2) @ basis).any()
+    message = "skew pairing matrix of the right interpolation subspace is singular"
+    with pytest.raises(RankDeficiencyError, match=message):
+        reduce_right(system, data)
+
+
 def test_reduce_left_full_order_transfer_identity():
     sys_q = systems.random_realizable_quadrature(2, 2, 2, 5)
     data = InterpolationData(

@@ -741,6 +741,54 @@ def test_cost_h2_eigensolves_only_the_reduced_model(monkeypatch):
     assert shapes == [(1, problem.r, problem.r)]
 
 
+def test_cost_hinf_eigensolves_no_error_system(monkeypatch):
+    # Each row's level-set norm takes the full Schur diagonal and the row's
+    # poles from the pass's one stacked eigenvalue call: besides that call,
+    # only the 20 x 20 Hamiltonians are eigensolved, never the 10 x 10 A_e.
+    shapes = _counting(monkeypatch, "eigvals")
+    problem = SCAN_PROBLEMS["ex1-right-hinf"]()
+    cost_hinf(problem, [1.05e4])
+    assert shapes[0] == (1, 4, 4)
+    assert set(shapes[1:]) == {(20, 20)}
+
+
+def test_level_set_failures_are_row_outcomes(monkeypatch):
+    # A level-set run that does not converge fails its own row: hinf_costs
+    # returns the error for each row, and the stack of one raises it.
+    monkeypatch.setattr(analysis, "MAX_LEVEL_SET_ITERATIONS", 0)
+    problem = SCAN_PROBLEMS["ex1-right-hinf"]()
+    message = "H-infinity level-set iteration did not converge in 0 steps"
+    outcomes = selection.hinf_costs(problem, [[1.05e4], [2e4]])
+    assert [(type(o), str(o)) for o in outcomes] == [(QmorError, message)] * 2
+    with pytest.raises(QmorError, match=f"^{message}$"):
+        cost_hinf(problem, [1.05e4])
+
+
+def test_non_finite_compression_keeps_the_forms_message(monkeypatch):
+    # A row whose projection succeeds but whose compressed matrices are not
+    # finite is infeasible with the system form's own message; the other
+    # rows are unaffected.
+    problem = SCAN_PROBLEMS["ex1-right-hinf"]()
+    compress = selection.compress
+
+    def poisoned(system, w, v):
+        a, b, c, d = compress(system, w, v)
+        a = a.copy()
+        a[1, 0, 0] = np.nan
+        return a, b, c, d
+
+    monkeypatch.setattr(selection, "compress", poisoned)
+    points = problem.expand_points(np.array([[1.05e4], [2e4]]))
+    _, errors = selection._reduced_models(problem, points)
+    assert errors[0] is None
+    assert isinstance(errors[1], InfeasiblePointError)
+    assert str(errors[1]) == "A contains non-finite entries"
+    first, second = selection.hinf_costs(problem, [[1.05e4], [2e4]])
+    assert math.isfinite(first)
+    assert isinstance(second, InfeasiblePointError)
+    assert str(second) == "A contains non-finite entries"
+
+
 def test_optimize_points_prepares_the_full_model_once(monkeypatch):
     # The full model's Gramian term and Schur form belong to the problem, not
     # to a pass: a whole search makes one Lyapunov solve and, besides the one
