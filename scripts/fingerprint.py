@@ -16,8 +16,9 @@ model's largest pole magnitude, each array as its largest magnitude times its
 entries rounded to 10 decimals.  A diff of those lines stays quiet when only
 the coordinates moved (a value on a rounding boundary can still flip a last
 digit).  The inputs are ex1-ex3, ``stable_reduction_cases(5)`` with a
-left reduction of each system, four random passive reductions, six
-selection problems, and searches on the ex1 (right, H-infinity, tied and
+left reduction of each system, four random passive reductions, the default
+directions of ex1 and ex2 (left and right, ``r = 1..3``), six selection
+problems, and searches on the ex1 (right, H-infinity, tied and
 untied; right, H2, tied), ``stable0-left`` and ex3 (passive, H2, in two
 windows) problems, each with a digest of its trace costs (and, but for ex3,
 of its trace reasons).  The error reports use 300-point default grids, and
@@ -115,6 +116,16 @@ for label, system, data, reducer in reductions:
             repr(report.peak_frequency), digest(report.pointwise),
         )
 
+# The default directions: the Gramian ranking of the port pairs on each side.
+for label, system in (("ex1", ex1), ("ex2", ex2)):
+    for side in ("left", "right"):
+        for r in (1, 2, 3):
+            try:
+                print(label, "default_directions", side, r,
+                      digest(selection.default_directions(system, side, r)))
+            except QmorError as exc:
+                print(label, "default_directions", side, r, "raised", type(exc).__name__, exc)
+
 ex1_dirs = cases.ex1_interpolation_data().directions
 ex3_dirs = cases.ex3_interpolation_data().directions
 stable0 = stable_reduction_cases(1)[0][0]
@@ -172,7 +183,8 @@ for window in ((1e5, 1e9), None):
     print("ex3 optimize_points", window, repr(chosen.omegas.tolist()), repr(chosen.cost),
           len(chosen.trace), digest(np.array([row["cost"] for row in chosen.trace])))
 
-# The real (dgees/dtrsyl) Lyapunov path over a whole trace: ex1, right, tied, H2.
+# A real state matrix's Gramian term, solved on its complex Schur pair, over a
+# whole trace: ex1, right, tied, H2.
 window = (1e3, 1e6)
 problem = selection.SelectionProblem(ex1, "right", 2, ex1_dirs, cost="h2", omega_bounds=window)
 chosen = selection.optimize_points(problem)

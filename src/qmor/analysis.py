@@ -37,10 +37,10 @@ tr(C_r P_r C_r^H)]`` (Gugercin, Antoulas and Beattie, SIAM J. Matrix Anal.
 Appl. 30(2), 2008).  Only ``X`` and ``P_r`` depend on the reduced model.
 The rest is the full model's, from :func:`prepare_model`: one complex
 Schur form, whose triangular factor turns ``X`` into row-by-row solves
-(Golub, Nash and Van Loan, IEEE TAC 24(6), 1979), and ``tr(C P C^H)``, one
-Lyapunov solve made when first read.  :func:`h2_error_gramians` scores a
-stack of reduced models against it; :func:`h2_norm`, the test oracle, is
-the H2 cost of a single system of any order.
+(Golub, Nash and Van Loan, IEEE TAC 24(6), 1979), and ``tr(C P C^H)``, its
+Gramian solved on that same pair when first read.  :func:`h2_error_gramians`
+scores a stack of reduced models against it; :func:`h2_norm`, the test
+oracle, is the Gramian term of a single system of any order.
 
 Evaluation is batched: :func:`sweep` solves ``(s_k I - A) X_k = B`` for a
 whole block of ``GRID_BLOCK`` points at once, and every frequency integrand
@@ -375,7 +375,11 @@ def hinf_norm(a, b, c, poles, omegas=None, values=None):
     confirmed by evaluating ``sigma_max`` at each of them and between
     neighbours, so the lower value is always attained.  When no candidate
     raises it, no interval of the curve lies above ``g``, which is returned
-    as the certified upper value.  The peak frequency is that of the lower
+    as the certified upper value.  Not so when the axis test admits
+    Hamiltonian eigenvalues of a repeated, lightly damped pole, which lie off
+    the axis, and every sample among them lies below ``g``: the upper value
+    can then lie below the curve (2.0440927879 against 2.0440928058 on one
+    untied ex1 search row).  The peak frequency is that of the lower
     value among every sample taken, near ties broken by
     :func:`_peak_frequency`; real systems report ``w >= 0``.  Poles not all
     in the open left half-plane (one on the axis included) read ``inf``;
@@ -712,11 +716,11 @@ def h2_error_quadrature(full, reduced, w_max=None):
 def h2_norm(a, b, c):
     """H2-type cost ``2 pi trace(C P C^H)`` of ``C (sI - A)^-1 B``, exact.
 
-    ``P`` solves ``A P + P A^H + B B^H = 0``; a non-Hurwitz ``A`` raises
-    :class:`StabilityError`.
+    The Gramian term of :func:`prepare_model`: ``P`` solves ``A P + P A^H +
+    B B^H = 0``, and a non-Hurwitz ``A`` raises :class:`StabilityError`.
     """
-    p = linalg.lyapunov_solve(a, b @ b.conj().T)
-    return float(2.0 * math.pi * np.trace(c @ p @ c.conj().T).real)
+    model = prepare_model((a, b, c, np.zeros((c.shape[0], b.shape[1]))))
+    return float(2.0 * math.pi * model.full_term)
 
 
 @dataclass(frozen=True)
@@ -727,7 +731,7 @@ class PreparedModel:
     the complex Schur form ``A = U T U^H`` and its diagonal; ``ub`` and
     ``cu`` are ``U^H B`` and ``C U``; ``t_max`` and ``t_norm`` are ``max |T|``
     and ``|T|_F``, the scales of the pole-pair and Sylvester residual tests.
-    Built by :func:`prepare_model`.
+    It stands in for its system in every analysis.  Built by :func:`prepare_model`.
     """
 
     abcd: tuple
@@ -739,19 +743,31 @@ class PreparedModel:
     t_max: float
     t_norm: float
 
+    def state_space(self):
+        return self.abcd
+
+    @cached_property
+    def gramian(self):
+        """``P`` of ``A P + P A^H + B B^H = 0`` on the Schur pair; real for a real model."""
+        a, b, _, _ = self.abcd
+        p = linalg.lyapunov_solve(self.t, self.u, b @ b.conj().T)
+        return p.real if np.isrealobj(a) and np.isrealobj(b) else p
+
     @cached_property
     def full_term(self):
-        """``tr(C P C^H)``, ``P`` the Gramian: one Lyapunov solve, made when first read."""
-        a, b, c, _ = self.abcd
-        return np.trace(c @ linalg.lyapunov_solve(a, b @ b.conj().T) @ c.conj().T).real
+        """``tr(C P C^H)``, ``P`` the :attr:`gramian`."""
+        c = self.abcd[2]
+        return np.trace(c @ self.gramian @ c.conj().T).real
 
 
 def prepare_model(full):
     """The :class:`PreparedModel` of ``full``: one complex Schur form.
 
     The Schur diagonal is the Hurwitz test: a full model that is not Hurwitz
-    raises :class:`StabilityError`.
+    raises :class:`StabilityError`.  A :class:`PreparedModel` is returned as it is.
     """
+    if isinstance(full, PreparedModel):
+        return full
     a, b, c, _ = abcd = _abcd(full)
     t, u, poles = linalg.schur(a.astype(complex))
     if not np.all(poles.real < 0):
@@ -926,7 +942,8 @@ class ErrorReport:
 
     ``hinf_error_estimate`` is a value the error attains (at
     ``peak_frequency``) and ``hinf_error_upper`` a certified upper value of
-    the norm; ``hinf_iterations`` counts the level-set steps.  The three are
+    the norm (but see :func:`hinf_norm` on repeated, lightly damped poles);
+    ``hinf_iterations`` counts the level-set steps.  The three are
     the grid peak, ``None`` and 0 for an unstable pair.
     """
 

@@ -396,8 +396,11 @@ def run_ex1():
         outcome, "reduced-model realizability", result.diagnostics.realizability, "1e-8 abs"
     )
 
+    problem = selection.SelectionProblem(
+        system, "right", 2, data.directions, omega_bounds=ref["selection_bounds"], cost="hinf"
+    )
     grid = analysis.default_grid(system.A, result.reduced.A)
-    err_report = analysis.error_report(system, result, grid=grid)
+    err_report = analysis.error_report(problem.full_model, result, grid=grid)
     _check_scalar(outcome, "worst-case error", err_report.hinf_error_estimate, ref["hinf_error"], 0.02)
     _check_scalar(outcome, "error bound (left form)", err_report.hinf_bound_left, ref["bound_left"], 0.05)
     _check_scalar(outcome, "error bound (right form)", err_report.hinf_bound_right, ref["bound_right"], 0.10)
@@ -408,15 +411,6 @@ def run_ex1():
         "method": "right",
         "error_report": err_report,
     }
-    problem = selection.SelectionProblem(
-        system=system,
-        side="right",
-        r=2,
-        directions=data.directions,
-        omega_bounds=ref["selection_bounds"],
-        cost="hinf",
-        tie_omegas=True,
-    )
     _check_selection(outcome, problem, ref["omega"], "1.05e4")
     return outcome
 
@@ -501,8 +495,12 @@ def run_ex3():
         certificate.stable,
     )
 
+    problem = selection.SelectionProblem(
+        system, "passive", 3, data.directions, omega_bounds=ref["selection_bounds"],
+        cost="h2", template="symmetric_with_dc",
+    )
     grid = analysis.default_grid(system.F, result.reduced.F)
-    err_report = analysis.error_report(system, result, grid=grid)
+    err_report = analysis.error_report(problem.full_model, result, grid=grid)
     _check_scalar(outcome, "worst-case error", err_report.hinf_error_estimate, ref["hinf_error"], 0.02)
     outcome.add(
         "error within the passive ceiling",
@@ -514,16 +512,6 @@ def run_ex3():
     _check_scalar(outcome, "error bound (left form)", err_report.hinf_bound_left, ref["bounds"], 0.05)
     _check_scalar(outcome, "error bound (right form)", err_report.hinf_bound_right, ref["bounds"], 0.05)
 
-    problem = selection.SelectionProblem(
-        system=system,
-        side="passive",
-        r=3,
-        directions=data.directions,
-        omega_bounds=ref["selection_bounds"],
-        cost="h2",
-        tie_omegas=True,
-        template="symmetric_with_dc",
-    )
     flat_points = np.logspace(
         math.log10(ref["omega"] / math.sqrt(10)),
         math.log10(ref["omega"] * math.sqrt(10)),

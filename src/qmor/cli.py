@@ -108,6 +108,14 @@ def _interpolation_data_from_args(args):
 _REDUCERS = {"left": reduce_left, "right": reduce_right, "passive": reduce_passive}
 
 
+def _check_form(system, method):
+    """A usage error unless ``system`` has the form that ``--method`` reduces."""
+    passive = method == "passive"
+    if not isinstance(system, AnnihilationSystem if passive else QuadratureSystem):
+        form = "an annihilation" if passive else "a quadrature"
+        raise SchemaError(f"--method {method} requires {form}-form system")
+
+
 def _write_reduction(out, result, method):
     serialization.save_system(result.reduced, out / "reduced.json")
     doc = serialization.reduction_to_dict(result, method)
@@ -117,11 +125,8 @@ def _write_reduction(out, result, method):
 def cmd_reduce(args):
     _check_tol(args.tol)
     system = serialization.load_system(args.input)
+    _check_form(system, args.method)
     data = _interpolation_data_from_args(args)
-    passive = args.method == "passive"
-    if not isinstance(system, AnnihilationSystem if passive else QuadratureSystem):
-        form = "an annihilation" if passive else "a quadrature"
-        raise SchemaError(f"--method {args.method} requires {form}-form system")
     tol = {} if args.tol is None else {"pr_tol": args.tol}
     result = _REDUCERS[args.method](system, data, **tol)
     out = _out_dir(args)
@@ -214,6 +219,7 @@ def cmd_select_points(args):
         # A usage error: r passive points are r / 2 conjugate pairs.
         raise SchemaError(f"--r {args.r}: passive conjugate-pair selection needs an even r")
     system = serialization.load_system(args.input)
+    _check_form(system, args.method)
     if args.dirs is not None:
         directions = serialization.complex_matrix_from_json(
             _load_json_arg(args.dirs, "directions"), "directions"

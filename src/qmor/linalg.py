@@ -8,9 +8,9 @@ of a whole stack of matrices in one call.  Every resolvent solve is one call
 of the stacked :func:`solve` on a stack built by :func:`shifted`, unchecked
 (an exactly singular item reads NaN) or checked item by item through
 :func:`solve_stacks`.  ``scipy.linalg`` serves only what numpy lacks: the
-LAPACK ``gees`` Schur form of :func:`schur`, which also gives a Hurwitz test
-and the real Schur form of :mod:`qmor.symplectic`, and the ``trsyl`` call of
-:func:`lyapunov_solve`.
+LAPACK ``gees`` Schur form of :func:`schur` (complex for the prepared model
+of :mod:`qmor.analysis`, real for :mod:`qmor.symplectic`), and the ``trsyl``
+call of :func:`lyapunov_solve` on a complex Schur pair its caller holds.
 """
 
 import math
@@ -185,7 +185,7 @@ def schur(a):
     The flavor follows ``a``'s dtype, as in ``scipy.linalg.schur``: complex
     ``a`` gives an upper triangular ``t`` and its diagonal as ``poles``,
     real ``a`` a quasi-triangular ``t`` and only the real parts of its
-    eigenvalues as ``poles``, which is all a Hurwitz test reads.
+    eigenvalues as ``poles``.
     """
     (gees,) = la.get_lapack_funcs(("gees",), (a,))
     lwork = gees(_no_sort, a, lwork=-1)[-2][0].real.astype(np.int_)
@@ -196,38 +196,26 @@ def schur(a):
     return t, u, poles
 
 
-def lyapunov_solve(a, q):
-    """Solve ``a @ p + p @ a^H + q = 0`` for Hurwitz ``a`` and Hermitian ``q``.
+def lyapunov_solve(t, u, q):
+    """Solve ``a @ p + p @ a^H + q = 0`` on the complex Schur pair ``a = u t u^H``.
 
-    Bartels-Stewart on one Schur form ``a = u r u^H`` (:func:`schur`),
-    whose eigenvalues are also the Hurwitz test, then ``trsyl`` on
-    ``u^H (-q) u``: the calls of ``scipy.linalg.solve_continuous_lyapunov(a,
-    -q)``, in its order, bit for bit.  The result is symmetrized before
-    returning.  A non-Hurwitz ``a`` raises :class:`StabilityError` because
-    the Gramian integral does not converge, and so does a pole pair whose sum
-    is zero to working precision, which ``trsyl`` would perturb.
+    The Bartels-Stewart step (Bartels and Stewart, CACM 15(9), 1972) on a
+    pair the caller holds, already tested Hurwitz: one ``trsyl`` on ``u^H
+    (-q) u``, the calls of ``scipy.linalg.solve_continuous_lyapunov(a, -q)``
+    for a complex ``a`` after its Schur form, bit for bit.  The result is
+    symmetrized before returning.  A pole pair whose sum is zero to working
+    precision, which ``trsyl`` would perturb, raises :class:`StabilityError`.
     """
-    a = as_matrix(a, "state matrix")
-    q = as_matrix(q, "right-hand side")
-    if a.size == 0:  # gees rejects an empty matrix
-        return np.zeros(a.shape, np.result_type(a, q))
-    r, u, poles = schur(a)
-    if not np.all(poles.real < 0):
-        raise StabilityError(NOT_HURWITZ)
     f = u.conj().T.dot((-q).dot(u))
-    (trsyl,) = la.get_lapack_funcs(("trsyl",), (r, f))
-    real = np.isrealobj(a) and np.isrealobj(q)
-    y, scale, info = trsyl(r, r, f, tranb="T" if real else "C")
+    (trsyl,) = la.get_lapack_funcs(("trsyl",), (t, f))
+    y, scale, info = trsyl(t, t, f, tranb="C")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of trsyl")
     if info == 1:
         raise StabilityError(POLE_PAIR)
     y *= scale
     p = u.dot(y).dot(u.conj().T)
-    p = (p + p.conj().T) / 2
-    if real:
-        p = p.real
-    return p
+    return (p + p.conj().T) / 2
 
 
 def _no_sort(*_):

@@ -91,10 +91,10 @@ def default_directions(system, side, r):
 
     Passive: the indicator pattern ``(e_1, e_1, e_2, e_2, ...)`` truncated
     to ``r`` rows.  Left/right: :func:`tangent_directions` with a port-pair
-    permutation.  The pairs are ranked by their Gramian share, one Lyapunov
-    solve each side: ``diag(B^T Q B)`` summed per input pair on the right,
-    with ``Q`` the observability Gramian, and ``diag(C P C^T)`` summed per
-    output pair on the left, with ``P`` the controllability Gramian.  The
+    permutation.  The pairs are ranked by their Gramian share ``diag(C P
+    C^T)`` per output pair, ``P`` the prepared Gramian of the system on the
+    left, or of its dual ``(A^T, C^T, B^T)`` on the right: ``diag(B^T Q
+    B)`` per input pair, ``Q`` the observability Gramian.  The
     best-ranked pair whose directions :func:`~qmor.reduction.projection`
     accepts at a probe frequency (a full-rank subspace with a nonsingular
     skew pairing), the middle of the default grid's window in log scale,
@@ -107,11 +107,10 @@ def default_directions(system, side, r):
         return np.eye(ell, dtype=complex)[(np.arange(r) // 2) % ell]
     if not isinstance(system, QuadratureSystem):
         raise StructureError(f"{side} selection needs a quadrature-form system")
-    a, b, c, _ = system.state_space()
-    if side == "right":
-        share = np.diag(b.T @ linalg.lyapunov_solve(a.T, c.T @ c) @ b)
-    else:
-        share = np.diag(c @ linalg.lyapunov_solve(a, b @ b.T) @ c.T)
+    a, b, c, d = system.state_space()
+    model = prepare_model((a.T, c.T, b.T, d.T) if side == "right" else system)
+    _, _, out, _ = model.abcd
+    share = np.diag(out @ model.gramian @ out.T)
     pairs = share.size // 2
     ranked = np.argsort(-share.reshape(pairs, 2).sum(axis=1), kind="stable")
 

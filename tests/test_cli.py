@@ -717,6 +717,27 @@ def test_select_points_half_window_exits_2(tmp_path, ex1_system_path, capsys):
     assert not (tmp_path / "sel").exists()
 
 
+@pytest.mark.parametrize(
+    "method, system, form",
+    [
+        ("passive", cases.optomechanical_system, "an annihilation"),
+        ("right", cases.cascaded_cavity_system, "a quadrature"),
+    ],
+    ids=["passive-on-quadrature", "right-on-annihilation"],
+)
+def test_select_points_form_mismatch_exits_2(tmp_path, capsys, method, system, form):
+    # The wrong form for the method is a usage error, as for reduce: exit 2,
+    # one line, before any work, with default or explicit directions.
+    path = tmp_path / "sys.json"
+    serialization.save_system(system(), path)
+    args = ["select-points", str(path), "--method", method, "--r", "2"]
+    dirs = json.dumps([[1, 0]] * 4)
+    for extra in ([], ["--dirs", dirs]):
+        assert main(args + extra + ["--out", str(tmp_path / "sel")]) == 2
+        assert capsys.readouterr().err == f"error: --method {method} requires {form}-form system\n"
+    assert not (tmp_path / "sel").exists()
+
+
 def test_select_points_default_directions_scan_feasibly(tmp_path, ex1_system_path, capsys):
     # The default directions rank the port pairs, so the tied ex1 search
     # scans no infeasible candidate and reaches the paper's error level.

@@ -203,11 +203,15 @@ def test_solve_stacks_names_the_singular_item():
     assert str(errors[1]) == "singular matrix while evaluating item (1, 2): Singular matrix"
 
 
+def _lyapunov(a, q):
+    """:func:`linalg.lyapunov_solve` on the complex Schur pair of ``a``."""
+    t, u, _ = linalg.schur(a.astype(complex))
+    return linalg.lyapunov_solve(t, u, q)
+
+
 def test_lyapunov_trivial_cases():
-    assert np.allclose(linalg.lyapunov_solve(-np.eye(3), 2 * np.eye(3)), np.eye(3))
-    assert np.allclose(
-        linalg.lyapunov_solve(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0])), np.eye(2)
-    )
+    assert np.allclose(_lyapunov(-np.eye(3), 2 * np.eye(3)), np.eye(3))
+    assert np.allclose(_lyapunov(np.diag([-1.0, -2.0]), np.diag([2.0, 4.0])), np.eye(2))
 
 
 def _stable_pair():
@@ -222,7 +226,7 @@ def test_lyapunov_quadrature_oracle():
     # Cross-check against direct numerical integration of the Gramian
     # integral over [0, 40 / |min Re eig|].
     a, q = _stable_pair()
-    p = linalg.lyapunov_solve(a, q)
+    p = _lyapunov(a, q)
     horizon = 40.0 / abs(np.max(np.linalg.eigvals(a).real))
     integral = scipy.integrate.quad_vec(
         lambda t: la.expm(a * t) @ q @ la.expm(a.T * t), 0.0, horizon, epsrel=1e-10
@@ -233,8 +237,14 @@ def test_lyapunov_quadrature_oracle():
 
 
 def test_lyapunov_rejects_unstable():
-    with pytest.raises(StabilityError):
-        linalg.lyapunov_solve(np.diag([1.0, -2.0]), np.eye(2))
+    # The Schur pair a Gramian is solved on comes from prepare_model, whose
+    # diagonal is the Hurwitz test.
+    a = np.diag([1.0, -2.0])
+    message = "^" + re.escape(linalg.NOT_HURWITZ) + "$"
+    with pytest.raises(StabilityError, match=message):
+        analysis.prepare_model((a, np.eye(2), np.eye(2), np.zeros((2, 2))))
+    with pytest.raises(StabilityError, match=message):
+        analysis.h2_norm(a, np.eye(2), np.eye(2))
 
 
 def _error_gramian_pair(system, result):
@@ -258,14 +268,20 @@ LYAPUNOV_CASES = {
 
 @pytest.mark.parametrize("label", sorted(LYAPUNOV_CASES))
 def test_lyapunov_is_scipy_bit_for_bit(label):
-    # The direct gees/trsyl calls are those of solve_continuous_lyapunov.
+    # For a complex a, the gees/trsyl calls are those of
+    # solve_continuous_lyapunov, bit for bit.  For a real a, scipy solves on
+    # the real Schur form instead, so the two agree to rounding.
     a, q = LYAPUNOV_CASES[label]()
     assert np.iscomplexobj(a) == (label == "ex3 error system")
     expected = la.solve_continuous_lyapunov(a, -q)
     expected = (expected + expected.conj().T) / 2
-    if np.isrealobj(a) and np.isrealobj(q):
-        expected = expected.real
-    assert np.array_equal(linalg.lyapunov_solve(a, q), expected)
+    p = _lyapunov(a, q)
+    if np.iscomplexobj(a):
+        assert np.array_equal(p, expected)
+        return
+    assert np.linalg.norm(p - expected) <= 1e-12 * np.linalg.norm(expected)
+    residual = np.linalg.norm(a @ p + p @ a.T + q)
+    assert residual <= 1e-9 * (np.linalg.norm(a) * np.linalg.norm(p) + np.linalg.norm(q))
 
 
 @pytest.mark.filterwarnings("error")
@@ -277,7 +293,7 @@ def test_lyapunov_rejects_pole_pair_summing_to_zero(dtype):
     a = np.diag([-1e-20, -1.0]).astype(dtype)
     message = "^state matrix has a pole pair whose sum is zero to working precision; [^\n]*$"
     with pytest.raises(StabilityError, match=message):
-        linalg.lyapunov_solve(a, np.eye(2))
+        _lyapunov(a, np.eye(2))
     with pytest.raises(StabilityError, match=message):
         analysis.h2_norm(a, np.eye(2), np.eye(2))
 

@@ -790,36 +790,38 @@ def test_non_finite_compression_keeps_the_forms_message(monkeypatch):
 
 
 def test_optimize_points_prepares_the_full_model_once(monkeypatch):
-    # The full model's Gramian term and Schur form belong to the problem, not
-    # to a pass: a whole search makes one Lyapunov solve and, besides the one
-    # inside that solve, one Schur form of the full state matrix.
-    problem = _ex3_h2_problem()
-    a = problem.state_matrix()
-    solves, schurs, passes = [], [], []
-    lyapunov_solve, schur = linalg.lyapunov_solve, linalg.schur
-    h2_costs = selection.COST_FUNCTIONS["h2"]
+    # The full model's Schur form and Gramian term belong to the problem, not
+    # to a pass: a whole H2 search, on a complex (ex3, passive) or a real (ex1,
+    # right) state matrix, makes one Schur form of it and one Lyapunov solve,
+    # on that form's pair.
+    for label, make in (("ex3", _ex3_h2_problem), ("ex1", STACK_PROBLEMS["ex1-h2"])):
+        problem = make()
+        a = problem.state_matrix()
+        solves, schurs, passes = [], [], []
+        lyapunov_solve, schur = linalg.lyapunov_solve, linalg.schur
+        h2_costs = selection.COST_FUNCTIONS["h2"]
 
-    def counting_solve(m, q):
-        solves.append(m)
-        return lyapunov_solve(m, q)
+        def counting_solve(t, u, q, solves=solves):
+            solves.append(t)
+            return lyapunov_solve(t, u, q)
 
-    def counting_schur(m):
-        schurs.append((len(solves), m))
-        return schur(m)
+        def counting_schur(m, schurs=schurs):
+            schurs.append(m)
+            return schur(m)
 
-    def counting_costs(problem, candidates):
-        passes.append(len(candidates))
-        return h2_costs(problem, candidates)
+        def counting_costs(problem, candidates, passes=passes):
+            passes.append(len(candidates))
+            return h2_costs(problem, candidates)
 
-    monkeypatch.setattr(linalg, "lyapunov_solve", counting_solve)
-    monkeypatch.setattr(linalg, "schur", counting_schur)
-    monkeypatch.setitem(selection.COST_FUNCTIONS, "h2", counting_costs)
-    optimize_points(problem)
-    assert len(passes) > 1
-    assert len(solves) == 1 and np.array_equal(solves[0], a)
-    # The prepared Schur form, taken before the solve, then the solve's own.
-    assert [called for called, _ in schurs] == [0, 1]
-    assert all(np.array_equal(m, a) for _, m in schurs)
+        monkeypatch.setattr(linalg, "lyapunov_solve", counting_solve)
+        monkeypatch.setattr(linalg, "schur", counting_schur)
+        monkeypatch.setitem(selection.COST_FUNCTIONS, "h2", counting_costs)
+        optimize_points(problem)
+        monkeypatch.undo()
+        assert len(passes) > 1, label
+        full_order = [m for m in schurs if np.array_equal(m, a)]
+        assert len(full_order) == 1, label
+        assert len(solves) == 1 and solves[0] is problem.full_model.t, label
 
 
 def test_error_report_and_hinf_search_factor_the_full_model_once(monkeypatch):
@@ -844,6 +846,19 @@ def test_error_report_and_hinf_search_factor_the_full_model_once(monkeypatch):
         monkeypatch.undo()
         full_order = [m for m in calls["schur"] if np.array_equal(m, a)]
         assert (len(full_order), len(calls["lyapunov_solve"])) == (1, 0), label
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3"])
+def test_example_factors_the_full_model_once(monkeypatch, name):
+    # One prepared model serves an example's error report, its costs and its
+    # search: one Schur form of the full state matrix, and every row passes.
+    system = {"ex1": cases.optomechanical_system, "ex3": cases.cascaded_cavity_system}[name]()
+    a = system.state_space()[0]
+    schurs, schur = [], linalg.schur
+    monkeypatch.setattr(linalg, "schur", lambda m: schurs.append(m) or schur(m))
+    outcome = cases.run_example(name)
+    assert outcome.all_passed, outcome.table()
+    assert [m.shape for m in schurs if np.array_equal(m, a)] == [a.shape]
 
 
 def test_undefined_gramian_fails_only_an_h2_problem():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from qmor import cases, linalg, systems
+from qmor import analysis, cases, linalg, systems
 from qmor.errors import SingularMatrixError, StructureError
 
 
@@ -209,7 +209,7 @@ def test_complete_passivity_gramian_witness():
         if not linalg.is_hurwitz(sys_a.F):
             continue
         quad = systems.annihilation_to_quadrature(sys_a)
-        gramian = linalg.lyapunov_solve(quad.A, quad.B @ quad.B.T)
+        gramian = analysis.prepare_model(quad).gramian
         assert np.linalg.norm(gramian - np.eye(gramian.shape[0])) <= 1e-8
 
 
