@@ -42,20 +42,20 @@ Gramian solved on that same pair when first read.  :func:`h2_error_gramians`
 scores a stack of reduced models against it; :func:`h2_norm`, the test
 oracle, is the Gramian term of a single system of any order.
 
-Evaluation is batched: :func:`sweep` solves ``(s_k I - A) X_k = B`` for a
-whole block of ``GRID_BLOCK`` points at once, and every frequency integrand
-maps an array of frequencies to an array of values.  The angle bounds have
-one integrand, evaluated in Schur coordinates: the same prepared Schur
-form of ``A`` serves the left and the right term, which are stacked on a
-leading axis, and the resolvent is a back-substitution over the whole grid
-(Laub, IEEE TAC 26(2), 1981), or one stacked LU solve at the few points of
-a refinement step.  A kernel of at most two columns takes closed forms,
-with no QR, SVD or ``eigvalsh`` per point: Gram-Schmidt applied twice, 2 x
-2 Gram eigenvalues and ``|det| / sigma_max`` for the cosine; a wider one
-takes stacked QR, ``eigvalsh`` and SVD.  The grid values are the integrand's
-own: each term's grid maximum is its first estimate, and the brackets of
-its best grid maxima advance, for every term at once, in one lockstep
-search.
+Evaluation is batched: :func:`sweep` solves ``(s_k I - A) X_k = B`` for as
+many points at once as ``linalg.SCAN_BLOCK_BYTES`` hold, a gain solves on
+the narrow side of ``B`` and ``C``, and every frequency integrand maps an
+array of frequencies to an array of values.  The angle bounds have one
+integrand, evaluated in Schur coordinates: the same prepared Schur form of
+``A`` serves the left and the right term, which are stacked on a leading
+axis, and the resolvent is a back-substitution over the whole grid (Laub,
+IEEE TAC 26(2), 1981), or one broadcast LU solve at the few points of a
+refinement step.  A kernel of at most two columns takes closed forms, with no
+QR, SVD or ``eigvalsh`` per point: Gram-Schmidt applied twice, 2 x 2 Gram
+eigenvalues and ``|det| / sigma_max`` for the cosine; a wider one takes
+stacked QR, ``eigvalsh`` and SVD.  The grid values are the integrand's own:
+each term's grid maximum is its first estimate, and the brackets of its best
+grid maxima advance, for every term at once, in one lockstep search.
 """
 
 import math
@@ -71,8 +71,6 @@ from .systems import transfer
 DEFAULT_GRID_COUNT = 2000
 #: Bracket refinement: local grid maxima per term, relative final bracket width.
 REFINE_TOP, REFINE_REL_WIDTH = 3, 1e-6
-#: Points per stacked evaluation; bounds the size of the live resolvent stacks.
-GRID_BLOCK = 64
 #: Angle-bound calls of at most this many points, all terms counted, take a stacked solve.
 FEW_POINTS = 6
 #: Relative gap between the certified upper and the attained lower H-infinity value.
@@ -136,10 +134,10 @@ def default_grid(*state_matrices, count=DEFAULT_GRID_COUNT):
     return GridSpec(wmin=float(wmin), wmax=float(wmax), count=count, two_sided=two_sided)
 
 
-def _grid_values(f, *columns):
-    """``f`` over the rows of ``columns`` in blocks of ``GRID_BLOCK`` (at least one call)."""
-    starts = range(0, max(columns[0].size, 1), GRID_BLOCK)
-    return np.concatenate([f(*(col[k : k + GRID_BLOCK] for col in columns)) for k in starts])
+def _grid_values(f, s, b):
+    """``f`` over ``s`` in blocks of ``linalg.SCAN_BLOCK_BYTES``, ``n (n + m)`` entries a point."""
+    block = max(1, linalg.SCAN_BLOCK_BYTES // (16 * b.shape[0] * sum(b.shape)))
+    return np.concatenate([f(s[k : k + block]) for k in range(0, max(s.size, 1), block)])
 
 
 def _bounded_brent(lo, hi):
@@ -291,8 +289,9 @@ def sweep(a, b, s):
 
 
 def _gains(a, b, c, s, singular=math.inf):
-    """``|C (s_k I - A)^-1 B|`` over a 1-D array ``s``; ``singular`` where it is singular."""
-    stack = c @ sweep(a, b, s)
+    """``|C (s_k I - A)^-1 B|`` over a 1-D ``s``, on the narrow side; ``singular`` where singular."""
+    narrow = c.shape[0] < b.shape[1]  # p < m: Y_k^T B with (s_k I - A)^T Y_k = C^T, p right sides
+    stack = sweep(a.T, c.T, s).swapaxes(1, 2) @ b if narrow else c @ sweep(a, b, s)
     finite = np.isfinite(stack).all(axis=(1, 2))
     out = np.full(stack.shape[0], singular)
     out[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
@@ -392,8 +391,8 @@ def hinf_norm(a, b, c, poles, omegas=None, values=None):
         pole = poles[np.argmax(poles.real)]
         return HinfEstimate(math.inf, float(abs(pole.imag) if real else pole.imag), math.inf, 0)
 
-    def curve(w):
-        w = np.abs(w) if real else w
+    def curve(w):  # each distinct frequency once
+        w = np.unique(np.abs(w) if real else w)
         return w, _gains(a, b, c, 1j * w)
 
     mags = np.abs(poles)
@@ -430,7 +429,7 @@ def hinf_error(full, result, grid=None):
     if grid is None:
         return hinf_norm(*system, poles)
     omegas = grid.frequencies()
-    values = _grid_values(lambda w: _gains(*system, 1j * w), omegas)
+    values = _grid_values(lambda w: _gains(*system, 1j * w), omegas, system[1])
     return hinf_norm(*system, poles, omegas, values)
 
 
@@ -554,8 +553,8 @@ def _angle_integrand(t, rhs, cu, pu, s):
     batched products (Laub, IEEE TAC 26(2), 1981), a block of points at a
     time: ``Z`` and ``Q``, about ``n (m + 2 k)`` complex entries per point,
     take at most ``linalg.SCAN_BLOCK_BYTES``.  A call of at most
-    ``FEW_POINTS`` points, as every refinement step is, takes one stacked LU
-    solve of ``sI - T`` instead, the faster form there for 5 to 30 states.
+    ``FEW_POINTS`` points, as every refinement step is, takes one LU solve of
+    the ``(points, g)`` stack of ``sI - T``, ``rhs`` broadcast: faster there, at 5 to 30 states.
     """
     g, n, width = rhs.shape
     k, m = pu.shape[1], width - pu.shape[1]
@@ -566,10 +565,8 @@ def _angle_integrand(t, rhs, cu, pu, s):
     for start in range(0, s.shape[1], block):
         sb = s[:, start : start + block]
         points = sb.shape[1]
-        if sb.size <= FEW_POINTS:
-            shifted = linalg.shifted(np.repeat(t, points, axis=0), sb.ravel())
-            z = linalg.solve(shifted, np.repeat(rhs, points, axis=0))
-            z = z.reshape(g, points, n, width).swapaxes(1, 2)
+        if sb.size <= FEW_POINTS:  # (points, g) shifts of the g factors, one right side each
+            z = linalg.solve(linalg.shifted(t, sb.T), rhs[None]).transpose(1, 2, 0, 3)
         else:
             # Row i of Z at every point at once: (s - t_ii) z_i = rhs_i + t_i,i+1: Z_i+1:.
             z = np.empty((g, n, points, width), complex)
@@ -629,16 +626,18 @@ def _angle_terms(model, terms):
         for side, (_, u_s, b_s, c_s, _) in forms.items()
     }
     widths = [max(ports[side][j].shape[1] for side, _, _ in terms) for j in (0, 1)]
+    bases = {id(x): x for _, *pair in terms for x in pair}
+    kernels = {key: linalg.kernel_basis(x.conj().T) for key, x in bases.items()}
     stacked = []
     for side, basis, perp in terms:
         t_s, u_s, _, _, unit = forms[side]
-        ub, cu_h = (np.pad(x, ((0, 0), (0, w - x.shape[1]))) for x, w in zip(ports[side], widths))
-        kernel = u_s.conj().T @ linalg.kernel_basis(basis.conj().T)
-        u_perp_h = linalg.kernel_basis(perp.conj().T).conj().T
+        ub, cu_h = (
+            np.hstack([x, np.zeros((len(x), w - x.shape[1]))]) for x, w in zip(ports[side], widths)
+        )
+        kernel, u_perp_h = u_s.conj().T @ kernels[id(basis)], kernels[id(perp)].conj().T
         stacked.append((t_s, np.hstack([ub, kernel]), cu_h.conj().T, u_perp_h @ u_s, unit))
     t, rhs, cu, pu, unit = (np.array(x) for x in zip(*stacked))
-    bases = [x for _, basis, perp in terms for x in (basis, perp)]
-    even = not any(np.iscomplexobj(x) for x in (a, b, c, *bases))
+    even = not any(np.iscomplexobj(x) for x in (a, b, c, *bases.values()))
 
     def f(labels, w):
         s = unit[labels].reshape(-1, 1) * np.reshape(w, (len(labels), -1))
@@ -707,7 +706,7 @@ def h2_error_quadrature(full, reduced, w_max=None):
     nodes, weights = np.polynomial.legendre.leggauss(H2_NODES)
     half = (edges[1] - edges[0]) / 2
     t = (((edges[:-1] + edges[1:]) / 2)[:, None] + half * nodes).ravel()
-    gap = _grid_values(lambda s: c_e @ sweep(a_e, b_e, s), 1j * w_max * np.tan(t))
+    gap = _grid_values(lambda s: c_e @ sweep(a_e, b_e, s), 1j * w_max * np.tan(t), b_e)
     integrand = np.sum(np.abs(gap) ** 2, axis=(1, 2)) * w_max / np.cos(t) ** 2
     value = float(np.sum(np.tile(half * weights, H2_PANELS) * integrand))
     return value if two_sided else 2.0 * value
@@ -902,7 +901,7 @@ def frequency_response(system, omegas):
     """
     a, b, c, d = _abcd(system)
     omegas = np.asarray(omegas, dtype=float)
-    values = _grid_values(lambda s: d + c @ sweep(a, b, s), 1j * omegas)
+    values = _grid_values(lambda s: d + c @ sweep(a, b, s), 1j * omegas, b)
     finite = np.isfinite(values).all(axis=(1, 2))
     skipped = [(float(w), "resolvent singular") for w in omegas[~finite]]
     return FrequencyResponse(
@@ -932,7 +931,7 @@ def error_surface(full, reduced, real_points=None, imag_points=None):
     imag_points = np.asarray(imag_points, dtype=float)
     points = (real_points[None, :] + 1j * imag_points[:, None]).ravel()
     system = error_system(full, reduced)
-    values = _grid_values(lambda s: _gains(*system, s, math.nan), points)
+    values = _grid_values(lambda s: _gains(*system, s, math.nan), points, system[1])
     return real_points, imag_points, values.reshape(imag_points.size, real_points.size)
 
 
@@ -972,7 +971,7 @@ def error_report(full, result, grid=None):
     spec = grid or default_grid(_abcd(full)[0], _abcd(_reduced_operand(result))[0])
     omegas = spec.frequencies()
     system = error_system(full, result)
-    values = _grid_values(lambda w: _gains(*system, 1j * w), omegas)
+    values = _grid_values(lambda w: _gains(*system, 1j * w), omegas, system[1])
     curve = np.column_stack([omegas, values])
     try:
         model, poles = _stable_pair(full, result)

@@ -220,10 +220,14 @@ def cmd_select_points(args):
         raise SchemaError(f"--r {args.r}: passive conjugate-pair selection needs an even r")
     system = serialization.load_system(args.input)
     _check_form(system, args.method)
+    model = None
     if args.dirs is not None:
         directions = serialization.complex_matrix_from_json(
             _load_json_arg(args.dirs, "directions"), "directions"
         )
+    elif args.method == "left":  # the ranking's prepared model is the problem's own
+        model = analysis.prepare_model(system)
+        directions = selection.ranked_directions(system, args.method, args.r, model)
     else:
         directions = selection.default_directions(system, args.method, args.r)
     bounds = None
@@ -242,6 +246,8 @@ def cmd_select_points(args):
         tie_omegas=args.tie_omega,
         template=args.template,
     )
+    if model is not None:
+        object.__setattr__(problem, "full_model", model)  # seeds the cached property
     try:
         chosen = selection.optimize_points(problem)
     except InfeasiblePointError as exc:

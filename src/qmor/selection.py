@@ -109,6 +109,11 @@ def default_directions(system, side, r):
         raise StructureError(f"{side} selection needs a quadrature-form system")
     a, b, c, d = system.state_space()
     model = prepare_model((a.T, c.T, b.T, d.T) if side == "right" else system)
+    return ranked_directions(system, side, r, model)
+
+
+def ranked_directions(system, side, r, model):
+    """:func:`default_directions` on ``side`` from ``model``, the system or its dual, prepared."""
     _, _, out, _ = model.abcd
     share = np.diag(out @ model.gramian @ out.T)
     pairs = share.size // 2
@@ -120,7 +125,7 @@ def default_directions(system, side, r):
         return tangent_directions(r, pairs, np.eye(2 * pairs)[columns])
 
     if r <= system.n_modes:  # more points than modes fail every pair's rank test
-        window = default_grid(a)
+        window = default_grid(system.state_space()[0])
         points = conjugate_pair_points(np.full(r, math.sqrt(window.wmin * window.wmax)))
         for pair in ranked:
             candidate = directions(pair)

@@ -582,6 +582,100 @@ def test_screen_blocks_leave_the_bounds_unchanged(monkeypatch, build):
     )
 
 
+def _counting_sweeps(monkeypatch):
+    """Record the points of every :func:`analysis.sweep` call that has any."""
+    calls, sweep = [], analysis.sweep
+
+    def counting(a, b, s):
+        if s.size:
+            calls.append(s)
+        return sweep(a, b, s)
+
+    monkeypatch.setattr(analysis, "sweep", counting)
+    return calls
+
+
+def _curve_sweeps(calls, omegas):
+    """The sweeps of an error curve: those whose points all lie on the grid."""
+    return [s for s in calls if np.isin(s, 1j * omegas).all()]
+
+
+REPORT_FIELDS = (
+    "hinf_error_estimate", "hinf_error_upper", "peak_frequency", "hinf_bound_left", "hinf_bound_right"
+)
+
+
+@pytest.mark.parametrize("build", [_ex1, _ex3], ids=["ex1", "ex3"])
+def test_curve_blocks_leave_the_report_unchanged(monkeypatch, build):
+    # A working-memory budget of a third of the curve's stacks sweeps it in
+    # at least three blocks.  Each point is its own solve, so the curve, the
+    # norm, its frequency and both bounds are those of one block, bit for bit.
+    _, full, result, grid = build()
+    omegas = grid.frequencies()
+    whole = analysis.error_report(full, result, grid=grid)
+    calls = _counting_sweeps(monkeypatch)
+    analysis.error_report(full, result, grid=grid)
+    assert [s.size for s in _curve_sweeps(calls, omegas)] == [omegas.size]
+    b_e = analysis.error_system(full, result)[1]
+    per_point = 16 * b_e.shape[0] * sum(b_e.shape)
+    monkeypatch.setattr(linalg, "SCAN_BLOCK_BYTES", per_point * (omegas.size // 3))
+    calls.clear()
+    blocked = analysis.error_report(full, result, grid=grid)
+    assert len(_curve_sweeps(calls, omegas)) >= 3
+    assert np.array_equal(blocked.pointwise, whole.pointwise)
+    fields = [(getattr(blocked, f), getattr(whole, f)) for f in REPORT_FIELDS]
+    assert all(a == b for a, b in fields), fields
+
+
+def test_a_401_point_curve_is_one_sweep(monkeypatch):
+    # With the default budget the whole curve is one stacked solve, and the
+    # level-set search solves each distinct frequency once: a real model's
+    # start frequencies |Im lambda|, |lambda| and -|lambda| repeat.
+    _, full, result, _ = _ex1()
+    grid = analysis.default_grid(full.A, result.reduced.A, count=400)
+    omegas = grid.frequencies()
+    assert omegas.size == 401
+    calls = _counting_sweeps(monkeypatch)
+    analysis.error_report(full, result, grid=grid)
+    assert [s.size for s in _curve_sweeps(calls, omegas)] == [401]
+    assert all(np.unique(s).size == s.size for s in calls)
+
+
+def _random_system(n, outputs, inputs, dtype, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    return draw(n, n), draw(n, inputs), draw(outputs, n)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize(("outputs", "inputs"), [(2, 5), (5, 2), (3, 3)], ids=["p<m", "p>m", "p=m"])
+def test_gains_match_the_pointwise_norm_on_both_solve_sides(outputs, inputs, dtype):
+    # Fewer outputs than inputs solve (sI - A)^T Y = C^T and take Y^T B, the
+    # others (sI - A) X = B and C X: both within REL of a per-point solve, on
+    # the imaginary axis and off it, on a rectangle as error_surface evaluates.
+    a, b, c = _random_system(6, outputs, inputs, dtype, seed=10 * outputs + inputs)
+    axis = 1j * np.linspace(-5.0, 5.0, 41)
+    plane = (np.linspace(-4.0, 4.0, 9)[None, :] + 1j * np.linspace(-4.0, 4.0, 9)[:, None]).ravel()
+    s = np.concatenate([axis, plane])
+    gains = analysis._gains(a, b, c, s)
+    expected = np.array([linalg.spectral_norm(c @ _resolvent(a, point, b)) for point in s])
+    assert np.all(np.abs(gains - expected) <= REL * expected)
+
+
+def test_each_kernel_basis_is_computed_once(monkeypatch):
+    # The left and right terms of a report share their bases, (V, W) and
+    # (W, V): one kernel basis, one SVD, for each.
+    _, full, result, grid = _ex1()
+    calls, kernel_basis = [], linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
+    analysis.error_report(full, result, grid=grid)
+    assert len(calls) == 2
+
+
 def _svd_stacks(rows, cols, seed, count=60):
     """Seeded complex ``(count, rows, cols)`` stacks over six decades of scale."""
     rng = np.random.default_rng(seed)

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from qmor import analysis, cases, cli, serialization, systems
+from qmor import analysis, cases, cli, linalg, serialization, systems
 from qmor.cli import main
 from qmor.reduction import reduce_passive, reduce_right
 
-from conftest import make_quadrature_data
+from conftest import make_quadrature_data, stable_reduction_cases
 
 
 @pytest.fixture()
@@ -736,6 +736,20 @@ def test_select_points_form_mismatch_exits_2(tmp_path, capsys, method, system, f
         assert main(args + extra + ["--out", str(tmp_path / "sel")]) == 2
         assert capsys.readouterr().err == f"error: --method {method} requires {form}-form system\n"
     assert not (tmp_path / "sel").exists()
+
+
+def test_select_points_left_ranking_prepares_the_search_model(tmp_path, monkeypatch, capsys):
+    # Without --dirs on the left, the Gramian ranking's prepared model is the
+    # search's own: one Schur form of the full state matrix per command.
+    quad = stable_reduction_cases(1)[0][0]
+    path = tmp_path / "system.json"
+    serialization.save_system(quad, path)
+    schurs, schur = [], linalg.schur
+    monkeypatch.setattr(linalg, "schur", lambda m: schurs.append(m) or schur(m))
+    args = ["select-points", str(path), "--method", "left", "--r", "1", "--tie-omega"]
+    assert main(args + ["--cost", "h2", "--out", str(tmp_path / "sel")]) == 0
+    assert [m.shape for m in schurs if np.array_equal(m, quad.A)] == [quad.A.shape]
+    assert "error" not in capsys.readouterr().err
 
 
 def test_select_points_default_directions_scan_feasibly(tmp_path, ex1_system_path, capsys):
