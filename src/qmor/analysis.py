@@ -49,11 +49,13 @@ array of frequencies to an array of values.  The angle bounds have one
 integrand, evaluated in Schur coordinates: the same prepared Schur form of
 ``A`` serves the left and the right term, which are stacked on a leading
 axis, and the resolvent is a back-substitution over the whole grid (Laub,
-IEEE TAC 26(2), 1981), or one broadcast LU solve at the few points of a
-refinement step.  A kernel of at most two columns takes closed forms, with no
-QR, SVD or ``eigvalsh`` per point: Gram-Schmidt applied twice, 2 x 2 Gram
-eigenvalues and ``|det| / sigma_max`` for the cosine; a wider one takes
-stacked QR, ``eigvalsh`` and SVD.  The grid values are the integrand's own:
+IEEE TAC 26(2), 1981).  The few points of a refinement step take their own
+routine, :func:`_angle_step`: one broadcast LU solve, whose layout they
+keep, and one product with each term's port rows ``[C U; U_perp^H U]``.  A
+kernel of at most two columns takes closed forms, with no QR, SVD or
+``eigvalsh`` per point: Gram-Schmidt applied twice, 2 x 2 Gram eigenvalues
+and ``|det| / sigma_max`` for the cosine; a wider one takes stacked QR,
+``eigvalsh`` and SVD.  The grid values are the integrand's own:
 each term's grid maximum is its first estimate, and the brackets of its best
 grid maxima advance, for every term at once, in one lockstep search.
 """
@@ -71,7 +73,7 @@ from .systems import transfer
 DEFAULT_GRID_COUNT = 2000
 #: Bracket refinement: local grid maxima per term, relative final bracket width.
 REFINE_TOP, REFINE_REL_WIDTH = 3, 1e-6
-#: Angle-bound calls of at most this many points, all terms counted, take a stacked solve.
+#: Angle-bound calls of at most this many points, all terms counted, take :func:`_angle_step`.
 FEW_POINTS = 6
 #: Relative gap between the certified upper and the attained lower H-infinity value.
 LEVEL_SET_TOL = 1e-10
@@ -402,16 +404,23 @@ def hinf_norm(a, b, c, poles, omegas=None, values=None):
     lower = float(sampled.max())
     if lower == 0.0 or math.isinf(lower):
         return HinfEstimate(lower, _peak_frequency(w, sampled, lower), lower, 0)
-    bb, cc, a_h = b @ b.conj().T, c.conj().T @ c, -a.conj().T
+    n = a.shape[0]
+    bb, minus_cc = b @ b.conj().T, -(c.conj().T @ c)
+    # One Hamiltonian buffer; each step rewrites its off-diagonal blocks.
+    h = np.empty((2 * n, 2 * n), np.result_type(a, bb, minus_cc, 1.0))
+    h[:n, :n], h[n:, n:] = a, -a.conj().T
     for iteration in range(1, MAX_LEVEL_SET_ITERATIONS + 1):
         gamma = (1.0 + 2.0 * LEVEL_SET_TOL) * lower
-        h = np.block([[a, bb / gamma], [-cc / gamma, a_h]])
+        np.divide(bb, gamma, out=h[:n, n:])
+        np.divide(minus_cc, gamma, out=h[n:, :n])
         eig = np.linalg.eigvals(h)
         scale = np.abs(h).sum(axis=0).max()
         crossings = np.sort(eig.imag[np.abs(eig.real) <= AXIS_TOL * (np.abs(eig) + scale)])
+        if crossings.size == 0:
+            return HinfEstimate(lower, _peak_frequency(w, sampled, lower), gamma, iteration)
         step_w, step = curve(np.concatenate([crossings, (crossings[:-1] + crossings[1:]) / 2]))
         w, sampled = np.concatenate([w, step_w]), np.concatenate([sampled, step])
-        if step.size == 0 or step.max() <= lower:
+        if step.max() <= lower:
             return HinfEstimate(lower, _peak_frequency(w, sampled, lower), gamma, iteration)
         lower = float(step.max())
     raise QmorError(
@@ -507,14 +516,31 @@ def _gram_norms(stack):
     width = stack.shape[-1]
     if width > 2:
         x = np.moveaxis(stack, -2, -3)
-        top = np.linalg.eigvalsh(np.swapaxes(x.conj(), -1, -2) @ x)[..., -1]
-        return np.sqrt(np.maximum(top, 0.0))
+        return _gram_roots(np.swapaxes(x.conj(), -1, -2) @ x)
     x, y = stack[..., 0], stack[..., -1]
     a = _dots(x, x).real
     if width == 1:
         return np.sqrt(a)
-    d = _dots(y, y).real
-    return np.sqrt((a + d) / 2 + np.hypot((a - d) / 2, np.abs(_dots(x, y))))
+    return _top_root(a, _dots(y, y).real, _dots(x, y))
+
+
+def _top_root(a, d, b):
+    """Square root of the top eigenvalue of the Hermitian ``[[a, b], [conj(b), d]]``."""
+    return np.sqrt((a + d) / 2 + np.hypot((a - d) / 2, np.abs(b)))
+
+
+def _gram_roots(gram):
+    """Square root of the top eigenvalue of every ``k x k`` Hermitian matrix of a stack.
+
+    The closed forms of :func:`_gram_norms` for ``k <= 2``, ``eigvalsh`` above.
+    """
+    k = gram.shape[-1]
+    if k > 2:
+        return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    a = gram[..., 0, 0].real
+    if k == 1:
+        return np.sqrt(a)
+    return _top_root(a, gram[..., 1, 1].real, gram[..., 0, 1])
 
 
 def _sigma_min(stack):
@@ -534,46 +560,42 @@ def _sigma_min(stack):
     return np.divide(det, top, out=np.zeros_like(det), where=top > 0.0)
 
 
-def _angle_integrand(t, rhs, cu, pu, s):
+def _angle_integrand(t, rhs, ports, k, s):
     """Angle-bound integrand ``|C Q_u| |U_perp^H (sI-A)^-1 B| / cos(theta)`` in Schur coordinates.
 
     Row ``j`` of the frequencies ``s`` belongs to one term: ``t[j]`` is the
     triangular factor of a complex Schur form ``A = U T U^H``, ``rhs[j] =
-    U^H [B | kernel]`` with ``kernel`` spanning ``ker(basis^H)``, ``cu[j] =
-    C U`` and ``pu[j] = U_perp^H U``, ``k`` rows for ``k`` kernel columns.
-    ``(sI - A)^-1 [B | kernel] = U Z`` with ``Z = (sI - T)^-1 rhs``, and
-    ``Q``, an orthonormal basis of the kernel block of ``Z``, stands for
-    ``U^H Q_u``, ``Q_u`` spanning ``ker(basis^H (sI-A))``: ``|C U Q|`` and
-    ``|U_perp^H U Z_B|`` are :func:`_gram_norms`, and ``cos(theta)`` is the
-    smallest singular value of ``U_perp^H U Q`` (Bjorck and Golub, Math.
-    Comp. 1973).  For ``k <= 2`` all three are closed forms, with no QR, SVD
-    or ``eigvalsh`` per point.  The value is ``inf`` where the cosine is 0.
+    U^H [B | kernel]`` with ``kernel`` spanning ``ker(basis^H)``, and
+    ``ports[j] = [C U; U_perp^H U]``, its last ``k`` rows for the ``k``
+    kernel columns.  ``(sI - A)^-1 [B | kernel] = U Z`` with ``Z = (sI -
+    T)^-1 rhs``, and ``Q``, an orthonormal basis of the kernel block of
+    ``Z``, stands for ``U^H Q_u``, ``Q_u`` spanning ``ker(basis^H (sI-A))``:
+    ``|C U Q|`` and ``|U_perp^H U Z_B|`` are :func:`_gram_norms`, and
+    ``cos(theta)`` is the smallest singular value of ``U_perp^H U Q``
+    (Bjorck and Golub, Math. Comp. 1973).  For ``k <= 2`` all three are
+    closed forms, with no QR, SVD or ``eigvalsh`` per point.  The value is
+    ``inf`` where the cosine is 0.
 
     ``Z`` is a back-substitution over every point of every row in ``n``
     batched products (Laub, IEEE TAC 26(2), 1981), a block of points at a
     time: ``Z`` and ``Q``, about ``n (m + 2 k)`` complex entries per point,
-    take at most ``linalg.SCAN_BLOCK_BYTES``.  A call of at most
-    ``FEW_POINTS`` points, as every refinement step is, takes one LU solve of
-    the ``(points, g)`` stack of ``sI - T``, ``rhs`` broadcast: faster there, at 5 to 30 states.
+    take at most ``linalg.SCAN_BLOCK_BYTES``.  A few points take
+    :func:`_angle_step` instead.
     """
     g, n, width = rhs.shape
-    k, m = pu.shape[1], width - pu.shape[1]
-    if k == 0:
-        return np.zeros(s.shape)
+    m = width - k
+    cu, pu = ports[:, :-k], ports[:, -k:]
     block = max(1, linalg.SCAN_BLOCK_BYTES // (16 * g * n * (width + k)))
     out = []
     for start in range(0, s.shape[1], block):
         sb = s[:, start : start + block]
         points = sb.shape[1]
-        if sb.size <= FEW_POINTS:  # (points, g) shifts of the g factors, one right side each
-            z = linalg.solve(linalg.shifted(t, sb.T), rhs[None]).transpose(1, 2, 0, 3)
-        else:
-            # Row i of Z at every point at once: (s - t_ii) z_i = rhs_i + t_i,i+1: Z_i+1:.
-            z = np.empty((g, n, points, width), complex)
-            for i in reversed(range(n)):
-                row = t[:, i, None, i + 1 :] @ z[:, i + 1 :].reshape(g, n - i - 1, points * width)
-                z[:, i] = rhs[:, i, None] + row.reshape(g, points, width)
-                z[:, i] /= (sb - t[:, i, i, None])[..., None]
+        # Row i of Z at every point at once: (s - t_ii) z_i = rhs_i + t_i,i+1: Z_i+1:.
+        z = np.empty((g, n, points, width), complex)
+        for i in reversed(range(n)):
+            row = t[:, i, None, i + 1 :] @ z[:, i + 1 :].reshape(g, n - i - 1, points * width)
+            z[:, i] = rhs[:, i, None] + row.reshape(g, points, width)
+            z[:, i] /= (sb - t[:, i, i, None])[..., None]
         q = _orthonormal_columns(z[..., m:])
         t1 = _gram_norms((cu @ q.reshape(g, n, -1)).reshape(g, -1, points, k))
         z[..., m:] = q
@@ -582,6 +604,39 @@ def _angle_integrand(t, rhs, cu, pu, s):
         cos = _sigma_min(perp[..., m:])
         out.append(np.divide(t1 * t2, cos, out=np.full(sb.shape, math.inf), where=cos > 0.0))
     return np.concatenate(out, axis=1)
+
+
+def _angle_step(t, rhs, ports, k, s):
+    """:func:`_angle_integrand` in a call of at most ``FEW_POINTS`` points, as every step is.
+
+    One LU solve of the ``(points, g)`` stack of ``sI - T``, ``rhs``
+    broadcast, is faster there than the back-substitution, at 5 to 30
+    states.  ``Z`` keeps that solve's ``(points, g, n, width)`` layout, and
+    its kernel block is orthonormalized on the trailing matrices.  One
+    product ``ports [Z_B | Q]`` holds ``C U Q``, ``U_perp^H U Z_B`` and
+    ``U_perp^H U Q``, and their ``k x k`` Gram matrices (``M^H M`` or ``M
+    M^H``, with the top eigenvalue of the smaller one) are one stack, read
+    by :func:`_gram_roots`.  The cosine is the closed form of
+    :func:`_sigma_min` for ``k <= 2`` and a stacked SVD above.
+    """
+    m, p = rhs.shape[-1] - k, ports.shape[-2] - k
+    z = linalg.solve(linalg.shifted(t, s.T), rhs[None])
+    z[..., m:] = _orthonormal_columns(z[..., None, m:])[..., 0, :]
+    prod = ports @ z
+    c_q, p_b, p_q = prod[..., :p, m:], prod[..., p:, :m], prod[..., p:, m:]
+    gram = np.empty((3,) + p_q.shape, complex)
+    np.matmul(c_q.swapaxes(-1, -2).conj(), c_q, out=gram[0])
+    np.matmul(p_b, p_b.swapaxes(-1, -2).conj(), out=gram[1])
+    np.matmul(p_q.swapaxes(-1, -2).conj(), p_q, out=gram[2])
+    roots = _gram_roots(gram)
+    if k > 2:
+        cos = np.linalg.svd(p_q, compute_uv=False)[..., -1]
+    elif k == 1:
+        cos = np.abs(p_q[..., 0, 0])
+    else:
+        det = np.abs(p_q[..., 0, 0] * p_q[..., 1, 1] - p_q[..., 0, 1] * p_q[..., 1, 0])
+        cos = np.divide(det, roots[2], out=np.zeros_like(det), where=roots[2] > 0.0)
+    return np.divide(roots[0] * roots[1], cos, out=np.full(cos.shape, math.inf), where=cos > 0.0).T
 
 
 def _bound_suprema(full, result, grid, terms):
@@ -606,14 +661,16 @@ def _angle_terms(model, terms):
     ``model`` is the full model's :class:`PreparedModel`.  Returns ``(f,
     even)``: ``f(t, w)`` is :func:`_angle_integrand` of the terms ``t``, a
     1-D array of labels, at the frequencies ``w``, one per label or one row
-    per label.  ``even`` tells whether every matrix is real, which makes
-    ``f`` even in frequency.  The left integrand is the right one of the
-    adjoint ``(A^H, C^H, B^H)`` at ``conj(s)``, and the model's complex
-    Schur form ``A = U T U^H`` serves both sides: with ``J`` the index
-    reversal, ``A^H = (U J) (J T^H J) (U J)^H``, and ``J T^H J`` is upper
-    triangular.  Each term's ``U^H [B | kernel]``, ``C U`` and
-    ``U_perp^H U`` are built once, with ``U^H B`` and ``(C U)^H`` narrowed
-    (:func:`_narrow`) and zero-padded to a common width: no norm changes.
+    per label, or :func:`_angle_step` when they are at most ``FEW_POINTS``
+    points.  ``even`` tells whether every matrix is real, which makes ``f``
+    even in frequency.  The left integrand is the right one of the adjoint
+    ``(A^H, C^H, B^H)`` at ``conj(s)``, and the model's complex Schur form
+    ``A = U T U^H`` serves both sides: with ``J`` the index reversal, ``A^H
+    = (U J) (J T^H J) (U J)^H``, and ``J T^H J`` is upper triangular.  Each
+    term's ``U^H [B | kernel]`` and ``ports = [C U; U_perp^H U]``, the rows
+    that multiply ``Z``, are built once, with ``U^H B`` and ``(C U)^H``
+    narrowed (:func:`_narrow`) and zero-padded to a common width: no norm
+    changes.
     """
     a, b, c, _ = model.abcd
     t, u = model.t, model.u
@@ -621,28 +678,33 @@ def _angle_terms(model, terms):
         "right": (t, u, b, c, 1j),
         "left": (t.conj().T[::-1, ::-1], u[:, ::-1], c.conj().T, b.conj().T, -1j),
     }
-    ports = {
+    narrowed = {
         side: (_narrow(u_s.conj().T @ b_s), _narrow((c_s @ u_s).conj().T))
         for side, (_, u_s, b_s, c_s, _) in forms.items()
     }
-    widths = [max(ports[side][j].shape[1] for side, _, _ in terms) for j in (0, 1)]
+    widths = [max(narrowed[side][j].shape[1] for side, _, _ in terms) for j in (0, 1)]
     bases = {id(x): x for _, *pair in terms for x in pair}
     kernels = {key: linalg.kernel_basis(x.conj().T) for key, x in bases.items()}
     stacked = []
     for side, basis, perp in terms:
         t_s, u_s, _, _, unit = forms[side]
         ub, cu_h = (
-            np.hstack([x, np.zeros((len(x), w - x.shape[1]))]) for x, w in zip(ports[side], widths)
+            np.hstack([x, np.zeros((len(x), w - x.shape[1]))])
+            for x, w in zip(narrowed[side], widths)
         )
         kernel, u_perp_h = u_s.conj().T @ kernels[id(basis)], kernels[id(perp)].conj().T
-        stacked.append((t_s, np.hstack([ub, kernel]), cu_h.conj().T, u_perp_h @ u_s, unit))
-    t, rhs, cu, pu, unit = (np.array(x) for x in zip(*stacked))
+        rows = np.vstack([cu_h.conj().T, u_perp_h @ u_s])
+        stacked.append((t_s, np.hstack([ub, kernel]), rows, unit))
+    t, rhs, ports, unit = (np.array(x) for x in zip(*stacked))
+    k = kernel.shape[1]
     even = not any(np.iscomplexobj(x) for x in (a, b, c, *bases.values()))
 
     def f(labels, w):
+        if k == 0:
+            return np.zeros(np.shape(w))
         s = unit[labels].reshape(-1, 1) * np.reshape(w, (len(labels), -1))
-        values = _angle_integrand(t[labels], rhs[labels], cu[labels], pu[labels], s)
-        return values.reshape(np.shape(w))
+        integrand = _angle_step if s.size <= FEW_POINTS else _angle_integrand
+        return integrand(t[labels], rhs[labels], ports[labels], k, s).reshape(np.shape(w))
 
     return f, even
 

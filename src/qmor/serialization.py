@@ -265,9 +265,9 @@ def _fmt(x):
 
 def write_error_curve_csv(path, pointwise):
     """The ``(k, 2)`` curve as ``omega,error`` rows, ``.17g`` each, in one write."""
-    rows = np.asarray(pointwise).tolist()
+    values = np.asarray(pointwise)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("omega,error\n" + "".join(f"{o:.17g},{e:.17g}\n" for o, e in rows))
+        fh.write("omega,error\n" + "%.17g,%.17g\n" * len(values) % tuple(values.ravel().tolist()))
 
 
 def write_frequency_response_csv(path, response):

@@ -418,6 +418,20 @@ def test_ex3_bound_refinement_takes_few_integrand_calls(monkeypatch):
     assert len(calls) <= 1 + 9
 
 
+def test_ex3_refinement_steps_are_few_point_calls(monkeypatch):
+    # The grid is one _angle_integrand call of both terms; each of the 9
+    # lockstep steps of the ex3 refinement is one _angle_step call.
+    _, full, result, grid = _ex3()
+    calls = _count_integrand_calls(monkeypatch)
+    steps, step = [], analysis._angle_step
+    monkeypatch.setattr(
+        analysis, "_angle_step", lambda *args: steps.append(args[-1].size) or step(*args)
+    )
+    analysis.error_report(full, result, grid=grid)
+    assert calls == [2 * grid.frequencies().size]
+    assert 1 <= len(steps) <= 9 and max(steps) <= analysis.FEW_POINTS
+
+
 def test_ex1_boundary_maximum_is_refined_on_a_mirrored_bracket(monkeypatch):
     # The ex1 left integrand is even in omega and peaks at the grid's first
     # point, omega = 0.  On [0, w1] the bounded search creeps toward that end
@@ -641,6 +655,20 @@ def test_a_401_point_curve_is_one_sweep(monkeypatch):
     assert all(np.unique(s).size == s.size for s in calls)
 
 
+def test_level_set_search_sweeps_no_empty_frequency_set(monkeypatch):
+    # A step whose axis test admits no Hamiltonian eigenvalue returns the
+    # certified value at once: the last step of the ex1 report swept an
+    # empty set of frequencies before.
+    sizes, gains = [], analysis._gains
+    monkeypatch.setattr(
+        analysis, "_gains", lambda a, b, c, s, *r: sizes.append(s.size) or gains(a, b, c, s, *r)
+    )
+    for build in REPORT_CASES:
+        _, full, result, grid = build()
+        analysis.error_report(full, result, grid=grid)
+    assert sizes and min(sizes) > 0
+
+
 def _random_system(n, outputs, inputs, dtype, seed):
     rng = np.random.default_rng(seed)
 
@@ -739,6 +767,38 @@ def test_closed_forms_read_zero_on_singular_stacks():
         omegas = np.array([0.0, 1.0, 1e3, 1e4])
         assert np.all(np.isposinf(f(np.array([0]), omegas[None])))
         assert np.all(np.isposinf(f(np.zeros(3, dtype=int), omegas[:3])))
+
+
+STEP_CASES = [build() for build in REPORT_CASES] + [
+    case for case in SCREEN_CASES if case[0] == "left2"
+]
+
+
+@pytest.mark.parametrize("case", STEP_CASES, ids=[case[0] for case in STEP_CASES])
+def test_refinement_steps_match_the_grid_integrand(monkeypatch, case):
+    # Every call of at most FEW_POINTS points, either term or both, takes
+    # _angle_step in its solve's layout; the grid integrand's back-substitution
+    # on the same stacks is within REL wherever a term reaches 1e-8 of its
+    # grid maximum, and an infinite value is infinite in both.  left2 has a
+    # 4-column kernel: stacked QR, eigvalsh and SVD.
+    _, full, result, grid = case
+    omegas = grid.frequencies()
+    f, _ = analysis._angle_terms(analysis.prepare_model(full), _bound_terms(full, result))
+    peaks = np.array([row[np.isfinite(row)].max() for row in _grid_values(f, 2, omegas)])
+    calls, step = [], analysis._angle_step
+    monkeypatch.setattr(analysis, "_angle_step", lambda *args: calls.append(args) or step(*args))
+    rng = np.random.default_rng(7)
+    for count in range(1, analysis.FEW_POINTS + 1):
+        for first in (0, 1):
+            labels = (first + np.arange(count)) % 2
+            w = rng.choice(omegas, count) * rng.uniform(0.9, 1.1, count)
+            values = f(labels, w)
+            (args,) = calls
+            calls.clear()
+            expected = analysis._angle_integrand(*args).reshape(values.shape)
+            assert np.array_equal(np.isinf(values), np.isinf(expected))
+            shown = np.isfinite(expected) & (expected > 1e-8 * peaks[labels])
+            assert np.all(np.abs(values[shown] - expected[shown]) <= REL * expected[shown])
 
 
 def _counting_lapack(monkeypatch):

@@ -450,6 +450,17 @@ def test_error_curve_csv_bytes_match_per_row_formatting(tmp_path):
     assert b"-0,0\n" in path.read_bytes() and b"inf" in path.read_bytes()
 
 
+def test_error_curve_csv_bytes_match_f_string_formatting(tmp_path):
+    # Every pair of these values, in both columns: the one-format-call file
+    # is byte for byte the row-by-row f-string form.
+    edge = [0.0, -0.0, 5e-324, 1.0 / 3.0, 1e308, math.inf, -math.inf, math.nan]
+    curve = np.array([(o, e) for o in edge for e in edge])
+    path = tmp_path / "curve.csv"
+    serialization.write_error_curve_csv(path, curve)
+    expected = "omega,error\n" + "".join(f"{o:.17g},{e:.17g}\n" for o, e in curve.tolist())
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_error_surface_csv_writes_singular_points_as_nan(tmp_path):
     # error_surface marks a singular point NaN, of either sign.
     values = np.array([[0.25, math.nan], [-math.nan, 1.0 / 3.0]])
