@@ -404,15 +404,10 @@ def hinf_norm(a, b, c, poles, omegas=None, values=None):
     lower = float(sampled.max())
     if lower == 0.0 or math.isinf(lower):
         return HinfEstimate(lower, _peak_frequency(w, sampled, lower), lower, 0)
-    n = a.shape[0]
-    bb, minus_cc = b @ b.conj().T, -(c.conj().T @ c)
-    # One Hamiltonian buffer; each step rewrites its off-diagonal blocks.
-    h = np.empty((2 * n, 2 * n), np.result_type(a, bb, minus_cc, 1.0))
-    h[:n, :n], h[n:, n:] = a, -a.conj().T
+    bb, cc, a_h = b @ b.conj().T, c.conj().T @ c, -a.conj().T
     for iteration in range(1, MAX_LEVEL_SET_ITERATIONS + 1):
         gamma = (1.0 + 2.0 * LEVEL_SET_TOL) * lower
-        np.divide(bb, gamma, out=h[:n, n:])
-        np.divide(minus_cc, gamma, out=h[n:, :n])
+        h = np.block([[a, bb / gamma], [-cc / gamma, a_h]])
         eig = np.linalg.eigvals(h)
         scale = np.abs(h).sum(axis=0).max()
         crossings = np.sort(eig.imag[np.abs(eig.real) <= AXIS_TOL * (np.abs(eig) + scale)])

