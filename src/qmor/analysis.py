@@ -871,35 +871,37 @@ def h2_error_gramians(model, reduced, poles):
     ``r^2 x r^2`` Kronecker system ``(A_r kron I + I kron conj(A_r))
     vec(P_r) = -vec(B_r B_r^H)``, with ``vec`` stacking rows.
 
-    Returns one float or :class:`StabilityError` per row: a row whose
-    ``A_r`` is not Hurwitz, that has a full-reduced or reduced-reduced pole
-    pair ``|lambda + conj(mu)|`` within ``eps`` of the matrix scale (where
-    LAPACK ``trsyl`` would perturb the order-``n + r`` solve), or whose
-    Sylvester or Lyapunov residual exceeds ``1e-8 |M| |X|``.  A feedthrough
-    difference, or a full model whose Gramian is undefined, raises.
+    Returns one float or :class:`StabilityError` per row, in row order: a
+    row whose ``A_r`` is not Hurwitz, that has a full-reduced or
+    reduced-reduced pole pair ``|lambda + conj(mu)|`` within ``eps`` of the
+    matrix scale (where LAPACK ``trsyl`` would perturb the order-``n + r``
+    solve), or whose Sylvester or Lyapunov residual (Frobenius norms by
+    :func:`~qmor.linalg.frobenius_norms`) exceeds ``1e-8 |M| |X|``.  The
+    first two tests drop a row before any solve; the stacks are indexed only
+    when a row drops, and an error is built only for a row that fails.  A
+    feedthrough difference, or a full model whose Gramian is undefined, raises.
     """
     a_r, b_r, c_r, d_r = reduced
     _check_feedthrough(model.abcd[3], d_r)
     t, lam, mu, full_term = model.t, model.poles, poles, model.full_term
     scale = np.maximum(model.t_max, np.abs(a_r).max(axis=(1, 2)))
+    mu_conj = mu.conj()[:, None, :]
     gap = np.minimum(
-        np.abs(lam[:, None] + mu.conj()[:, None, :]).min(axis=(1, 2)),
-        np.abs(mu[:, :, None] + mu.conj()[:, None, :]).min(axis=(1, 2)),
+        np.abs(lam[:, None] + mu_conj).min(axis=(1, 2)),
+        np.abs(mu[:, :, None] + mu_conj).min(axis=(1, 2)),
     )
-    hurwitz = np.all(mu.real < 0, axis=1)
-    outcomes = np.empty(hurwitz.size, object)
-    outcomes[~hurwitz] = StabilityError(linalg.NOT_HURWITZ)
-    outcomes[hurwitz] = StabilityError(linalg.POLE_PAIR)
-    rows = np.flatnonzero(hurwitz & (gap > np.finfo(float).eps * scale))
-    if rows.size == 0:
-        return outcomes.tolist()
-    a_r, b_r, c_r = a_r[rows], b_r[rows], c_r[rows]
-    k, n, r = rows.size, t.shape[0], a_r.shape[-1]
-    conj_r = a_r.conj()
+    hurwitz = (mu.real < 0).all(axis=1)
+    solvable = hurwitz & (gap > np.finfo(float).eps * scale)
+    k, n, r = int(np.count_nonzero(solvable)), t.shape[0], a_r.shape[-1]
+    if k == 0:
+        return [_unsolvable(row) for row in hurwitz.tolist()]
+    if k < solvable.size:
+        a_r, b_r, c_r = a_r[solvable], b_r[solvable], c_r[solvable]
+    conj_r, b_h = a_r.conj(), b_r.conj().swapaxes(1, 2)
     with np.errstate(all="ignore"):  # a singular row reads NaN and fails its residual test
         # X = U Y with T Y + Y A_r^H = F, bottom row first:
         # y_i (t_ii I + A_r^H) = f_i - sum_{j > i} t_ij y_j.
-        f = -(model.ub @ b_r.conj().swapaxes(1, 2))
+        f = -(model.ub @ b_h)
         y = np.empty(f.shape, complex)
         shifts = linalg.shifted(-conj_r, np.repeat(lam[:, None], k, axis=1))
         for i in reversed(range(n)):
@@ -909,36 +911,32 @@ def h2_error_gramians(model, reduced, poles):
         eye = np.eye(r)
         kron = a_r[:, :, None, :, None] * eye[:, None, :]
         kron = (kron + eye[:, None, :, None] * conj_r[:, None, :, None, :]).reshape(k, r * r, -1)
-        rhs = -(b_r @ b_r.conj().swapaxes(1, 2)).reshape(k, r * r, 1)
+        rhs = -(b_r @ b_h).reshape(k, r * r, 1)
         p_r = linalg.solve(kron, rhs)
-        sylvester = (model.t_norm + _frobenius(a_r)) * _frobenius(y)
-        residuals = np.array([
-            _frobenius(t @ y + y @ conj_r.swapaxes(1, 2) - f),
-            _frobenius(kron @ p_r - rhs),
-        ])
-        scales = np.array([sylvester, _frobenius(kron) * _frobenius(p_r)])
-        cross = np.sum((model.cu @ y) * c_r.conj(), axis=(1, 2)).real
-        reduced_term = np.sum((c_r @ p_r.reshape(k, r, r)) * c_r.conj(), axis=(1, 2)).real
+        norm = linalg.frobenius_norms
+        residuals = np.array([norm(t @ y + y @ conj_r.swapaxes(1, 2) - f), norm(kron @ p_r - rhs)])
+        scales = np.array([(model.t_norm + norm(a_r)) * norm(y), norm(kron) * norm(p_r)])
+        cross = ((model.cu @ y) * c_r.conj()).sum(axis=(1, 2)).real
+        reduced_term = ((c_r @ p_r.reshape(k, r, r)) * c_r.conj()).sum(axis=(1, 2)).real
         values = 2.0 * math.pi * (full_term - 2.0 * cross + reduced_term)
     passed = residuals <= 1e-8 * scales
-    ok = passed.all(axis=0)
-    outcomes[rows[ok]] = values[ok].tolist()
-    for j in np.flatnonzero(~ok).tolist():
+    solved = values.tolist()
+    for j in np.flatnonzero(~passed.all(axis=0)).tolist():
         check = int(np.argmin(passed[:, j]))  # the first failing residual test
-        outcomes[rows[j]] = StabilityError(
+        solved[j] = StabilityError(
             f"Gramian residual {residuals[check, j]:.3e} exceeds 1e-8 of scale "
             f"{scales[check, j]:.3e}; Lyapunov solution undefined"
         )
-    return outcomes.tolist()
+    solved = iter(solved)
+    return [
+        next(solved) if row_solvable else _unsolvable(row_hurwitz)
+        for row_hurwitz, row_solvable in zip(hurwitz.tolist(), solvable.tolist())
+    ]
 
 
-def _frobenius(stack):
-    """Frobenius norm of every matrix in a stack.
-
-    The reduction of ``np.linalg.norm(stack, axis=(1, 2))``, bit for bit,
-    without its Python-level argument handling.
-    """
-    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=(1, 2)))
+def _unsolvable(hurwitz):
+    """The :class:`StabilityError` of a row that :func:`h2_error_gramians` does not solve."""
+    return StabilityError(linalg.POLE_PAIR if hurwitz else linalg.NOT_HURWITZ)
 
 
 @dataclass(frozen=True)

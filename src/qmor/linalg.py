@@ -32,7 +32,7 @@ def as_matrix(m, name="matrix", ndim=2):
         arr = arr.astype(float)
     if arr.ndim != ndim:
         raise StructureError(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise StructureError(f"{name} contains non-finite entries")
     return arr
 
@@ -60,12 +60,21 @@ def numerical_rank(s, shape):
     Counts the values above the scale-invariant threshold
     ``max(rows, cols) * eps * sigma_max``; one rank per item of a stack.
     """
-    return np.sum(s > max(shape[-2:]) * np.finfo(s.dtype).eps * s[..., :1], axis=-1)
+    return (s > max(shape[-2:]) * np.finfo(s.dtype).eps * s[..., :1]).sum(axis=-1)
+
+
+def frobenius_norms(stack, axis=(-2, -1)):
+    """Frobenius norm of every matrix in a stack, or 2-norm of every column for ``axis=-2``.
+
+    The reduction of ``np.linalg.norm(stack, axis=axis)``, bit for bit,
+    without its Python-level argument handling.
+    """
+    return np.sqrt(np.add.reduce((stack.conj() * stack).real, axis=axis))
 
 
 def unit_columns(m):
     """``m`` with every nonzero column scaled to unit 2-norm, for one matrix or a stack."""
-    norms = np.linalg.norm(m, axis=-2)
+    norms = frobenius_norms(m, axis=-2)
     return m / np.where(norms == 0.0, 1.0, norms)[..., None, :]
 
 
@@ -92,10 +101,11 @@ def shifted(a, s):
     for every row of a ``(m, K)`` ``s``.
     """
     s = np.asarray(s)
-    n = a.shape[-1]
+    n, dtype = a.shape[-1], np.result_type(s, a)
     # Copy -A and add s on the diagonals: s * I - A would cast through numpy's
     # large ufunc buffers.
-    out = np.broadcast_to(-a.astype(np.result_type(s, a)), s.shape + (n, n)).copy()
+    out = np.empty(s.shape + (n, n), dtype)
+    out[...] = -a.astype(dtype, copy=False)
     out.reshape(s.size, n * n)[:, :: n + 1] += s.reshape(-1, 1)
     return out
 
@@ -145,10 +155,8 @@ def solve_stacks(m, b, context):
     # Singular items are caught by the checks below; silence the NaN noise they produce.
     with np.errstate(all="ignore"):
         finite = np.isfinite(x).all(axis=(-2, -1))
-        residual = np.linalg.norm(m @ x - b, axis=(-2, -1))
-        scale = np.linalg.norm(m, axis=(-2, -1)) * np.maximum(
-            np.linalg.norm(x, axis=(-2, -1)), 1e-300
-        )
+        residual = frobenius_norms(m @ x - b)
+        scale = frobenius_norms(m) * np.maximum(frobenius_norms(x), 1e-300)
     bad = ~finite | (residual > 1e-8 * scale)
     if not bad.any():
         return x, errors

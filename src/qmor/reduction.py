@@ -183,9 +183,9 @@ def _resolvent_columns(system, side, points, directions):
         lambda i, j: f"{side} interpolation point {labels[i, j]}",
     )
     x = x[..., 0]
-    for i, error in enumerate(errors):
-        if error is not None:
-            x[i] = 0.0
+    failed = [i for i, error in enumerate(errors) if error is not None]
+    if failed:
+        x[failed] = 0.0
     return x.transpose(0, 2, 1), errors
 
 
@@ -215,12 +215,13 @@ def _subspace_bases(system, side, points, directions):
                 except DataValidationError as exc:
                     errors[i] = exc
         s = np.linalg.svd(bases, compute_uv=False)
-    for i, rank in enumerate(linalg.numerical_rank(s, vectors.shape)):
-        if rank < k and errors[i] is None:
+    ranks = linalg.numerical_rank(s, vectors.shape)
+    for i in np.flatnonzero(ranks < k).tolist():
+        if errors[i] is None:
             errors[i] = RankDeficiencyError(
                 f"{side} interpolation subspace spanned by points "
                 f"{np.array2string(points[i], precision=6, max_line_width=np.inf)} has "
-                f"dimension {rank}, expected {k}; interpolation data are degenerate"
+                f"dimension {ranks[i]}, expected {k}; interpolation data are degenerate"
             )
     return bases, errors, columns
 

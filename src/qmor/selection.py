@@ -136,7 +136,7 @@ def ranked_directions(system, side, r, model):
 
 def _template_frequencies(omegas):
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if not np.all((omegas >= 0) & (omegas < math.inf)):
+    if not ((omegas >= 0) & (omegas < math.inf)).all():
         raise StructureError("template frequencies must be finite and nonnegative")
     return omegas
 
@@ -261,7 +261,11 @@ def _reduced_models(problem, points):
     system = problem.system
     w, v, errors, _ = projection(system, problem.side, points, problem.directions)
     a, b, c, d = reduced = compress(system, w, v)
-    finite = np.logical_and.reduce([np.isfinite(m).all(axis=(1, 2)) for m in (a, b, c)])
+    finite = (
+        np.isfinite(a).all(axis=(1, 2))
+        & np.isfinite(b).all(axis=(1, 2))
+        & np.isfinite(c).all(axis=(1, 2))
+    )
     for i in np.flatnonzero(~finite):
         if errors[i] is None:
             try:  # the form's own checks name the first non-finite matrix
@@ -282,28 +286,38 @@ def _candidate_costs(problem, candidates, norms):
     reduced poles come from one stacked eigenvalue call; an unstable
     candidate is infeasible.  ``norms(model, reduced, poles)`` scores the
     stable rows, one value or :class:`~qmor.errors.QmorError` per row.
+    The outcomes are one list in row order: the stacks are indexed only when
+    a row drops out, and an error is built only for a row that fails.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    reduced, errors = _reduced_models(problem, problem.expand_points(candidates))
-    outcomes = np.array(errors, dtype=object)
-    built = np.flatnonzero(np.equal(outcomes, None))
-    if built.size == 0:
-        return errors
+    reduced, outcomes = _reduced_models(problem, problem.expand_points(candidates))
+    built = [i for i, error in enumerate(outcomes) if error is None]
+    if not built:
+        return outcomes
     model = problem.full_model
-    reduced_poles = np.linalg.eigvals(reduced[0][built])
-    stable = np.all(reduced_poles.real < 0, axis=1)
-    outcomes[built[~stable]] = InfeasiblePointError(
-        "projected model is unstable; the error norms diverge"
-    )
-    keep = built[stable]
-    if keep.size:
-        rows = [m[keep] for m in reduced[:3]] + [reduced[3]]
+    a_r = reduced[0] if len(built) == len(outcomes) else reduced[0][built]
+    reduced_poles = np.linalg.eigvals(a_r)
+    stable = (reduced_poles.real < 0).all(axis=1)
+    keep = []
+    for i, row_stable in zip(built, stable.tolist()):
+        if row_stable:
+            keep.append(i)
+        else:
+            outcomes[i] = InfeasiblePointError(
+                "projected model is unstable; the error norms diverge"
+            )
+    if keep:
+        if len(keep) < len(outcomes):
+            reduced = [m[keep] for m in reduced[:3]] + [reduced[3]]
+        if len(keep) < len(built):
+            reduced_poles = reduced_poles[stable]
         try:
-            scores = norms(model, rows, reduced_poles[stable])
+            scores = norms(model, reduced, reduced_poles)
         except QmorError as exc:
-            scores = [exc] * keep.size
-        outcomes[keep] = scores
-    return outcomes.tolist()
+            scores = [exc] * len(keep)
+        for i, score in zip(keep, scores):
+            outcomes[i] = score
+    return outcomes
 
 
 def _hinf_norms(model, reduced, poles):
@@ -424,24 +438,27 @@ def optimize_points(problem):
         their reason and cost ``penalty``.  Returns the new trace rows.
         """
         candidates = 10.0**logs
-        keys = [tuple(omegas) for omegas in candidates.tolist()]
+        keys = list(map(tuple, candidates.tolist()))
         fresh = [k for k, key in enumerate(keys) if key not in scored]
         for start in range(0, len(fresh), block):
             part = fresh[start : start + block]
-            scored.update(zip([keys[k] for k in part], cost_fn(problem, candidates[part])))
+            for key, outcome in zip([keys[k] for k in part], cost_fn(problem, candidates[part])):
+                if isinstance(outcome, Exception):
+                    scored[key] = math.nan, False, str(outcome)
+                else:
+                    scored[key] = outcome, math.isfinite(outcome), ""
+        rows = []
         for key in keys:
-            outcome = scored[key]
-            failed = isinstance(outcome, Exception)
-            value = math.nan if failed else outcome
-            feasible = math.isfinite(value)
-            trace.append({
+            value, feasible, reason = scored[key]
+            rows.append({
                 "phase": phase,
                 "omegas": list(key),
                 "cost": value if feasible else penalty,
                 "feasible": feasible,
-                "reason": str(outcome) if failed else "",
+                "reason": reason,
             })
-        return trace[len(trace) - len(keys) :]
+        trace.extend(rows)
+        return rows
 
     evaluate("scan", lattice)
     feasible_rows = [row for row in trace if row["feasible"]]

@@ -328,17 +328,6 @@ def test_h2_error_gramians_match_the_error_system_norm(form):
             assert analysis.h2_error_gramian(full, reduced) == pytest.approx(oracle, rel=1e-11)
 
 
-def test_frobenius_matches_numpy_norm_bit_for_bit():
-    # The residual gates of h2_error_gramians read _frobenius in place of
-    # np.linalg.norm(stack, axis=(1, 2)); the values are the same bits.
-    rng = np.random.default_rng(3)
-    for shape in [(5, 4, 4), (3, 16, 1), (1, 6, 2)]:
-        real = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, shape)
-        for stack in (real, real + 1j * rng.standard_normal(shape)):
-            expected = np.linalg.norm(stack, axis=(1, 2))
-            assert analysis._frobenius(stack).tobytes() == expected.tobytes()
-
-
 def test_h2_error_gramians_rows_equal_their_stacks_of_one():
     full = systems.random_realizable_annihilation(6, 2, 2, 3)
     rng = np.random.default_rng(3)

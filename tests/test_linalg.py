@@ -107,6 +107,33 @@ def test_shifted_rows_of_shifts_match_their_1d_stacks():
     assert np.array_equal(linalg.shifted(a[0], s[0]), s[0, :, None, None] * np.eye(3) - a[0])
 
 
+def test_shifted_casts_a_real_matrix_before_negating():
+    # -A is taken after the cast, so a real A reads -0.0 imaginary parts off
+    # the diagonal, the bits of the same A given complex.
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((4, 4))
+    s = 1j * rng.standard_normal(6)
+    assert linalg.shifted(a, s).tobytes() == linalg.shifted(a.astype(complex), s).tobytes()
+
+
+def test_frobenius_norms_match_numpy_norm_bit_for_bit():
+    # The residual gates of solve_stacks and h2_error_gramians, and the column
+    # norms of unit_columns, read frobenius_norms in place of np.linalg.norm.
+    rng = np.random.default_rng(3)
+    for shape in [(5, 4, 4), (3, 16, 1), (1, 6, 2), (2, 3, 5, 5), (4, 1, 6, 3)]:
+        scale = 10.0 ** rng.uniform(-150, 150, shape)
+        scale[..., 0] = 0.0  # a zero column in every matrix
+        scale[0] = 0.0  # and a zero matrix
+        real, imag = rng.standard_normal((2,) + shape) * scale
+        for stack in (real, real + 1j * imag):
+            for axis in [(-2, -1), -2]:
+                expected = np.linalg.norm(stack, axis=axis)
+                assert linalg.frobenius_norms(stack, axis=axis).tobytes() == expected.tobytes()
+            columns = np.linalg.norm(stack, axis=-2)
+            unit = stack / np.where(columns == 0.0, 1.0, columns)[..., None, :]
+            assert linalg.unit_columns(stack).tobytes() == unit.tobytes()
+
+
 def test_solve_identity():
     rhs = np.arange(6.0).reshape(3, 2)
     x, errors = linalg.solve_stacks(np.eye(3)[None, None], rhs[None, None], _no_context)

@@ -695,6 +695,39 @@ def test_pole_pair_on_the_axis_is_a_penalized_row(monkeypatch):
         cost_h2(problem, [5e8])
 
 
+@pytest.mark.parametrize("cost", ["h2", "hinf"])
+def test_mixed_stack_rows_equal_their_rows_alone(monkeypatch, cost):
+    # One pass over every kind of row: a rank failure (omega = 0 puts all
+    # three points at 0), an unstable projection, a pole pair on the axis
+    # and scored rows.  Each outcome sits at its own row, the bits of that
+    # row scored alone.
+    problem = replace(_ex3_h2_problem(), cost=cost)
+    reduced_models = selection._reduced_models
+    patched = {2e6: np.diag([1.0, -1.0, -2.0]), 3e6: np.diag([-1e-20, -1.0, -2.0])}
+
+    def unstable_and_pole_pair(problem, points):
+        (a, b, c, d), errors = reduced_models(problem, points)
+        a = a.copy()
+        for omega, matrix in patched.items():
+            a[points[:, 0].imag == omega] = matrix
+        return (a, b, c, d), errors
+
+    monkeypatch.setattr(selection, "_reduced_models", unstable_and_pole_pair)
+    costs = selection.COST_FUNCTIONS[cost]
+    stack = np.array([[1e6], [0.0], [1.5e6], [2e6], [3e6], [5e6], [0.0], [2e6]])
+    outcomes = costs(problem, stack)
+    assert [_bits(outcome) for outcome in outcomes] == [
+        _bits(costs(problem, row[None])[0]) for row in stack
+    ]
+    rank, unstable = outcomes[1], outcomes[3]
+    assert isinstance(rank, InfeasiblePointError) and "has dimension 1, expected 3" in str(rank)
+    assert isinstance(unstable, InfeasiblePointError) and "unstable" in str(unstable)
+    assert _bits(outcomes[6]) == _bits(rank) and _bits(outcomes[7]) == _bits(unstable)
+    assert all(math.isfinite(outcomes[i]) for i in (0, 2, 5))
+    if cost == "h2":
+        assert isinstance(outcomes[4], StabilityError) and str(outcomes[4]) == linalg.POLE_PAIR
+
+
 def test_import_leaves_scipy_optimize_out():
     # The refinement is the package's own poll, so importing it costs no optimizer.
     code = "import sys, qmor, qmor.cli; print('scipy.optimize' in sys.modules)"
