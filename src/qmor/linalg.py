@@ -28,7 +28,7 @@ SCAN_BLOCK_BYTES = 2**24
 def as_matrix(m, name="matrix", ndim=2):
     """Coerce to an inexact ndarray of ``ndim`` dimensions and reject non-finite entries."""
     arr = np.asarray(m)
-    if not np.issubdtype(arr.dtype, np.inexact):
+    if arr.dtype.kind not in "fc":
         arr = arr.astype(float)
     if arr.ndim != ndim:
         raise StructureError(f"{name} must be {ndim}-D, got shape {arr.shape}")
@@ -239,4 +239,10 @@ def spectral_norm(m):
 
 
 def frobenius_norm(m):
-    return float(np.linalg.norm(np.asarray(m)))
+    """Frobenius norm of one matrix, as a float: ``np.linalg.norm(m)``'s own formula, bit for bit."""
+    x = np.asarray(m).ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    return math.sqrt(x.dot(x))

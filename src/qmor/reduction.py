@@ -63,8 +63,8 @@ class InterpolationData:
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise DataValidationError(f"side must be 'left' or 'right', got {self.side!r}")
-        points = np.atleast_1d(np.array(self.points, dtype=complex))
-        directions = np.atleast_2d(np.array(self.directions, dtype=complex))
+        points = np.array(self.points, dtype=complex, ndmin=1)
+        directions = np.array(self.directions, dtype=complex, ndmin=2)
         if points.ndim != 1:
             raise DataValidationError("points must be a 1-D sequence")
         if directions.shape[0] != points.shape[0]:
@@ -79,7 +79,7 @@ class InterpolationData:
         nonzero = directions.any(axis=1)
         if not nonzero.all():
             raise DataValidationError(f"direction {np.argmin(nonzero)} is the zero vector")
-        underflow = np.linalg.norm(directions, axis=1) == 0.0
+        underflow = linalg.frobenius_norms(directions, axis=-1) == 0.0
         if underflow.any():
             raise DataValidationError(
                 f"direction {np.argmax(underflow)} is nonzero, but its squared entries "
@@ -132,36 +132,36 @@ def real_basis_from_conjugate_data(points, directions, vectors):
     """
     points = np.asarray(points, dtype=complex)
     directions = np.atleast_2d(np.asarray(directions, dtype=complex))
-    vectors = np.asarray(vectors, dtype=complex)
     p_tol = CONJUGATION_TOL * max(1.0, np.abs(points).max(initial=0.0))
     d_tol = CONJUGATION_TOL * max(1.0, np.abs(directions).max(initial=0.0))
+    # real[i]: item i is its own conjugate; match[i][j]: item j is the conjugate
+    # of item i.  A point gap is measured by hypot, as abs of a complex scalar
+    # does; numpy's complex array loop can round it an ulp apart.
+    real = ((np.abs(points.imag) <= p_tol) & (np.abs(directions.imag) <= d_tol).all(axis=1)).tolist()
+    gap = points - points.conj()[:, None]
+    match = (
+        (np.hypot(gap.real, gap.imag) <= p_tol)
+        & (np.abs(directions - directions.conj()[:, None]) <= d_tol).all(axis=2)
+    ).tolist()
     k = points.shape[0]
-    used = np.zeros(k, dtype=bool)
+    used = [False] * k
     columns = []
     for i in range(k):
         if used[i]:
             continue
-        columns.append(vectors[:, i].real)
-        if abs(points[i].imag) <= p_tol and np.abs(directions[i].imag).max(initial=0.0) <= d_tol:
+        columns.append(2 * i)
+        if real[i]:
             continue
-        partner = next(
-            (
-                j
-                for j in range(i + 1, k)
-                if not used[j]
-                and abs(points[j] - points[i].conjugate()) <= p_tol
-                and np.abs(directions[j] - directions[i].conjugate()).max() <= d_tol
-            ),
-            None,
-        )
+        partner = next((j for j in range(i + 1, k) if match[i][j] and not used[j]), None)
         if partner is None:
             raise DataValidationError(
                 f"data item {i} (point {points[i]}) has no conjugate partner; "
                 "quadrature-form reductions need conjugation-closed data"
             )
         used[partner] = True
-        columns.append(vectors[:, i].imag)
-    return np.column_stack(columns)
+        columns.append(2 * i + 1)
+    # Columns 2i and 2i + 1 of the float view are Re v_i and Im v_i.
+    return np.ascontiguousarray(vectors, dtype=complex).view(float)[:, columns]
 
 
 def _resolvent_columns(system, side, points, directions):
@@ -285,7 +285,7 @@ def _interpolation_residuals(full, reduced, data, columns):
     else:
         column = data.directions
         target, got = (c @ columns).T + column @ d.T, (red_tf @ column[:, :, None])[..., 0]
-    return np.linalg.norm(got - target, axis=1), np.linalg.norm(target, axis=1)
+    return linalg.frobenius_norms(got - target, axis=-1), linalg.frobenius_norms(target, axis=-1)
 
 
 def _sorted_poles(state_matrix):
@@ -377,7 +377,7 @@ def _reduce(system, data, side, pr_tol):
         interpolation_residuals=abs_res,
         interpolation_references=refs,
         realizability=check_realizability(reduced, pr_tol),
-        biorthogonality=float(np.linalg.norm(w.conj().T @ v - np.eye(w.shape[1]))),
+        biorthogonality=linalg.frobenius_norm(w.conj().T @ v - np.eye(w.shape[1])),
         poles=_sorted_poles(reduced.state_space()[0]),
     )
     return ReductionResult(w=w, v=v, reduced=reduced, data=data, diagnostics=diagnostics)

@@ -17,6 +17,7 @@ comment lines.
 
 import json
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -31,7 +32,8 @@ def real_matrix_to_json(m):
 
 def complex_matrix_to_json(m):
     m = np.asarray(m, dtype=complex)
-    return np.stack([m.real, m.imag], -1).tolist()
+    # The float view of a contiguous complex array holds each entry's (re, im) pair.
+    return np.ascontiguousarray(m).view(float).reshape(m.shape + (2,)).tolist()
 
 
 def _entry_to_complex(entry, name):
@@ -59,10 +61,9 @@ def _numbers(obj, name):
 
     Raises unless ``obj`` is a non-empty list of rows of equal length.
     """
-    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+    if not isinstance(obj, list) or not obj or not all(map(isinstance, obj, repeat(list))):
         raise SchemaError(f"{name} must be a non-empty nested array")
-    width = len(obj[0])
-    if any(len(r) != width for r in obj):
+    if len(set(map(len, obj))) > 1:
         raise SchemaError(f"{name} has ragged rows")
     try:
         return np.array(obj)
@@ -77,17 +78,17 @@ def _complex_matrix(obj, numbers, name):
         and numbers.dtype.kind in "fi"
         and numbers.shape[2:] in ((), (2,))
     ):
-        # Assign the parts: re + 1j * im would turn an entry's -0.0 into +0.0.
-        m = np.zeros(numbers.shape[:2], dtype=complex)
+        # View the (re, im) pairs as complex: re + 1j * im would turn an entry's
+        # -0.0 into +0.0.
         if numbers.ndim == 2:
-            m.real = numbers
+            m = numbers.astype(complex)
         else:
-            m.real, m.imag = numbers[..., 0], numbers[..., 1]
+            m = np.ascontiguousarray(numbers, dtype=float).view(complex)[..., 0]
     else:
         # Booleans, strings, oversized integers and malformed entries: the
         # entry-by-entry reading names the first bad one.
         m = np.array([[_entry_to_complex(x, name) for x in r] for r in obj], dtype=complex)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise SchemaError(f"{name} contains non-finite entries")
     return m
 

@@ -42,12 +42,12 @@ def skew_normal_form(theta):
     theta = linalg.as_matrix(theta, "theta")
     if theta.shape[0] != theta.shape[1] or theta.shape[0] % 2:
         raise StructureError(f"theta must be square of even size, got {theta.shape}")
-    if np.iscomplexobj(theta):
+    if theta.dtype.kind == "c":
         raise StructureError("theta must be real")
-    scale = np.linalg.norm(theta)
+    scale = linalg.frobenius_norm(theta)
     if scale == 0.0:
         raise RankDeficiencyError("theta is zero, hence singular")
-    asymmetry = np.linalg.norm(theta + theta.T)
+    asymmetry = linalg.frobenius_norm(theta + theta.T)
     if asymmetry > SKEW_TOL * scale:
         raise StructureError(
             f"theta is not skew-symmetric: asymmetry {asymmetry:.3e} vs scale {scale:.3e}"
@@ -58,21 +58,18 @@ def skew_normal_form(theta):
     # diagonal with 2x2 blocks [[0, beta], [-beta, 0]].
     t_schur, z, _ = linalg.schur(theta)
     size = theta.shape[0]
-    betas = np.empty(size // 2)
-    for k in range(size // 2):
-        block = t_schur[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
-        beta = block[0, 1]
-        if beta < 0:
-            # Swap the two Schur vectors to flip the block sign.
-            z[:, [2 * k, 2 * k + 1]] = z[:, [2 * k + 1, 2 * k]]
-            beta = -beta
-        betas[k] = beta
+    betas = t_schur.diagonal(1)[::2]
+    # Swap the two Schur vectors (columns 2k and 2k ^ 1) of every negative
+    # block to flip its sign.
+    flip = betas < 0
+    z = z[:, np.arange(size) ^ flip.repeat(2)]
+    betas = np.where(flip, -betas, betas)
     if betas.min() <= 0.0 or betas.max() / betas.min() > MAX_CONDITION:
         raise RankDeficiencyError(
             "theta is numerically singular; its canonical block scales are "
             f"{np.sort(betas)}"
         )
-    inv_sqrt = np.repeat(1.0 / np.sqrt(betas), 2)
+    inv_sqrt = (1.0 / np.sqrt(betas)).repeat(2)
     t = inv_sqrt[:, None] * z.T
-    residual = np.linalg.norm(t @ theta @ t.T - symplectic_form(size // 2))
-    return SkewNormalForm(T=t, residual=float(residual))
+    residual = linalg.frobenius_norm(t @ theta @ t.T - symplectic_form(size // 2))
+    return SkewNormalForm(T=t, residual=residual)

@@ -49,7 +49,7 @@ def symplectic_form(n):
 def _frozen_array(value, name, *, real):
     arr = linalg.as_matrix(value, name)
     if real:
-        if np.iscomplexobj(arr):
+        if arr.dtype.kind == "c":
             if np.abs(arr.imag).max(initial=0.0) > 0.0:
                 raise StructureError(f"{name} must be real")
             arr = arr.real
@@ -76,7 +76,7 @@ class _System:
         n, m, ell = a.shape[0], b.shape[1], c.shape[0]
         if a.shape != (n, n):
             raise StructureError(f"{names[0]} must be square, got {a.shape}")
-        if any(dim % self._per_port for dim in (n, m, ell)):
+        if n % self._per_port or m % self._per_port or ell % self._per_port:
             raise StructureError("quadrature dimensions must be even")
         for name, mat, shape in zip(names[1:], (b, c, d), ((n, m), (ell, n), (ell, m))):
             if mat.shape != shape:
@@ -157,19 +157,19 @@ class RealizabilityReport:
 def check_realizability(system, tol=1e-8):
     """Residuals of the physical-realizability constraints for either form."""
     if isinstance(system, QuadratureSystem):
-        jn = symplectic_form(system.n_modes)
-        jm = symplectic_form(system.n_inputs)
-        jl = symplectic_form(system.n_outputs)
-        r1 = system.A @ jn + jn @ system.A.T + system.B @ jm @ system.B.T
-        r2 = jn @ system.C.T + system.B @ jm @ system.D.T
-        r3 = system.D @ jm @ system.D.T - jl
+        a, b, c, d = system.state_space()
+        jn, jm, jl = map(symplectic_form, (a.shape[0] // 2, b.shape[1] // 2, c.shape[0] // 2))
+        r1 = a @ jn + jn @ a.T + b @ jm @ b.T
+        r2 = jn @ c.T + b @ jm @ d.T
+        r3 = d @ jm @ d.T - jl
     elif isinstance(system, AnnihilationSystem):
-        r1 = system.F + system.F.conj().T + system.G @ system.G.conj().T
-        r2 = system.H.conj().T + system.G @ system.K.conj().T
-        r3 = system.K @ system.K.conj().T - np.eye(system.n_outputs)
+        f, g, h, k = system.state_space()
+        r1 = f + f.conj().T + g @ g.conj().T
+        r2 = h.conj().T + g @ k.conj().T
+        r3 = k @ k.conj().T - np.eye(h.shape[0])
     else:
         raise StructureError(f"unsupported system type {type(system).__name__}")
-    residuals = tuple(linalg.frobenius_norm(r) for r in (r1, r2, r3))
+    residuals = tuple(map(linalg.frobenius_norm, (r1, r2, r3)))
     return RealizabilityReport(residuals=residuals, tol=float(tol))
 
 

@@ -118,7 +118,9 @@ def test_shifted_casts_a_real_matrix_before_negating():
 
 def test_frobenius_norms_match_numpy_norm_bit_for_bit():
     # The residual gates of solve_stacks and h2_error_gramians, and the column
-    # norms of unit_columns, read frobenius_norms in place of np.linalg.norm.
+    # norms of unit_columns, read frobenius_norms in place of np.linalg.norm;
+    # the realizability residuals, the biorthogonality and skew_normal_form's
+    # norms read frobenius_norm, one matrix at a time.
     rng = np.random.default_rng(3)
     for shape in [(5, 4, 4), (3, 16, 1), (1, 6, 2), (2, 3, 5, 5), (4, 1, 6, 3)]:
         scale = 10.0 ** rng.uniform(-150, 150, shape)
@@ -129,6 +131,14 @@ def test_frobenius_norms_match_numpy_norm_bit_for_bit():
             for axis in [(-2, -1), -2]:
                 expected = np.linalg.norm(stack, axis=axis)
                 assert linalg.frobenius_norms(stack, axis=axis).tobytes() == expected.tobytes()
+            # Single matrices, their transposes (a Fortran-ordered layout), and
+            # entries of one scale, from 1e-150 to 1e150.
+            unit = rng.standard_normal(shape[-2:]) + 1j * rng.standard_normal(shape[-2:])
+            units = [part * 10.0**e for e in (-150, -75, 0, 75, 150) for part in (unit.real, unit)]
+            for m in [*stack.reshape((-1,) + shape[-2:]), stack[-1].T, *units]:
+                norm = linalg.frobenius_norm(m)
+                assert type(norm) is float
+                assert np.float64(norm).tobytes() == np.linalg.norm(m).tobytes()
             columns = np.linalg.norm(stack, axis=-2)
             unit = stack / np.where(columns == 0.0, 1.0, columns)[..., None, :]
             assert linalg.unit_columns(stack).tobytes() == unit.tobytes()

@@ -10,6 +10,7 @@ from conftest import (
 from qmor import cases, linalg, systems
 from qmor.errors import DataValidationError, RankDeficiencyError
 from qmor.reduction import (
+    CONJUGATION_TOL,
     InterpolationData,
     ReductionResult,
     left_subspace_basis,
@@ -92,6 +93,67 @@ def test_real_basis_rejects_unpaired_data():
         real_basis_from_conjugate_data(
             np.array([1j, 2j]), np.ones((2, 1)), np.ones((3, 2)) + 1j
         )
+
+
+_TOL = CONJUGATION_TOL * 4.0  # the point tolerance of data whose largest |point| is 4
+
+REAL_BASIS_ORDERS = {
+    # name: (points, one-entry directions, expected columns as (item, part))
+    "real item between a pair": (
+        [2j, 0.5, -2j, 4.0],
+        [1 + 1j, 2.0, 1 - 1j, 3.0],
+        [(0, "re"), (0, "im"), (1, "re"), (3, "re")],
+    ),
+    "pair listed partner-first": (
+        [0.5, -4j, 4j], [1.0, 2 - 1j, 2 + 1j], [(0, "re"), (1, "re"), (1, "im")]
+    ),
+    # Items 1 and 2 both match item 0; the first wins, and item 2 pairs with 3.
+    "two candidate partners": (
+        [1j, -1j, -1j, 1j], [1.0, 1.0, 1.0, 1.0], [(0, "re"), (0, "im"), (2, "re"), (2, "im")]
+    ),
+    # Items 2 and 3 both match item 1, but item 0 has taken item 2.
+    "first unused partner": (
+        [4j, 4j, -4j, -4j], [1.0, 1.0, 1.0, 1.0], [(0, "re"), (0, "im"), (1, "re"), (1, "im")]
+    ),
+    # Conjugates and a real item only within the point and direction tolerances.
+    "matches within the tolerance": (
+        [3j, -3j + 0.9 * _TOL, 4.0 + 0.9j * _TOL],
+        [1 + 3j, 1 - 3j + 0.9j * CONJUGATION_TOL * abs(1 + 3j), 2.0 + 0.9j * CONJUGATION_TOL],
+        [(0, "re"), (0, "im"), (2, "re")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REAL_BASIS_ORDERS))
+def test_real_basis_column_order_and_partners_bit_for_bit(name):
+    points, dirs, expected = REAL_BASIS_ORDERS[name]
+    rng = np.random.default_rng(43)
+    vectors = rng.standard_normal((5, len(points))) + 1j * rng.standard_normal((5, len(points)))
+    reference = np.column_stack(
+        [vectors[:, i].real if part == "re" else vectors[:, i].imag for i, part in expected]
+    )
+    basis = real_basis_from_conjugate_data(np.array(points), np.array(dirs)[:, None], vectors)
+    assert basis.dtype == np.float64 and basis.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "points, dirs, item",
+    [
+        ([2j, 1j], [1.0, 1.0], 0),
+        ([1j, -1j, -1j], [1.0, 1.0, 1.0], 2),
+        ([3j, -3j + 1.1 * _TOL, 4.0], [1.0, 1.0, 1.0], 0),
+        ([3j, -3j, 4.0], [1.0, 1.0 + 1.1e-9j, 1.0], 0),
+        ([4.0 + 1.1j * _TOL, 1.0], [1.0, 1.0], 0),
+    ],
+)
+def test_real_basis_names_the_first_unpaired_item(points, dirs, item):
+    vectors = np.ones((3, len(points)))
+    with pytest.raises(DataValidationError) as excinfo:
+        real_basis_from_conjugate_data(np.array(points), np.array(dirs)[:, None], vectors)
+    assert str(excinfo.value) == (
+        f"data item {item} (point {np.complex128(points[item])}) has no conjugate partner; "
+        "quadrature-form reductions need conjugation-closed data"
+    )
 
 
 # --------------------------------------------------------------------------
