@@ -538,20 +538,20 @@ def _gram_roots(gram):
     return _top_root(a, gram[..., 1, 1].real, gram[..., 0, 1])
 
 
-def _sigma_min(stack):
-    """Smallest singular value of every matrix of an ``(..., k, points, k)`` stack.
+def _sigma_min(m, top):
+    """Smallest singular value of every matrix of a ``(..., k, k)`` stack; ``top()`` the largest.
 
-    ``|x|`` for ``k = 1`` and ``|det| / sigma_max`` for ``k = 2``, which is
-    exactly 0 for a singular stack and as accurate, absolutely, as an SVD;
-    a stacked ``svd`` for wider ones.
+    ``|x|`` for ``k = 1`` and ``|det| / top()`` for ``k = 2``, which is
+    exactly 0 for a singular matrix and as accurate, absolutely, as an SVD;
+    a stacked ``svd`` for wider ones.  Only ``k = 2`` calls ``top``, which
+    the caller holds or computes in its own layout.
     """
-    k = stack.shape[-1]
+    k = m.shape[-1]
     if k > 2:
-        return np.linalg.svd(np.moveaxis(stack, -2, -3), compute_uv=False)[..., -1]
+        return np.linalg.svd(m, compute_uv=False)[..., -1]
     if k == 1:
-        return np.abs(stack[..., 0, :, 0])
-    det = stack[..., 0, :, 0] * stack[..., 1, :, 1] - stack[..., 0, :, 1] * stack[..., 1, :, 0]
-    det, top = np.abs(det), _gram_norms(stack)
+        return np.abs(m[..., 0, 0])
+    det, top = np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]), top()
     return np.divide(det, top, out=np.zeros_like(det), where=top > 0.0)
 
 
@@ -567,9 +567,9 @@ def _angle_integrand(t, rhs, ports, k, s):
     ``Z``, stands for ``U^H Q_u``, ``Q_u`` spanning ``ker(basis^H (sI-A))``:
     ``|C U Q|`` and ``|U_perp^H U Z_B|`` are :func:`_gram_norms`, and
     ``cos(theta)`` is the smallest singular value of ``U_perp^H U Q``
-    (Bjorck and Golub, Math. Comp. 1973).  For ``k <= 2`` all three are
-    closed forms, with no QR, SVD or ``eigvalsh`` per point.  The value is
-    ``inf`` where the cosine is 0.
+    (Bjorck and Golub, Math. Comp. 1973), :func:`_sigma_min`.  For ``k <=
+    2`` all three are closed forms, with no QR, SVD or ``eigvalsh`` per
+    point.  The value is ``inf`` where the cosine is 0.
 
     ``Z`` is a back-substitution over every point of every row in ``n``
     batched products (Laub, IEEE TAC 26(2), 1981), a block of points at a
@@ -595,8 +595,8 @@ def _angle_integrand(t, rhs, ports, k, s):
         t1 = _gram_norms((cu @ q.reshape(g, n, -1)).reshape(g, -1, points, k))
         z[..., m:] = q
         perp = (pu @ z.reshape(g, n, -1)).reshape(g, k, points, width)  # U_perp^H U [Z_B | Q]
-        t2 = _gram_norms(perp[..., :m])
-        cos = _sigma_min(perp[..., m:])
+        t2, p_q = _gram_norms(perp[..., :m]), perp[..., m:]
+        cos = _sigma_min(np.moveaxis(p_q, -2, -3), lambda: _gram_norms(p_q))
         out.append(np.divide(t1 * t2, cos, out=np.full(sb.shape, math.inf), where=cos > 0.0))
     return np.concatenate(out, axis=1)
 
@@ -611,8 +611,8 @@ def _angle_step(t, rhs, ports, k, s):
     product ``ports [Z_B | Q]`` holds ``C U Q``, ``U_perp^H U Z_B`` and
     ``U_perp^H U Q``, and their ``k x k`` Gram matrices (``M^H M`` or ``M
     M^H``, with the top eigenvalue of the smaller one) are one stack, read
-    by :func:`_gram_roots`.  The cosine is the closed form of
-    :func:`_sigma_min` for ``k <= 2`` and a stacked SVD above.
+    by :func:`_gram_roots`; the last one is the ``sigma_max`` of
+    :func:`_sigma_min`, the cosine.
     """
     m, p = rhs.shape[-1] - k, ports.shape[-2] - k
     z = linalg.solve(linalg.shifted(t, s.T), rhs[None])
@@ -624,13 +624,7 @@ def _angle_step(t, rhs, ports, k, s):
     np.matmul(p_b, p_b.swapaxes(-1, -2).conj(), out=gram[1])
     np.matmul(p_q.swapaxes(-1, -2).conj(), p_q, out=gram[2])
     roots = _gram_roots(gram)
-    if k > 2:
-        cos = np.linalg.svd(p_q, compute_uv=False)[..., -1]
-    elif k == 1:
-        cos = np.abs(p_q[..., 0, 0])
-    else:
-        det = np.abs(p_q[..., 0, 0] * p_q[..., 1, 1] - p_q[..., 0, 1] * p_q[..., 1, 0])
-        cos = np.divide(det, roots[2], out=np.zeros_like(det), where=roots[2] > 0.0)
+    cos = _sigma_min(p_q, lambda: roots[2])
     return np.divide(roots[0] * roots[1], cos, out=np.full(cos.shape, math.inf), where=cos > 0.0).T
 
 
@@ -659,40 +653,36 @@ def _angle_terms(model, terms):
     per label, or :func:`_angle_step` when they are at most ``FEW_POINTS``
     points.  ``even`` tells whether every matrix is real, which makes ``f``
     even in frequency.  The left integrand is the right one of the adjoint
-    ``(A^H, C^H, B^H)`` at ``conj(s)``, and the model's complex Schur form
-    ``A = U T U^H`` serves both sides: with ``J`` the index reversal, ``A^H
-    = (U J) (J T^H J) (U J)^H``, and ``J T^H J`` is upper triangular.  Each
-    term's ``U^H [B | kernel]`` and ``ports = [C U; U_perp^H U]``, the rows
-    that multiply ``Z``, are built once, with ``U^H B`` and ``(C U)^H``
-    narrowed (:func:`_narrow`) and zero-padded to a common width: no norm
-    changes.
+    ``(A^H, C^H, B^H)`` at ``conj(s)``, on the model's
+    :attr:`~PreparedModel.adjoint` pair ``(J T^H J, U J)``, so the model's
+    ``U^H B`` and ``C U`` serve both sides: the left side's are ``J (C
+    U)^H`` and ``(U^H B)^H J``.  Each term's ``U^H [B | kernel]`` and ``ports
+    = [C U; U_perp^H U]``, the rows that multiply ``Z``, are built once, with
+    ``U^H B`` and ``(C U)^H`` narrowed (:func:`_narrow`) and zero-padded to a
+    common width: no norm changes.
     """
-    a, b, c, _ = model.abcd
-    t, u = model.t, model.u
+    cu_h = model.cu.conj().T
     forms = {
-        "right": (t, u, b, c, 1j),
-        "left": (t.conj().T[::-1, ::-1], u[:, ::-1], c.conj().T, b.conj().T, -1j),
+        "right": (model.t, model.u, model.ub, cu_h, 1j),
+        "left": (*model.adjoint, cu_h[::-1], model.ub[::-1], -1j),
     }
-    narrowed = {
-        side: (_narrow(u_s.conj().T @ b_s), _narrow((c_s @ u_s).conj().T))
-        for side, (_, u_s, b_s, c_s, _) in forms.items()
-    }
+    narrowed = {side: (_narrow(x), _narrow(y)) for side, (_, _, x, y, _) in forms.items()}
     widths = [max(narrowed[side][j].shape[1] for side, _, _ in terms) for j in (0, 1)]
     bases = {id(x): x for _, *pair in terms for x in pair}
     kernels = {key: linalg.kernel_basis(x.conj().T) for key, x in bases.items()}
     stacked = []
     for side, basis, perp in terms:
         t_s, u_s, _, _, unit = forms[side]
-        ub, cu_h = (
+        ub_s, cu_h_s = (
             np.hstack([x, np.zeros((len(x), w - x.shape[1]))])
             for x, w in zip(narrowed[side], widths)
         )
         kernel, u_perp_h = u_s.conj().T @ kernels[id(basis)], kernels[id(perp)].conj().T
-        rows = np.vstack([cu_h.conj().T, u_perp_h @ u_s])
-        stacked.append((t_s, np.hstack([ub, kernel]), rows, unit))
+        rows = np.vstack([cu_h_s.conj().T, u_perp_h @ u_s])
+        stacked.append((t_s, np.hstack([ub_s, kernel]), rows, unit))
     t, rhs, ports, unit = (np.array(x) for x in zip(*stacked))
     k = kernel.shape[1]
-    even = not any(np.iscomplexobj(x) for x in (a, b, c, *bases.values()))
+    even = not any(np.iscomplexobj(x) for x in (*model.abcd[:3], *bases.values()))
 
     def f(labels, w):
         if k == 0:
@@ -784,9 +774,10 @@ class PreparedModel:
     """A full model prepared once for every analysis that reads it: what no reduced model changes.
 
     ``abcd`` is the model's ``(A, B, C, D)``; ``t``, ``u`` and ``poles`` are
-    the complex Schur form ``A = U T U^H`` and its diagonal; ``ub`` and
-    ``cu`` are ``U^H B`` and ``C U``; ``t_max`` and ``t_norm`` are ``max |T|``
-    and ``|T|_F``, the scales of the pole-pair and Sylvester residual tests.
+    the complex Schur form ``A = U T U^H`` and its diagonal, :attr:`adjoint`
+    that of ``A^H``; ``ub`` and ``cu`` are ``U^H B`` and ``C U``; ``t_max``
+    and ``t_norm`` are ``max |T|`` and ``|T|_F``, the scales of the
+    pole-pair and Sylvester residual tests.
     It stands in for its system in every analysis.  Built by :func:`prepare_model`.
     """
 
@@ -801,6 +792,11 @@ class PreparedModel:
 
     def state_space(self):
         return self.abcd
+
+    @cached_property
+    def adjoint(self):
+        """The complex Schur pair ``(J T^H J, U J)`` of ``A^H``, ``J`` the index reversal."""
+        return self.t.conj().T[::-1, ::-1], self.u[:, ::-1]
 
     @cached_property
     def gramian(self):

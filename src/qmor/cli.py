@@ -225,11 +225,11 @@ def cmd_select_points(args):
         directions = serialization.complex_matrix_from_json(
             _load_json_arg(args.dirs, "directions"), "directions"
         )
-    elif args.method == "left":  # the ranking's prepared model is the problem's own
-        model = analysis.prepare_model(system)
-        directions = selection.ranked_directions(system, args.method, args.r, model)
-    else:
+    elif args.method == "passive":
         directions = selection.default_directions(system, args.method, args.r)
+    else:  # the ranking's prepared model is the problem's own
+        model = selection.prepare_full_model(system, args.cost)
+        directions = selection.ranked_directions(system, args.method, args.r, model)
     bounds = None
     if args.wmin is not None or args.wmax is not None:
         if args.wmin is None or args.wmax is None:

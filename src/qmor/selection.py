@@ -21,22 +21,22 @@ Without explicit bounds the search window is that of
 :func:`qmor.analysis.default_grid`: two decades beyond the pole magnitudes.
 
 What belongs to the full model is built once per problem,
-:attr:`SelectionProblem.full_model` (:func:`qmor.analysis.prepare_model`):
-one complex Schur form of the full state matrix, whose diagonal is the full
-half of every Hurwitz test, and for the H2 cost its Gramian term.  A full
-model that is not Hurwitz, or an H2 problem's whose Gramian is undefined,
-fails the search, and each cost, with one error that names it, before any
-error norm is computed; only a candidate whose reduced model cannot be
-built keeps its own reason first.  The costs of
-:data:`COST_FUNCTIONS` score a stack of candidates in one pass: one stacked
-resolvent solve, one stacked SVD and the compressions serve every candidate
-at once, and one stacked eigenvalue call gives the reduced poles.  The H2
-cost adds, per pass, only the candidates' Gramian blocks, in stacked solves;
-only the H-infinity level-set iteration runs candidate by candidate.  The
-search scores its scan lattice and each poll of its refinement that way,
-each in as few passes as ``linalg.SCAN_BLOCK_BYTES`` of working memory allow
-(one for the bundled examples); :func:`cost_hinf` and :func:`cost_h2` are
-stacks of one.
+:attr:`SelectionProblem.full_model` (:func:`prepare_full_model`, whose model
+also ranks the default directions): one complex Schur form of the full state
+matrix, whose diagonal is the full half of every Hurwitz test, and for the
+H2 cost its Gramian term.  A full model that is not Hurwitz, or an H2
+problem's whose Gramian is undefined, fails the search, and each cost, with
+one error that names it, before any error norm is computed; only a
+candidate whose reduced model cannot be built keeps its own reason first.
+The costs of :data:`COST_FUNCTIONS` score a stack of candidates in one
+pass: one stacked resolvent solve, one stacked SVD and the compressions
+serve every candidate at once, and one stacked eigenvalue call gives the
+reduced poles.  The H2 cost adds, per pass, only the candidates' Gramian
+blocks, in stacked solves; only the H-infinity level-set iteration runs
+candidate by candidate.  The search scores its scan lattice and each poll
+of its refinement that way, each in as few passes as
+``linalg.SCAN_BLOCK_BYTES`` of working memory allow (one for the bundled
+examples); :func:`cost_hinf` and :func:`cost_h2` are stacks of one.
 """
 
 import itertools
@@ -90,32 +90,34 @@ def default_directions(system, side, r):
     """The search's default directions: ``r`` passive rows, or ``2r`` left/right rows.
 
     Passive: the indicator pattern ``(e_1, e_1, e_2, e_2, ...)`` truncated
-    to ``r`` rows.  Left/right: :func:`tangent_directions` with a port-pair
-    permutation.  The pairs are ranked by their Gramian share ``diag(C P
-    C^T)`` per output pair, ``P`` the prepared Gramian of the system on the
-    left, or of its dual ``(A^T, C^T, B^T)`` on the right: ``diag(B^T Q
-    B)`` per input pair, ``Q`` the observability Gramian.  The
-    best-ranked pair whose directions :func:`~qmor.reduction.projection`
-    accepts at a probe frequency (a full-rank subspace with a nonsingular
-    skew pairing), the middle of the default grid's window in log scale,
-    goes to the front; the other pairs follow in rank order.
-    When no pair passes, the ranking stands and the search reports the
-    infeasible candidates.
+    to ``r`` rows.  Left/right: :func:`ranked_directions` on the system's
+    :func:`~qmor.analysis.prepare_model`.
     """
     if side == "passive":
         ell = system.n_outputs
         return np.eye(ell, dtype=complex)[(np.arange(r) // 2) % ell]
     if not isinstance(system, QuadratureSystem):
         raise StructureError(f"{side} selection needs a quadrature-form system")
-    a, b, c, d = system.state_space()
-    model = prepare_model((a.T, c.T, b.T, d.T) if side == "right" else system)
-    return ranked_directions(system, side, r, model)
+    return ranked_directions(system, side, r, prepare_model(system))
 
 
 def ranked_directions(system, side, r, model):
-    """:func:`default_directions` on ``side`` from ``model``, the system or its dual, prepared."""
-    _, _, out, _ = model.abcd
-    share = np.diag(out @ model.gramian @ out.T)
+    """:func:`tangent_directions` with a port-pair permutation; ``model`` is the system prepared.
+
+    The pairs are ranked by their Gramian share: ``diag(C P C^T)`` per
+    output pair on the left, ``P`` the model's Gramian, and ``diag(B^T Q
+    B)`` per input pair on the right, ``Q`` the observability Gramian,
+    solved on the model's adjoint Schur pair.  The best-ranked pair whose
+    directions :func:`~qmor.reduction.projection` accepts at a probe
+    frequency, the middle of the default grid's window in log scale, goes to
+    the front, the others follow in rank order; when none passes, the
+    ranking stands and the search reports the infeasible candidates.
+    """
+    _, b, c, _ = model.abcd
+    if side == "left":
+        share = np.diag(c @ model.gramian @ c.T)
+    else:  # A^H Q + Q A + C^T C = 0, real for a quadrature system
+        share = np.diag(b.T @ linalg.lyapunov_solve(*model.adjoint, c.T @ c).real @ b)
     pairs = share.size // 2
     ranked = np.argsort(-share.reshape(pairs, 2).sum(axis=1), kind="stable")
 
@@ -235,19 +237,24 @@ class SelectionProblem:
 
     @cached_property
     def full_model(self):
-        """The full model prepared once for every pass: :func:`~qmor.analysis.prepare_model`.
+        """The full model prepared once for every pass: :func:`prepare_full_model`."""
+        return prepare_full_model(self.system, self.cost)
 
-        A full model that is not Hurwitz, or an H2 problem's whose Gramian is
-        undefined, raises a :class:`~qmor.errors.StabilityError` that names
-        it: no candidate of the problem has a finite error norm.
-        """
-        try:
-            model = prepare_model(self.system)
-            if self.cost == "h2":
-                model.full_term  # noqa: B018 -- solved here, so it fails the problem once
-            return model
-        except StabilityError as exc:
-            raise StabilityError(f"full model: {exc}") from None
+
+def prepare_full_model(system, cost):
+    """The search's :func:`~qmor.analysis.prepare_model`, with its Gramian term for the H2 cost.
+
+    A full model that is not Hurwitz, or an H2 problem's whose Gramian is
+    undefined, raises a :class:`~qmor.errors.StabilityError` that names it:
+    no candidate of the problem has a finite error norm.
+    """
+    try:
+        model = prepare_model(system)
+        if cost == "h2":
+            model.full_term  # noqa: B018 -- solved here, so it fails the problem once
+        return model
+    except StabilityError as exc:
+        raise StabilityError(f"full model: {exc}") from None
 
 
 def _reduced_models(problem, points):
@@ -311,11 +318,7 @@ def _candidate_costs(problem, candidates, norms):
             reduced = [m[keep] for m in reduced[:3]] + [reduced[3]]
         if len(keep) < len(built):
             reduced_poles = reduced_poles[stable]
-        try:
-            scores = norms(model, reduced, reduced_poles)
-        except QmorError as exc:
-            scores = [exc] * len(keep)
-        for i, score in zip(keep, scores):
+        for i, score in zip(keep, norms(model, reduced, reduced_poles)):
             outcomes[i] = score
     return outcomes
 

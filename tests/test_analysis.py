@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -161,6 +162,15 @@ def test_hinf_norm_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(analysis, "MAX_LEVEL_SET_ITERATIONS", steps - 1)
     with pytest.raises(QmorError, match=f"did not converge in {steps - 1} steps"):
         analysis.hinf_norm(*error, linalg.eigenvalues(error[0]))
+
+
+def test_hinf_norm_of_a_zero_curve_is_zero():
+    # No level-set step: a level of 0 would divide the Hamiltonian's blocks by zero.
+    a, b, c, _ = cases.optomechanical_system().state_space()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = analysis.hinf_norm(a, b, 0 * c, linalg.eigenvalues(a))
+    assert norm == analysis.HinfEstimate(0.0, 0.0, 0.0, 0)
 
 
 def test_hinf_norm_pole_on_axis_is_inf():

@@ -712,7 +712,7 @@ def test_closed_form_singular_values_match_svd(shape):
     layout = np.moveaxis(x, 0, 1)
     assert np.all(np.abs(analysis._gram_norms(layout) - sigma[:, 0]) <= 1e-14 * sigma[:, 0])
     if shape[0] == shape[1]:
-        low = analysis._sigma_min(layout)
+        low = analysis._sigma_min(x, lambda: analysis._gram_norms(layout))
         assert np.all(np.abs(low - sigma[:, -1]) <= 1e-14 * sigma[:, 0])
 
 
@@ -748,7 +748,8 @@ def test_closed_forms_read_zero_on_singular_stacks():
     stack = np.moveaxis(np.array([rank_one, np.zeros((2, 2))]), 0, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(analysis._sigma_min(stack), [0.0, 0.0])
+        top = analysis._gram_norms(stack)
+        assert np.array_equal(analysis._sigma_min(np.moveaxis(stack, 1, 0), lambda: top), [0, 0])
         assert analysis._gram_norms(stack)[1] == 0.0
         e = np.eye(3)
         # ker(basis^H (sI-A)) = span(e1, e2); U_perp = [e1, e3] meets it at a right angle.

@@ -8,6 +8,7 @@ import pytest
 from qmor import analysis, cases, cli, linalg, serialization, systems
 from qmor.cli import main
 from qmor.reduction import reduce_passive, reduce_right
+from qmor.selection import tangent_directions
 
 from conftest import make_quadrature_data, stable_reduction_cases
 
@@ -94,6 +95,31 @@ def test_reduce_non_finite_point_exits_2(tmp_path, ex1_system_path, ex1_points_p
     argv = ["reduce", str(ex1_system_path), "--method", "right", "--points", str(path)]
     assert main(argv + ["--out", str(tmp_path / "red")]) == 2
     assert capsys.readouterr().err == "error: points contains non-finite entries\n"
+
+
+@pytest.mark.parametrize(
+    "points, code, message",
+    [
+        ("[1,", 2, "inline points is not valid JSON: Expecting value: line 1 column 4 (char 3)"),
+        (
+            "[[0,1],[0,2]]",
+            1,
+            "data item 0 (point 1j) has no conjugate partner; "
+            "quadrature-form reductions need conjugation-closed data",
+        ),
+    ],
+    ids=["unparsable", "unpaired"],
+)
+def test_reduce_rejected_points_write_nothing(
+    tmp_path, ex1_system_path, points, code, message, capsys
+):
+    # A parse error is a usage error; right data that are not closed under
+    # conjugation are infeasible.  Either way: one line, and no output directory.
+    argv = ["reduce", str(ex1_system_path), "--method", "right", "--points", points]
+    argv += ["--dirs", json.dumps([[0, 0, 0, 0, 1, 0]] * 2), "--out", str(tmp_path / "red")]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "red").exists()
 
 
 def test_reduce_and_analyze_chain(tmp_path, ex1_system_path, ex1_points_path, capsys):
@@ -691,15 +717,27 @@ def test_select_points_zero_direction_fails_before_the_scan(tmp_path, capsys):
     assert not (tmp_path / "sel").exists()
 
 
-def test_select_points_non_hurwitz_system_fails_before_the_scan(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "method, dirs",
+    [(method, dirs) for method in ("passive", "left", "right") for dirs in (False, True)],
+    ids=["passive", "passive-dirs", "left", "left-dirs", "right", "right-dirs"],
+)
+def test_select_points_non_hurwitz_system_fails_before_the_scan(tmp_path, capsys, method, dirs):
     # No candidate has a finite error norm: exit 1, one line that names the
-    # full model, and no trace.
+    # full model, and no trace, whether the directions are given or ranked.
     f, g, h, k = cases.cascaded_cavity_system().state_space()
     sys_path = tmp_path / "sys.json"
     system = systems.AnnihilationSystem(F=f + 1.5e6 * np.eye(f.shape[0]), G=g, H=h, K=k)
+    r, template = "3", "symmetric_with_dc"
+    if method != "passive":
+        system, r, template = systems.annihilation_to_quadrature(system), "2", "conjugate_pairs"
     serialization.save_system(system, sys_path)
-    args = ["select-points", str(sys_path), "--method", "passive", "--r", "3", "--cost", "h2"]
-    args += ["--template", "symmetric_with_dc", "--out", str(tmp_path / "sel")]
+    args = ["select-points", str(sys_path), "--method", method, "--r", r, "--cost", "h2"]
+    args += ["--template", template, "--out", str(tmp_path / "sel")]
+    if dirs:
+        pairs = system.n_inputs if method == "right" else system.n_outputs
+        rows = np.eye(pairs)[[0, 0, 1]] if method == "passive" else tangent_directions(2, pairs)
+        args += ["--dirs", json.dumps(rows.tolist())]
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err == (
@@ -738,17 +776,22 @@ def test_select_points_form_mismatch_exits_2(tmp_path, capsys, method, system, f
     assert not (tmp_path / "sel").exists()
 
 
-def test_select_points_left_ranking_prepares_the_search_model(tmp_path, monkeypatch, capsys):
-    # Without --dirs on the left, the Gramian ranking's prepared model is the
-    # search's own: one Schur form of the full state matrix per command.
+@pytest.mark.parametrize("method", ["left", "right"])
+def test_select_points_default_ranking_prepares_the_search_model(
+    tmp_path, monkeypatch, capsys, method
+):
+    # Without --dirs, the Gramian ranking's prepared model is the search's
+    # own on either side: one Schur form of the full state matrix, or of its
+    # transpose, per command.
     quad = stable_reduction_cases(1)[0][0]
     path = tmp_path / "system.json"
     serialization.save_system(quad, path)
     schurs, schur = [], linalg.schur
     monkeypatch.setattr(linalg, "schur", lambda m: schurs.append(m) or schur(m))
-    args = ["select-points", str(path), "--method", "left", "--r", "1", "--tie-omega"]
+    args = ["select-points", str(path), "--method", method, "--r", "1", "--tie-omega"]
     assert main(args + ["--cost", "h2", "--out", str(tmp_path / "sel")]) == 0
-    assert [m.shape for m in schurs if np.array_equal(m, quad.A)] == [quad.A.shape]
+    full = [m for m in schurs if np.array_equal(m, quad.A) or np.array_equal(m, quad.A.T)]
+    assert [m.shape for m in full] == [quad.A.shape]
     assert "error" not in capsys.readouterr().err
 
 

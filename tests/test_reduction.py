@@ -16,6 +16,7 @@ from qmor.reduction import (
     left_subspace_basis,
     passive_stability_certificate,
     passive_subspace_basis,
+    projection,
     real_basis_from_conjugate_data,
     reduce_left,
     reduce_passive,
@@ -226,6 +227,14 @@ DATA_REJECTIONS = {
         lambda: reduce_passive(cases.cascaded_cavity_system(), _ex3_data("right")),
         "^passive reductions use left-side data, got right$",
     ),
+    "unpaired-point": (
+        lambda: reduce_right(
+            cases.optomechanical_system(),
+            InterpolationData("right", [1j, 2j], np.eye(6)[[4, 4]]),
+        ),
+        r"^data item 0 \(point 1j\) has no conjugate partner; quadrature-form reductions need "
+        "conjugation-closed data$",
+    ),
     "odd-count": (
         lambda: reduce_right(cases.optomechanical_system(), _ex1_data("right", count=3)),
         "^quadrature reductions need an even number of data items$",
@@ -248,6 +257,15 @@ def test_invalid_data_rejected(case):
     build, message = DATA_REJECTIONS[case]
     with pytest.raises(DataValidationError, match=message):
         build()
+
+
+def test_projection_keeps_an_unpaired_row_its_own_error():
+    # In a stack of point rows, a row without conjugate partners fails alone.
+    data = cases.ex1_interpolation_data()
+    points = np.array([data.points, [1j, 2j, 3j, 4j]])
+    _, _, errors, _ = projection(cases.optomechanical_system(), "right", points, data.directions)
+    assert errors[0] is None and isinstance(errors[1], DataValidationError)
+    assert str(errors[1]).startswith("data item 0 (point 1j) has no conjugate partner; ")
 
 
 # --------------------------------------------------------------------------
